@@ -53,8 +53,9 @@ def _scalar_everything():
     """Force every engine decision down the scalar path.
 
     Patches the single engine-resolution choke point plus the scheduler's
-    predict-batching predicate, so tuning, exhaustive sweeps and campaign
-    predict jobs all run exactly as they did before the batch engine landed.
+    predict-batching predicate, so tuning's stage-1 ranking, exhaustive
+    sweeps and campaign predict jobs all take the scalar path.  The tuner's
+    stage 2 has no scalar path: it runs batched on both sides.
     """
     import repro.campaign.scheduler as scheduler_module
     import repro.model.batch as batch_module

@@ -343,6 +343,7 @@ def _run_fuzz(spec: JobSpec) -> Dict[str, object]:
     from repro.sim.timing import simulate_performance
     from repro.stencils.library import direct_pattern
     from repro.stencils.reference import ReferenceExecutor, make_initial_grid
+    from repro.tuning.search_space import REGISTER_LIMITS
 
     params = spec.params_dict()
     seed = int(params.get("seed", 0))
@@ -404,9 +405,12 @@ def _run_fuzz(spec: JobSpec) -> Dict[str, object]:
             "" if blocked.matches else f"max_relative_error={blocked.max_relative_error:.3e}",
         )
 
+    # Every register limit, capped ones included: the tuner's stage 2 reads
+    # the capped rows from the batch engine.
     model_configs = [
-        BlockingConfig(bT=bT, bS=(32,) if pattern.ndim == 2 else (16, 16))
+        BlockingConfig(bT=bT, bS=(32,) if pattern.ndim == 2 else (16, 16), register_limit=limit)
         for bT in (1, 2, 4)
+        for limit in REGISTER_LIMITS
     ]
     model_configs = [c for c in model_configs if c.is_valid(pattern)]
     if not supports_pattern(pattern) or not model_configs:

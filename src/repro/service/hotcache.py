@@ -15,7 +15,8 @@ On top of the entry sit two payload caches:
   pruned space and from a single-row batch evaluation otherwise;
 * ``hot_tune`` — one payload per ``top_k``, produced by re-entering the
   autotuner's stage 2 (:meth:`~repro.tuning.autotuner.AutoTuner.tune_ranked`)
-  over the entry's cached ranking.
+  over the entry's cached ranking; stage 2 simulates the finalists x register
+  limits as one batch, so a miss costs one small vectorised ``simulate``.
 
 All three caches are :class:`~repro.obs.SingleFlightCache` instances, so a
 stampede of identical concurrent requests runs one build and shares it, and

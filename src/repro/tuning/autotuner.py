@@ -10,8 +10,11 @@ simulated performance.
 Stage 1 defaults to the batched model engine (:mod:`repro.model.batch`):
 pruning and the roofline prediction for the whole space happen as a handful
 of array operations, and the stable descending sort reproduces the scalar
-ranking exactly (identical predictions, identical tie order).  Stage 2 is
-genuinely per-candidate simulator work and stays scalar.
+ranking exactly (identical predictions, identical tie order).  Stage 2 packs
+the finalists x register limits into one batch and simulates it in a single
+vectorised call; the batch simulator is bit-identical to
+:class:`~repro.sim.timing.TimingSimulator`, which remains the oracle the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.batch import BatchModelEngine, ConfigBatch, prune_mask, resolve_engine
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.model.roofline import PerformancePrediction, predict_performance
-from repro.sim.timing import SimulatedMeasurement, TimingSimulator
+from repro.sim.timing import SimulatedMeasurement
 from repro.tuning.pruning import prune_configurations
 from repro.tuning.search_space import REGISTER_LIMITS, SearchSpace, default_search_space
 
@@ -89,16 +92,16 @@ class TuningResult:
 class AutoTuner:
     """Model-guided tuner for one device.
 
-    ``engine`` selects the stage-1 ranking implementation: ``"batch"`` (the
-    vectorized model engine, the ``"auto"`` choice for 2-D/3-D stencils) or
-    ``"scalar"``; both produce the identical candidate ranking.
+    ``engine`` selects the stage-1 ranking implementation only: ``"batch"``
+    (the vectorized model engine, the ``"auto"`` choice for 2-D/3-D
+    stencils) or ``"scalar"``; both produce the identical candidate ranking.
+    Stage 2 always runs on the batch engine.
     """
 
     def __init__(self, gpu: GpuSpec | str, top_k: int = 5, engine: str = "auto") -> None:
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         self.top_k = top_k
         self.engine = engine
-        self.simulator = TimingSimulator(self.gpu)
 
     # -- stage 1: model ranking -------------------------------------------------
     def rank(
@@ -143,23 +146,6 @@ class AutoTuner:
         ]
 
     # -- stage 2: simulated measurement -----------------------------------------
-    def _measure_with_register_limits(
-        self,
-        pattern: StencilPattern,
-        grid: GridSpec,
-        candidate: TuningCandidate,
-        register_limits: Sequence[Optional[int]],
-    ) -> TuningCandidate:
-        best: Optional[TuningCandidate] = None
-        for limit in register_limits:
-            config = candidate.config.with_register_limit(limit)
-            measured = self.simulator.simulate(pattern, grid, config)
-            scored = TuningCandidate(config, candidate.predicted, measured)
-            if best is None or scored.measured_gflops > best.measured_gflops:
-                best = scored
-        assert best is not None
-        return best
-
     def tune_ranked(
         self,
         pattern: StencilPattern,
@@ -178,9 +164,24 @@ class AutoTuner:
             raise ValueError(
                 f"no valid configuration for stencil {pattern.name!r} on {self.gpu.name}"
             )
+        head = ranked[: self.top_k]
+        batch = ConfigBatch.from_configs([c.config for c in head]).with_register_limits(
+            register_limits
+        )
+        engine = BatchModelEngine(pattern, grid, self.gpu)
+        measured = engine.simulate(batch)
+        # Rows are finalist-major, limit-minor.  ``argmax`` and ``max`` both
+        # keep the first maximum: ties go to the earlier limit, then to the
+        # higher-ranked finalist.
+        limits = len(register_limits)
+        choice = np.argmax(measured.gflops.reshape(len(head), limits), axis=1)
         finalists = [
-            self._measure_with_register_limits(pattern, grid, candidate, register_limits)
-            for candidate in ranked[: self.top_k]
+            TuningCandidate(
+                candidate.config.with_register_limit(register_limits[column]),
+                candidate.predicted,
+                engine.measurement(measured, row * limits + column),
+            )
+            for row, (candidate, column) in enumerate(zip(head, choice))
         ]
         best = max(finalists, key=lambda c: c.measured_gflops)
         return TuningResult(

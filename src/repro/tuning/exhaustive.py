@@ -157,7 +157,9 @@ def _search_scalar(
             chunk_results = _search_parallel(
                 pattern, grid, spec, survivors, register_limits, workers
             )
-        except Exception:
+        except OSError:
+            # The pool could not start (no fork/semaphore support, process
+            # limits): sweep serially instead.
             chunk_results = [_search_chunk((pattern, grid, spec, survivors, register_limits))]
     else:
         chunk_results = [_search_chunk((pattern, grid, spec, survivors, register_limits))]
