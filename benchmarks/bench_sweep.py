@@ -1,12 +1,12 @@
 """Search-space sweep throughput: scalar vs batched model engine.
 
 Times a cold exhaustive sweep (full pruned space x register limits) of the
-paper's j2d5pt and star3d1r search spaces through both engines, verifies the
-answers are identical (same best configuration, exactly equal GFLOPS), and
-measures the cold-campaign delta: one model-only campaign matrix (tune +
-predict jobs) run once with the batched engines and once with everything
-forced down the scalar path.  Results go to ``BENCH_sweep.json`` at the
-repository root.
+paper's j2d5pt and star3d1r search spaces through the batch engine and the
+scalar oracle (``reference_search``), verifies the answers are identical
+(same best configuration, exactly equal GFLOPS), and measures the
+cold-campaign delta: one model-only campaign matrix (tune + predict jobs) run
+once as shipped and once with stage-1 ranking and predict jobs on the scalar
+model.  Results go to ``BENCH_sweep.json`` at the repository root.
 
 Usage::
 
@@ -35,7 +35,7 @@ from repro import model as model_pkg  # noqa: E402
 from repro.campaign import CampaignScheduler, CampaignSpec, ResultStore  # noqa: E402
 from repro.ir.stencil import GridSpec  # noqa: E402
 from repro.stencils.library import load_pattern  # noqa: E402
-from repro.tuning.exhaustive import exhaustive_search  # noqa: E402
+from repro.tuning.exhaustive import exhaustive_search, reference_search  # noqa: E402
 from repro.tuning.search_space import REGISTER_LIMITS, default_search_space  # noqa: E402
 
 #: CI acceptance threshold for the batch/scalar cold-sweep speedup (the
@@ -50,35 +50,27 @@ OVERHEAD_MAX = 0.05
 
 @contextmanager
 def _scalar_everything():
-    """Force every engine decision down the scalar path.
+    """Run a campaign's model work on the scalar oracle.
 
-    Patches the single engine-resolution choke point plus the scheduler's
-    predict-batching predicate, so tuning's stage-1 ranking, exhaustive
-    sweeps and campaign predict jobs all take the scalar path.  The tuner's
-    stage 2 has no scalar path: it runs batched on both sides.
+    Swaps the tuner's stage-1 ranking for :func:`reference_rank` and turns
+    off the scheduler's predict batching, so tune jobs rank and predict jobs
+    evaluate one configuration at a time through the scalar model.  The
+    tuner's stage 2 has no scalar path: it runs batched on both sides.
     """
     import repro.campaign.scheduler as scheduler_module
-    import repro.model.batch as batch_module
-    import repro.tuning.autotuner as autotuner_module
-    import repro.tuning.exhaustive as exhaustive_module
+    from repro.tuning.autotuner import AutoTuner, reference_rank
 
-    def scalar_resolve(engine, pattern):
-        return "scalar"
-
-    patched = [
-        (batch_module, "resolve_engine", batch_module.resolve_engine),
-        (autotuner_module, "resolve_engine", autotuner_module.resolve_engine),
-        (exhaustive_module, "resolve_engine", exhaustive_module.resolve_engine),
-        (scheduler_module, "predict_job_batchable", scheduler_module.predict_job_batchable),
-    ]
+    rank = AutoTuner.rank
+    batchable = scheduler_module.predict_job_batchable
+    AutoTuner.rank = lambda self, pattern, grid, space=None: reference_rank(
+        pattern, grid, self.gpu, space
+    )
+    scheduler_module.predict_job_batchable = lambda spec: False
     try:
-        for module, name, _ in patched[:3]:
-            setattr(module, name, scalar_resolve)
-        scheduler_module.predict_job_batchable = lambda spec: False
         yield
     finally:
-        for module, name, original in patched:
-            setattr(module, name, original)
+        AutoTuner.rank = rank
+        scheduler_module.predict_job_batchable = batchable
 
 
 def bench_sweeps(quick: bool) -> list[dict]:
@@ -94,12 +86,12 @@ def bench_sweeps(quick: bool) -> list[dict]:
 
         model_pkg.clear_model_caches()
         start = time.perf_counter()
-        batched = exhaustive_search(pattern, grid, "V100", space=space, engine="batch")
+        batched = exhaustive_search(pattern, grid, "V100", space=space)
         t_batch = time.perf_counter() - start
 
         model_pkg.clear_model_caches()
         start = time.perf_counter()
-        scalar = exhaustive_search(pattern, grid, "V100", space=space, engine="scalar")
+        scalar = reference_search(pattern, grid, "V100", space=space)
         t_scalar = time.perf_counter() - start
 
         identical = (

@@ -10,7 +10,6 @@ performance trajectory is tracked from PR to PR.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_throughput.py [--quick] [--check]
-                                                         [--workers N]
 
 ``--quick`` shrinks the workloads for CI smoke runs, ``--check`` makes the
 process exit non-zero unless the executor speedup is >= 5x and the tuner
@@ -251,7 +250,7 @@ def bench_executor(quick: bool) -> dict:
     }
 
 
-def bench_tuner(quick: bool, workers: int) -> dict:
+def bench_tuner(quick: bool) -> dict:
     """Exhaustive sweep of one library stencil's full search space."""
     pattern = load_pattern("j2d5pt", "float")
     grid = GridSpec((256, 256), 50) if quick else GridSpec((512, 512), 100)
@@ -282,7 +281,7 @@ def bench_tuner(quick: bool, workers: int) -> dict:
         and abs(legacy_gflops - cold.best_gflops) < 1e-9
     )
 
-    result = {
+    return {
         "workload": {
             "pattern": "j2d5pt",
             "grid": list(grid.interior),
@@ -301,28 +300,12 @@ def bench_tuner(quick: bool, workers: int) -> dict:
         "speedup": t_legacy / t_cold,
     }
 
-    if workers > 1:
-        model_pkg.clear_model_caches()
-        start = time.perf_counter()
-        parallel = exhaustive_search(pattern, grid, "V100", space=space, workers=workers)
-        t_parallel = time.perf_counter() - start
-        result["parallel"] = {
-            "workers": workers,
-            "seconds": t_parallel,
-            "configs_per_s": parallel.evaluated / t_parallel,
-            "same_answer": parallel.best_config == cold.best_config,
-        }
-    return result
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small CI-sized workloads")
     parser.add_argument(
         "--check", action="store_true", help="exit non-zero unless speedup targets are met"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="also time the parallel sweep with N workers"
     )
     parser.add_argument(
         "--output",
@@ -346,18 +329,12 @@ def main(argv=None) -> int:
         f"(legacy {reference['legacy_mcells_per_s']:.1f}) -> {reference['speedup']:.2f}x"
     )
 
-    tuner = bench_tuner(args.quick, args.workers)
+    tuner = bench_tuner(args.quick)
     print(
         f"exhaustive sweep : {tuner['new_configs_per_s']:8.1f} configs/s "
         f"(legacy {tuner['legacy_configs_per_s']:.1f}) -> {tuner['speedup']:.2f}x "
         f"over {tuner['evaluated']} runs, same answer={tuner['same_answer_as_legacy']}"
     )
-    if "parallel" in tuner:
-        par = tuner["parallel"]
-        print(
-            f"parallel sweep   : {par['configs_per_s']:8.1f} configs/s "
-            f"with {par['workers']} workers, same answer={par['same_answer']}"
-        )
 
     met = (
         blocked["speedup"] >= EXECUTOR_SPEEDUP_MIN

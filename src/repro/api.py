@@ -165,16 +165,10 @@ def tune(
     grid: Union[GridSpec, Sequence[int], None] = None,
     time_steps: int = 1000,
     top_k: int = 5,
-    engine: str = "auto",
 ) -> TuningResult:
-    """Model-guided autotuning (Section 6.3).
-
-    ``engine`` picks the stage-1 ranking implementation: ``"batch"`` (the
-    vectorized model engine, chosen by ``"auto"`` for 2-D/3-D stencils) or
-    ``"scalar"``; both rank identically.
-    """
+    """Model-guided autotuning (Section 6.3)."""
     resolved = _resolve_pattern(pattern, dtype)
-    tuner = AutoTuner(gpu, top_k=top_k, engine=engine)
+    tuner = AutoTuner(gpu, top_k=top_k)
     return tuner.tune(resolved, _resolve_grid(resolved, grid, time_steps))
 
 
@@ -184,25 +178,10 @@ def exhaustive(
     dtype: str = "float",
     grid: Union[GridSpec, Sequence[int], None] = None,
     time_steps: int = 1000,
-    workers: int = 1,
-    engine: str = "auto",
 ) -> ExhaustiveResult:
-    """Exhaustive simulated sweep of the full (pruned) search space.
-
-    ``engine="batch"`` (the ``"auto"`` choice for 2-D/3-D stencils)
-    evaluates the whole space in one vectorized pass; ``engine="scalar"``
-    walks it per configuration, with ``workers`` > 1 fanning that sweep out
-    over a ``multiprocessing`` pool.  Every engine returns the identical
-    best configuration and GFLOPS.
-    """
+    """Exhaustive simulated sweep of the full (pruned) search space."""
     resolved = _resolve_pattern(pattern, dtype)
-    return exhaustive_search(
-        resolved,
-        _resolve_grid(resolved, grid, time_steps),
-        gpu,
-        workers=workers,
-        engine=engine,
-    )
+    return exhaustive_search(resolved, _resolve_grid(resolved, grid, time_steps), gpu)
 
 
 def sconf(pattern: PatternLike, dtype: str = "float") -> BlockingConfig:

@@ -472,14 +472,7 @@ def predict_batch_key(spec: JobSpec) -> Tuple[object, ...]:
 
 def predict_job_batchable(spec: JobSpec) -> bool:
     """Whether the batched model engine can serve this job in-process."""
-    from repro.model.batch import supports_pattern
-
-    if spec.kind != "predict":
-        return False
-    try:
-        return supports_pattern(load_pattern(spec.pattern, spec.dtype))
-    except Exception:
-        return False
+    return spec.kind == "predict"
 
 
 def _predict_config(spec: JobSpec, ndim: int) -> BlockingConfig:

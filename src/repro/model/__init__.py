@@ -16,7 +16,6 @@ from repro.model.batch import (
     ConfigBatch,
     prune_mask,
     register_mask,
-    resolve_engine,
     supports_pattern,
     validity_mask,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "prune_mask",
     "register_mask",
     "register_pressure_ok",
-    "resolve_engine",
     "shared_memory_access_per_thread",
     "stencilgen_registers",
     "supports_pattern",

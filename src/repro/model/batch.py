@@ -32,8 +32,10 @@ path's ``math.ceil(a / b)`` agrees because every such ratio in the model is
 far below 2**53, where float division cannot cross an integer boundary.
 
 Configurations with non-default optimisation switches (single buffering,
-forced star/associative overrides) and 1-D patterns are outside the batch
-layout; callers fall back to the scalar path for those.
+forced star/associative overrides) are outside the batch layout; callers
+evaluate those with the scalar model.  1-D patterns need no path of their
+own: no blocking configuration is valid for them, so pruning leaves an empty
+batch and the tuner and sweep report "no valid configuration".
 """
 
 from __future__ import annotations
@@ -90,19 +92,6 @@ def is_standard_config(config: BlockingConfig) -> bool:
         and config.associative_opt is None
         and not config.vectorized_smem
     )
-
-
-def resolve_engine(engine: str, pattern: StencilPattern) -> str:
-    """Normalise an ``--engine`` selector to ``"batch"`` or ``"scalar"``."""
-    if engine not in ("auto", "batch", "scalar"):
-        raise ValueError(f"unknown engine {engine!r}; expected auto, batch or scalar")
-    if engine == "batch" and not supports_pattern(pattern):
-        raise ValueError(
-            f"batch engine does not support {pattern.ndim}-D patterns; use --engine scalar"
-        )
-    if engine == "auto":
-        return "batch" if supports_pattern(pattern) else "scalar"
-    return engine
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from repro.model.batch import (
     BatchUnsupportedError,
     ConfigBatch,
     prune_mask,
-    supports_pattern,
 )
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.obs import MetricsRegistry, SingleFlightCache, get_registry
@@ -68,16 +67,15 @@ def _config_key(config: BlockingConfig) -> Tuple[object, ...]:
 class _HotEntry:
     """One (pattern, grid, GPU)'s resident model state.
 
-    ``engine`` is ``None`` for patterns outside the batch layout (1-D);
-    their requests fall back to the scalar job runner (still cached).
+    ``predicted``/``simulated`` are ``None`` when pruning leaves nothing.
     """
 
     pattern: StencilPattern
     grid: GridSpec
     gpu: GpuSpec
     space_size: int
-    engine: Optional[BatchModelEngine]
-    survivors: Optional[ConfigBatch]
+    engine: BatchModelEngine
+    survivors: ConfigBatch
     predicted: Optional[BatchPrediction]
     simulated: Optional[BatchMeasurement]
     index: Dict[Tuple[object, ...], int]
@@ -86,7 +84,7 @@ class _HotEntry:
     def candidates(self) -> list:
         """The stage-1 ranking, materialised from the cached columns.
 
-        Exactly :meth:`AutoTuner._rank_batched`: stable descending sort over
+        Exactly :meth:`AutoTuner.rank`: stable descending sort over
         the predicted GFLOPS already held in ``predicted``.
         """
         return [
@@ -133,12 +131,6 @@ class HotModelCache:
         grid = spec.grid()
         gpu = get_gpu(spec.gpu)
         space = default_search_space(pattern)
-        if not supports_pattern(pattern):
-            return _HotEntry(
-                pattern=pattern, grid=grid, gpu=gpu, space_size=space.size(),
-                engine=None, survivors=None, predicted=None, simulated=None,
-                index={}, rank_order=(),
-            )
         candidates = ConfigBatch.from_space(space)
         survivors = candidates.select(prune_mask(pattern, candidates, gpu))
         engine = BatchModelEngine(pattern, grid, gpu)
@@ -175,8 +167,6 @@ class HotModelCache:
 
     def _build_predict(self, spec: JobSpec) -> Dict[str, object]:
         entry = self._entry(spec)
-        if entry.engine is None:
-            return run_job(spec)  # 1-D pattern: scalar path, still cached
         config = _predict_config(spec, entry.pattern.ndim)
         config.validate(entry.pattern)
         row = entry.index.get(_config_key(config))
@@ -215,8 +205,6 @@ class HotModelCache:
 
     def _build_tune(self, spec: JobSpec) -> Dict[str, object]:
         entry = self._entry(spec)
-        if entry.engine is None:
-            return run_job(spec)
         top_k = int(spec.params_dict().get("top_k", 5))
         tuner = AutoTuner(entry.gpu, top_k=top_k)
         result = tuner.tune_ranked(

@@ -7,14 +7,14 @@ register limits, "runs" them on the timing simulator — the stand-in for the
 actual GPU measurements — and returns the configuration with the best
 simulated performance.
 
-Stage 1 defaults to the batched model engine (:mod:`repro.model.batch`):
-pruning and the roofline prediction for the whole space happen as a handful
-of array operations, and the stable descending sort reproduces the scalar
-ranking exactly (identical predictions, identical tie order).  Stage 2 packs
-the finalists x register limits into one batch and simulates it in a single
-vectorised call; the batch simulator is bit-identical to
-:class:`~repro.sim.timing.TimingSimulator`, which remains the oracle the
-tests compare against.
+Both stages run on the batched model engine (:mod:`repro.model.batch`).
+Stage 1 prunes and predicts the whole space as a handful of array
+operations; the stable descending sort reproduces the scalar ranking exactly
+(identical predictions, identical tie order).  Stage 2 packs the finalists x
+register limits into one batch and simulates it in a single vectorised call.
+The scalar model and :class:`~repro.sim.timing.TimingSimulator` remain the
+oracle: :func:`reference_rank` is the scalar stage-1 ranking the tests and
+``benchmarks/bench_sweep.py`` compare against.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec, StencilPattern
-from repro.model.batch import BatchModelEngine, ConfigBatch, prune_mask, resolve_engine
+from repro.model.batch import BatchModelEngine, ConfigBatch, prune_mask
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.model.roofline import PerformancePrediction, predict_performance
 from repro.sim.timing import SimulatedMeasurement
@@ -89,19 +89,35 @@ class TuningResult:
         }
 
 
-class AutoTuner:
-    """Model-guided tuner for one device.
+def reference_rank(
+    pattern: StencilPattern,
+    grid: GridSpec,
+    gpu: GpuSpec,
+    space: SearchSpace | None = None,
+) -> List[TuningCandidate]:
+    """The scalar stage-1 ranking: the oracle :meth:`AutoTuner.rank` matches.
 
-    ``engine`` selects the stage-1 ranking implementation only: ``"batch"``
-    (the vectorized model engine, the ``"auto"`` choice for 2-D/3-D
-    stencils) or ``"scalar"``; both produce the identical candidate ranking.
-    Stage 2 always runs on the batch engine.
+    One :func:`predict_performance` call per pruned configuration, sorted
+    descending by predicted GFLOPS (``list.sort`` is stable, so ties keep
+    enumeration order).  No tuning path calls this; it exists for the tests
+    and benchmarks that compare the batch engine against the scalar model.
     """
+    space = space or default_search_space(pattern)
+    configurations = prune_configurations(pattern, space.configurations(), gpu)
+    candidates = [
+        TuningCandidate(config, predict_performance(pattern, grid, config, gpu))
+        for config in configurations
+    ]
+    candidates.sort(key=lambda c: c.predicted_gflops, reverse=True)
+    return candidates
 
-    def __init__(self, gpu: GpuSpec | str, top_k: int = 5, engine: str = "auto") -> None:
+
+class AutoTuner:
+    """Model-guided tuner for one device."""
+
+    def __init__(self, gpu: GpuSpec | str, top_k: int = 5) -> None:
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         self.top_k = top_k
-        self.engine = engine
 
     # -- stage 1: model ranking -------------------------------------------------
     def rank(
@@ -110,29 +126,13 @@ class AutoTuner:
         grid: GridSpec,
         space: SearchSpace | None = None,
     ) -> List[TuningCandidate]:
-        """Rank all pruned configurations by predicted performance."""
-        space = space or default_search_space(pattern)
-        if resolve_engine(self.engine, pattern) == "batch":
-            return self._rank_batched(pattern, grid, space)
-        configurations = prune_configurations(pattern, space.configurations(), self.gpu)
-        candidates = [
-            TuningCandidate(config, predict_performance(pattern, grid, config, self.gpu))
-            for config in configurations
-        ]
-        candidates.sort(key=lambda c: c.predicted_gflops, reverse=True)
-        return candidates
+        """Rank all pruned configurations by predicted performance.
 
-    def _rank_batched(
-        self,
-        pattern: StencilPattern,
-        grid: GridSpec,
-        space: SearchSpace,
-    ) -> List[TuningCandidate]:
-        """Prune + predict the whole space in arrays, then sort stably.
-
-        A stable sort on the negated predictions reproduces ``list.sort``'s
+        Pruning and prediction run over the whole space as arrays.  A stable
+        sort on the negated predictions reproduces :func:`reference_rank`'s
         ordering: descending by predicted GFLOPS, enumeration order on ties.
         """
+        space = space or default_search_space(pattern)
         candidates = ConfigBatch.from_space(space)
         survivors = candidates.select(prune_mask(pattern, candidates, self.gpu))
         if survivors.size == 0:
@@ -214,7 +214,6 @@ def tune(
     grid: GridSpec,
     gpu: GpuSpec | str,
     top_k: int = 5,
-    engine: str = "auto",
 ) -> TuningResult:
     """Convenience wrapper: tune ``pattern`` for ``gpu`` over ``grid``."""
-    return AutoTuner(gpu, top_k, engine=engine).tune(pattern, grid)
+    return AutoTuner(gpu, top_k).tune(pattern, grid)

@@ -7,32 +7,24 @@ an exhaustive sweep that simulates *every* valid configuration, and a helper
 that quantifies how much performance the model-guided two-stage procedure
 leaves on the table (the "tuning efficiency").
 
-Two engines drive the sweep:
-
-* ``batch`` (the default for 2-D/3-D stencils) evaluates the whole pruned
-  space x register-limit cross product in one vectorized pass over the
-  structure-of-arrays layout of :mod:`repro.model.batch` — no worker
-  processes, no per-config Python objects, identical results to the scalar
-  sweep down to the last bit;
-* ``scalar`` walks one configuration at a time through the scalar timing
-  simulator.  Only this engine uses the ``workers`` process pool: fanning
-  out is worthwhile for genuinely simulator-backed per-config work, whereas
-  the old behaviour of forking model-only evaluations re-imported the
-  library and re-warmed every per-process model cache just to do array-op
-  amounts of arithmetic.
+The sweep runs on the batched model engine: the whole pruned space x
+register-limit cross product is evaluated in one vectorized pass over the
+structure-of-arrays layout of :mod:`repro.model.batch`.  :func:`reference_search`
+is the scalar oracle it is compared against — one
+:class:`~repro.sim.timing.TimingSimulator` call per configuration — and no
+tuning path calls it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec, StencilPattern
-from repro.model.batch import BatchModelEngine, ConfigBatch, prune_mask, resolve_engine
+from repro.model.batch import BatchModelEngine, ConfigBatch, prune_mask
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.sim.timing import TimingSimulator
 from repro.tuning.autotuner import AutoTuner, TuningResult
@@ -59,28 +51,31 @@ class ExhaustiveResult:
         }
 
 
-def _search_batched(
+def exhaustive_search(
     pattern: StencilPattern,
     grid: GridSpec,
-    spec: GpuSpec,
-    space: SearchSpace,
-    register_limits: Tuple[Optional[int], ...],
+    gpu: GpuSpec | str,
+    space: SearchSpace | None = None,
+    register_limits: Sequence[Optional[int]] = REGISTER_LIMITS,
 ) -> ExhaustiveResult:
-    """One vectorized pass over the whole pruned space x register limits.
+    """Simulate every valid configuration and return the best one.
 
-    Candidates are laid out configuration-major, limit-minor — the scalar
-    sweep's visit order — and the first maximum wins, so ties resolve to the
-    same configuration the serial scan would keep.
+    Candidates are laid out configuration-major, limit-minor — the
+    :func:`reference_search` visit order — and the first maximum wins, so
+    ties resolve to the same configuration the serial scan keeps.
     """
+    spec = get_gpu(gpu) if isinstance(gpu, str) else gpu
+    space = space or default_search_space(pattern)
+    limits = tuple(register_limits)
     candidates = ConfigBatch.from_space(space)
     survivors = candidates.select(prune_mask(pattern, candidates, spec))
     if survivors.size == 0:
         raise ValueError(f"no valid configuration for stencil {pattern.name!r}")
     engine = BatchModelEngine(pattern, grid, spec)
-    sweep = survivors.with_register_limits(register_limits)
+    sweep = survivors.with_register_limits(limits)
     # Traffic is independent of the register limit: one pass over the
     # survivors feeds the whole limit-expanded sweep.
-    traffic = engine.traffic(survivors).repeat(len(register_limits))
+    traffic = engine.traffic(survivors).repeat(len(limits))
     measured = engine.simulate(sweep, traffic)
     best = int(np.argmax(measured.gflops)) if sweep.size else 0
     if not sweep.size or not measured.gflops[best] > 0.0:
@@ -92,19 +87,26 @@ def _search_batched(
     )
 
 
-_ChunkResult = Tuple[Optional[BlockingConfig], float, int]
+def reference_search(
+    pattern: StencilPattern,
+    grid: GridSpec,
+    gpu: GpuSpec | str,
+    space: SearchSpace | None = None,
+    register_limits: Sequence[Optional[int]] = REGISTER_LIMITS,
+) -> ExhaustiveResult:
+    """The scalar sweep: the oracle :func:`exhaustive_search` matches.
 
-
-def _search_chunk(
-    args: Tuple[StencilPattern, GridSpec, GpuSpec, Sequence[BlockingConfig], Tuple[Optional[int], ...]],
-) -> _ChunkResult:
-    """Simulate one contiguous slice of the pruned space (worker function)."""
-    pattern, grid, spec, configs, register_limits = args
+    Walks the pruned space one configuration and register limit at a time
+    through the scalar timing simulator, keeping the first strictly-best
+    result.  For tests and benchmarks only.
+    """
+    spec = get_gpu(gpu) if isinstance(gpu, str) else gpu
+    space = space or default_search_space(pattern)
     simulator = TimingSimulator(spec)
     best_config: Optional[BlockingConfig] = None
     best_gflops = 0.0
     evaluated = 0
-    for config in configs:
+    for config in prune_configurations(pattern, space.configurations(), spec):
         for limit in register_limits:
             candidate = config.with_register_limit(limit)
             gflops = simulator.simulate(pattern, grid, candidate).gflops
@@ -112,95 +114,9 @@ def _search_chunk(
             if gflops > best_gflops:
                 best_gflops = gflops
                 best_config = candidate
-    return best_config, best_gflops, evaluated
-
-
-def _search_parallel(
-    pattern: StencilPattern,
-    grid: GridSpec,
-    spec: GpuSpec,
-    survivors: List[BlockingConfig],
-    register_limits: Tuple[Optional[int], ...],
-    workers: int,
-) -> List[_ChunkResult]:
-    """Fan contiguous chunks of the space out over a process pool.
-
-    Chunks are combined in order with a strict greater-than comparison, so
-    the winner is identical to the serial sweep's (first best wins ties).
-    """
-    workers = min(workers, len(survivors))
-    chunk_size = (len(survivors) + workers - 1) // workers
-    chunks = [survivors[i : i + chunk_size] for i in range(0, len(survivors), chunk_size)]
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with context.Pool(processes=len(chunks)) as pool:
-        return pool.map(
-            _search_chunk,
-            [(pattern, grid, spec, chunk, register_limits) for chunk in chunks],
-        )
-
-
-def _search_scalar(
-    pattern: StencilPattern,
-    grid: GridSpec,
-    spec: GpuSpec,
-    space: SearchSpace,
-    register_limits: Tuple[Optional[int], ...],
-    workers: int,
-) -> ExhaustiveResult:
-    """The per-config scalar sweep, optionally fanned out over a pool."""
-    survivors = prune_configurations(pattern, space.configurations(), spec)
-
-    chunk_results: List[_ChunkResult]
-    if workers > 1 and len(survivors) > 1:
-        try:
-            chunk_results = _search_parallel(
-                pattern, grid, spec, survivors, register_limits, workers
-            )
-        except OSError:
-            # The pool could not start (no fork/semaphore support, process
-            # limits): sweep serially instead.
-            chunk_results = [_search_chunk((pattern, grid, spec, survivors, register_limits))]
-    else:
-        chunk_results = [_search_chunk((pattern, grid, spec, survivors, register_limits))]
-
-    best_config: Optional[BlockingConfig] = None
-    best_gflops = 0.0
-    evaluated = 0
-    for chunk_config, chunk_gflops, chunk_evaluated in chunk_results:
-        evaluated += chunk_evaluated
-        if chunk_config is not None and chunk_gflops > best_gflops:
-            best_gflops = chunk_gflops
-            best_config = chunk_config
     if best_config is None:
         raise ValueError(f"no valid configuration for stencil {pattern.name!r}")
     return ExhaustiveResult(best_config=best_config, best_gflops=best_gflops, evaluated=evaluated)
-
-
-def exhaustive_search(
-    pattern: StencilPattern,
-    grid: GridSpec,
-    gpu: GpuSpec | str,
-    space: SearchSpace | None = None,
-    register_limits: Sequence[Optional[int]] = REGISTER_LIMITS,
-    workers: int = 1,
-    engine: str = "auto",
-) -> ExhaustiveResult:
-    """Simulate every valid configuration and return the best one.
-
-    ``engine`` selects how the space is evaluated: ``"batch"`` (one
-    vectorized pass, the ``"auto"`` choice for 2-D/3-D stencils),
-    ``"scalar"`` (per-config sweep), or ``"auto"``.  ``workers`` > 1 splits
-    the *scalar* sweep into contiguous chunks over a ``multiprocessing``
-    pool; the batch engine is in-process array arithmetic and ignores it.
-    Every engine returns the identical best configuration and GFLOPS.
-    """
-    spec = get_gpu(gpu) if isinstance(gpu, str) else gpu
-    space = space or default_search_space(pattern)
-    limits = tuple(register_limits)
-    if resolve_engine(engine, pattern) == "batch":
-        return _search_batched(pattern, grid, spec, space, limits)
-    return _search_scalar(pattern, grid, spec, space, limits, workers)
 
 
 @dataclass(frozen=True)
@@ -230,11 +146,9 @@ def compare_guided_vs_exhaustive(
     gpu: GpuSpec | str,
     top_k: int = 5,
     space: SearchSpace | None = None,
-    workers: int = 1,
-    engine: str = "auto",
 ) -> TuningEfficiency:
     """Run both procedures on the same space and report the efficiency."""
     spec = get_gpu(gpu) if isinstance(gpu, str) else gpu
-    guided = AutoTuner(spec, top_k=top_k, engine=engine).tune(pattern, grid, space)
-    exhaustive = exhaustive_search(pattern, grid, spec, space, workers=workers, engine=engine)
+    guided = AutoTuner(spec, top_k=top_k).tune(pattern, grid, space)
+    exhaustive = exhaustive_search(pattern, grid, spec, space)
     return TuningEfficiency(guided=guided, exhaustive=exhaustive)

@@ -155,6 +155,34 @@ def test_cli_predict(capsys):
     assert "model:" in output and "simulated:" in output
 
 
+def _printed_fields(output):
+    """The ``  key: value`` lines the tune/exhaustive commands print."""
+    fields = {}
+    for line in output.splitlines():
+        key, sep, value = line.strip().partition(": ")
+        if sep and line.startswith("  "):
+            fields[key] = value
+    return fields
+
+
+def test_cli_tune_matches_api(capsys):
+    assert main(["tune", "j2d5pt", "--time-steps", "100"]) == 0
+    fields = _printed_fields(capsys.readouterr().out)
+    row = api.tune("j2d5pt", time_steps=100).as_row()
+    for key in ("bT", "bS", "hS", "regs"):
+        assert fields[key] == str(row[key])
+
+
+def test_cli_exhaustive_matches_api(capsys):
+    assert main(["exhaustive", "j2d5pt", "--time-steps", "100"]) == 0
+    output = capsys.readouterr().out
+    fields = _printed_fields(output)
+    row = api.exhaustive("j2d5pt", time_steps=100).as_row()
+    for key in ("bT", "bS", "hS", "regs"):
+        assert fields[key] == str(row[key])
+    assert f"evaluated {row['evaluated']} configs" in output
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -10,7 +10,6 @@ from repro.ir.stencil import GridSpec
 from repro.reporting import ResultTable, bar_chart, series_table
 from repro.stencils.generators import box_stencil, star_stencil
 from repro.stencils.library import BENCHMARKS, load_pattern
-from repro.tuning import exhaustive
 from repro.tuning.exhaustive import compare_guided_vs_exhaustive, exhaustive_search
 from repro.tuning.search_space import SearchSpace
 
@@ -159,26 +158,3 @@ def test_exhaustive_search_rejects_empty_space(v100):
     space = SearchSpace(time_blocks=(16,), spatial_blocks=((128,),), stream_blocks=(256,))
     with pytest.raises(ValueError):
         exhaustive_search(pattern, GridSpec((4096, 4096), 100), v100, space)
-
-
-def test_scalar_sweep_falls_back_to_serial_when_the_pool_cannot_start(j2d5pt, monkeypatch):
-    grid = GridSpec((8192, 8192), 120)
-    serial = exhaustive_search(j2d5pt, grid, "V100", SMALL_SPACE, engine="scalar")
-
-    def no_pool(*args, **kwargs):
-        raise OSError("cannot start worker processes")
-
-    monkeypatch.setattr(exhaustive, "_search_parallel", no_pool)
-    fallback = exhaustive_search(j2d5pt, grid, "V100", SMALL_SPACE, workers=2, engine="scalar")
-    assert fallback == serial
-
-
-def test_scalar_sweep_propagates_errors_other_than_pool_start(j2d5pt, monkeypatch):
-    def broken(*args, **kwargs):
-        raise ValueError("worker failed")
-
-    monkeypatch.setattr(exhaustive, "_search_parallel", broken)
-    with pytest.raises(ValueError, match="worker failed"):
-        exhaustive_search(
-            j2d5pt, GridSpec((8192, 8192), 120), "V100", SMALL_SPACE, workers=2, engine="scalar"
-        )

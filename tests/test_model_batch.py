@@ -17,7 +17,6 @@ from repro.model.batch import (
     ConfigBatch,
     prune_mask,
     register_mask,
-    resolve_engine,
     supports_pattern,
     validity_mask,
 )
@@ -26,8 +25,8 @@ from repro.model.registers import register_pressure_ok
 from repro.model.roofline import predict_performance
 from repro.sim.timing import TimingSimulator
 from repro.stencils.library import load_pattern
-from repro.tuning.autotuner import AutoTuner
-from repro.tuning.exhaustive import exhaustive_search
+from repro.tuning.autotuner import AutoTuner, reference_rank
+from repro.tuning.exhaustive import exhaustive_search, reference_search
 from repro.tuning.pruning import prune_configurations, pruning_statistics
 from repro.tuning.search_space import REGISTER_LIMITS, SearchSpace, default_search_space
 
@@ -148,29 +147,27 @@ def test_simulations_bit_identical_across_full_space(case):
 
 def test_exhaustive_engines_agree_exactly(case):
     pattern, grid, gpu = case
-    batched = exhaustive_search(pattern, grid, gpu, engine="batch")
-    scalar = exhaustive_search(pattern, grid, gpu, engine="scalar")
-    assert batched.best_config == scalar.best_config
-    assert batched.best_gflops == scalar.best_gflops  # exact float equality
-    assert batched.evaluated == scalar.evaluated
+    batched = exhaustive_search(pattern, grid, gpu)
+    scalar = reference_search(pattern, grid, gpu)
+    assert batched == scalar  # exact float equality on best_gflops
 
 
 def test_rank_engines_agree_exactly(case):
     pattern, grid, gpu = case
-    batched = AutoTuner(gpu, engine="batch").rank(pattern, grid)
-    scalar = AutoTuner(gpu, engine="scalar").rank(pattern, grid)
-    assert [c.config for c in batched] == [c.config for c in scalar]
-    assert [c.predicted for c in batched] == [c.predicted for c in scalar]
+    batched = AutoTuner(gpu).rank(pattern, grid)
+    scalar = reference_rank(pattern, grid, gpu)
+    assert batched == scalar
 
 
 def test_tune_engines_agree_exactly(case):
     pattern, grid, gpu = case
-    batched = AutoTuner(gpu, engine="batch").tune(pattern, grid)
-    scalar = AutoTuner(gpu, engine="scalar").tune(pattern, grid)
-    assert batched.best_config == scalar.best_config
-    assert batched.best.measured_gflops == scalar.best.measured_gflops
-    assert batched.best.predicted == scalar.best.predicted
-    assert batched.pruned_to == scalar.pruned_to
+    tuner = AutoTuner(gpu)
+    space = default_search_space(pattern)
+    batched = tuner.tune(pattern, grid)
+    scalar = tuner.tune_ranked(
+        pattern, grid, reference_rank(pattern, grid, gpu, space), explored=space.size()
+    )
+    assert batched == scalar
 
 
 # -- unlaunchable and empty-space edges -----------------------------------------------
@@ -195,31 +192,15 @@ def test_batch_exhaustive_rejects_empty_space(v100):
     pattern = load_pattern("j2d5pt")
     space = SearchSpace(time_blocks=(), spatial_blocks=((128,),), stream_blocks=(256,))
     with pytest.raises(ValueError, match="no valid configuration"):
-        exhaustive_search(pattern, GridSpec((4096, 4096), 100), v100, space, engine="batch")
+        exhaustive_search(pattern, GridSpec((4096, 4096), 100), v100, space)
 
 
-# -- engine resolution ----------------------------------------------------------------
+# -- pattern support ------------------------------------------------------------------
 
 
-def test_resolve_engine_rules():
-    pattern_2d = load_pattern("j2d5pt")
-    assert supports_pattern(pattern_2d)
-    assert resolve_engine("auto", pattern_2d) == "batch"
-    assert resolve_engine("scalar", pattern_2d) == "scalar"
-    with pytest.raises(ValueError):
-        resolve_engine("turbo", pattern_2d)
-
-
-def test_one_dimensional_pattern_falls_back_to_scalar():
-    from repro.ir.expr import BinOp, GridRead
-    from repro.ir.stencil import StencilPattern
-
-    expr = BinOp("+", GridRead("A", (-1,)), GridRead("A", (1,)))
-    pattern = StencilPattern(name="j1d", ndim=1, expr=expr)
-    assert not supports_pattern(pattern)
-    assert resolve_engine("auto", pattern) == "scalar"
-    with pytest.raises(ValueError, match="batch engine"):
-        resolve_engine("batch", pattern)
+def test_supports_two_and_three_dimensional_patterns():
+    assert supports_pattern(load_pattern("j2d5pt"))
+    assert supports_pattern(load_pattern("star3d1r"))
 
 
 # -- campaign predict batching --------------------------------------------------------
@@ -246,6 +227,27 @@ def test_campaign_predict_batch_rejects_mixed_groups():
     ]
     with pytest.raises(ValueError):
         run_predict_jobs(mixed)
+
+
+def test_campaign_predict_group_failure_falls_back_to_per_job_records():
+    # star3d4r's default 32x32 block leaves no compute region at bT=4, r=4:
+    # its batch group raises, is handed back to the per-job path and recorded
+    # as one failure, while the j2d5pt group is still served batched.
+    from repro.campaign import CampaignScheduler, CampaignSpec, ResultStore
+    from repro.campaign.jobs import run_job
+
+    spec = CampaignSpec(
+        benchmarks=("j2d5pt", "star3d4r"), gpus=("V100",), dtypes=("float",),
+        kinds=("predict",),
+    )
+    with ResultStore(":memory:") as store:
+        outcome = CampaignScheduler(spec, store).run()
+        assert outcome.failed == 1
+        assert any("star3d4r" in failure for failure in outcome.failures)
+        (j2d5pt,) = [job for job in spec.expand() if job.pattern == "j2d5pt"]
+        stored = store.lookup(j2d5pt)
+        assert stored.ok
+        assert stored.payload == run_job(j2d5pt)
 
 
 # -- randomized equivalence sweep -----------------------------------------------------

@@ -8,6 +8,7 @@ configurations sitting exactly on the register-limit pruning thresholds.
 
 import pytest
 
+from repro import api
 from repro.core.config import BlockingConfig
 from repro.ir.expr import BinOp, GridRead
 from repro.ir.stencil import GridSpec, StencilPattern
@@ -15,6 +16,7 @@ from repro.model.gpu_specs import get_gpu
 from repro.model.registers import estimate_registers, register_pressure_ok
 from repro.stencils.library import load_pattern
 from repro.tuning.autotuner import AutoTuner
+from repro.tuning.exhaustive import exhaustive_search
 from repro.tuning.pruning import prune_configurations, pruning_statistics
 from repro.tuning.search_space import (
     REGISTER_LIMITS,
@@ -80,10 +82,21 @@ def test_one_dimensional_pattern_has_no_valid_configuration():
     assert stats["invalid"] + stats["register_pruned"] == stats["total"]
 
 
-def test_autotuner_raises_cleanly_for_one_dimensional_pattern():
-    pattern = make_1d_pattern()
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda pattern, grid: AutoTuner("V100").tune(pattern, grid),
+        lambda pattern, grid: exhaustive_search(pattern, grid, "V100"),
+        lambda pattern, grid: api.tune(pattern, grid=grid),
+        lambda pattern, grid: api.exhaustive(pattern, grid=grid),
+    ],
+    ids=["AutoTuner.tune", "exhaustive_search", "api.tune", "api.exhaustive"],
+)
+def test_autotuner_raises_cleanly_for_one_dimensional_pattern(entry_point):
+    # The batch engine needs no 1-D support: pruning leaves nothing, so every
+    # tuning entry point reports the empty space instead of crashing.
     with pytest.raises(ValueError, match="no valid configuration"):
-        AutoTuner("V100").tune(pattern, GridSpec((1024,), 10))
+        entry_point(make_1d_pattern(), GridSpec((1024,), 10))
 
 
 # -- degenerate grids and blocks ------------------------------------------------------
