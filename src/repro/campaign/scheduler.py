@@ -403,7 +403,7 @@ class CampaignScheduler:
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context("fork" if "fork" in methods else None)
             pool = context.Pool(processes=min(self.workers, len(jobs)))
-        except Exception:
+        except OSError:
             # No usable pool (sandboxed fork) — run everything inline.
             yield from map(_pool_worker, tasks)
             return

@@ -15,7 +15,7 @@ it is a pure re-association of the original sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.ir.classify import group_terms_by_subplane
 from repro.ir.expr import BinOp, Const, Expr, GridRead, UnaryOp
@@ -65,23 +65,6 @@ def decompose_partial_sums(pattern: StencilPattern) -> List[PartialSumStep]:
 def partial_sum_count(pattern: StencilPattern) -> int:
     """Number of partial summations per cell (``1 + 2*rad`` for box stencils)."""
     return len(decompose_partial_sums(pattern))
-
-
-def subplane_contributions(pattern: StencilPattern) -> Dict[int, List[Tuple[int, Expr]]]:
-    """Reverse view of the decomposition, indexed by *source* sub-plane.
-
-    For a source sub-plane at streaming position ``i``, the result lists which
-    destination sub-planes (``i - offset``) receive a contribution and with
-    what expression — this is the update order the generated kernel follows
-    ("``1 + 2*rad`` consecutive sub-planes are simultaneously updated using
-    values read from one sub-plane", Section 4.1).
-    """
-    steps = decompose_partial_sums(pattern)
-    contributions: Dict[int, List[Tuple[int, Expr]]] = {}
-    for step in steps:
-        # The destination at relative position -offset reads this source plane.
-        contributions.setdefault(0, []).append((-step.source_offset, step.expr))
-    return contributions
 
 
 def shift_expr_to_source_plane(expr: Expr) -> Expr:

@@ -121,20 +121,6 @@ class Program(Node):
         return [s for s in self.statements if isinstance(s, ForLoop)]
 
 
-def loop_nest_depth(loop: ForLoop) -> int:
-    """Depth of the perfectly nested loop chain starting at ``loop``."""
-    depth = 1
-    node: Statement = loop
-    while isinstance(node, ForLoop):
-        inner = node.single_statement_body
-        if isinstance(inner, ForLoop):
-            depth += 1
-            node = inner
-        else:
-            break
-    return depth
-
-
 def innermost_body(loop: ForLoop) -> Tuple[Statement, ...]:
     """Statements in the innermost loop of a perfect nest."""
     node = loop

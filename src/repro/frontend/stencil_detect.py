@@ -1,23 +1,25 @@
 """Stencil pattern detection — the analogue of AN5D's dedicated PPCG backend.
 
-Section 4.3.3 of the paper lists the restrictions under which AN5D detects a
-stencil in the normalised polyhedral representation:
+AN5D reads the stencil out of PPCG's normalised polyhedral representation.
+This frontend needs no polyhedral library: it normalises the stencil itself,
+straight from the parsed C loop nest, under the restrictions that Section
+4.3.3 of the paper lists:
 
 * the statement describing array accesses is a singleton with one store, and
   the read addresses are static,
-
-We additionally accept bodies of the form "scalar declarations followed by
-the single assignment" (the multi-statement input form of e.g. FDTD-style
-acoustic-wave updates): each declared temporary is lowered once and inlined
-at its uses, so the detected IR is the same single-statement pattern AN5D
-would see after forward substitution.  The remaining restrictions:
 * each dimension (time and space) is iterated by exactly one loop, with
   multi-dimensional array addressing,
 * spatial iterations are data independent, the time loop is outermost, and
   the loop right after the time loop is the streaming dimension.
 
-This module enforces the same restrictions on the parsed AST and extracts a
-:class:`repro.ir.StencilPattern` together with the symbolic loop bounds.
+We additionally accept bodies of the form "scalar declarations followed by
+the single assignment" (the multi-statement input form of e.g. FDTD-style
+acoustic-wave updates): each declared temporary is lowered once and inlined
+at its uses, so the detected IR is the same single-statement pattern AN5D
+would see after forward substitution.
+
+The result is a :class:`repro.ir.StencilPattern` together with the symbolic
+loop bounds.
 """
 
 from __future__ import annotations

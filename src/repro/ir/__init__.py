@@ -13,7 +13,6 @@ from repro.ir.expr import (
     Expr,
     GridRead,
     UnaryOp,
-    count_operations,
     evaluate,
     grid_reads,
     simplify,
@@ -45,7 +44,6 @@ __all__ = [
     "alu_efficiency",
     "classify_shape",
     "count_flops",
-    "count_operations",
     "evaluate",
     "grid_reads",
     "is_associative",

@@ -181,24 +181,6 @@ def grid_reads(expr: Expr) -> list[GridRead]:
     return [node for node in walk(expr) if isinstance(node, GridRead)]
 
 
-def count_operations(expr: Expr) -> dict[str, int]:
-    """Count raw arithmetic operations by operator symbol.
-
-    The result maps ``"+"``, ``"-"``, ``"*"``, ``"/"``, ``"neg"`` and call
-    names to their number of occurrences.  FMA merging is handled separately
-    in :mod:`repro.ir.flops`.
-    """
-    counts: dict[str, int] = {}
-    for node in walk(expr):
-        if isinstance(node, BinOp):
-            counts[node.op] = counts.get(node.op, 0) + 1
-        elif isinstance(node, UnaryOp):
-            counts["neg"] = counts.get("neg", 0) + 1
-        elif isinstance(node, Call):
-            counts[node.name] = counts.get(node.name, 0) + 1
-    return counts
-
-
 def substitute(expr: Expr, mapping: Mapping[GridRead, Expr]) -> Expr:
     """Return ``expr`` with grid reads replaced according to ``mapping``."""
     if isinstance(expr, GridRead):

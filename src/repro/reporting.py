@@ -2,9 +2,8 @@
 
 The benchmark harness and the CLI produce tabular results (Table 5 rows,
 Fig. 6 columns, bT sweeps).  This module gives them a common in-memory
-representation with text, Markdown, CSV and JSON renderings plus a simple
-ASCII bar chart for figure-like series, so results can be archived or diffed
-against the paper without any plotting dependencies.
+representation with text, Markdown, CSV and JSON renderings, so results can
+be archived or diffed against the paper without any plotting dependencies.
 """
 
 from __future__ import annotations
@@ -138,33 +137,3 @@ class ResultTable:
         path.write_text(renderer() + "\n")
         return path
 
-
-def bar_chart(
-    labels: Sequence[str], values: Sequence[float], width: int = 40, unit: str = ""
-) -> str:
-    """Render an ASCII horizontal bar chart (the poor man's Fig. 6 panel)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    if not values:
-        return "(no data)"
-    scale = max(values)
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        bar = "#" * (int(width * value / scale) if scale > 0 else 0)
-        lines.append(f"{label.ljust(label_width)}  {value:10.1f} {unit} {bar}")
-    return "\n".join(lines)
-
-
-def series_table(title: str, x_name: str, series: Mapping[str, Mapping[object, float]]) -> ResultTable:
-    """Build a table from one or more named series sharing an x axis."""
-    x_values: List[object] = []
-    for points in series.values():
-        for x in points:
-            if x not in x_values:
-                x_values.append(x)
-    headers = [x_name, *series.keys()]
-    table = ResultTable(title, headers)
-    for x in x_values:
-        table.add_row(x, *[series[name].get(x, "") for name in series])
-    return table

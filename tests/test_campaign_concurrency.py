@@ -8,11 +8,13 @@ must export *byte-identical* to one written serially.
 """
 
 import multiprocessing
+import multiprocessing.context
 import threading
 
 import pytest
 
-from repro.campaign.jobs import JobSpec
+from repro.campaign.jobs import CampaignSpec, JobSpec
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.store import ResultStore
 
 
@@ -204,3 +206,47 @@ def test_processes_share_one_store_file(tmp_path):
         assert store.count() == writers * per_writer
         merged = store.export_jsonl(tmp_path / "processes.jsonl").read_bytes()
     assert merged == _serial_export(tmp_path, range(writers * per_writer))
+
+
+# -- scheduler pool start ---------------------------------------------------------------
+
+
+# Baseline jobs skip the in-process predict batching, so they reach the pool.
+POOL_SPEC = CampaignSpec(
+    benchmarks=("j2d5pt", "star3d1r"),
+    kinds=("baseline",),
+    time_steps=100,
+    interior_2d=(512, 512),
+    interior_3d=(48, 48, 48),
+)
+
+
+def _campaign_export(tmp_path, name, workers):
+    with ResultStore(tmp_path / f"{name}.sqlite") as store:
+        outcome = CampaignScheduler(POOL_SPEC, store, workers=workers).run()
+        assert outcome.ok and outcome.executed == len(POOL_SPEC.expand())
+        return store.export_jsonl(tmp_path / f"{name}.jsonl").read_bytes()
+
+
+def _pool_raising(error):
+    def pool(self, *args, **kwargs):
+        raise error
+
+    return pool
+
+
+def test_pool_that_cannot_start_runs_the_campaign_inline(tmp_path, monkeypatch):
+    serial = _campaign_export(tmp_path, "serial", workers=1)
+    monkeypatch.setattr(
+        multiprocessing.context.BaseContext, "Pool", _pool_raising(OSError("no fork"))
+    )
+    assert _campaign_export(tmp_path, "inline", workers=2) == serial
+
+
+def test_pool_start_errors_other_than_os_errors_propagate(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        multiprocessing.context.BaseContext, "Pool", _pool_raising(ValueError("bad pool"))
+    )
+    with ResultStore(tmp_path / "fails.sqlite") as store:
+        with pytest.raises(ValueError, match="bad pool"):
+            CampaignScheduler(POOL_SPEC, store, workers=2).run()

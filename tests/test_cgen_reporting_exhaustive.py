@@ -1,74 +1,14 @@
-"""Tests for C re-emission, result reporting and exhaustive tuning."""
+"""Tests for result reporting and exhaustive tuning."""
 
 import json
 
 import pytest
 
-from repro.codegen.c_gen import generate_c, render_c_expression, round_trips
-from repro.frontend.stencil_detect import parse_stencil
 from repro.ir.stencil import GridSpec
-from repro.reporting import ResultTable, bar_chart, series_table
-from repro.stencils.generators import box_stencil, star_stencil
-from repro.stencils.library import BENCHMARKS, load_pattern
+from repro.reporting import ResultTable
+from repro.stencils.library import load_pattern
 from repro.tuning.exhaustive import compare_guided_vs_exhaustive, exhaustive_search
 from repro.tuning.search_space import SearchSpace
-
-
-# -- C re-emission -------------------------------------------------------------
-
-
-def test_generate_c_produces_parseable_source(j2d5pt):
-    source = generate_c(j2d5pt)
-    assert "for (t = 0; t < I_T; t++)" in source
-    reparsed = parse_stencil(source, name="again").pattern
-    assert reparsed.offsets == j2d5pt.offsets
-
-
-def test_generate_c_loop_bounds_follow_paper_notation(star3d1r):
-    source = generate_c(star3d1r)
-    assert "I_S3" in source and "I_S1" in source
-
-
-def test_generate_c_custom_size_names(j2d5pt):
-    source = generate_c(j2d5pt, size_names=("NY", "NX"))
-    assert "NY" in source and "NX" in source
-    with pytest.raises(ValueError):
-        generate_c(j2d5pt, size_names=("N",))
-
-
-@pytest.mark.parametrize(
-    "name", ["j2d5pt", "j2d9pt", "j2d9pt-gol", "gradient2d", "j3d27pt", "star2d3r", "box3d2r"]
-)
-def test_round_trip_benchmarks(name):
-    assert round_trips(load_pattern(name))
-
-
-def test_round_trip_synthetic_double():
-    assert round_trips(star_stencil(2, 4, dtype="double"))
-    assert round_trips(box_stencil(3, 1, dtype="double"))
-
-
-def test_render_c_expression_float_suffixes(j2d5pt):
-    text = render_c_expression(j2d5pt.expr, j2d5pt, ("i", "j"))
-    assert "5.1f" in text and "A[t%2][i-1][j]" in text
-
-
-def test_render_c_expression_double_has_no_suffix():
-    pattern = load_pattern("j2d5pt", "double")
-    text = render_c_expression(pattern.expr, pattern, ("i", "j"))
-    assert "5.1f" not in text
-
-
-def test_round_trip_preserves_values(j2d5pt):
-    """Re-parsed coefficients evaluate to the same update (not just offsets)."""
-    from repro.ir.expr import evaluate
-
-    reparsed = parse_stencil(generate_c(j2d5pt), name="rt", dtype="float").pattern
-
-    def reader(read):
-        return 1.0 + 0.1 * read.offset[0] + 0.01 * read.offset[1]
-
-    assert evaluate(reparsed.expr, reader) == pytest.approx(evaluate(j2d5pt.expr, reader), rel=1e-6)
 
 
 # -- reporting ----------------------------------------------------------------------
@@ -110,21 +50,6 @@ def test_result_table_save_formats(tmp_path):
         assert path.exists() and path.stat().st_size > 0
     with pytest.raises(ValueError):
         table.save(tmp_path / "out.xlsx")
-
-
-def test_bar_chart_scaling():
-    chart = bar_chart(["a", "b"], [10.0, 5.0], width=20)
-    lines = chart.splitlines()
-    assert lines[0].count("#") == 20
-    assert lines[1].count("#") == 10
-    with pytest.raises(ValueError):
-        bar_chart(["a"], [1.0, 2.0])
-
-
-def test_series_table_merges_x_axis():
-    table = series_table("s", "bT", {"tuned": {1: 10.0, 2: 20.0}, "model": {2: 25.0, 3: 30.0}})
-    assert table.headers == ["bT", "tuned", "model"]
-    assert len(table.rows) == 3
 
 
 # -- exhaustive tuning ------------------------------------------------------------------

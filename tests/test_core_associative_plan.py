@@ -6,7 +6,6 @@ from repro.core.associative import (
     decompose_partial_sums,
     partial_sum_count,
     shift_expr_to_source_plane,
-    subplane_contributions,
 )
 from repro.core.config import BlockingConfig
 from repro.core.plan import PipelineScheduler
@@ -52,12 +51,6 @@ def test_partial_sum_terms_read_single_subplane(box2d1r):
     for step in decompose_partial_sums(box2d1r):
         planes = {read.offset[0] for read in grid_reads(step.expr)}
         assert planes == {step.source_offset}
-
-
-def test_subplane_contributions_structure(box2d1r):
-    contributions = subplane_contributions(box2d1r)
-    destinations = [dest for dest, _ in contributions[0]]
-    assert sorted(destinations) == [-1, 0, 1]
 
 
 def test_shift_expr_to_source_plane_zeroes_streaming_offset(box2d1r):

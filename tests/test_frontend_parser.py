@@ -50,7 +50,7 @@ def test_braced_loop_bodies():
     }
     """
     program = parse_program(source)
-    assert c_ast.loop_nest_depth(program.loops[0]) == 2
+    assert len(c_ast.nest_loops(program.loops[0])) == 2
 
 
 def test_operator_precedence():

@@ -10,7 +10,6 @@ from repro.ir.expr import (
     Const,
     GridRead,
     UnaryOp,
-    count_operations,
     evaluate,
     grid_reads,
     simplify,
@@ -74,13 +73,6 @@ def test_grid_reads_preserves_duplicates():
     a = GridRead("A", (0, 0))
     expr = BinOp("*", a, a)
     assert len(grid_reads(expr)) == 2
-
-
-def test_count_operations_by_symbol():
-    a = GridRead("A", (0, 0))
-    expr = BinOp("/", BinOp("+", BinOp("*", Const(2.0), a), a), Const(3.0))
-    counts = count_operations(expr)
-    assert counts == {"/": 1, "+": 1, "*": 1}
 
 
 def test_evaluate_simple_expression():

@@ -15,9 +15,6 @@ from repro.core.shared_memory import an5d_shared_memory_plan, stencilgen_shared_
 from repro.ir.expr import evaluate
 from repro.ir.flops import alu_efficiency, count_flops
 from repro.ir.stencil import GridSpec
-from repro.polyhedral.dependence import required_halo, tiling_is_legal
-from repro.polyhedral.linexpr import LinExpr
-from repro.polyhedral.sets import Constraint, IntegerSet
 from repro.sim.executor import verify_blocking
 from repro.stencils.generators import box_stencil, star_stencil
 
@@ -96,26 +93,13 @@ def test_valid_threads_always_cover_grid(pattern, bT, block, extent):
 
 
 @_SETTINGS
-@given(pattern=stencil_strategy, bT=st.integers(1, 12))
-def test_halo_formula_matches_dependences(pattern, bT):
-    assert required_halo(pattern, bT) == (bT * pattern.radius,) * pattern.ndim
-
-
-@_SETTINGS
 @given(pattern=stencil_strategy, bT=st.integers(1, 8), block=st.integers(16, 96))
-def test_tiling_legality_consistent_with_config_validity(pattern, bT, block):
-    blocked_dims = pattern.ndim - 1
-    config_valid = True
-    try:
-        config = BlockingConfig(bT=bT, bS=(block,) * blocked_dims)
-        config.validate(pattern)
-    except Exception:
-        config_valid = False
-    legality = tiling_is_legal(pattern, bT, (block,) * blocked_dims, range(1, pattern.ndim))
-    if config_valid:
-        assert legality
-    # thread-count limits can invalidate a config that is still legal tiling,
-    # so no assertion in the other direction.
+def test_valid_config_halo_and_compute_region_follow_dependences(pattern, bT, block):
+    config = BlockingConfig(bT=bT, bS=(block,) * (pattern.ndim - 1))
+    assume(config.is_valid(pattern))
+    reach = max(abs(c) for offset in pattern.offsets for c in offset)
+    assert config.halo_per_side(pattern.radius) == bT * reach
+    assert all(cells > 0 for cells in config.compute_region(pattern.radius))
 
 
 @_SETTINGS
@@ -135,36 +119,6 @@ def test_an5d_smem_footprint_never_exceeds_stencilgen(pattern, bT):
     ours = an5d_shared_memory_plan(pattern, config)
     theirs = stencilgen_shared_memory_plan(pattern, config)
     assert ours.words_per_block <= theirs.words_per_block
-
-
-# -- polyhedral invariants --------------------------------------------------------------
-
-
-@_SETTINGS
-@given(
-    bounds=st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
-)
-def test_projection_preserves_membership(bounds):
-    x_low, x_high, y_low, y_high = bounds
-    assume(x_low <= x_high and y_low <= y_high)
-    box = IntegerSet.box({"x": (x_low, x_high), "y": (y_low, y_high)})
-    diag = box.with_constraint(Constraint.ge(LinExpr.var("x") - LinExpr.var("y")))
-    projected = diag.project_out("y")
-    for point in diag.points():
-        assert projected.contains({"x": point[0]})
-
-
-@_SETTINGS
-@given(
-    bounds=st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
-)
-def test_intersection_count_never_exceeds_parts(bounds):
-    a_low, a_high, b_low, b_high = bounds
-    assume(a_low <= a_high and b_low <= b_high)
-    a = IntegerSet.box({"x": (a_low, a_high)})
-    b = IntegerSet.box({"x": (b_low, b_high)})
-    both = a.intersect(b)
-    assert both.count() <= min(a.count(), b.count())
 
 
 # -- functional correctness (the headline invariant) -------------------------------------
