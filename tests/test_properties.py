@@ -93,12 +93,23 @@ def test_valid_threads_always_cover_grid(pattern, bT, block, extent):
 
 
 @_SETTINGS
-@given(pattern=stencil_strategy, bT=st.integers(1, 8), block=st.integers(16, 96))
-def test_valid_config_halo_and_compute_region_follow_dependences(pattern, bT, block):
-    config = BlockingConfig(bT=bT, bS=(block,) * (pattern.ndim - 1))
-    assume(config.is_valid(pattern))
+@given(pattern=stencil_strategy, bT=st.integers(1, 12))
+def test_halo_formula_matches_dependences(pattern, bT):
+    # bT fused steps of a stencil whose farthest read is `reach` cells away
+    # depend on cells bT * reach away along each blocked dimension.
+    config = BlockingConfig(bT=bT, bS=(32,) * (pattern.ndim - 1))
     reach = max(abs(c) for offset in pattern.offsets for c in offset)
     assert config.halo_per_side(pattern.radius) == bT * reach
+
+
+@_SETTINGS
+@given(pattern=stencil_strategy, bT=st.integers(1, 8), block=st.integers(16, 96))
+def test_tiling_legality_consistent_with_config_validity(pattern, bT, block):
+    # A valid config is a legal tiling: after both halos every block still
+    # stores at least one cell per blocked dimension. Thread-count limits can
+    # invalidate a legal tiling, so no assertion in the other direction.
+    config = BlockingConfig(bT=bT, bS=(block,) * (pattern.ndim - 1))
+    assume(config.is_valid(pattern))
     assert all(cells > 0 for cells in config.compute_region(pattern.radius))
 
 
