@@ -6,7 +6,7 @@ double-buffered assignment statement inside.  It lowers this into a
 :class:`repro.ir.StencilPattern` that the AN5D core transforms consume.
 """
 
-from repro.frontend.clexer import Lexer, LexerError, Token, tokenize
+from repro.frontend.clexer import LexerError, Token, tokenize
 from repro.frontend.c_ast import (
     ArrayAccess,
     Assignment,
@@ -28,7 +28,6 @@ __all__ = [
     "CallExpr",
     "ForLoop",
     "Identifier",
-    "Lexer",
     "LexerError",
     "NumberLiteral",
     "ParseError",

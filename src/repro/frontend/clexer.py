@@ -5,16 +5,27 @@ recognised: identifiers, integer and floating-point literals (with the usual
 ``f`` suffix), arithmetic and comparison operators, the modulo operator used
 for double buffering, assignment, increments, and the bracketing punctuation
 of loops and array subscripts.
+
+:func:`tokenize` is a single scan with one compiled master regex.  Each match
+skips the whitespace, ``//`` and ``/* */`` comments and ``#`` preprocessor
+lines before a token, then matches the token itself; line and column numbers
+come from counting newlines between tokens.  The character classes follow
+``str.isalpha`` (identifier start), ``str.isalnum`` (identifier body) and
+``str.isdigit`` (digits): for ASCII these are ``[A-Za-z]``, ``[A-Za-z0-9]``
+and ``[0-9]``, and a source with other characters gets those characters
+added to the classes they belong to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from functools import lru_cache
+from typing import List, NamedTuple
 
 KEYWORDS = {"for", "if", "else", "int", "float", "double", "const", "return", "void"}
 
-# Multi-character operators must be listed before their prefixes.
+# Alternation tries operators in order, so multi-character operators come
+# before their prefixes.
 _OPERATORS = [
     "<=",
     ">=",
@@ -40,7 +51,26 @@ _OPERATORS = [
     "&",
 ]
 
-_PUNCTUATION = {"(", ")", "[", "]", "{", "}", ";", ","}
+_PUNCTUATION = "()[]{};,"
+
+#: The master regex; ``{alpha}``, ``{alnum}`` and ``{digit}`` are the
+#: non-ASCII members of each character class for one source.  An
+#: unterminated ``/*`` is left by the skip prefix and caught by ``comment``;
+#: ``exp`` is empty when an exponent has no digits.
+_MASTER = r"""
+    [ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/|\#[^\n]*)[ \t\r\n]*)*
+    (?:
+        (?P<ident>[A-Za-z_{alpha}][A-Za-z0-9_{alnum}]*)
+      | (?P<number>(?:{digit}+(?:\.{digit}*)?|\.{digit}+)(?:[eE][+-]?(?P<exp>{digit}*))?[fFlLuU]?)
+      | (?P<punct>[{punct}])
+      | (?P<comment>/\*)
+      | (?P<op>{ops})
+      | (?P<eof>\Z)
+      | (?P<error>.)
+    )
+"""
+
+_FLOAT_MARKS = frozenset(".eEfF")
 
 
 class LexerError(ValueError):
@@ -52,8 +82,7 @@ class LexerError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position."""
 
     kind: str  # "ident", "keyword", "int", "float", "op", "punct", "eof"
@@ -65,119 +94,60 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
 
 
-class Lexer:
-    """Streaming tokenizer over a source string."""
+@lru_cache(maxsize=64)
+def _master_regex(alpha: str, alnum: str, digit: str) -> re.Pattern[str]:
+    pattern = _MASTER.format(
+        alpha=alpha,
+        alnum=alnum,
+        digit=f"[0-9{digit}]",
+        punct=re.escape(_PUNCTUATION),
+        ops="|".join(map(re.escape, _OPERATORS)),
+    )
+    return re.compile(pattern, re.VERBOSE | re.DOTALL)
 
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
-    def _error(self, message: str) -> LexerError:
-        return LexerError(message, self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self.source[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif self.source.startswith("//", self.pos):
-                while self.pos < len(self.source) and self.source[self.pos] != "\n":
-                    self._advance()
-            elif self.source.startswith("/*", self.pos):
-                end = self.source.find("*/", self.pos + 2)
-                if end < 0:
-                    raise self._error("unterminated block comment")
-                while self.pos < end + 2:
-                    self._advance()
-            elif ch == "#":
-                # Preprocessor lines (e.g. #define SIZE 512) are skipped; the
-                # frontend takes sizes as runtime parameters.
-                while self.pos < len(self.source) and self.source[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
-
-    def tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.source):
-                yield Token("eof", "", self.line, self.column)
-                return
-            start_line, start_col = self.line, self.column
-            ch = self.source[self.pos]
-            if ch.isalpha() or ch == "_":
-                yield self._lex_identifier(start_line, start_col)
-            elif ch.isdigit() or (ch == "." and self._peek_is_digit(1)):
-                yield self._lex_number(start_line, start_col)
-            elif ch in _PUNCTUATION:
-                self._advance()
-                yield Token("punct", ch, start_line, start_col)
-            else:
-                op = self._match_operator()
-                if op is None:
-                    raise self._error(f"unexpected character {ch!r}")
-                yield Token("op", op, start_line, start_col)
-
-    def _peek_is_digit(self, lookahead: int) -> bool:
-        idx = self.pos + lookahead
-        return idx < len(self.source) and self.source[idx].isdigit()
-
-    def _lex_identifier(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self.source[self.pos].isalnum() or self.source[self.pos] == "_"
-        ):
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = "keyword" if text in KEYWORDS else "ident"
-        return Token(kind, text, line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        is_float = False
-        while self.pos < len(self.source) and self.source[self.pos].isdigit():
-            self._advance()
-        if self.pos < len(self.source) and self.source[self.pos] == ".":
-            is_float = True
-            self._advance()
-            while self.pos < len(self.source) and self.source[self.pos].isdigit():
-                self._advance()
-        if self.pos < len(self.source) and self.source[self.pos] in "eE":
-            is_float = True
-            self._advance()
-            if self.pos < len(self.source) and self.source[self.pos] in "+-":
-                self._advance()
-            if not (self.pos < len(self.source) and self.source[self.pos].isdigit()):
-                raise self._error("malformed exponent")
-            while self.pos < len(self.source) and self.source[self.pos].isdigit():
-                self._advance()
-        if self.pos < len(self.source) and self.source[self.pos] in "fF":
-            is_float = True
-            self._advance()
-        elif self.pos < len(self.source) and self.source[self.pos] in "lLuU":
-            self._advance()
-        text = self.source[start : self.pos]
-        return Token("float" if is_float else "int", text, line, column)
-
-    def _match_operator(self) -> str | None:
-        for op in _OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return op
-        return None
+def _regex_for(source: str) -> re.Pattern[str]:
+    if source.isascii():
+        return _master_regex("", "", "")
+    wide = sorted(ch for ch in set(source) if not ch.isascii())
+    return _master_regex(
+        "".join(ch for ch in wide if ch.isalpha()),
+        "".join(ch for ch in wide if ch.isalnum()),
+        "".join(ch for ch in wide if ch.isdigit()),
+    )
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source`` completely, including the trailing EOF token."""
-    return list(Lexer(source).tokens())
+    tokens: List[Token] = []
+    append = tokens.append
+    # tuple.__new__ skips the NamedTuple constructor's Python-level frame.
+    new_tuple = tuple.__new__
+    count_newlines = source.count
+    line, line_start, pos = 1, 0, 0
+    for match in _regex_for(source).finditer(source):
+        kind = match.lastgroup
+        end = match.end()
+        value = match.group(kind)
+        start = end - len(value)
+        if start != pos:
+            newlines = count_newlines("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, start) + 1
+        pos = end
+        if kind == "ident":
+            if value in KEYWORDS:
+                kind = "keyword"
+        elif kind == "number":
+            if match.group("exp") == "":
+                raise LexerError("malformed exponent", line, match.start("exp") - line_start + 1)
+            kind = "int" if _FLOAT_MARKS.isdisjoint(value) else "float"
+        elif kind == "comment":
+            raise LexerError("unterminated block comment", line, start - line_start + 1)
+        elif kind == "error":
+            raise LexerError(f"unexpected character {value!r}", line, start - line_start + 1)
+        append(new_tuple(Token, (kind, value, line, start - line_start + 1)))
+        if kind == "eof":
+            break
+    return tokens

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the C stencil subset.
+"""Parser for the C stencil subset.
 
 The grammar (roughly):
 
@@ -8,7 +8,12 @@ The grammar (roughly):
     statement   := for_loop | assignment ';' | declaration ';' | '{' statement* '}'
     for_loop    := 'for' '(' init ';' cond ';' step ')' (statement | '{' statement* '}')
     assignment  := array_access '=' expr
-    expr        := additive (with the usual precedence: unary, * / %, + -)
+    expr        := unary (binop unary)*   binop: * / % bind tighter than + -
+    unary       := ('-' | '+' | '!') unary | postfix
+
+Statements are parsed by recursive descent.  Binary expressions are parsed
+by one precedence loop over an operand and an operator stack, all operators
+left-associative, so a chain of any length costs no recursion depth.
 
 Only canonical unit-stride ascending loops are accepted
 (``for (i = L; i < U; i++)`` or ``<=``), because those are the only loops the
@@ -17,7 +22,7 @@ AN5D execution model can stream.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.frontend import c_ast
 from repro.frontend.clexer import Token, tokenize
@@ -33,22 +38,28 @@ class ParseError(ValueError):
         self.token = token
 
 
+#: Binding strength of the binary operators the expression loop folds.
+_BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
+_UNARY_OPERATORS = {"-", "+", "!"}
+
+
 class Parser:
     """Parses a token stream into a :class:`repro.frontend.c_ast.Program`."""
 
     def __init__(self, tokens: Sequence[Token]) -> None:
         self.tokens = list(tokens)
         self.index = 0
+        self.current = self.tokens[0]
+        # Literals and names are immutable leaves, so one node per spelling
+        # is shared by every occurrence.
+        self._leaves: Dict[str, c_ast.CExpr] = {}
 
     # -- token helpers -----------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
-
     def _advance(self) -> Token:
         token = self.current
         if token.kind != "eof":
             self.index += 1
+            self.current = self.tokens[self.index]
         return token
 
     def _check(self, kind: str, value: str | None = None) -> bool:
@@ -61,9 +72,10 @@ class Parser:
         return None
 
     def _expect(self, kind: str, value: str | None = None) -> Token:
-        if not self._check(kind, value):
+        token = self.current
+        if token.kind != kind or (value is not None and token.value != value):
             expectation = value if value is not None else kind
-            raise ParseError(f"expected {expectation!r}", self.current)
+            raise ParseError(f"expected {expectation!r}", token)
         return self._advance()
 
     # -- grammar -----------------------------------------------------------
@@ -168,55 +180,62 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------
     def parse_expression(self) -> c_ast.CExpr:
-        return self.parse_additive()
-
-    def parse_additive(self) -> c_ast.CExpr:
-        expr = self.parse_multiplicative()
-        while self._check("op", "+") or self._check("op", "-"):
-            op = self._advance().value
-            rhs = self.parse_multiplicative()
-            expr = c_ast.BinaryExpr(op, expr, rhs)
-        return expr
-
-    def parse_multiplicative(self) -> c_ast.CExpr:
-        expr = self.parse_unary()
-        while self._check("op", "*") or self._check("op", "/") or self._check("op", "%"):
-            op = self._advance().value
-            rhs = self.parse_unary()
-            expr = c_ast.BinaryExpr(op, expr, rhs)
-        return expr
+        """Fold ``+ - * / %`` left-associatively by precedence, in one loop
+        over an operand stack and an operator stack."""
+        operands = [self.parse_unary()]
+        operators: List[tuple[int, str]] = []
+        while True:
+            token = self.current
+            precedence = _BINARY_PRECEDENCE.get(token.value) if token.kind == "op" else None
+            if precedence is None:
+                break
+            while operators and operators[-1][0] >= precedence:
+                rhs = operands.pop()
+                operands[-1] = c_ast.BinaryExpr(operators.pop()[1], operands[-1], rhs)
+            operators.append((precedence, token.value))
+            self._advance()
+            operands.append(self.parse_unary())
+        while operators:
+            rhs = operands.pop()
+            operands[-1] = c_ast.BinaryExpr(operators.pop()[1], operands[-1], rhs)
+        return operands[0]
 
     def parse_unary(self) -> c_ast.CExpr:
-        if self._check("op", "-") or self._check("op", "+") or self._check("op", "!"):
-            op = self._advance().value
+        token = self.current
+        if token.kind == "op" and token.value in _UNARY_OPERATORS:
+            self._advance()
             operand = self.parse_unary()
-            if op == "+":
+            if token.value == "+":
                 return operand
-            return c_ast.UnaryExpr(op, operand)
+            return c_ast.UnaryExpr(token.value, operand)
         return self.parse_postfix()
 
     def parse_postfix(self) -> c_ast.CExpr:
         expr = self.parse_primary()
-        while self._check("punct", "["):
+        token = self.current
+        if token.kind == "punct" and token.value == "[":
             if not isinstance(expr, c_ast.Identifier):
-                raise ParseError("only simple arrays can be subscripted", self.current)
+                raise ParseError("only simple arrays can be subscripted", token)
             indices: List[c_ast.CExpr] = []
-            while self._accept("punct", "["):
+            while token.kind == "punct" and token.value == "[":
+                self._advance()
                 indices.append(self.parse_expression())
                 self._expect("punct", "]")
+                token = self.current
             return c_ast.ArrayAccess(expr.name, tuple(indices))
         return expr
 
     def parse_primary(self) -> c_ast.CExpr:
-        if self._accept("punct", "("):
-            expr = self.parse_expression()
-            self._expect("punct", ")")
-            return expr
-        if self._check("int") or self._check("float"):
-            token = self._advance()
-            return c_ast.NumberLiteral.from_text(token.value, token.kind == "float")
-        if self._check("ident"):
-            name = self._advance().value
+        token = self.current
+        kind, value = token.kind, token.value
+        if kind == "int" or kind == "float":
+            self._advance()
+            literal = self._leaves.get(value)
+            if literal is None:
+                literal = self._leaves[value] = c_ast.NumberLiteral.from_text(value, kind == "float")
+            return literal
+        if kind == "ident":
+            self._advance()
             if self._accept("punct", "("):
                 args: List[c_ast.CExpr] = []
                 if not self._check("punct", ")"):
@@ -224,9 +243,17 @@ class Parser:
                     while self._accept("punct", ","):
                         args.append(self.parse_expression())
                 self._expect("punct", ")")
-                return c_ast.CallExpr(name, tuple(args))
-            return c_ast.Identifier(name)
-        raise ParseError("unexpected token", self.current)
+                return c_ast.CallExpr(value, tuple(args))
+            name = self._leaves.get(value)
+            if name is None:
+                name = self._leaves[value] = c_ast.Identifier(value)
+            return name
+        if kind == "punct" and value == "(":
+            self._advance()
+            expr = self.parse_expression()
+            self._expect("punct", ")")
+            return expr
+        raise ParseError("unexpected token", token)
 
 
 def parse_program(source: str) -> c_ast.Program:

@@ -136,15 +136,22 @@ def _spatial_offset(expr: c_ast.CExpr, var: str) -> int:
 
 
 def _collect_float_suffix(expr: c_ast.CExpr) -> bool:
-    """True when any literal in the expression carries an ``f`` suffix."""
-    if isinstance(expr, c_ast.NumberLiteral):
-        return expr.text.rstrip().lower().endswith("f")
-    if isinstance(expr, c_ast.BinaryExpr):
-        return _collect_float_suffix(expr.lhs) or _collect_float_suffix(expr.rhs)
-    if isinstance(expr, c_ast.UnaryExpr):
-        return _collect_float_suffix(expr.operand)
-    if isinstance(expr, c_ast.CallExpr):
-        return any(_collect_float_suffix(a) for a in expr.args)
+    """True when any literal in the expression carries an ``f`` suffix.
+
+    Walks an explicit stack, so long operator chains cost no recursion depth.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, c_ast.NumberLiteral):
+            if node.text.rstrip().lower().endswith("f"):
+                return True
+        elif isinstance(node, c_ast.BinaryExpr):
+            stack += (node.lhs, node.rhs)
+        elif isinstance(node, c_ast.UnaryExpr):
+            stack.append(node.operand)
+        elif isinstance(node, c_ast.CallExpr):
+            stack += node.args
     return False
 
 
@@ -174,16 +181,27 @@ class _ExpressionLowerer:
         self.env[name] = self.lower(value)
 
     def lower(self, expr: c_ast.CExpr) -> Expr:
-        if isinstance(expr, c_ast.NumberLiteral):
-            return Const(expr.value)
-        if isinstance(expr, c_ast.ArrayAccess):
-            return self._lower_access(expr)
-        if isinstance(expr, c_ast.BinaryExpr):
+        """Lower ``expr``; the left-deep spine of binary operators is walked
+        in a loop, so a long ``a + b + c ...`` chain costs no stack depth."""
+        spine: List[c_ast.BinaryExpr] = []
+        while isinstance(expr, c_ast.BinaryExpr):
             if expr.op not in ("+", "-", "*", "/"):
                 raise StencilDetectionError(
                     f"operator {expr.op!r} is not allowed in a stencil expression"
                 )
-            return BinOp(expr.op, self.lower(expr.lhs), self.lower(expr.rhs))
+            spine.append(expr)
+            expr = expr.lhs
+        lowered = self._lower_leaf(expr)
+        for node in reversed(spine):
+            lowered = BinOp(node.op, lowered, self.lower(node.rhs))
+        return lowered
+
+    def _lower_leaf(self, expr: c_ast.CExpr) -> Expr:
+        """Lower the node at the bottom of a spine: anything but a binary operator."""
+        if isinstance(expr, c_ast.NumberLiteral):
+            return Const(expr.value)
+        if isinstance(expr, c_ast.ArrayAccess):
+            return self._lower_access(expr)
         if isinstance(expr, c_ast.UnaryExpr):
             if expr.op != "-":
                 raise StencilDetectionError(f"unsupported unary operator {expr.op!r}")

@@ -213,8 +213,8 @@ _ASTAR_NAME = re.compile(r"astar([23])d(\d+(?:x\d+)+)r")
 _VSTAR_NAME = re.compile(r"vstar([23])d([1-8])r-s(\d+)")
 
 #: Dynamic box stencils in 3D stop at the table's radius: beyond it the
-#: expression chain (``(2r+1)^3`` terms) outgrows what the recursive
-#: frontend/IR passes are sized for.
+#: expression chain (``(2r+1)^3`` terms) outgrows what the recursive IR
+#: passes are sized for.
 _MAX_BOX3D_RADIUS = 4
 
 

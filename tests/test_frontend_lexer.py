@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.frontend.clexer import Lexer, LexerError, tokenize
+from repro.frontend.clexer import LexerError, tokenize
 
 
 def kinds(source):
