@@ -48,29 +48,63 @@ SWEEP_SPEEDUP_MIN = 5.0
 OVERHEAD_MAX = 0.05
 
 
+def _scalar_predict_jobs(specs):
+    """Stand-in for ``run_predict_jobs`` on the scalar model: one
+    ``predict_performance`` and one ``simulate_performance`` call per job,
+    building the payload the batch path stores."""
+    from repro.campaign.jobs import _json_safe, _predict_config
+    from repro.model.gpu_specs import get_gpu
+    from repro.model.roofline import predict_performance
+    from repro.sim.timing import simulate_performance
+
+    payloads = []
+    for spec in specs:
+        pattern = load_pattern(spec.pattern, spec.dtype)
+        config = _predict_config(spec, pattern)
+        grid = spec.grid()
+        predicted = predict_performance(pattern, grid, config, get_gpu(spec.gpu))
+        simulated = simulate_performance(pattern, grid, config, spec.gpu)
+        payloads.append(
+            _json_safe(
+                {
+                    "bT": config.bT,
+                    "bS": list(config.bS),
+                    "hS": config.hS,
+                    "regs": config.register_limit,
+                    "model_gflops": predicted.gflops,
+                    "simulated_gflops": simulated.gflops,
+                    "model_bottleneck": predicted.bottleneck,
+                    "simulated_bottleneck": simulated.bottleneck,
+                }
+            )
+        )
+    return payloads
+
+
 @contextmanager
 def _scalar_everything():
     """Run a campaign's model work on the scalar oracle.
 
-    Swaps the tuner's stage-1 ranking for :func:`reference_rank` and turns
-    off the scheduler's predict batching, so tune jobs rank and predict jobs
-    evaluate one configuration at a time through the scalar model.  The
-    tuner's stage 2 has no scalar path: it runs batched on both sides.
+    Swaps the tuner's stage-1 ranking for :func:`reference_rank` and the
+    scheduler's batched predict runner for :func:`_scalar_predict_jobs`, so
+    tune jobs rank and predict jobs evaluate one configuration at a time
+    through the scalar model.  The tuner's stage 2 has no scalar path: it
+    runs batched on both sides.
     """
     import repro.campaign.scheduler as scheduler_module
     from repro.tuning.autotuner import AutoTuner, reference_rank
 
     rank = AutoTuner.rank
-    batchable = scheduler_module.predict_job_batchable
+    run_predict_jobs = scheduler_module.run_predict_jobs
     AutoTuner.rank = lambda self, pattern, grid, space=None: reference_rank(
         pattern, grid, self.gpu, space
     )
-    scheduler_module.predict_job_batchable = lambda spec: False
+    scheduler_module.run_predict_jobs = _scalar_predict_jobs
     try:
         yield
     finally:
         AutoTuner.rank = rank
-        scheduler_module.predict_job_batchable = batchable
+        scheduler_module.run_predict_jobs = run_predict_jobs
 
 
 def bench_sweeps(quick: bool) -> list[dict]:

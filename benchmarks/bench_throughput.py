@@ -33,17 +33,18 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from benchmarks.common import write_bench  # noqa: E402
 from repro import model as model_pkg  # noqa: E402
 from repro.core.config import BlockingConfig  # noqa: E402
-from repro.ir.compile import _native_compiler, compile_pattern, native_supported  # noqa: E402
+from repro.ir.compile import (  # noqa: E402
+    _CALL_NUMPY,
+    _native_compiler,
+    compile_pattern,
+    native_supported,
+)
 from repro.ir.expr import BinOp, Call, Const, GridRead, UnaryOp  # noqa: E402
 from repro.ir.stencil import GridSpec  # noqa: E402
 from repro.sim.executor import BlockedStencilExecutor  # noqa: E402
 from repro.sim.timing import TimingSimulator  # noqa: E402
 from repro.stencils.library import load_pattern  # noqa: E402
-from repro.stencils.reference import (  # noqa: E402
-    _CALL_NUMPY,
-    ReferenceExecutor,
-    make_initial_grid,
-)
+from repro.stencils.reference import ReferenceExecutor, make_initial_grid  # noqa: E402
 from repro.tuning.exhaustive import exhaustive_search  # noqa: E402
 from repro.tuning.pruning import prune_configurations  # noqa: E402
 from repro.tuning.search_space import (  # noqa: E402
@@ -141,7 +142,7 @@ class LegacyReferenceExecutor(ReferenceExecutor):
     def step(self, source):
         result = source.copy()
         interior = tuple(slice(self.radius, dim - self.radius) for dim in source.shape)
-        result[interior] = self._eval(self.pattern.expr, source).astype(self.dtype)
+        result[interior] = _legacy_eval(self.pattern, self.dtype, source, interior)
         return result
 
     def run(self, initial, time_steps):

@@ -16,11 +16,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
 import repro
 from repro.core.config import BlockingConfig
-from repro.ir.stencil import GridSpec
+from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.gpu_specs import GPUS, get_gpu
 from repro.stencils.generators import fuzz_name, fuzz_stencil
 from repro.stencils.library import (
@@ -31,6 +31,10 @@ from repro.stencils.library import (
     get_benchmark,
     load_pattern,
 )
+
+if TYPE_CHECKING:
+    from repro.model.batch import BatchMeasurement, BatchPrediction
+    from repro.tuning.autotuner import TuningResult
 
 #: The kinds of work a campaign can schedule.
 JOB_KINDS: Tuple[str, ...] = ("tune", "exhaustive", "verify", "baseline", "predict", "fuzz")
@@ -218,25 +222,31 @@ def _json_safe(value: object) -> object:
     return value
 
 
+def _tune_payload(result: TuningResult) -> Dict[str, object]:
+    """The payload of a tune job: the tuned configuration and its numbers."""
+    config = result.best_config
+    return _json_safe(
+        {
+            "bT": config.bT,
+            "bS": list(config.bS),
+            "hS": config.hS,
+            "regs": config.register_limit,
+            "tuned_gflops": result.best.measured_gflops,
+            "model_gflops": result.best.predicted_gflops,
+            "model_accuracy": result.model_accuracy,
+            "explored": result.explored,
+            "pruned_to": result.pruned_to,
+        }
+    )
+
+
 def _run_tune(spec: JobSpec) -> Dict[str, object]:
     from repro.tuning.autotuner import AutoTuner
 
     params = spec.params_dict()
     pattern = load_pattern(spec.pattern, spec.dtype)
     tuner = AutoTuner(spec.gpu, top_k=int(params.get("top_k", 5)))
-    result = tuner.tune(pattern, spec.grid())
-    config = result.best_config
-    return {
-        "bT": config.bT,
-        "bS": list(config.bS),
-        "hS": config.hS,
-        "regs": config.register_limit,
-        "tuned_gflops": result.best.measured_gflops,
-        "model_gflops": result.best.predicted_gflops,
-        "model_accuracy": result.model_accuracy,
-        "explored": result.explored,
-        "pruned_to": result.pruned_to,
-    }
+    return _tune_payload(tuner.tune(pattern, spec.grid()))
 
 
 def _run_exhaustive(spec: JobSpec) -> Dict[str, object]:
@@ -290,34 +300,6 @@ def _run_baseline(spec: JobSpec) -> Dict[str, object]:
         raise ValueError(f"unknown baseline framework {framework!r}")
     result = simulators[framework](gpu).simulate(pattern, spec.grid())
     return {"framework": framework, "gflops": result.gflops, "time_s": result.time_s}
-
-
-def _run_predict(spec: JobSpec) -> Dict[str, object]:
-    from repro.model.roofline import predict_performance
-    from repro.sim.timing import simulate_performance
-
-    params = spec.params_dict()
-    pattern = load_pattern(spec.pattern, spec.dtype)
-    config = BlockingConfig(
-        bT=int(params.get("bT", 4)),
-        bS=tuple(params.get("bS", (256,) if pattern.ndim == 2 else (32, 32))),
-        hS=params.get("hS"),
-        register_limit=params.get("regs"),
-    )
-    gpu = get_gpu(spec.gpu)
-    grid = spec.grid()
-    predicted = predict_performance(pattern, grid, config, gpu)
-    simulated = simulate_performance(pattern, grid, config, spec.gpu)
-    return {
-        "bT": config.bT,
-        "bS": list(config.bS),
-        "hS": config.hS,
-        "regs": config.register_limit,
-        "model_gflops": predicted.gflops,
-        "simulated_gflops": simulated.gflops,
-        "model_bottleneck": predicted.bottleneck,
-        "simulated_bottleneck": simulated.bottleneck,
-    }
 
 
 def _run_fuzz(spec: JobSpec) -> Dict[str, object]:
@@ -449,15 +431,22 @@ _RUNNERS = {
     "exhaustive": _run_exhaustive,
     "verify": _run_verify,
     "baseline": _run_baseline,
-    "predict": _run_predict,
     "fuzz": _run_fuzz,
 }
 
 
 def run_job(spec: JobSpec) -> Dict[str, object]:
-    """Execute one job and return its JSON-safe result payload."""
-    payload = _RUNNERS[spec.kind](spec)
-    return {str(k): _json_safe(v) for k, v in payload.items()}
+    """Execute one job and return its JSON-safe result payload.
+
+    A predict job runs as a batch group of one (:func:`run_predict_jobs`),
+    so every predict answer comes from the batched model engine.
+    """
+    if spec.kind == "predict":
+        (result,) = run_predict_jobs([spec])
+        if isinstance(result, Exception):
+            raise result
+        return result
+    return _json_safe(_RUNNERS[spec.kind](spec))
 
 
 # ---------------------------------------------------------------------------
@@ -470,30 +459,48 @@ def predict_batch_key(spec: JobSpec) -> Tuple[object, ...]:
     return (spec.pattern, spec.gpu, spec.dtype, spec.interior, spec.time_steps)
 
 
-def predict_job_batchable(spec: JobSpec) -> bool:
-    """Whether the batched model engine can serve this job in-process."""
-    return spec.kind == "predict"
-
-
-def _predict_config(spec: JobSpec, ndim: int) -> BlockingConfig:
-    """The blocking configuration a predict job describes (same defaults as
-    the scalar runner)."""
+def _predict_config(spec: JobSpec, pattern: StencilPattern) -> BlockingConfig:
+    """The blocking configuration a predict job describes, validated."""
     params = spec.params_dict()
-    return BlockingConfig(
+    config = BlockingConfig(
         bT=int(params.get("bT", 4)),
-        bS=tuple(params.get("bS", (256,) if ndim == 2 else (32, 32))),
+        bS=tuple(params.get("bS", (256,) if pattern.ndim == 2 else (32, 32))),
         hS=params.get("hS"),
         register_limit=params.get("regs"),
     )
+    config.validate(pattern)
+    return config
 
 
-def run_predict_jobs(specs: List[JobSpec]) -> List[Dict[str, object]]:
-    """Execute many predict jobs of one batch group in a single model pass.
+def _predict_payload(
+    config: BlockingConfig,
+    predicted: BatchPrediction,
+    simulated: BatchMeasurement,
+    row: int,
+) -> Dict[str, object]:
+    """The payload of a predict job: row ``row`` of the batch engine's results."""
+    return _json_safe(
+        {
+            "bT": config.bT,
+            "bS": list(config.bS),
+            "hS": config.hS,
+            "regs": config.register_limit,
+            "model_gflops": float(predicted.gflops[row]),
+            "simulated_gflops": float(simulated.gflops[row]),
+            "model_bottleneck": predicted.bottleneck_name(row),
+            "simulated_bottleneck": simulated.bottleneck_name(row),
+        }
+    )
 
-    All specs must share :func:`predict_batch_key`.  Payloads are exactly the
-    ones :func:`run_job` would produce for each spec — the batch engine is
-    bit-identical to the scalar model — just without one pool dispatch (and
-    one model evaluation) per job.
+
+def run_predict_jobs(specs: List[JobSpec]) -> List[Union[Dict[str, object], Exception]]:
+    """Execute the predict jobs of one batch group in a single model pass.
+
+    All specs must share :func:`predict_batch_key`.  Each result is the
+    job's payload, or the error its own parameters raise (typically a
+    :class:`~repro.core.config.ConfigurationError`); the valid rows are
+    evaluated together either way.  Errors that concern the whole group —
+    an unknown stencil, a grid the stencil cannot run on — are raised.
     """
     from repro.model.batch import BatchModelEngine, ConfigBatch
 
@@ -502,31 +509,27 @@ def run_predict_jobs(specs: List[JobSpec]) -> List[Dict[str, object]]:
     if len({predict_batch_key(spec) for spec in specs}) != 1:
         raise ValueError("predict batch mixes incompatible jobs")
     pattern = load_pattern(specs[0].pattern, specs[0].dtype)
-    configs = [_predict_config(spec, pattern.ndim) for spec in specs]
-    for config in configs:
-        # The scalar runner fails per job on invalid configurations; raising
-        # here sends the whole group down that path so each job still gets
-        # its own error record.
-        config.validate(pattern)
+    configs: List[Union[BlockingConfig, Exception]] = []
+    for spec in specs:
+        try:
+            configs.append(_predict_config(spec, pattern))
+        except (TypeError, ValueError) as error:
+            configs.append(error)
+    valid = [config for config in configs if isinstance(config, BlockingConfig)]
+    if not valid:
+        return configs  # type: ignore[return-value]
     engine = BatchModelEngine(pattern, specs[0].grid(), get_gpu(specs[0].gpu))
-    batch = ConfigBatch.from_configs(configs)
+    batch = ConfigBatch.from_configs(valid)
     traffic = engine.traffic(batch)
     predicted = engine.predict(batch, traffic)
     simulated = engine.simulate(batch, traffic)
-    payloads = []
-    for index, config in enumerate(configs):
-        payload = {
-            "bT": config.bT,
-            "bS": list(config.bS),
-            "hS": config.hS,
-            "regs": config.register_limit,
-            "model_gflops": float(predicted.gflops[index]),
-            "simulated_gflops": float(simulated.gflops[index]),
-            "model_bottleneck": predicted.bottleneck_name(index),
-            "simulated_bottleneck": simulated.bottleneck_name(index),
-        }
-        payloads.append({str(k): _json_safe(v) for k, v in payload.items()})
-    return payloads
+    rows = iter(range(len(valid)))
+    return [
+        _predict_payload(config, predicted, simulated, next(rows))
+        if isinstance(config, BlockingConfig)
+        else config
+        for config in configs
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -17,27 +17,29 @@ for the single-index plan.
 
 Model-only ``predict`` jobs never reach the pool: jobs sharing one
 (pattern, grid, GPU) are grouped and served by the batched model engine in a
-single in-process array pass (results identical to the per-job runner).
-Forking a worker just to evaluate a closed-form model is slower than the
-evaluation itself; the pool is reserved for simulator- and executor-backed
-job kinds.
+single in-process array pass — the same engine :func:`run_job` answers a
+lone predict job with, so a job stores one payload whichever route ran it.
+A job with invalid parameters fails on its own record; the rest of its
+group is still evaluated.  Forking a worker just to evaluate a closed-form
+model is slower than the evaluation itself; the pool is reserved for
+simulator- and executor-backed job kinds.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import signal
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.campaign.jobs import (
     CampaignSpec,
     JobSpec,
     predict_batch_key,
-    predict_job_batchable,
     run_job,
     run_predict_jobs,
 )
@@ -133,22 +135,54 @@ def _execute_with_timeout(spec: JobSpec, timeout: Optional[float]) -> Dict[str, 
         signal.signal(signal.SIGALRM, previous)
 
 
-#: (job index, status, payload-or-error, elapsed seconds)
-_WorkerResult = Tuple[int, str, Dict[str, object], float]
-
-
-def _pool_worker(args: Tuple[int, JobSpec, Optional[float]]) -> _WorkerResult:
-    index, spec, timeout = args
-    start = time.perf_counter()
+def _attempt(run: Callable[..., object], *args: object) -> object:
+    """``run(*args)``, or the exception it raised."""
     try:
-        payload = _execute_with_timeout(spec, timeout)
-        return index, "ok", payload, time.perf_counter() - start
+        return run(*args)
     except Exception as error:  # noqa: BLE001 — every failure becomes a record
-        payload = {
-            "error": f"{type(error).__name__}: {error}",
-            "traceback": traceback.format_exc(limit=8),
+        return error
+
+
+def _as_record(result: object) -> Tuple[str, Dict[str, object]]:
+    """``(status, payload)`` to store for a job's payload or its error."""
+    if isinstance(result, Exception):
+        return "failed", {
+            "error": f"{type(result).__name__}: {result}",
+            "traceback": "".join(traceback.format_exception(result, limit=8)),
         }
-        return index, "failed", payload, time.perf_counter() - start
+    return "ok", result  # type: ignore[return-value]
+
+
+#: (job, status, payload-or-error, elapsed seconds)
+_JobResult = Tuple[JobSpec, str, Dict[str, object], float]
+
+
+def _pool_worker(args: Tuple[JobSpec, Optional[float]]) -> _JobResult:
+    spec, timeout = args
+    start = time.perf_counter()
+    status, payload = _as_record(_attempt(_execute_with_timeout, spec, timeout))
+    return spec, status, payload, time.perf_counter() - start
+
+
+def _predict_results(jobs: List[JobSpec]) -> Iterator[_JobResult]:
+    """Serve predict jobs in-process, one batched model pass per group.
+
+    Jobs are grouped by (pattern, grid, GPU).  A job whose own parameters
+    are invalid gets its own failed record while the rest of its group is
+    still evaluated; an error that concerns the whole group (an unknown
+    stencil) becomes every job's failed record.
+    """
+    groups: Dict[Tuple[object, ...], List[JobSpec]] = {}
+    for job in jobs:
+        groups.setdefault(predict_batch_key(job), []).append(job)
+    for group in groups.values():
+        start = time.perf_counter()
+        results = _attempt(run_predict_jobs, group)
+        if isinstance(results, Exception):
+            results = [results] * len(group)
+        elapsed = (time.perf_counter() - start) / len(group)
+        for job, result in zip(group, results):
+            yield (job, *_as_record(result), elapsed)
 
 
 @dataclass
@@ -330,39 +364,6 @@ class CampaignScheduler:
             return int(payload.get("pruned_to", 0) or 0)
         return 0
 
-    def _run_predict_groups(
-        self, jobs: List[JobSpec], progress: Optional[ProgressCallback]
-    ) -> Tuple[List[JobSpec], int]:
-        """Serve batchable predict jobs in-process; return (leftover, configs).
-
-        Jobs are grouped by (pattern, grid, GPU) and each group is one call
-        into the batched model engine.  A group that fails for any reason is
-        handed back for the per-job path, which records individual errors.
-        """
-        groups: Dict[Tuple[object, ...], List[JobSpec]] = {}
-        leftover: List[JobSpec] = []
-        for job in jobs:
-            if predict_job_batchable(job):
-                groups.setdefault(predict_batch_key(job), []).append(job)
-            else:
-                leftover.append(job)
-        evaluated = 0
-        for group in groups.values():
-            start = time.perf_counter()
-            try:
-                payloads = run_predict_jobs(group)
-            except Exception:
-                leftover.extend(group)
-                continue
-            elapsed = (time.perf_counter() - start) / len(group)
-            for job, payload in zip(group, payloads):
-                self.store.put(job, payload, status="ok", elapsed_s=elapsed)
-                self._observe_job(job, "ok", elapsed)
-                evaluated += 1
-                if progress is not None:
-                    progress(job, "ok")
-        return leftover, evaluated
-
     def _run_batch(
         self, jobs: List[JobSpec], progress: Optional[ProgressCallback]
     ) -> Tuple[List[JobSpec], int]:
@@ -371,18 +372,17 @@ class CampaignScheduler:
         Returns the failed jobs and how many model/simulator configurations
         the successful ones evaluated.
         """
-        failed: List[JobSpec] = []
-        if not jobs:
-            return failed, 0
-        jobs, evaluated = self._run_predict_groups(jobs, progress)
-        if not jobs:
-            return failed, evaluated
-        if self.workers > 1 and len(jobs) > 1:
-            results = self._map_parallel(jobs)
+        others = [job for job in jobs if job.kind != "predict"]
+        if self.workers > 1 and len(others) > 1:
+            pooled = self._map_parallel(others)
         else:
-            results = map(_pool_worker, ((i, job, self.timeout) for i, job in enumerate(jobs)))
-        for index, status, payload, elapsed in results:
-            job = jobs[index]
+            pooled = map(_pool_worker, ((job, self.timeout) for job in others))
+        results = itertools.chain(
+            _predict_results([job for job in jobs if job.kind == "predict"]), pooled
+        )
+        failed: List[JobSpec] = []
+        evaluated = 0
+        for job, status, payload, elapsed in results:
             self.store.put(job, payload, status=status, elapsed_s=elapsed)
             self._observe_job(job, status, elapsed)
             if status != "ok":
@@ -398,7 +398,7 @@ class CampaignScheduler:
         return failed, evaluated
 
     def _map_parallel(self, jobs: List[JobSpec]):
-        tasks = [(i, job, self.timeout) for i, job in enumerate(jobs)]
+        tasks = [(job, self.timeout) for job in jobs]
         try:
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context("fork" if "fork" in methods else None)

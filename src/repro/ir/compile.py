@@ -34,8 +34,8 @@ Kernels share one call convention::
 a grid read at offset ``o`` becomes the view ``src[region shifted by o]``.
 ``out`` receives the result and must not alias ``src``.  Compiled kernels are
 cached per ``(pattern, dtype, mode)``; an interpreter-backed kernel with the
-same interface serves as fallback (or can be requested explicitly, e.g. by
-the equivalence tests or via ``REPRO_INTERPRET=1``).
+same interface serves as fallback (or can be requested explicitly with
+``mode="interpreter"``, e.g. by the equivalence tests).
 """
 
 from __future__ import annotations
@@ -658,14 +658,6 @@ StencilKernel = Callable[[np.ndarray, Region, np.ndarray], np.ndarray]
 _KERNEL_CACHE: Dict[Tuple[int, str, str], StencilKernel] = {}
 
 
-def _resolve_mode(mode: str) -> str:
-    if mode not in ("auto", "native", "compiled", "interpreter"):
-        raise ValueError(f"unknown kernel mode {mode!r}")
-    if mode == "auto" and os.environ.get("REPRO_INTERPRET", "0") == "1":
-        return "interpreter"
-    return mode
-
-
 def compile_pattern(
     pattern: StencilPattern, dtype: Optional[str] = None, mode: str = "auto"
 ) -> StencilKernel:
@@ -676,11 +668,11 @@ def compile_pattern(
     (the fused NumPy engine; raise on failure), ``"interpreter"`` (force the
     tree-walking fallback), or ``"auto"`` (tiered: the NumPy engine promotes
     itself to a native kernel once enough work has flowed through; honours
-    ``REPRO_INTERPRET=1`` and ``REPRO_NO_NATIVE=1``).  All engines produce
-    bit-identical results.
+    ``REPRO_NO_NATIVE=1``).  All engines produce bit-identical results.
     """
     dtype = dtype or pattern.dtype
-    mode = _resolve_mode(mode)
+    if mode not in ("auto", "native", "compiled", "interpreter"):
+        raise ValueError(f"unknown kernel mode {mode!r}")
     key = (pattern.cache_key, dtype, mode)
     kernel = _KERNEL_CACHE.get(key)
     if kernel is not None:

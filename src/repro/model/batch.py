@@ -158,15 +158,11 @@ class ConfigBatch:
         )
 
     @classmethod
-    def from_configs(
-        cls, configs: Sequence[BlockingConfig], check_switches: bool = True
-    ) -> "ConfigBatch":
+    def from_configs(cls, configs: Sequence[BlockingConfig]) -> "ConfigBatch":
         """Pack explicit configurations; order is preserved.
 
-        Raises :class:`BatchUnsupportedError` for ragged spatial-block
-        lengths or (unless ``check_switches`` is disabled — the pruning
-        masks do not depend on them) non-default optimisation switches;
-        callers catch it and fall back to the scalar path.
+        Raises :class:`BatchUnsupportedError` for an empty list, ragged
+        spatial-block lengths or non-default optimisation switches.
         """
         configs = list(configs)
         if not configs:
@@ -175,7 +171,7 @@ class ConfigBatch:
         for config in configs:
             if len(config.bS) != blocked:
                 raise BatchUnsupportedError("mixed spatial-block dimensionalities")
-            if check_switches and not is_standard_config(config):
+            if not is_standard_config(config):
                 raise BatchUnsupportedError("non-default optimisation switches")
         return cls(
             bT=np.asarray([c.bT for c in configs], dtype=np.int64),

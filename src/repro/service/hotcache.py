@@ -23,10 +23,10 @@ stampede of identical concurrent requests runs one build and shares it, and
 every hit/miss/eviction lands in the metrics registry.
 
 Payloads are **identical** to what the campaign path stores for the same
-:class:`~repro.campaign.jobs.JobSpec` (the batch engine is bit-identical to
-the scalar model, and the same ``_json_safe`` canonicalisation is applied),
-so a caller may mix the fast path and the store freely — the numbers agree.
-The fast path never writes the store: its answers are ephemeral by design.
+:class:`~repro.campaign.jobs.JobSpec`: both paths read the same batch engine
+and build their payloads with the same ``jobs`` helpers, so a caller may mix
+the fast path and the store freely — the numbers agree.  The fast path
+never writes the store: its answers are ephemeral by design.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 import repro
-from repro.campaign.jobs import JobSpec, _json_safe, _predict_config, run_job
+from repro.campaign.jobs import JobSpec, _predict_config, _predict_payload, _tune_payload
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.batch import (
     BatchMeasurement,
     BatchModelEngine,
     BatchPrediction,
-    BatchUnsupportedError,
     ConfigBatch,
     prune_mask,
 )
@@ -167,33 +166,19 @@ class HotModelCache:
 
     def _build_predict(self, spec: JobSpec) -> Dict[str, object]:
         entry = self._entry(spec)
-        config = _predict_config(spec, entry.pattern.ndim)
-        config.validate(entry.pattern)
+        config = _predict_config(spec, entry.pattern)
         row = entry.index.get(_config_key(config))
         if row is not None:
-            batch, predicted, simulated = entry.survivors, entry.predicted, entry.simulated
+            predicted, simulated = entry.predicted, entry.simulated
         else:
             # Outside the pruned space (explicit register cap, exotic block
             # shape): one-row batch evaluation on the resident engine.
-            try:
-                batch = ConfigBatch.from_configs([config])
-            except BatchUnsupportedError:
-                return run_job(spec)
+            batch = ConfigBatch.from_configs([config])
             traffic = entry.engine.traffic(batch)
             predicted = entry.engine.predict(batch, traffic)
             simulated = entry.engine.simulate(batch, traffic)
             row = 0
-        payload = {
-            "bT": config.bT,
-            "bS": list(config.bS),
-            "hS": config.hS,
-            "regs": config.register_limit,
-            "model_gflops": float(predicted.gflops[row]),
-            "simulated_gflops": float(simulated.gflops[row]),
-            "model_bottleneck": predicted.bottleneck_name(row),
-            "simulated_bottleneck": simulated.bottleneck_name(row),
-        }
-        return {str(k): _json_safe(v) for k, v in payload.items()}
+        return _predict_payload(config, predicted, simulated, row)
 
     # -- tune ------------------------------------------------------------------
     def tune(self, spec: JobSpec) -> Tuple[Dict[str, object], bool]:
@@ -210,19 +195,7 @@ class HotModelCache:
         result = tuner.tune_ranked(
             entry.pattern, entry.grid, entry.candidates(), explored=entry.space_size
         )
-        config = result.best_config
-        payload = {
-            "bT": config.bT,
-            "bS": list(config.bS),
-            "hS": config.hS,
-            "regs": config.register_limit,
-            "tuned_gflops": result.best.measured_gflops,
-            "model_gflops": result.best.predicted_gflops,
-            "model_accuracy": result.model_accuracy,
-            "explored": result.explored,
-            "pruned_to": result.pruned_to,
-        }
-        return {str(k): _json_safe(v) for k, v in payload.items()}
+        return _tune_payload(result)
 
 
 __all__ = ["HotModelCache"]

@@ -14,18 +14,9 @@ the C sources).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from repro.ir.compile import (
-    _CALL_NUMPY,
-    _NUMPY_DTYPES,
-    StencilKernel,
-    compile_pattern,
-    numpy_dtype,
-)
-from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, UnaryOp
+from repro.ir.compile import StencilKernel, compile_pattern, numpy_dtype
 from repro.ir.stencil import GridSpec, StencilPattern
 
 
@@ -50,35 +41,6 @@ class ReferenceExecutor:
         self.radius = pattern.radius
         self.dtype = numpy_dtype(pattern.dtype)
         self.kernel = kernel if kernel is not None else compile_pattern(pattern)
-
-    # -- expression evaluation ---------------------------------------------
-    def _interior_slice(self, shape: Tuple[int, ...], offset: Tuple[int, ...]) -> Tuple[slice, ...]:
-        rad = self.radius
-        return tuple(
-            slice(rad + off, dim - rad + off) for dim, off in zip(shape, offset)
-        )
-
-    def _eval(self, expr: Expr, source: np.ndarray) -> np.ndarray:
-        if isinstance(expr, Const):
-            return np.asarray(expr.value, dtype=self.dtype)
-        if isinstance(expr, GridRead):
-            return source[self._interior_slice(source.shape, expr.offset)]
-        if isinstance(expr, BinOp):
-            lhs = self._eval(expr.lhs, source)
-            rhs = self._eval(expr.rhs, source)
-            if expr.op == "+":
-                return lhs + rhs
-            if expr.op == "-":
-                return lhs - rhs
-            if expr.op == "*":
-                return lhs * rhs
-            return lhs / rhs
-        if isinstance(expr, UnaryOp):
-            return -self._eval(expr.operand, source)
-        if isinstance(expr, Call):
-            args = [self._eval(a, source) for a in expr.args]
-            return _CALL_NUMPY[expr.name](*args)
-        raise TypeError(f"unknown expression node {expr!r}")
 
     # -- stepping -----------------------------------------------------------
     def step(self, source: np.ndarray) -> np.ndarray:

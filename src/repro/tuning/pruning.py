@@ -1,4 +1,4 @@
-"""Search-space pruning (Section 6.3).
+"""Search-space pruning (Section 6.3), as the scalar oracle.
 
 Two families of configurations are discarded before the model ever runs:
 
@@ -9,44 +9,22 @@ Two families of configurations are discarded before the model ever runs:
   for float, ``2*bT*(2*rad+1) + bT + 30`` for double) exceeds the 255
   registers-per-thread or 64K registers-per-SM hardware limits.
 
-Both rules are evaluated as boolean masks over the batched
-structure-of-arrays layout (:mod:`repro.model.batch`) — one comparison per
-rule for the whole candidate list — with the scalar per-config predicates
-(``BlockingConfig.is_valid`` / ``register_pressure_ok``) kept as the oracle
-and as the fallback for configurations the batch layout cannot represent
-(mixed spatial-block dimensionalities).
+The tuning paths apply both rules as boolean masks over the batched layout
+(:func:`repro.model.batch.prune_mask`).  The functions here apply them one
+configuration at a time through the scalar predicates
+(``BlockingConfig.is_valid`` / ``register_pressure_ok``): they are the
+oracle the masks are tested against, and they serve the scalar reference
+searches.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterable, List
 
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import StencilPattern
-from repro.model import batch as batch_model
 from repro.model.gpu_specs import GpuSpec
 from repro.model.registers import register_pressure_ok
-
-
-def _batched_masks(
-    pattern: StencilPattern, configs: List[BlockingConfig], gpu: GpuSpec
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """(valid, register-ok) masks for ``configs``, or ``None`` if unbatchable.
-
-    Rows of mixed spatial-block dimensionality cannot share the array layout;
-    such a list falls back to the scalar predicates.  Optimisation switches
-    are ignored — neither pruning rule depends on them.
-    """
-    try:
-        columns = batch_model.ConfigBatch.from_configs(configs, check_switches=False)
-    except batch_model.BatchUnsupportedError:
-        return None
-    return (
-        batch_model.validity_mask(pattern, columns),
-        batch_model.register_mask(pattern, columns, gpu),
-    )
 
 
 def prune_configurations(
@@ -55,17 +33,11 @@ def prune_configurations(
     gpu: GpuSpec,
 ) -> List[BlockingConfig]:
     """Return the configurations that survive validity and register pruning."""
-    configs = list(configurations)
-    masks = _batched_masks(pattern, configs, gpu)
-    if masks is None:
-        return [
-            config
-            for config in configs
-            if config.is_valid(pattern) and register_pressure_ok(pattern, config, gpu)
-        ]
-    valid, register_ok = masks
-    keep = valid & register_ok
-    return [config for config, kept in zip(configs, keep) if kept]
+    return [
+        config
+        for config in configurations
+        if config.is_valid(pattern) and register_pressure_ok(pattern, config, gpu)
+    ]
 
 
 def pruning_statistics(
@@ -74,18 +46,16 @@ def pruning_statistics(
     gpu: GpuSpec,
 ) -> dict[str, int]:
     """How many configurations each pruning rule removes (for reporting)."""
-    configs = list(configurations)
-    masks = _batched_masks(pattern, configs, gpu)
-    if masks is None:
-        valid_list = [config.is_valid(pattern) for config in configs]
-        register_list = [register_pressure_ok(pattern, config, gpu) for config in configs]
-        valid = np.asarray(valid_list, dtype=bool)
-        register_ok = np.asarray(register_list, dtype=bool)
-    else:
-        valid, register_ok = masks
+    total = invalid = register_pruned = 0
+    for config in configurations:
+        total += 1
+        if not config.is_valid(pattern):
+            invalid += 1
+        elif not register_pressure_ok(pattern, config, gpu):
+            register_pruned += 1
     return {
-        "total": len(configs),
-        "invalid": int(np.count_nonzero(~valid)),
-        "register_pruned": int(np.count_nonzero(valid & ~register_ok)),
-        "kept": int(np.count_nonzero(valid & register_ok)),
+        "total": total,
+        "invalid": invalid,
+        "register_pruned": register_pruned,
+        "kept": total - invalid - register_pruned,
     }

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.config import BlockingConfig
 from repro.ir.compile import (
+    _CALL_NUMPY,
     CompiledKernel,
     InterpretedKernel,
     compile_pattern,
@@ -25,7 +26,6 @@ from repro.ir.stencil import GridSpec
 from repro.sim.executor import BlockedStencilExecutor
 from repro.stencils.library import BENCHMARKS, load_pattern
 from repro.stencils.reference import (
-    _CALL_NUMPY,
     ReferenceExecutor,
     make_initial_grid,
     max_relative_error,
@@ -99,13 +99,6 @@ def test_compiled_kernel_reuses_scratch_and_cache():
     assert kernel.scratch_for(out.shape) is scratch_before
     assert kernel.num_scratch >= 1
     assert "def _stencil_kernel" in kernel.source
-
-
-def test_interpreter_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_INTERPRET", "1")
-    pattern = load_pattern("j2d9pt", "float")
-    kernel = compile_pattern(pattern, mode="auto")
-    assert isinstance(kernel, InterpretedKernel)
 
 
 # ---------------------------------------------------------------------------

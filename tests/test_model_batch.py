@@ -112,6 +112,40 @@ def test_pruning_masks_match_scalar_predicates(case):
     assert stats["invalid"] + stats["register_pruned"] + stats["kept"] == stats["total"]
 
 
+#: ``pruning_statistics`` over the default spaces on V100.
+SCALAR_PRUNING_CASES = [
+    ("j2d5pt", "double", GridSpec((4096, 4096), 100),
+     {"total": 144, "invalid": 0, "register_pruned": 6, "kept": 138}),
+    ("star3d1r", "double", GridSpec((256, 256, 256), 100),
+     {"total": 64, "invalid": 6, "register_pruned": 14, "kept": 44}),
+]
+
+
+@pytest.mark.parametrize(
+    "name,dtype,grid,stats", SCALAR_PRUNING_CASES, ids=[c[0] for c in SCALAR_PRUNING_CASES]
+)
+def test_scalar_pruning_oracle_never_touches_the_batch_layer(monkeypatch, name, dtype, grid, stats):
+    from repro.model import batch as batch_module
+
+    pattern = load_pattern(name, dtype)
+    gpu = get_gpu("V100")
+    space = default_search_space(pattern)
+    columns = ConfigBatch.from_space(space)
+    expected_survivors = list(columns.select(prune_mask(pattern, columns, gpu)).configs())
+    expected_rank = AutoTuner(gpu).rank(pattern, grid)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scalar oracle reached the batch layer")
+
+    monkeypatch.setattr(batch_module, "validity_mask", forbidden)
+    monkeypatch.setattr(batch_module, "register_mask", forbidden)
+    monkeypatch.setattr(batch_module.ConfigBatch, "from_configs", forbidden)
+
+    assert prune_configurations(pattern, space.configurations(), gpu) == expected_survivors
+    assert pruning_statistics(pattern, space.configurations(), gpu) == stats
+    assert reference_rank(pattern, grid, gpu) == expected_rank
+
+
 # -- model equivalence ----------------------------------------------------------------
 
 
@@ -207,15 +241,30 @@ def test_supports_two_and_three_dimensional_patterns():
 
 
 def test_campaign_predict_batch_payloads_match_scalar_runner():
-    from repro.campaign.jobs import JobSpec, run_job, run_predict_jobs
+    from repro.campaign.jobs import JobSpec, run_predict_jobs
+    from repro.sim.timing import simulate_performance
 
     specs = [
         JobSpec("predict", "j2d5pt", "V100", "float", (512, 512), 50,
                 (("bT", bT), ("bS", (256,))))
         for bT in (1, 2, 4, 8)
     ]
-    payloads = run_predict_jobs(specs)
-    assert payloads == [run_job(spec) for spec in specs]
+    pattern = load_pattern("j2d5pt", "float")
+    grid = GridSpec((512, 512), 50)
+    for payload, bT in zip(run_predict_jobs(specs), (1, 2, 4, 8)):
+        config = BlockingConfig(bT=bT, bS=(256,))
+        predicted = predict_performance(pattern, grid, config, get_gpu("V100"))
+        simulated = simulate_performance(pattern, grid, config, "V100")
+        assert payload == {
+            "bT": bT,
+            "bS": [256],
+            "hS": None,
+            "regs": None,
+            "model_gflops": round(predicted.gflops, 10),
+            "simulated_gflops": round(simulated.gflops, 10),
+            "model_bottleneck": predicted.bottleneck,
+            "simulated_bottleneck": simulated.bottleneck,
+        }
 
 
 def test_campaign_predict_batch_rejects_mixed_groups():
@@ -229,25 +278,92 @@ def test_campaign_predict_batch_rejects_mixed_groups():
         run_predict_jobs(mixed)
 
 
-def test_campaign_predict_group_failure_falls_back_to_per_job_records():
-    # star3d4r's default 32x32 block leaves no compute region at bT=4, r=4:
-    # its batch group raises, is handed back to the per-job path and recorded
-    # as one failure, while the j2d5pt group is still served batched.
-    from repro.campaign import CampaignScheduler, CampaignSpec, ResultStore
-    from repro.campaign.jobs import run_job
+def _forbid_scalar_model(monkeypatch):
+    """Make every scalar predict/simulate call fail the test."""
+    import repro.model.roofline
+    import repro.sim.timing
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a predict answer reached the scalar model")
+
+    monkeypatch.setattr(repro.model.roofline, "predict_performance", forbidden)
+    monkeypatch.setattr(repro.sim.timing, "simulate_performance", forbidden)
+
+
+def _batch_payload(pattern, grid, config, gpu):
+    """A predict payload computed straight off the batch engine."""
+    engine = BatchModelEngine(pattern, grid, get_gpu(gpu))
+    batch = ConfigBatch.from_configs([config])
+    predicted = engine.predict(batch)
+    simulated = engine.simulate(batch)
+    return {
+        "bT": config.bT,
+        "bS": list(config.bS),
+        "hS": config.hS,
+        "regs": config.register_limit,
+        "model_gflops": round(float(predicted.gflops[0]), 10),
+        "simulated_gflops": round(float(simulated.gflops[0]), 10),
+        "model_bottleneck": predicted.bottleneck_name(0),
+        "simulated_bottleneck": simulated.bottleneck_name(0),
+    }
+
+
+def test_campaign_predict_invalid_job_fails_alone_on_the_batch_engine(monkeypatch):
+    # star3d4r's default 32x32 block leaves no compute region at bT=4, r=4:
+    # that job fails on its own record with the model layer's error, while
+    # j2d5pt is answered by the batch engine — the scalar model is never run.
+    from repro.campaign import CampaignScheduler, CampaignSpec, ResultStore
+
+    _forbid_scalar_model(monkeypatch)
     spec = CampaignSpec(
         benchmarks=("j2d5pt", "star3d4r"), gpus=("V100",), dtypes=("float",),
         kinds=("predict",),
     )
+    jobs = {job.pattern: job for job in spec.expand()}
     with ResultStore(":memory:") as store:
         outcome = CampaignScheduler(spec, store).run()
         assert outcome.failed == 1
         assert any("star3d4r" in failure for failure in outcome.failures)
-        (j2d5pt,) = [job for job in spec.expand() if job.pattern == "j2d5pt"]
-        stored = store.lookup(j2d5pt)
+        stored = store.lookup(jobs["j2d5pt"])
         assert stored.ok
-        assert stored.payload == run_job(j2d5pt)
+        assert stored.payload == _batch_payload(
+            load_pattern("j2d5pt"), jobs["j2d5pt"].grid(),
+            BlockingConfig(bT=4, bS=(256,)), "V100",
+        )
+        failed = store.lookup(jobs["star3d4r"])
+        assert not failed.ok
+        assert failed.payload["error"].startswith("ConfigurationError: block size 32")
+
+
+def test_campaign_predict_group_keeps_valid_rows_beside_an_invalid_job(monkeypatch):
+    from repro.campaign import CampaignScheduler, CampaignSpec, ResultStore
+    from repro.campaign.jobs import JobSpec, predict_batch_key
+
+    _forbid_scalar_model(monkeypatch)
+    valid, invalid = (
+        JobSpec("predict", "j2d5pt", "V100", "float", (512, 512), 50,
+                (("bT", bT), ("bS", (128,))))
+        for bT in (4, 64)
+    )
+    assert predict_batch_key(valid) == predict_batch_key(invalid)
+
+    class TwoJobScheduler(CampaignScheduler):
+        def jobs(self):
+            return [valid, invalid]
+
+    spec = CampaignSpec(benchmarks=("j2d5pt",), kinds=("predict",))
+    with ResultStore(":memory:") as store:
+        outcome = TwoJobScheduler(spec, store, retries=0).run()
+        assert (outcome.executed, outcome.failed) == (2, 1)
+        assert store.lookup(valid).payload == _batch_payload(
+            load_pattern("j2d5pt"), GridSpec((512, 512), 50),
+            BlockingConfig(bT=4, bS=(128,)), "V100",
+        )
+        failed = store.lookup(invalid)
+        assert not failed.ok
+        assert failed.payload["error"] == (
+            "ConfigurationError: block size 128 leaves no compute region for bT=64, rad=1"
+        )
 
 
 # -- randomized equivalence sweep -----------------------------------------------------
