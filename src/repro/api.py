@@ -1,5 +1,12 @@
 """High-level public API of the AN5D reproduction.
 
+The ``an5d`` command line (:mod:`repro.cli`) only parses flags and prints;
+everything it runs is built here: compiled stencils, predictions, tuning
+results, campaign specs and schedulers over a result store, reports and
+in-process clusters.  The one exception is a standalone HTTP server, which
+``an5d serve`` builds itself because it also owns the process set-up
+(event log, profiler, wire-native store) that a library call must not do.
+
 Typical use::
 
     from repro import api
@@ -16,9 +23,10 @@ Typical use::
 
 from __future__ import annotations
 
-from pathlib import Path
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -276,6 +284,34 @@ def baseline(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _opened(store: Union[str, Path, "ResultStore"]) -> Iterator["ResultStore"]:
+    """``store`` as an open result store: a path is opened here and closed
+    on exit, an open store is used as is and left open."""
+    from repro.campaign import ResultStore
+
+    if isinstance(store, ResultStore):
+        yield store
+        return
+    with ResultStore(store) as opened:
+        yield opened
+
+
+def campaign_spec(
+    interior_2d: Optional[Sequence[int]] = None,
+    interior_3d: Optional[Sequence[int]] = None,
+    **fields,
+) -> "CampaignSpec":
+    """A :class:`~repro.campaign.jobs.CampaignSpec` from matrix options;
+    ``interior_2d``/``interior_3d`` of ``None`` keep the paper's grids."""
+    from repro.campaign import CampaignSpec
+
+    interiors = {"interior_2d": interior_2d, "interior_3d": interior_3d}
+    return CampaignSpec(
+        **fields, **{name: grid for name, grid in interiors.items() if grid is not None}
+    )
+
+
 def campaign(
     benchmarks: Optional[Sequence[str]] = None,
     gpus: Sequence[str] = ("V100",),
@@ -287,8 +323,7 @@ def campaign(
     timeout: Optional[float] = None,
     retries: int = 1,
     shards: int = 1,
-    shard_index: int = 0,
-    shard_indices: Optional[Sequence[int]] = None,
+    shard_indices: Sequence[int] = (0,),
     top_k: int = 5,
     interior_2d: Optional[Sequence[int]] = None,
     interior_3d: Optional[Sequence[int]] = None,
@@ -300,46 +335,33 @@ def campaign(
     result is committed the moment it finishes, so an interrupted campaign
     resumes where it stopped.  ``benchmarks=None`` means all of Table 3;
     ``interior_2d``/``interior_3d`` override the paper's evaluation grids
-    (``None`` keeps them).  ``shard_indices`` lets one invocation own
-    several shards of the ``shards``-way partition (the cluster
-    coordinator's re-assignment shape); it overrides ``shard_index``.
+    (``None`` keeps them).  ``shard_indices`` are the shards of the
+    ``shards``-way partition this invocation owns (several after a cluster
+    coordinator's re-assignment).
     """
-    from repro.campaign import CampaignScheduler, CampaignSpec, ResultStore
+    from repro.campaign import CampaignScheduler
     from repro.campaign.scheduler import ShardPlan
 
-    interiors = {}
-    if interior_2d is not None:
-        interiors["interior_2d"] = tuple(interior_2d)
-    if interior_3d is not None:
-        interiors["interior_3d"] = tuple(interior_3d)
-    spec = CampaignSpec(
-        benchmarks=tuple(benchmarks or ()),
-        gpus=tuple(gpus),
-        dtypes=tuple(dtypes),
-        kinds=tuple(kinds),
+    spec = campaign_spec(
+        benchmarks=benchmarks or (),
+        gpus=gpus,
+        dtypes=dtypes,
+        kinds=kinds,
         time_steps=time_steps,
         top_k=top_k,
-        **interiors,
+        interior_2d=interior_2d,
+        interior_3d=interior_3d,
     )
-    if shard_indices is not None:
-        plan = ShardPlan(shards, tuple(shard_indices))
-    else:
-        plan = ShardPlan(shards, (shard_index,))
-    owns_store = not isinstance(store, ResultStore)
-    result_store = ResultStore(store) if owns_store else store
-    try:
+    with _opened(store) as result_store:
         scheduler = CampaignScheduler(
             spec,
             result_store,
             workers=workers,
             timeout=timeout,
             retries=retries,
-            plan=plan,
+            plan=ShardPlan(shards, tuple(shard_indices)),
         )
         return scheduler.run(progress=progress)
-    finally:
-        if owns_store:
-            result_store.close()
 
 
 def fuzz(
@@ -365,14 +387,10 @@ def fuzz(
     Returns the campaign outcome plus the deterministic export records of
     every fuzz job, in seed order.
     """
-    from repro.campaign import CampaignScheduler, CampaignSpec, ResultStore
+    from repro.campaign import CampaignScheduler
 
-    spec = CampaignSpec(
-        gpus=tuple(gpus), kinds=("fuzz",), fuzz_seed=seed, fuzz_count=count
-    )
-    owns_store = not isinstance(store, ResultStore)
-    result_store = ResultStore(store) if owns_store else store
-    try:
+    spec = campaign_spec(gpus=gpus, kinds=("fuzz",), fuzz_seed=seed, fuzz_count=count)
+    with _opened(store) as result_store:
         scheduler = CampaignScheduler(
             spec, result_store, workers=workers, timeout=timeout, retries=retries
         )
@@ -387,9 +405,6 @@ def fuzz(
         # numbers, and the write never touches the exported namespace).
         fuzz_coverage(result_store)
         return outcome, records
-    finally:
-        if owns_store:
-            result_store.close()
 
 
 def fuzz_coverage(
@@ -404,12 +419,9 @@ def fuzz_coverage(
     numbers never drift from the results they summarise, and re-running a
     warm seed is a no-op.  Returns the refreshed coverage rows.
     """
-    from repro.campaign import ResultStore
     from repro.stencils.generators import fuzz_stencil, parse_fuzz_name
 
-    owns_store = not isinstance(store, ResultStore)
-    result_store = ResultStore(store) if owns_store else store
-    try:
+    with _opened(store) as result_store:
         entries: Dict[Tuple[str, str], Tuple[int, int]] = {}
         for record in result_store.export_records(ok_only=False, kind="fuzz"):
             parsed = parse_fuzz_name(str(record["pattern"]))
@@ -423,9 +435,6 @@ def fuzz_coverage(
                 entries[key] = (runs + 1, passed + (1 if check.get("passed") else 0))
         result_store.replace_coverage(entries)
         return result_store.coverage_rows()
-    finally:
-        if owns_store:
-            result_store.close()
 
 
 def campaign_report(
@@ -435,7 +444,6 @@ def campaign_report(
 ) -> "ResultTable":
     """Render a report (``table5``/``leaderboard``/``accuracy``/``summary``)
     from a campaign store."""
-    from repro.campaign import ResultStore
     from repro.campaign.report import REPORTS
 
     try:
@@ -444,103 +452,8 @@ def campaign_report(
         raise ValueError(
             f"unknown report {report!r}; available: {', '.join(REPORTS)}"
         ) from None
-    owns_store = not isinstance(store, ResultStore)
-    result_store = ResultStore(store) if owns_store else store
-    try:
+    with _opened(store) as result_store:
         return builder(result_store, **options)
-    finally:
-        if owns_store:
-            result_store.close()
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    store: Union[str, Path, "ResultStore"] = "campaign.sqlite",
-    workers: int = 1,
-    concurrency: int = 2,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    block: bool = True,
-    quiet: bool = True,
-    cluster: Optional["ClusterConfig"] = None,
-    advertise_host: Optional[str] = None,
-    coordinator_url: Optional[str] = None,
-    journal: Optional[Union[str, Path]] = None,
-    max_queued: Optional[int] = None,
-    reserve_interactive: int = 0,
-    telemetry_interval: Optional[float] = None,
-    telemetry_keep: int = 1000,
-) -> "CampaignServer":
-    """Serve the campaign layer over HTTP (the ``an5d serve`` entry point).
-
-    Submit :class:`~repro.campaign.jobs.CampaignSpec` JSON to
-    ``POST /campaigns``, poll ``GET /campaigns/{id}``, and fetch reports and
-    deterministic JSONL exports — all against one shared result store, so
-    the service resumes warm after a restart.  ``POST /predict`` and
-    ``POST /tune`` answer single jobs synchronously from the hot model
-    cache, bypassing the campaign queue entirely.
-
-    ``workers`` is the multiprocessing fan-out for scalar-simulator jobs;
-    ``concurrency`` is how many campaigns the async worker overlaps.
-    ``max_queued`` enables admission control (campaign submissions beyond
-    that many queued-or-running campaigns get 429 + ``Retry-After``);
-    ``reserve_interactive`` holds that many concurrency slots back from
-    heavy campaigns so small interactive ones never wait behind a sweep.
-    With ``block=False`` the server runs in a background thread and is
-    returned (callers stop it with
-    :meth:`~repro.service.CampaignServer.stop`); ``port=0`` picks an
-    ephemeral port.
-
-    Pass a :class:`~repro.cluster.registry.ClusterConfig` to make the
-    instance a cluster member: it registers itself (with heartbeats) in the
-    store's instance registry and accepts coordinator shard assignments; in
-    the coordinator role it also accepts whole campaigns on
-    ``POST /cluster/campaigns`` and supervises shard re-assignment.
-
-    ``coordinator_url`` makes the instance **wire-native**: instead of
-    opening the store it commits results to that coordinator over HTTP
-    (``POST /results/commit``), spilling to the local ``journal`` file
-    whenever the coordinator is unreachable and draining it on reconnect.
-    Requires a worker-role ``cluster`` config; ``store`` is ignored.
-
-    ``telemetry_interval`` (seconds) turns on telemetry history: the
-    instance periodically persists its metrics snapshot into the store's
-    timestamped telemetry table (pruned to the newest ``telemetry_keep``
-    rows), surfaced by ``GET /telemetry/history`` and ``an5d top --history``.
-    """
-    from repro.service import CampaignServer, WorkerSettings
-
-    if coordinator_url is not None:
-        from repro.cluster.remote import RemoteStore
-
-        store = RemoteStore(coordinator_url, journal=journal)
-    server = CampaignServer(
-        host=host,
-        port=port,
-        store=store,
-        settings=WorkerSettings(
-            workers=workers,
-            concurrency=concurrency,
-            timeout=timeout,
-            retries=retries,
-            max_queued=max_queued,
-            reserve_interactive=reserve_interactive,
-        ),
-        quiet=quiet,
-        cluster=cluster,
-        advertise_host=advertise_host,
-        telemetry_interval=telemetry_interval,
-        telemetry_keep=telemetry_keep,
-    )
-    if not block:
-        server.start()
-        return server
-    try:
-        server.run()
-    finally:
-        server.stop()
-    return server
 
 
 def cluster_up(

@@ -7,7 +7,7 @@ previous campaign without touching the scheduler.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.store import ResultStore, StoredResult
 from repro.reporting import ResultTable
@@ -162,3 +162,19 @@ REPORTS = {
     "accuracy": accuracy_summary,
     "summary": campaign_summary,
 }
+
+
+def report_options(report: str, given: Mapping[str, object]) -> Dict[str, object]:
+    """The options ``report`` takes, picked out of ``given`` (CLI flags or a
+    query string): a leaderboard filters on ``gpu``/``dtype`` and keeps the
+    ``top`` rows, a Table-5 matrix fills its cells with ``value``, and the
+    other reports take none."""
+    if report == "leaderboard":
+        return {
+            "gpu": given.get("gpu"),
+            "dtype": given.get("dtype"),
+            "top": int(given.get("top", 10)),  # type: ignore[arg-type]
+        }
+    if report == "table5":
+        return {"value": given.get("value", "tuned_gflops")}
+    return {}

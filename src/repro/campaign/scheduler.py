@@ -11,9 +11,7 @@ separate machines sharing nothing but the final store merge): each job has a
 stable shard assignment derived from its content address, and a scheduler
 given a :class:`ShardPlan` only ever touches the shard indices that plan
 owns.  A plan may own *several* indices — that is how the cluster layer
-re-assigns the shards of a dead instance to a surviving one — and the
-classic ``shards``/``shard_index`` pair remains as a convenience spelling
-for the single-index plan.
+re-assigns the shards of a dead instance to a surviving one.
 
 Model-only ``predict`` jobs never reach the pool: jobs sharing one
 (pattern, grid, GPU) are grouped and served by the batched model engine in a
@@ -195,9 +193,7 @@ class CampaignOutcome:
     failed: int
     retried: int
     duration_s: float
-    shards: int = 1
-    shard_index: int = 0
-    shard_indices: Tuple[int, ...] = (0,)
+    plan: ShardPlan = ShardPlan()
     configs_evaluated: int = 0
     failures: List[str] = field(default_factory=list)
 
@@ -226,7 +222,7 @@ class CampaignOutcome:
             "cache_hit_rate": round(self.cache_hit_rate, 4),
             "duration_s": round(self.duration_s, 3),
             "configs_per_s": round(self.configs_per_s, 1),
-            "shard": "+".join(str(i) for i in self.shard_indices) + f"/{self.shards}",
+            "shard": self.plan.describe(),
         }
 
 
@@ -236,9 +232,8 @@ ProgressCallback = Callable[[JobSpec, str], None]
 class CampaignScheduler:
     """Plan and run one campaign (or one slice of it) against a store.
 
-    The slice is a :class:`ShardPlan` — supplied directly (the cluster
-    coordinator's route, where a plan may own several shard indices after a
-    re-assignment) or spelled as the classic ``shards``/``shard_index`` pair.
+    The slice is a :class:`ShardPlan`; after a cluster re-assignment a plan
+    may own several shard indices.  The default plan owns the whole campaign.
     """
 
     def __init__(
@@ -248,14 +243,10 @@ class CampaignScheduler:
         workers: int = 1,
         timeout: Optional[float] = None,
         retries: int = 1,
-        shards: int = 1,
-        shard_index: int = 0,
-        plan: Optional[ShardPlan] = None,
+        plan: ShardPlan = ShardPlan(),
         metrics: Optional[MetricsRegistry] = None,
         campaign_id: Optional[str] = None,
     ) -> None:
-        if plan is None:
-            plan = ShardPlan(shards, (shard_index,))
         if retries < 0:
             raise ValueError("retries must be non-negative")
         self.spec = spec
@@ -268,15 +259,6 @@ class CampaignScheduler:
         #: Campaign content address carried on every per-job lifecycle event,
         #: so ``GET /campaigns/{id}/stream`` can filter one campaign's jobs.
         self.campaign_id = campaign_id
-
-    @property
-    def shards(self) -> int:
-        return self.shard_plan.shards
-
-    @property
-    def shard_index(self) -> int:
-        """Lowest owned shard index (see ``shard_plan`` for the full set)."""
-        return self.shard_plan.indices[0]
 
     # -- planning --------------------------------------------------------------
     def jobs(self) -> List[JobSpec]:
@@ -461,9 +443,7 @@ class CampaignScheduler:
             failed=len(failed),
             retried=retried,
             duration_s=time.perf_counter() - start,
-            shards=self.shards,
-            shard_index=self.shard_index,
-            shard_indices=self.shard_plan.indices,
+            plan=self.shard_plan,
             configs_evaluated=configs_evaluated,
             failures=[job.describe() for job in failed],
         )

@@ -62,16 +62,45 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import repro
 from repro import api
 from repro.core.config import BlockingConfig, ConfigurationError
-from repro.stencils.library import BENCHMARKS, get_benchmark
+from repro.stencils.library import BENCHMARKS
 
 
 def _parse_bs(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace("x", ",").split(",") if part)
+
+
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+#: Flags several subcommands declare identically, each defined once here;
+#: ``_add_flags`` adds them by name, in the order given.
+_FLAGS = {
+    "stencil": (("stencil",), {}),
+    "gpu": (("--gpu",), {"default": "V100"}),
+    "dtype": (("--dtype",), {"choices": ("float", "double"), "default": "float"}),
+    "time-steps": (("--time-steps",), {"type": int, "default": 1000}),
+    "gpus": (("--gpus",), {"type": _parse_names, "default": ("V100",)}),
+    "store": (("--store",), {"default": "campaign.sqlite"}),
+    "host": (("--host",), {"default": "127.0.0.1"}),
+    "workers": (("--workers",), {"type": int, "default": 1}),
+    "concurrency": (("--concurrency",), {"type": int, "default": 2}),
+    "timeout": (("--timeout",), {"type": float, "default": None}),
+    "job-timeout": (("--timeout",), {"type": float, "default": None, "help": "per-job seconds"}),
+    "retries": (("--retries",), {"type": int, "default": 1}),
+    "verbose": (("--verbose", "-v"), {"action": "store_true"}),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flags, options = _FLAGS[name]
+        parser.add_argument(*flags, **options)
 
 
 def _add_blocking_arguments(parser: argparse.ArgumentParser) -> None:
@@ -211,10 +240,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # -- campaign subcommands ---------------------------------------------------------
 
 
-def _parse_names(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
 def _parse_indices(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(",") if part.strip())
 
@@ -232,7 +257,7 @@ def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
         default=(),
         help="comma-separated benchmark names ('all' or omit for every Table 3 stencil)",
     )
-    parser.add_argument("--gpus", type=_parse_names, default=("V100",))
+    _add_flags(parser, "gpus")
     parser.add_argument("--dtypes", type=_parse_names, default=("float",))
     parser.add_argument(
         "--kinds",
@@ -240,7 +265,7 @@ def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
         default=("tune",),
         help="job kinds: tune,exhaustive,verify,baseline,predict",
     )
-    parser.add_argument("--time-steps", type=int, default=1000)
+    _add_flags(parser, "time-steps")
     parser.add_argument(
         "--interior-2d", type=_parse_bs, default=None,
         help="2-D interior grid, e.g. 512x512 (default: the paper's 16384x16384)",
@@ -252,55 +277,57 @@ def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--top-k", type=int, default=5)
 
 
-def _campaign_spec(args: argparse.Namespace):
-    from repro.campaign import CampaignSpec
+def _matrix(args: argparse.Namespace) -> dict:
+    """The campaign matrix ``_add_matrix_arguments`` declares."""
+    return {
+        "benchmarks": args.benchmarks,
+        "gpus": args.gpus,
+        "dtypes": args.dtypes,
+        "kinds": args.kinds,
+        "time_steps": args.time_steps,
+        "top_k": args.top_k,
+        "interior_2d": args.interior_2d,
+        "interior_3d": args.interior_3d,
+    }
 
-    interiors = {}
-    if args.interior_2d is not None:
-        interiors["interior_2d"] = args.interior_2d
-    if args.interior_3d is not None:
-        interiors["interior_3d"] = args.interior_3d
-    return CampaignSpec(
-        benchmarks=args.benchmarks,
-        gpus=args.gpus,
-        dtypes=args.dtypes,
-        kinds=args.kinds,
-        time_steps=args.time_steps,
-        top_k=args.top_k,
-        **interiors,
-    )
+
+def _progress(job, status: str) -> None:
+    """``--verbose`` per-job line of a campaign run; failures go to stderr."""
+    stream = sys.stdout if status == "ok" else sys.stderr
+    print(f"  [{status}] {job.describe()}", file=stream)
+
+
+def _print_outcome(outcome) -> bool:
+    """Print a campaign outcome's summary and failed jobs; True if none failed."""
+    for key, value in outcome.as_row().items():
+        print(f"  {key:>14}: {value}")
+    for failure in outcome.failures:
+        print(f"error: job failed: {failure}", file=sys.stderr)
+    return outcome.ok
+
+
+def _open_store(path: str):
+    """Open an existing campaign store; a command that reads one never
+    creates it (a missing store is exit 2 via ``main``)."""
+    from repro.campaign import ResultStore
+
+    if not Path(path).exists():
+        raise FileNotFoundError(f"no campaign store at {path!r}")
+    return ResultStore(path)
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    def progress(job, status):
-        stream = sys.stdout if status == "ok" else sys.stderr
-        print(f"  [{status}] {job.describe()}", file=stream)
-
     outcome = api.campaign(
-        benchmarks=args.benchmarks,
-        gpus=args.gpus,
-        dtypes=args.dtypes,
-        kinds=args.kinds,
+        **_matrix(args),
         store=args.store,
         workers=args.workers,
-        time_steps=args.time_steps,
         timeout=args.timeout,
         retries=args.retries,
         shards=args.shards,
-        shard_index=args.shard,
-        shard_indices=args.shard_indices,
-        top_k=args.top_k,
-        interior_2d=args.interior_2d,
-        interior_3d=args.interior_3d,
-        progress=progress if args.verbose else None,
+        shard_indices=args.shard_indices if args.shard_indices is not None else (args.shard,),
+        progress=_progress if args.verbose else None,
     )
-    for key, value in outcome.as_row().items():
-        print(f"  {key:>14}: {value}")
-    if outcome.failed:
-        for failure in outcome.failures:
-            print(f"error: job failed: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if _print_outcome(outcome) else 1
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -322,10 +349,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(stencil.source)
         return 0
 
-    def progress(job, status):
-        stream = sys.stdout if status == "ok" else sys.stderr
-        print(f"  [{status}] {job.describe()}", file=stream)
-
     outcome, records = api.fuzz(
         seed=args.seed,
         count=args.count,
@@ -334,7 +357,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         workers=args.workers,
         timeout=args.timeout,
         retries=args.retries,
-        progress=progress if args.verbose else None,
+        progress=_progress if args.verbose else None,
     )
     diverged = 0
     for record in records:
@@ -363,11 +386,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 f"    {row['family']:<8} {row['check']:<26} "
                 f"{row['passed']}/{row['runs']} passed"
             )
-    for key, value in outcome.as_row().items():
-        print(f"  {key:>14}: {value}")
-    if outcome.failed:
-        for failure in outcome.failures:
-            print(f"error: job failed: {failure}", file=sys.stderr)
+    if not _print_outcome(outcome):
         return 1
     if diverged:
         print(
@@ -436,13 +455,8 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_prune(args: argparse.Namespace) -> int:
     """List or drop results recorded under stale code versions."""
-    from repro.campaign import ResultStore
-
-    if not Path(args.store).exists():
-        print(f"error: no campaign store at {args.store!r}", file=sys.stderr)
-        return 2
     current = repro.__version__
-    with ResultStore(args.store) as store:
+    with _open_store(args.store) as store:
         versions = store.code_versions()
         if args.code_version is None and not args.stale:
             # Pure listing: what is in the store, and what prune would drop.
@@ -480,27 +494,20 @@ def _cmd_campaign_prune(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from repro.campaign import ResultStore, campaign_summary
+    from repro.campaign import campaign_summary
 
-    if not Path(args.store).exists():
-        print(f"error: no campaign store at {args.store!r}", file=sys.stderr)
-        return 2
-    with ResultStore(args.store) as store:
+    with _open_store(args.store) as store:
         print(campaign_summary(store).to_text())
         failed = store.count("failed")
     return 1 if failed else 0
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
-    if not Path(args.store).exists():
-        print(f"error: no campaign store at {args.store!r}", file=sys.stderr)
-        return 2
-    options = {}
-    if args.report == "leaderboard":
-        options = {"gpu": args.gpu, "dtype": args.dtype, "top": args.top}
-    elif args.report == "table5":
-        options = {"value": args.value}
-    table = api.campaign_report(args.store, report=args.report, **options)
+    from repro.campaign.report import report_options
+
+    options = report_options(args.report, vars(args))
+    with _open_store(args.store) as store:
+        table = api.campaign_report(store, report=args.report, **options)
     if args.output:
         path = table.save(args.output)
         print(f"wrote {len(table.rows)} rows to {path}")
@@ -510,12 +517,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_export(args: argparse.Namespace) -> int:
-    from repro.campaign import ResultStore
-
-    if not Path(args.store).exists():
-        print(f"error: no campaign store at {args.store!r}", file=sys.stderr)
-        return 2
-    with ResultStore(args.store) as store:
+    with _open_store(args.store) as store:
         filters = {"kind": args.kind, "ok_only": not args.all}
         destination = Path(args.output)
         if destination.suffix in (".jsonl", ".json"):
@@ -539,25 +541,22 @@ def _add_campaign_parsers(sub: argparse._SubParsersAction) -> None:
 
     run_parser = campaign_sub.add_parser("run", help="run or resume a campaign")
     _add_matrix_arguments(run_parser)
-    run_parser.add_argument("--store", default="campaign.sqlite")
-    run_parser.add_argument("--workers", type=int, default=1)
-    run_parser.add_argument("--timeout", type=float, default=None, help="per-job seconds")
-    run_parser.add_argument("--retries", type=int, default=1)
+    _add_flags(run_parser, "store", "workers", "job-timeout", "retries")
     run_parser.add_argument("--shards", type=int, default=1)
     run_parser.add_argument("--shard", type=int, default=0, help="this worker's shard index")
     run_parser.add_argument(
         "--shard-indices", type=_parse_indices, default=None,
         help="own several shard indices of the partition, e.g. 0,2 (overrides --shard)",
     )
-    run_parser.add_argument("--verbose", "-v", action="store_true")
+    _add_flags(run_parser, "verbose")
     run_parser.set_defaults(func=_cmd_campaign_run)
 
     status_parser = campaign_sub.add_parser("status", help="summarise the result store")
-    status_parser.add_argument("--store", default="campaign.sqlite")
+    _add_flags(status_parser, "store")
     status_parser.set_defaults(func=_cmd_campaign_status)
 
     report_parser = campaign_sub.add_parser("report", help="render a report from the store")
-    report_parser.add_argument("--store", default="campaign.sqlite")
+    _add_flags(report_parser, "store")
     report_parser.add_argument(
         "--report", choices=("table5", "leaderboard", "accuracy", "summary"), default="table5"
     )
@@ -569,7 +568,7 @@ def _add_campaign_parsers(sub: argparse._SubParsersAction) -> None:
     report_parser.set_defaults(func=_cmd_campaign_report)
 
     export_parser = campaign_sub.add_parser("export", help="export raw results")
-    export_parser.add_argument("--store", default="campaign.sqlite")
+    _add_flags(export_parser, "store")
     export_parser.add_argument("--output", "-o", required=True)
     export_parser.add_argument("--kind", default=None, help="only one job kind")
     export_parser.add_argument(
@@ -597,7 +596,7 @@ def _add_campaign_parsers(sub: argparse._SubParsersAction) -> None:
     prune_parser = campaign_sub.add_parser(
         "prune", help="list or drop results from stale code versions"
     )
-    prune_parser.add_argument("--store", default="campaign.sqlite")
+    _add_flags(prune_parser, "store")
     prune_parser.add_argument(
         "--code-version", action="append", default=None,
         help="drop results recorded under this code version (repeatable)",
@@ -630,38 +629,45 @@ def _cluster_config(args: argparse.Namespace, role: str):
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import CampaignServer, WorkerSettings
 
-    event_log = getattr(args, "event_log", None)
-    if event_log:
+    if args.event_log:
         from repro.obs import EVENTS
 
         EVENTS.configure(
-            event_log,
-            max_bytes=getattr(args, "event_log_max_bytes", None),
-            keep_rotated=getattr(args, "event_log_keep", 3),
+            args.event_log,
+            max_bytes=args.event_log_max_bytes,
+            keep_rotated=args.event_log_keep,
         )
-    if getattr(args, "profile", False):
+    if args.profile:
         from repro.obs import arm_profiler
 
-        arm_profiler(hz=getattr(args, "profile_hz", None))
-    role = getattr(args, "role", "worker")
-    coordinator_url = getattr(args, "coordinator_url", None)
+        arm_profiler(hz=args.profile_hz)
     cluster = None
-    if coordinator_url is not None:
+    if args.coordinator_url is not None:
         # Wire-native worker: no filesystem access to the store — results
         # commit to the coordinator over HTTP, journaled locally while it
         # is unreachable.  Implies cluster membership in the worker role.
-        if role != "worker":
+        if args.role != "worker":
             print(
                 "error: --coordinator-url is a worker-only mode "
                 "(coordinators need direct store access)",
                 file=sys.stderr,
             )
             return 2
+        from repro.cluster.remote import RemoteStore
+
         cluster = _cluster_config(args, "worker")
-        store = _wire_store(args, coordinator_url)
+        journal = args.journal
+        if journal is None:
+            journal = f"an5d-worker-{os.getpid()}.journal.jsonl"
+        store = RemoteStore(
+            args.coordinator_url,
+            journal=journal,
+            flush_interval=args.flush_interval,
+            backoff_cap_s=args.backoff_cap,
+        )
     else:
-        if getattr(args, "cluster", False) or role != "worker":
-            cluster = _cluster_config(args, role)
+        if args.cluster or args.role != "worker":
+            cluster = _cluster_config(args, args.role)
         store = args.store
     server = CampaignServer(
         host=args.host,
@@ -672,16 +678,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             concurrency=args.concurrency,
             timeout=args.timeout,
             retries=args.retries,
-            max_queued=getattr(args, "max_queued", None),
-            reserve_interactive=getattr(args, "reserve_interactive", 0),
+            max_queued=args.max_queued,
+            reserve_interactive=args.reserve_interactive,
         ),
         quiet=not args.verbose,
         cluster=cluster,
-        advertise_host=getattr(args, "advertise_host", None),
-        telemetry_interval=getattr(args, "telemetry_interval", None),
-        telemetry_keep=getattr(args, "telemetry_keep", 1000),
+        advertise_host=args.advertise_host,
+        telemetry_interval=args.telemetry_interval,
+        telemetry_keep=args.telemetry_keep,
     )
-    shown_store = server.app.store.path if coordinator_url is not None else args.store
+    shown_store = server.app.store.path if args.coordinator_url is not None else args.store
     print(f"an5d campaign service on {server.url} (store: {shown_store})")
     if cluster is not None:
         print(f"cluster member {cluster.instance_id} (role: {cluster.role})")
@@ -695,21 +701,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.stop()
     return 0
-
-
-def _wire_store(args: argparse.Namespace, coordinator_url: str):
-    """Build the wire-native store an ``an5d serve --coordinator-url`` uses."""
-    from repro.cluster.remote import RemoteStore
-
-    journal = getattr(args, "journal", None)
-    if journal is None:
-        journal = f"an5d-worker-{os.getpid()}.journal.jsonl"
-    return RemoteStore(
-        coordinator_url,
-        journal=journal,
-        flush_interval=getattr(args, "flush_interval", 0.2),
-        backoff_cap_s=getattr(args, "backoff_cap", 2.0),
-    )
 
 
 def _add_cluster_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -731,13 +722,13 @@ def _add_cluster_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
+def _add_serve_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
     serve_parser = sub.add_parser(
         "serve", help="serve campaigns over HTTP against a shared result store"
     )
-    serve_parser.add_argument("--host", default="127.0.0.1")
+    _add_flags(serve_parser, "host")
     serve_parser.add_argument("--port", type=int, default=8000, help="0 = ephemeral port")
-    serve_parser.add_argument("--store", default="campaign.sqlite")
+    _add_flags(serve_parser, "store")
     serve_parser.add_argument(
         "--workers", type=int, default=1,
         help="multiprocessing fan-out for scalar-simulator jobs",
@@ -746,8 +737,7 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
         "--concurrency", type=int, default=2,
         help="campaigns the async worker overlaps",
     )
-    serve_parser.add_argument("--timeout", type=float, default=None, help="per-job seconds")
-    serve_parser.add_argument("--retries", type=int, default=1)
+    _add_flags(serve_parser, "job-timeout", "retries")
     serve_parser.add_argument(
         "--max-queued", type=int, default=None,
         help="admission control: reject campaign submissions beyond this "
@@ -820,6 +810,7 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
     _add_cluster_serve_arguments(serve_parser)
     serve_parser.add_argument("--verbose", "-v", action="store_true", help="log requests")
     serve_parser.set_defaults(func=_cmd_serve)
+    return serve_parser
 
 
 def _cmd_top_history(args: argparse.Namespace) -> int:
@@ -827,17 +818,11 @@ def _cmd_top_history(args: argparse.Namespace) -> int:
 
     from repro.obs.top import render_history
 
-    store_path = getattr(args, "store", None)
-    if store_path:
+    if args.store:
         # Offline mode: read the telemetry table straight from the store —
         # the post-run regression view needs no live server.
-        from repro.campaign import ResultStore
-
-        store = ResultStore(store_path)
-        try:
+        with _open_store(args.store) as store:
             rows = store.telemetry_rows(limit=args.limit)
-        finally:
-            store.close()
         print(render_history(rows))
         return 0
     import urllib.request
@@ -890,8 +875,6 @@ def _cmd_top_follow(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    import time as _time
-
     from repro.obs.top import collect, render
 
     if args.history:
@@ -907,7 +890,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     try:
         while args.iterations <= 0 or refreshed < args.iterations:
             refreshed += 1
-            _time.sleep(args.watch)
+            time.sleep(args.watch)
             previous, rows = rows, collect(url, timeout=args.timeout)
             # Clear + home, like top(1); rates come from the scrape deltas.
             print("\033[2J\033[H", end="")
@@ -1014,8 +997,6 @@ def _add_profile_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_cluster_up(args: argparse.Namespace) -> int:
-    import time as _time
-
     cluster = api.cluster_up(
         store=args.store,
         instances=args.instances,
@@ -1042,7 +1023,7 @@ def _cmd_cluster_up(args: argparse.Namespace) -> int:
         sys.stdout.flush()
         try:
             while True:
-                _time.sleep(1.0)
+                time.sleep(1.0)
         except KeyboardInterrupt:  # pragma: no cover — interactive only
             pass
     finally:
@@ -1089,13 +1070,9 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     else:
-        from repro.campaign import ResultStore
         from repro.cluster import ClusterCoordinator, InstanceRegistry
 
-        if not Path(args.store).exists():
-            print(f"error: no campaign store at {args.store!r}", file=sys.stderr)
-            return 2
-        with ResultStore(args.store) as store:
+        with _open_store(args.store) as store:
             registry = InstanceRegistry(store, liveness_timeout=args.liveness_timeout)
             payload = ClusterCoordinator(store, registry).status()
     _print_cluster_status(payload)
@@ -1103,11 +1080,9 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_submit(args: argparse.Namespace) -> int:
-    import time as _time
-
     from repro.cluster import ClusterClient, ClusterError
 
-    spec = _campaign_spec(args)
+    spec = api.campaign_spec(**_matrix(args))
     # The coordinator forwards shards inline before answering, and each
     # wedged peer may cost it several seconds — be patient, not transient.
     client = ClusterClient(timeout=60.0)
@@ -1122,9 +1097,9 @@ def _cmd_cluster_submit(args: argparse.Namespace) -> int:
     print(f"  state: {submitted['state']}  jobs: {jobs['total']}  shards: {submitted['shards']}")
     if not args.wait:
         return 0
-    deadline = _time.monotonic() + args.poll_timeout
+    deadline = time.monotonic() + args.poll_timeout
     status = submitted
-    while _time.monotonic() < deadline:
+    while time.monotonic() < deadline:
         try:
             status = client.submission_status(base, submitted["id"])
         except ClusterError as error:
@@ -1132,7 +1107,7 @@ def _cmd_cluster_submit(args: argparse.Namespace) -> int:
             return 2
         if status["state"] in ("done", "failed"):
             break
-        _time.sleep(0.2)
+        time.sleep(0.2)
     jobs = status["jobs"]
     print(
         f"  final: {status['state']}  done: {jobs['done']}/{jobs['total']}  "
@@ -1143,7 +1118,9 @@ def _cmd_cluster_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_cluster_parsers(sub: argparse._SubParsersAction) -> None:
+def _add_cluster_parsers(
+    sub: argparse._SubParsersAction, serve_parser: argparse.ArgumentParser
+) -> None:
     cluster = sub.add_parser(
         "cluster", help="many serve instances cooperating on one store"
     )
@@ -1153,12 +1130,7 @@ def _add_cluster_parsers(sub: argparse._SubParsersAction) -> None:
         "up", help="boot N workers + a coordinator in one process"
     )
     up_parser.add_argument("--instances", type=int, default=2)
-    up_parser.add_argument("--host", default="127.0.0.1")
-    up_parser.add_argument("--store", default="campaign.sqlite")
-    up_parser.add_argument("--workers", type=int, default=1)
-    up_parser.add_argument("--concurrency", type=int, default=2)
-    up_parser.add_argument("--timeout", type=float, default=None)
-    up_parser.add_argument("--retries", type=int, default=1)
+    _add_flags(up_parser, "host", "store", "workers", "concurrency", "timeout", "retries")
     up_parser.add_argument(
         "--standbys", type=int, default=0,
         help="extra coordinator instances contending on the failover lease",
@@ -1177,22 +1149,28 @@ def _add_cluster_parsers(sub: argparse._SubParsersAction) -> None:
     coordinator_parser = cluster_sub.add_parser(
         "coordinator", help="run a dedicated coordinator instance"
     )
-    coordinator_parser.add_argument("--host", default="127.0.0.1")
+    _add_flags(coordinator_parser, "host")
     coordinator_parser.add_argument("--port", type=int, default=8000)
-    coordinator_parser.add_argument("--store", default="campaign.sqlite")
-    coordinator_parser.add_argument("--workers", type=int, default=1)
-    coordinator_parser.add_argument("--concurrency", type=int, default=2)
-    coordinator_parser.add_argument("--timeout", type=float, default=None)
-    coordinator_parser.add_argument("--retries", type=int, default=1)
+    _add_flags(
+        coordinator_parser, "store", "workers", "concurrency", "timeout", "retries"
+    )
     _add_cluster_serve_arguments(coordinator_parser)
-    coordinator_parser.add_argument("--verbose", "-v", action="store_true")
-    coordinator_parser.set_defaults(func=_cmd_serve, cluster=True, role="coordinator")
+    _add_flags(coordinator_parser, "verbose")
+    # A coordinator is `an5d serve` in the coordinator role: the serve flags
+    # it does not declare keep the serve parser's own defaults.
+    declared = vars(coordinator_parser.parse_args([]))
+    serve_only = {
+        dest: value
+        for dest, value in vars(serve_parser.parse_args([])).items()
+        if dest not in declared
+    }
+    coordinator_parser.set_defaults(**{**serve_only, "cluster": True, "role": "coordinator"})
 
     status_parser = cluster_sub.add_parser(
         "status", help="instances, liveness and submission progress"
     )
     status_parser.add_argument("--url", default=None, help="any cluster member's base URL")
-    status_parser.add_argument("--store", default="campaign.sqlite")
+    _add_flags(status_parser, "store")
     status_parser.add_argument("--liveness-timeout", type=float, default=10.0)
     status_parser.set_defaults(func=_cmd_cluster_status)
 
@@ -1224,45 +1202,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_parser = sub.add_parser("compile", help="generate CUDA code for a stencil")
     compile_parser.add_argument("stencil", help="benchmark name or path to a C source file")
-    compile_parser.add_argument("--dtype", choices=("float", "double"), default="float")
+    _add_flags(compile_parser, "dtype")
     compile_parser.add_argument("--output", "-o", help="write the generated code to a file")
     _add_blocking_arguments(compile_parser)
     compile_parser.set_defaults(func=_cmd_compile)
 
     tune_parser = sub.add_parser("tune", help="autotune a benchmark stencil")
-    tune_parser.add_argument("stencil")
-    tune_parser.add_argument("--gpu", default="V100")
-    tune_parser.add_argument("--dtype", choices=("float", "double"), default="float")
-    tune_parser.add_argument("--time-steps", type=int, default=1000)
+    _add_flags(tune_parser, "stencil", "gpu", "dtype", "time-steps")
     tune_parser.set_defaults(func=_cmd_tune)
 
     exhaustive_parser = sub.add_parser(
         "exhaustive", help="sweep the entire pruned search space"
     )
-    exhaustive_parser.add_argument("stencil")
-    exhaustive_parser.add_argument("--gpu", default="V100")
-    exhaustive_parser.add_argument("--dtype", choices=("float", "double"), default="float")
-    exhaustive_parser.add_argument("--time-steps", type=int, default=1000)
+    _add_flags(exhaustive_parser, "stencil", "gpu", "dtype", "time-steps")
     exhaustive_parser.set_defaults(func=_cmd_exhaustive)
 
     predict_parser = sub.add_parser("predict", help="model + simulator prediction")
-    predict_parser.add_argument("stencil")
-    predict_parser.add_argument("--gpu", default="V100")
-    predict_parser.add_argument("--dtype", choices=("float", "double"), default="float")
+    _add_flags(predict_parser, "stencil", "gpu", "dtype")
     _add_blocking_arguments(predict_parser)
     predict_parser.set_defaults(func=_cmd_predict)
 
     verify_parser = sub.add_parser("verify", help="verify blocked execution vs reference")
-    verify_parser.add_argument("stencil")
-    verify_parser.add_argument("--dtype", choices=("float", "double"), default="float")
+    _add_flags(verify_parser, "stencil", "dtype")
     verify_parser.add_argument("--time-steps", type=int, default=8)
     _add_blocking_arguments(verify_parser)
     verify_parser.set_defaults(func=_cmd_verify)
 
     compare_parser = sub.add_parser("compare", help="compare against baseline frameworks")
-    compare_parser.add_argument("stencil")
-    compare_parser.add_argument("--gpu", default="V100")
-    compare_parser.add_argument("--dtype", choices=("float", "double"), default="float")
+    _add_flags(compare_parser, "stencil", "gpu", "dtype")
     compare_parser.set_defaults(func=_cmd_compare)
 
     fuzz_parser = sub.add_parser(
@@ -1274,25 +1241,21 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "--count", type=int, default=20, help="number of stencils to draw from the seed"
     )
-    fuzz_parser.add_argument("--gpus", type=_parse_names, default=("V100",))
-    fuzz_parser.add_argument("--store", default="campaign.sqlite")
-    fuzz_parser.add_argument("--workers", type=int, default=1)
-    fuzz_parser.add_argument("--timeout", type=float, default=None, help="per-job seconds")
-    fuzz_parser.add_argument("--retries", type=int, default=1)
+    _add_flags(fuzz_parser, "gpus", "store", "workers", "job-timeout", "retries")
     fuzz_parser.add_argument(
         "--show",
         metavar="NAME",
         default=None,
         help="print the generated C source for a fuzz-SEED-INDEX name and exit",
     )
-    fuzz_parser.add_argument("--verbose", "-v", action="store_true")
+    _add_flags(fuzz_parser, "verbose")
     fuzz_parser.set_defaults(func=_cmd_fuzz)
 
     _add_campaign_parsers(sub)
-    _add_serve_parser(sub)
+    serve_parser = _add_serve_parser(sub)
     _add_top_parser(sub)
     _add_profile_parser(sub)
-    _add_cluster_parsers(sub)
+    _add_cluster_parsers(sub, serve_parser)
 
     return parser
 

@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 from urllib.parse import parse_qsl, urlsplit
 
 import repro
-from repro.campaign.report import REPORTS
+from repro.campaign.report import REPORTS, report_options
 from repro.campaign.store import ResultStore
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.registry import ClusterConfig, InstanceRegistry
@@ -643,15 +643,7 @@ class CampaignApp:
             raise WireError(
                 f"unknown report kind {kind!r}; available: {', '.join(REPORTS)}"
             )
-        options = {}
-        if kind == "leaderboard":
-            options = {
-                "gpu": request.query.get("gpu"),
-                "dtype": request.query.get("dtype"),
-                "top": int(request.param("top", "10")),
-            }
-        elif kind == "table5":
-            options = {"value": request.param("value", "tuned_gflops")}
+        options = report_options(kind, request.query)
         # Scoped to the addressed campaign's job keys: sharing a store with
         # other campaigns never leaks their rows into this report.  (For a
         # store holding just this campaign that is exactly what

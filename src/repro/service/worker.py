@@ -18,7 +18,7 @@ jobs, and the next submission of the same spec is served from the store.
 In cluster mode a submission carries an externally supplied
 :class:`~repro.campaign.scheduler.ShardPlan` — the coordinator's shard
 assignment for this instance — which overrides the worker's default
-(settings-derived) plan for that campaign.  Re-forwarding the same campaign
+whole-campaign plan for that campaign.  Re-forwarding the same campaign
 with a *different* plan (how the coordinator re-assigns the shards of a dead
 instance) re-enqueues it under the new plan; the scheduler's store dedupe
 makes the overlap free.
@@ -42,6 +42,10 @@ from repro.service.wire import campaign_id
 
 #: Campaign lifecycle states reported by the status endpoint.
 STATES = ("queued", "running", "done", "failed")
+
+#: Campaigns of more jobs than this are *heavy*: with
+#: ``WorkerSettings.reserve_interactive`` set they cannot take every slot.
+HEAVY_JOBS = 64
 
 
 class QueueFull(RuntimeError):
@@ -112,22 +116,15 @@ class WorkerSettings:
     concurrency: int = 2  # campaigns overlapped by the async loop
     timeout: Optional[float] = None
     retries: int = 1
-    shards: int = 1
-    shard_index: int = 0
     # Admission control.  ``max_queued`` bounds campaigns in the queued or
     # running states (None = unbounded, the historical behaviour); an
     # over-limit submission raises :class:`QueueFull`, which the service
     # surfaces as 429 + Retry-After.  ``reserve_interactive`` holds that many
-    # concurrency slots back from *heavy* campaigns (> ``heavy_jobs`` jobs),
+    # concurrency slots back from *heavy* campaigns (> ``HEAVY_JOBS`` jobs),
     # so an exhaustive sweep can never occupy every slot and a small
     # interactive campaign always finds one free.
     max_queued: Optional[int] = None
     reserve_interactive: int = 0
-    heavy_jobs: int = 64
-
-    def plan(self) -> ShardPlan:
-        """The default shard plan these settings describe (validates them)."""
-        return ShardPlan(self.shards, (self.shard_index,))
 
 
 class CampaignWorker:
@@ -142,9 +139,6 @@ class CampaignWorker:
         self.store = store
         self.settings = settings or WorkerSettings()
         self.metrics = metrics if metrics is not None else get_registry()
-        # Validate shard settings up front: a bad ``--shards/--shard`` pair
-        # must fail at construction, not as a 500 out of the worker loop.
-        self._default_plan = self.settings.plan()
         self._records: Dict[str, CampaignRecord] = {}
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
@@ -244,7 +238,7 @@ class CampaignWorker:
     ) -> None:
         heavy = (
             heavy_semaphore is not None
-            and record.spec.size() > self.settings.heavy_jobs
+            and record.spec.size() > HEAVY_JOBS
         )
         if heavy:
             async with heavy_semaphore:
@@ -322,7 +316,7 @@ class CampaignWorker:
             workers=self.settings.workers,
             timeout=self.settings.timeout,
             retries=self.settings.retries,
-            plan=plan if plan is not None else self._default_plan,
+            plan=plan if plan is not None else ShardPlan(),
             metrics=self.metrics,
             campaign_id=campaign_id,
         )

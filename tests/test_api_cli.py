@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec
 from repro.stencils.library import get_benchmark
@@ -186,3 +186,27 @@ def test_cli_exhaustive_matches_api(capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_top_history_missing_store_exits_2_without_creating_it(
+    tmp_path, monkeypatch, capsys
+):
+    # Like every other store reader: a mistyped --store is an error, not an
+    # empty history in a freshly created store file.
+    monkeypatch.chdir(tmp_path)
+    assert main(["top", "--history", "--store", "typo.sqlite"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no campaign store at 'typo.sqlite'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "typo.sqlite").exists()
+
+
+def test_cluster_coordinator_runs_serve_with_its_defaults():
+    # `cluster coordinator` is `serve` in the coordinator role; the serve flags
+    # it does not declare must still reach the handler with serve's defaults.
+    parser = build_parser()
+    serve = vars(parser.parse_args(["serve"]))
+    coordinator = vars(parser.parse_args(["cluster", "coordinator"]))
+    assert coordinator["role"] == "coordinator" and coordinator["cluster"] is True
+    for dest in serve.keys() - {"command", "role", "cluster"}:
+        assert coordinator[dest] == serve[dest], dest

@@ -19,7 +19,7 @@ from repro.campaign.report import (
     leaderboard,
     table5_matrix,
 )
-from repro.campaign.scheduler import JobTimeout, _execute_with_timeout
+from repro.campaign.scheduler import JobTimeout, ShardPlan, _execute_with_timeout
 from repro.cli import main
 
 SMALL_2D = (512, 512)
@@ -216,7 +216,7 @@ def test_scheduler_shards_partition_the_campaign():
         shards = 3
         seen = []
         for index in range(shards):
-            scheduler = CampaignScheduler(spec, store, shards=shards, shard_index=index)
+            scheduler = CampaignScheduler(spec, store, plan=ShardPlan(shards, (index,)))
             seen.extend(job.key() for job in scheduler.jobs())
         all_jobs = [job.key() for job in spec.expand()]
         assert sorted(seen) == sorted(all_jobs)  # disjoint and complete
@@ -293,9 +293,9 @@ def test_scheduler_validates_shard_arguments():
     spec = small_spec()
     with ResultStore(":memory:") as store:
         with pytest.raises(ValueError):
-            CampaignScheduler(spec, store, shards=0)
+            CampaignScheduler(spec, store, plan=ShardPlan(0, (0,)))
         with pytest.raises(ValueError):
-            CampaignScheduler(spec, store, shards=2, shard_index=2)
+            CampaignScheduler(spec, store, plan=ShardPlan(2, (2,)))
         with pytest.raises(ValueError):
             CampaignScheduler(spec, store, retries=-1)
 

@@ -361,15 +361,6 @@ def test_assigned_campaign_http_contract(tmp_path):
         app.close()
 
 
-def test_worker_settings_shard_validation_fails_at_construction(tmp_path):
-    from repro.service import CampaignWorker
-
-    store = ResultStore(":memory:")
-    with pytest.raises(ValueError, match="lie in"):
-        CampaignWorker(store, WorkerSettings(shards=2, shard_index=2))
-    store.close()
-
-
 # -- end-to-end: cooperating instances over real HTTP ---------------------------------
 
 

@@ -175,6 +175,7 @@ def test_healthz_live(server):
 def test_sharded_worker_scopes_status_and_exports(tmp_path):
     """A shard-0 instance reports progress over its own slice, not the
     whole matrix — otherwise a finished shard looks forever pending."""
+    from repro.campaign.scheduler import ShardPlan
     from repro.campaign.store import ResultStore
     from repro.service import CampaignWorker
 
@@ -182,10 +183,10 @@ def test_sharded_worker_scopes_status_and_exports(tmp_path):
     shard_jobs = [job for job in spec.expand() if job.shard(2) == 0]
     assert 0 < len(shard_jobs) < spec.size()  # the split is non-trivial
     store = ResultStore(tmp_path / "shard.sqlite")
-    worker = CampaignWorker(store, WorkerSettings(shards=2, shard_index=0))
+    worker = CampaignWorker(store)
     worker.start()
     try:
-        record = worker.submit(spec)
+        record = worker.submit(spec, plan=ShardPlan(2, (0,)))
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
             status = worker.status(record.id)
