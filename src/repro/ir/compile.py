@@ -31,8 +31,12 @@ Kernels share one call convention::
     kernel(src, region, out)
 
 ``region`` is a tuple of slices selecting the *target* cells inside ``src``;
-a grid read at offset ``o`` becomes the view ``src[region shifted by o]``.
-``out`` receives the result and must not alias ``src``.  Compiled kernels are
+a grid read at offset ``o`` becomes the view ``src[..., region shifted by
+o]``.  ``out`` receives the result and must not alias ``src``.  ``src`` and
+``out`` may carry leading axes (the blocked executor stacks tiles along one)
+and any memory order; the NumPy engine lays its scratch out like ``out`` and
+the native engine runs its loop nest with the contiguous axis innermost, so
+all engines stay bit-identical on such views.  Compiled kernels are
 cached per ``(pattern, dtype, mode)``; an interpreter-backed kernel with the
 same interface serves as fallback (or can be requested explicitly with
 ``mode="interpreter"``, e.g. by the equivalence tests).
@@ -55,22 +59,11 @@ from repro.ir.stencil import StencilPattern
 
 _NUMPY_DTYPES = {"float": np.float32, "double": np.float64}
 
-_BINOP_UFUNC = {"+": "np.add", "-": "np.subtract", "*": "np.multiply", "/": "np.divide"}
-
-_CALL_UFUNC = {
-    "sqrt": "np.sqrt",
-    "sqrtf": "np.sqrt",
-    "fabs": "np.abs",
-    "fabsf": "np.abs",
-    "exp": "np.exp",
-    "expf": "np.exp",
-    "min": "np.minimum",
-    "max": "np.maximum",
-    "fmin": "np.minimum",
-    "fmax": "np.maximum",
+#: Ufuncs of the operators and calls; the generated source names them as
+#: ``np.<ufunc.__name__>``, and constant folding applies them to scalars.
+_BINOP_NUMPY: Dict[str, Callable] = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
 }
-
-_UNARY_CALLS = {"np.sqrt", "np.abs", "np.exp"}
 
 _CALL_NUMPY: Dict[str, Callable] = {
     "sqrt": np.sqrt,
@@ -158,7 +151,7 @@ class _CodeGen:
             lo = f"s{dim}{off:+d}" if off else f"s{dim}"
             hi = f"e{dim}{off:+d}" if off else f"e{dim}"
             parts.append(f"{lo}:{hi}")
-        return f"src[{', '.join(parts)}]"
+        return f"src[..., {', '.join(parts)}]"
 
     # -- lowering ------------------------------------------------------------
     def emit(self, expr: Expr, root_out: Optional[str] = None):
@@ -189,8 +182,8 @@ class _CodeGen:
             rhs_term, rhs_val, rhs_buf = self.emit(expr.rhs)
             if lhs_val is not None and rhs_val is not None:
                 return self._fold_binop(expr.op, lhs_val, rhs_val, root_out)
-            ufunc = _BINOP_UFUNC[expr.op]
-            return self._emit_op(f"{ufunc}({lhs_term}, {rhs_term}", (lhs_buf, rhs_buf), root_out)
+            ufunc = _BINOP_NUMPY[expr.op].__name__
+            return self._emit_op(f"np.{ufunc}({lhs_term}, {rhs_term}", (lhs_buf, rhs_buf), root_out)
 
         if isinstance(expr, UnaryOp):
             term, value, buffer = self.emit(expr.operand)
@@ -199,34 +192,26 @@ class _CodeGen:
             return self._emit_op(f"np.negative({term}", (buffer,), root_out)
 
         if isinstance(expr, Call):
-            ufunc = _CALL_UFUNC.get(expr.name)
+            ufunc = _CALL_NUMPY.get(expr.name)
             if ufunc is None:
                 raise CompileError(f"unsupported call {expr.name!r}")
-            expected = 1 if ufunc in _UNARY_CALLS else 2
-            if len(expr.args) != expected:
+            if len(expr.args) != ufunc.nin:
                 raise CompileError(
-                    f"call {expr.name!r} expects {expected} argument(s), got {len(expr.args)}"
+                    f"call {expr.name!r} expects {ufunc.nin} argument(s), got {len(expr.args)}"
                 )
             lowered = [self.emit(arg) for arg in expr.args]
             if all(value is not None for _, value, _ in lowered):
-                folded = _CALL_NUMPY[expr.name](*[value for _, value, _ in lowered])
+                folded = ufunc(*[value for _, value, _ in lowered])
                 return self._fold_scalar(self.np_dtype(folded), root_out)
             terms = ", ".join(term for term, _, _ in lowered)
             buffers = tuple(buffer for _, _, buffer in lowered)
-            return self._emit_op(f"{ufunc}({terms}", buffers, root_out)
+            return self._emit_op(f"np.{ufunc.__name__}({terms}", buffers, root_out)
 
         raise CompileError(f"unknown expression node {expr!r}")
 
     def _fold_binop(self, op: str, lhs, rhs, root_out: Optional[str]):
         with np.errstate(all="ignore"):
-            if op == "+":
-                value = lhs + rhs
-            elif op == "-":
-                value = lhs - rhs
-            elif op == "*":
-                value = lhs * rhs
-            else:
-                value = lhs / rhs
+            value = _BINOP_NUMPY[op](lhs, rhs)
         return self._fold_scalar(self.np_dtype(value), root_out)
 
     def _fold_scalar(self, value, root_out: Optional[str]):
@@ -292,22 +277,25 @@ class CompiledKernel:
         code = compile(source, f"<stencil-kernel:{pattern.name}:{dtype}>", "exec")
         exec(code, namespace)  # noqa: S102 - executing our own generated source
         self._fn = namespace["_stencil_kernel"]
-        # Scratch buffers are keyed by region shape and reused across calls
-        # (across tiles, time steps and kernel launches).
-        self._scratch: Dict[Tuple[int, ...], List[np.ndarray]] = {}
+        # Scratch buffers are keyed by the shape and stride order of ``out``
+        # and reused across calls (across tiles, time steps and launches).
+        self._scratch: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[np.ndarray]] = {}
 
-    def scratch_for(self, shape: Tuple[int, ...]) -> List[np.ndarray]:
-        buffers = self._scratch.get(shape)
+    def scratch_for(self, out: np.ndarray) -> List[np.ndarray]:
+        """Scratch buffers shaped like ``out`` and laid out in its memory
+        order, so every ufunc of the kernel sweeps memory the same way."""
+        strides = out.strides
+        key = (out.shape, tuple(sorted(range(out.ndim), key=strides.__getitem__)))
+        buffers = self._scratch.get(key)
         if buffers is None:
-            buffers = [np.empty(shape, dtype=self.np_dtype) for _ in range(self.num_scratch)]
+            buffers = [np.empty_like(out, dtype=self.np_dtype) for _ in range(self.num_scratch)]
             if len(self._scratch) >= _SCRATCH_SHAPES_MAX:
                 self._scratch.clear()
-            self._scratch[shape] = buffers
+            self._scratch[key] = buffers
         return buffers
 
     def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
-        shape = tuple(s.stop - s.start for s in region)
-        self._fn(src, region, out, self.scratch_for(shape))
+        self._fn(src, region, out, self.scratch_for(out))
         return out
 
 
@@ -327,20 +315,13 @@ class InterpretedKernel:
         if isinstance(expr, Const):
             return np.asarray(expr.value, dtype=self.np_dtype)
         if isinstance(expr, GridRead):
-            slices = tuple(
+            return src[(Ellipsis,) + tuple(
                 slice(s.start + off, s.stop + off) for s, off in zip(region, expr.offset)
-            )
-            return src[slices]
+            )]
         if isinstance(expr, BinOp):
             lhs = self._eval(expr.lhs, src, region)
             rhs = self._eval(expr.rhs, src, region)
-            if expr.op == "+":
-                return lhs + rhs
-            if expr.op == "-":
-                return lhs - rhs
-            if expr.op == "*":
-                return lhs * rhs
-            return lhs / rhs
+            return _BINOP_NUMPY[expr.op](lhs, rhs)
         if isinstance(expr, UnaryOp):
             return -self._eval(expr.operand, src, region)
         if isinstance(expr, Call):
@@ -443,14 +424,7 @@ class _CExprGen:
             rhs, rval = self.emit(expr.rhs)
             if lval is not None and rval is not None:
                 with np.errstate(all="ignore"):
-                    if expr.op == "+":
-                        folded = lval + rval
-                    elif expr.op == "-":
-                        folded = lval - rval
-                    elif expr.op == "*":
-                        folded = lval * rval
-                    else:
-                        folded = lval / rval
+                    folded = _BINOP_NUMPY[expr.op](lval, rval)
                 value = self.np_dtype(folded)
                 return self._literal(value), value
             return self._temp(f"{lhs} {expr.op} {rhs}"), None
@@ -472,21 +446,27 @@ class _CExprGen:
         raise CompileError(f"unknown expression node {expr!r}")
 
 
-def generate_native_source(pattern: StencilPattern, dtype: str) -> str:
+def generate_native_source(
+    pattern: StencilPattern, dtype: str, order: Optional[Tuple[int, ...]] = None
+) -> str:
     """Generate the single-pass C translation unit for ``pattern``.
 
-    The loop nest iterates the region in ``src`` coordinates with the last
-    dimension contiguous in both ``src`` and ``out`` (the wrapper checks
-    this); per-read row pointers are hoisted so the inner loop is a plain
-    stride-1 sweep the compiler can vectorize.
+    The loop nest runs over ``n`` stacked regions (strides ``sn``/``on``
+    between them), then over the pattern's dimensions in ``order`` (default:
+    logical order).  The last dimension of ``order`` must be contiguous in
+    both ``src`` and ``out`` (the wrapper checks this); per-read row pointers
+    are hoisted so the inner loop is a plain stride-1 sweep the compiler can
+    vectorize.
     """
     ctype = _C_TYPES[dtype]
     gen = _CExprGen(_NUMPY_DTYPES[dtype], ctype)
     result, value = gen.emit(pattern.expr)
     ndim = pattern.ndim
+    order = tuple(range(ndim)) if order is None else order
     outer = ndim - 1
 
     params = ["const {0}* restrict src".format(ctype), "{0}* restrict out".format(ctype)]
+    params += ["ptrdiff_t n", "ptrdiff_t sn", "ptrdiff_t on"]
     params += [f"ptrdiff_t s{d}" for d in range(outer)]
     params += [f"ptrdiff_t o{d}" for d in range(outer)]
     params += [f"ptrdiff_t l{d}, ptrdiff_t h{d}" for d in range(ndim)]
@@ -494,15 +474,16 @@ def generate_native_source(pattern: StencilPattern, dtype: str) -> str:
     lines = ["#include <math.h>", "#include <stddef.h>", ""]
     lines.append(f"void kern({', '.join(params)})")
     lines.append("{")
-    indent = "    "
+    lines.append("    for (ptrdiff_t g = 0; g < n; ++g) {")
+    indent = "        "
     for d in range(outer):
         lines.append(f"{indent}for (ptrdiff_t i{d} = l{d}; i{d} < h{d}; ++i{d}) {{")
         indent += "    "
     for offset, name in gen.reads.items():
-        terms = [f"(i{d} + ({offset[d]}))*s{d}" for d in range(outer)]
-        terms.append(f"({offset[outer]})")
+        terms = ["g*sn"] + [f"(i{d} + ({offset[order[d]]}))*s{d}" for d in range(outer)]
+        terms.append(f"({offset[order[outer]]})")
         lines.append(f"{indent}const {ctype}* {name} = src + {' + '.join(terms)};")
-    out_terms = [f"(i{d} - l{d})*o{d}" for d in range(outer)]
+    out_terms = ["g*on"] + [f"(i{d} - l{d})*o{d}" for d in range(outer)]
     out_terms.append(f"(-l{outer})")
     lines.append(f"{indent}{ctype}* orow = out + {' + '.join(out_terms)};")
     lines.append(f"{indent}for (ptrdiff_t k = l{outer}; k < h{outer}; ++k) {{")
@@ -510,8 +491,7 @@ def generate_native_source(pattern: StencilPattern, dtype: str) -> str:
     for line in gen.lines:
         lines.append(body_indent + line)
     lines.append(f"{body_indent}orow[k] = {result};")
-    lines.append(f"{indent}}}")
-    for d in range(outer):
+    for d in range(outer + 2):
         indent = indent[:-4]
         lines.append(f"{indent}}}")
     lines.append("}")
@@ -519,7 +499,12 @@ def generate_native_source(pattern: StencilPattern, dtype: str) -> str:
 
 
 class NativeKernel:
-    """A single-pass C kernel, built at first use with the host toolchain."""
+    """A single-pass C kernel, built at first use with the host toolchain.
+
+    A call whose arrays are contiguous along another axis than the last runs
+    a build of the permuted loop nest; a call it cannot take goes to the
+    NumPy engine and counts in ``fallback_calls``.
+    """
 
     mode = "native"
     num_scratch = 0
@@ -538,24 +523,34 @@ class NativeKernel:
         self.np_dtype = numpy_dtype(dtype)
         self.itemsize = np.dtype(self.np_dtype).itemsize
         self.ndim = pattern.ndim
+        self._compiler = compiler
         self.source = generate_native_source(pattern, dtype)
-        cache_key = (self.source, self.ndim)
-        fn = _NATIVE_FN_CACHE.get(cache_key)
-        if fn is None:
-            fn = self._build(compiler)
-            _NATIVE_FN_CACHE[cache_key] = fn
-        self._fn = fn
+        self._fns: Dict[Tuple[int, ...], object] = {}
+        self._fn_for(tuple(range(self.ndim)), self.source)  # build now
         self._fallback: Optional[CompiledKernel] = None
+        self.fallback_calls = 0
 
-    def _build(self, compiler: str):
+    def _fn_for(self, order: Tuple[int, ...], source: Optional[str] = None):
+        """The entry point whose loop nest runs the dimensions in ``order``."""
+        fn = self._fns.get(order)
+        if fn is None:
+            source = source or generate_native_source(self.pattern, self.dtype, order)
+            fn = _NATIVE_FN_CACHE.get((source, self.ndim))
+            if fn is None:
+                fn = _NATIVE_FN_CACHE[(source, self.ndim)] = self._build(source)
+            self._fns[order] = fn
+        return fn
+
+    def _build(self, source: str):
         global _NATIVE_COUNTER
         build_dir = _native_build_dir()
         stem = os.path.join(build_dir, f"kernel_{os.getpid()}_{_NATIVE_COUNTER}")
         _NATIVE_COUNTER += 1
         c_path, so_path = stem + ".c", stem + ".so"
         with open(c_path, "w") as handle:
-            handle.write(self.source)
-        base_cmd = [compiler, "-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared"]
+            handle.write(source)
+        flags = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared"]
+        base_cmd = [self._compiler] + flags
         for extra in (["-march=native"], []):
             result = subprocess.run(
                 base_cmd + extra + ["-o", so_path, c_path],
@@ -570,30 +565,39 @@ class NativeKernel:
         fn = lib.kern
         fn.restype = None
         fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_ssize_t] * (
-            2 * (self.ndim - 1) + 2 * self.ndim
+            3 + 2 * (self.ndim - 1) + 2 * self.ndim
         )
         return fn
 
     def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
-        itemsize = self.itemsize
+        itemsize, ndim = self.itemsize, self.ndim
+        lead = src.ndim - ndim
+        inner = None
         if (
-            src.dtype != self.np_dtype
-            or out.dtype != self.np_dtype
-            or src.strides[-1] != itemsize
-            or out.strides[-1] != itemsize
+            src.dtype == out.dtype == self.np_dtype
+            and lead in (0, 1)
+            and out.shape[:lead] == src.shape[:lead]
+            and out.ndim == src.ndim
         ):
-            # Wrong dtype or non-contiguous last dimension: delegate to the
-            # NumPy engine rather than reinterpreting raw bits.
+            # The innermost loop runs along an axis contiguous in both arrays.
+            inner = next(
+                (d for d in reversed(range(ndim))
+                 if src.strides[lead + d] == itemsize == out.strides[lead + d]),
+                None,
+            )
+        if inner is None:
+            # Delegate to the NumPy engine rather than reinterpreting raw bits.
+            self.fallback_calls += 1
             if self._fallback is None:
                 self._fallback = CompiledKernel(self.pattern, self.dtype)
             return self._fallback(src, region, out)
-        args = [src.ctypes.data, out.ctypes.data]
-        args += [stride // itemsize for stride in src.strides[:-1]]
-        args += [stride // itemsize for stride in out.strides[:-1]]
-        for s in region:
-            args.append(s.start)
-            args.append(s.stop)
-        self._fn(*args)
+        order = tuple(d for d in range(ndim) if d != inner) + (inner,)
+        stack = (src.shape[0], src.strides[0] // itemsize, out.strides[0] // itemsize)
+        args = [src.ctypes.data, out.ctypes.data, *(stack if lead else (1, 0, 0))]
+        args += [src.strides[lead + d] // itemsize for d in order[:-1]]
+        args += [out.strides[lead + d] // itemsize for d in order[:-1]]
+        args += [bound for d in order for bound in (region[d].start, region[d].stop)]
+        self._fn_for(order)(*args)
         return out
 
 
@@ -638,10 +642,7 @@ class AutoKernel:
 
     def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
         if self._can_promote:
-            count = 1
-            for s in region:
-                count *= s.stop - s.start
-            self._elements += count
+            self._elements += out.size
             if self._elements >= NATIVE_PROMOTION_ELEMENTS:
                 self._can_promote = False
                 try:

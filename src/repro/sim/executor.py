@@ -13,13 +13,25 @@ Matching the generated host code (Section 4.3.1), a run of ``I_T`` time steps
 is split into launches of ``bT`` steps with a shorter final launch when
 ``I_T`` is not a multiple of ``bT``.
 
-The executor exists to *verify* the transformation, not to be fast; it is the
-correctness oracle the test-suite and the examples rely on.
+Tiles whose local steps are identical — same load shape, same updatable
+range and same local store range — form one :class:`TileGroup`: interior
+tiles fall into one group, edge and corner tiles into a few more.  A group's
+loads are copied into one stacked ``(G, ...)`` buffer pair of at most
+:data:`STACK_ELEMENTS` elements, and each time step is one kernel call over
+the whole stack, so every cell still sees the same ufunc sequence as with
+one call per tile.  The kernel is the one :func:`compile_pattern` returns
+for the pattern itself, so a check shares it with the reference executor.
+Grids and stacks keep the streaming dimension innermost in memory (the
+dependency cone only shrinks the blocked dimensions, so the kernel's ufuncs
+sweep long contiguous spans); coordinates stay logical throughout.
+
+The executor is the correctness oracle the test-suite, ``verify`` and the
+fuzz campaign rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -27,10 +39,8 @@ import numpy as np
 from repro.core.config import BlockingConfig
 from repro.core.execution_model import ExecutionModel
 from repro.ir.compile import compile_pattern
-from repro.ir.expr import GridRead, substitute
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.stencils.reference import (
-    ReferenceExecutor,
     allclose_for_dtype,
     make_initial_grid,
     max_relative_error,
@@ -38,28 +48,19 @@ from repro.stencils.reference import (
     run_reference,
 )
 
+#: Element cap of one tile stack (members x tile cells); a single tile may
+#: exceed it.  Warm blocked runs (ms) for caps of 1 / 32k / 64k / 128k /
+#: unbounded elements on a 2-vCPU x86 host, verify-sized grids: box3d4r
+#: double 181 / 118 / 102 / 83 / 83, box3d2r double 216 / 108 / 94 / 88 / 132,
+#: box2d2r double 88 / 96 / 98 / 110 / 142.  Bigger stacks save calls but
+#: fall out of cache; at 64k the 3-D gain is mostly kept while 2-D verify
+#: tiles (~33k elements) stay one per stack (stacking them cost 2-D items
+#: 15-20%).
+STACK_ELEMENTS = 65_536
 
-#: Per-original-pattern cache of the stream-dimension-innermost variant used
-#: by the executor's internal layout (see BlockedStencilExecutor).  Bounded:
-#: on overflow the cache is dropped and rebuilt on demand.
-_STREAM_LAST_PATTERNS: Dict[int, StencilPattern] = {}
-_STREAM_LAST_PATTERNS_MAX = 1024
 
-
-def _stream_last_pattern(pattern: StencilPattern) -> StencilPattern:
-    """``pattern`` with grid-read offsets cycled so the streaming dimension
-    (spatial dimension 0) comes last."""
-    cached = _STREAM_LAST_PATTERNS.get(pattern.cache_key)
-    if cached is None:
-        mapping = {
-            read: GridRead(read.array, read.offset[1:] + read.offset[:1], read.time_offset)
-            for read in pattern.reads
-        }
-        cached = replace(pattern, expr=substitute(pattern.expr, mapping))
-        if len(_STREAM_LAST_PATTERNS) >= _STREAM_LAST_PATTERNS_MAX:
-            _STREAM_LAST_PATTERNS.clear()
-        _STREAM_LAST_PATTERNS[pattern.cache_key] = cached
-    return cached
+def _slices(ranges: Tuple[Tuple[int, int], ...]) -> Tuple[slice, ...]:
+    return tuple(slice(lo, hi) for lo, hi in ranges)
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,26 @@ class TileExtent:
 
     load: Tuple[Tuple[int, int], ...]
     store: Tuple[Tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class TileGroup:
+    """Tiles of one launch that run identical local steps.
+
+    ``shape`` is the load shape, ``base`` the local range of grid-interior
+    (updatable) cells with a full neighbourhood in the tile, ``store`` the
+    local store range; together they are everything the dependency cone
+    reads.  ``stack_size`` tiles at most share one stacked kernel call.
+    """
+
+    shape: Tuple[int, ...]
+    base: Tuple[Tuple[int, int], ...]
+    store: Tuple[Tuple[int, int], ...]
+    tiles: Tuple[TileExtent, ...]
+
+    @property
+    def stack_size(self) -> int:
+        return max(1, STACK_ELEMENTS // int(np.prod(self.shape)))
 
 
 class BlockedStencilExecutor:
@@ -91,21 +112,12 @@ class BlockedStencilExecutor:
         self.config = config
         self.radius = pattern.radius
         self.model = ExecutionModel(pattern, grid, config)
-        self.reference = ReferenceExecutor(pattern)
         self.dtype = numpy_dtype(pattern.dtype)
-        # Internal layout: the streaming dimension is moved innermost.  The
-        # dependency cone only ever shrinks the blocked dimensions, so with
-        # the (full-length) streaming dimension last every ufunc in the
-        # compiled kernel runs over long contiguous spans instead of the
-        # short strided runs a shrinking innermost dimension would leave.
-        ndim = pattern.ndim
-        self._perm = tuple(range(1, ndim)) + (0,)
-        self._inv_perm = (ndim - 1,) + tuple(range(ndim - 1))
-        self.kernel = compile_pattern(_stream_last_pattern(pattern), mode=kernel_mode)
-        # Tile lists are identical for every launch with the same time_block,
-        # and tiles of equal load shape share one pair of local buffers.
-        self._tile_lists: Dict[int, List[TileExtent]] = {}
-        self._tile_buffers: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
+        self.kernel = compile_pattern(pattern, mode=kernel_mode)
+        # Groups are identical for every launch with the same time_block;
+        # stacks of equal shape share one pair of buffers.
+        self._groups: Dict[int, List[TileGroup]] = {}
+        self._stack_buffers: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
 
     # -- tiling ----------------------------------------------------------------
     def _dim_tiles(self, extent: int, compute: int, halo: int) -> List[Tuple[int, int, int, int]]:
@@ -153,69 +165,55 @@ class BlockedStencilExecutor:
 
         yield from recurse(0, [], [])
 
-    def _tiles_internal(self, time_block: int) -> List[TileExtent]:
-        """Tile list of one launch in internal (stream-last) coordinates,
-        computed once per ``time_block``."""
-        cached = self._tile_lists.get(time_block)
+    def tile_groups(self, time_block: int) -> List[TileGroup]:
+        """The tiles of one launch grouped by their local steps (cached)."""
+        cached = self._groups.get(time_block)
         if cached is None:
-            perm = self._perm
-            cached = [
-                TileExtent(
-                    load=tuple(tile.load[p] for p in perm),
-                    store=tuple(tile.store[p] for p in perm),
+            rad = self.radius
+            padded = self.grid.padded(rad)
+            members: Dict[tuple, List[TileExtent]] = {}
+            for tile in self.tiles(time_block):
+                shape = tuple(hi - lo for lo, hi in tile.load)
+                base = tuple(
+                    (max(max(lo, rad) - lo, rad), min(min(hi, dim - rad) - lo, size - rad))
+                    for (lo, hi), dim, size in zip(tile.load, padded, shape)
                 )
-                for tile in self.tiles(time_block)
-            ]
-            self._tile_lists[time_block] = cached
+                store = tuple(
+                    (store_lo - load_lo, store_hi - load_lo)
+                    for (store_lo, store_hi), (load_lo, _) in zip(tile.store, tile.load)
+                )
+                members.setdefault((shape, base, store), []).append(tile)
+            cached = [TileGroup(*key, tuple(tiles)) for key, tiles in members.items()]
+            self._groups[time_block] = cached
         return cached
 
-    # -- layout ---------------------------------------------------------------
-    def _to_internal(self, array: np.ndarray) -> np.ndarray:
-        """Copy ``array`` into the stream-last internal layout."""
-        return np.ascontiguousarray(np.transpose(array, self._perm))
-
-    def _from_internal(self, array: np.ndarray) -> np.ndarray:
-        """Copy an internal-layout array back to the public layout."""
-        return np.ascontiguousarray(np.transpose(array, self._inv_perm))
-
     # -- execution -----------------------------------------------------------------
-    def _local_buffers(self, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        """The double-buffer pair for tiles of ``shape`` (reused across
-        tiles, launches and runs)."""
-        pair = self._tile_buffers.get(shape)
-        if pair is None:
-            pair = (np.empty(shape, self.dtype), np.empty(shape, self.dtype))
-            self._tile_buffers[shape] = pair
-        return pair
+    def _empty(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """An uninitialised array of logical ``shape`` (a grid, or a stack of
+        tiles along a leading axis) whose memory keeps the streaming
+        dimension innermost."""
+        stream = len(shape) - self.pattern.ndim
+        memory = shape[:stream] + shape[stream + 1:] + shape[stream:stream + 1]
+        return np.moveaxis(np.empty(memory, self.dtype), -1, stream)
 
-    def _run_tile(self, source: np.ndarray, tile: TileExtent, time_block: int) -> np.ndarray:
-        """Compute ``time_block`` steps of one tile; return the stored region.
-
-        ``source``, ``tile`` and the returned view are all in internal
-        (stream-last) coordinates; the view aliases a reused scratch buffer
-        and is only valid until the next ``_run_tile`` call.
-        """
+    def _run_stack(
+        self,
+        source: np.ndarray,
+        destination: np.ndarray,
+        group: TileGroup,
+        tiles: Tuple[TileExtent, ...],
+        time_block: int,
+    ) -> None:
+        """Compute ``time_block`` steps of ``tiles`` (members of ``group``)
+        as one stack and store their compute regions into ``destination``."""
         rad = self.radius
-        load_slices = tuple(slice(lo, hi) for lo, hi in tile.load)
-        shape = tuple(hi - lo for lo, hi in tile.load)
-        current, other = self._local_buffers(shape)
-        np.copyto(current, source[load_slices])
-
-        # Which local cells correspond to grid-interior (updatable) cells,
-        # and of those, which have a full neighbourhood inside the tile.
-        base: List[Tuple[int, int]] = []
-        for d, ((lo, hi), dim_size) in enumerate(zip(tile.load, source.shape)):
-            interior_lo = max(lo, rad) - lo
-            interior_hi = min(hi, dim_size - rad) - lo
-            base.append((max(interior_lo, rad), min(interior_hi, shape[d] - rad)))
-
-        store_local = tuple(
-            (store_lo - load_lo, store_hi - load_lo)
-            for (store_lo, store_hi), (load_lo, _) in zip(tile.store, tile.load)
-        )
-        store_slices_local = tuple(slice(lo, hi) for lo, hi in store_local)
-        if any(lo >= hi for lo, hi in base):
-            return current[store_slices_local]
+        key = (len(tiles),) + group.shape
+        pair = self._stack_buffers.get(key)
+        if pair is None:
+            pair = self._stack_buffers[key] = (self._empty(key), self._empty(key))
+        current, other = pair
+        for index, tile in enumerate(tiles):
+            np.copyto(current[index], source[_slices(tile.load)])
 
         def cone_region(step: int) -> Tuple[slice, ...]:
             # Dependency cone: at step s only cells within (time_block - s) *
@@ -225,48 +223,44 @@ class BlockedStencilExecutor:
             margin = (time_block - step) * rad
             return tuple(
                 slice(max(b_lo, s_lo - margin), min(b_hi, s_hi + margin))
-                for (b_lo, b_hi), (s_lo, s_hi) in zip(base, store_local)
+                for (b_lo, b_hi), (s_lo, s_hi) in zip(group.base, group.store)
             )
 
-        # Double-buffered stepping: each buffer's never-written cells keep
-        # their loaded values, exactly like the previous copy-per-step scheme
-        # (stale halo cells near cut edges are never read by any cell the
-        # stored region depends on).  The second buffer only ever gets read
-        # inside the first step's region expanded by one radius, so only that
-        # part needs the loaded values.
-        if time_block >= 2:
-            first = cone_region(1)
-            seed_slices = tuple(
-                slice(max(s.start - rad, 0), min(s.stop + rad, dim))
-                for s, dim in zip(first, shape)
-            )
-            np.copyto(other[seed_slices], current[seed_slices])
-        for step in range(1, time_block + 1):
-            region = cone_region(step)
-            self.kernel(current, region, out=other[region])
-            current, other = other, current
-        return current[store_slices_local]
-
-    def launch(self, source: np.ndarray, time_block: int) -> np.ndarray:
-        """One kernel launch: ``time_block`` combined steps over the grid."""
-        internal = self._to_internal(source.astype(self.dtype, copy=False))
-        destination = internal.copy()
-        self._launch_into(internal, destination, time_block)
-        return self._from_internal(destination)
+        if all(lo < hi for lo, hi in group.base):
+            # Double-buffered stepping: each buffer's never-written cells keep
+            # their loaded values (stale halo cells near cut edges are never
+            # read by any cell the stored region depends on).  The second
+            # buffer only ever gets read inside the first step's region
+            # expanded by one radius, so only that part needs the loaded
+            # values.
+            stack = (slice(None),)
+            if time_block >= 2:
+                seed = stack + tuple(
+                    slice(max(s.start - rad, 0), min(s.stop + rad, dim))
+                    for s, dim in zip(cone_region(1), group.shape)
+                )
+                np.copyto(other[seed], current[seed])
+            for step in range(1, time_block + 1):
+                region = cone_region(step)
+                self.kernel(current, region, out=other[stack + region])
+                current, other = other, current
+        store = _slices(group.store)
+        for index, tile in enumerate(tiles):
+            destination[_slices(tile.store)] = current[(index,) + store]
 
     def _launch_into(
         self, source: np.ndarray, destination: np.ndarray, time_block: int
     ) -> None:
-        """Run one launch from ``source`` into ``destination`` (both in
-        internal layout).
+        """Run one launch from ``source`` into ``destination``.
 
         ``destination`` must already carry the constant boundary ring; the
         tile stores cover the whole interior.
         """
-        for tile in self._tiles_internal(time_block):
-            result = self._run_tile(source, tile, time_block)
-            store_slices = tuple(slice(lo, hi) for lo, hi in tile.store)
-            destination[store_slices] = result
+        for group in self.tile_groups(time_block):
+            size = group.stack_size
+            for first in range(0, len(group.tiles), size):
+                tiles = group.tiles[first:first + size]
+                self._run_stack(source, destination, group, tiles, time_block)
 
     def launch_schedule(self, total_steps: int) -> List[int]:
         """Split ``total_steps`` into per-launch step counts (host-code logic)."""
@@ -281,20 +275,22 @@ class BlockedStencilExecutor:
     def run(self, initial: np.ndarray, time_steps: int | None = None) -> np.ndarray:
         """Run the full blocked computation (double-buffered across launches).
 
-        The grid is transposed into the internal stream-last layout once per
-        run and transposed back at the end; all launches in between reuse the
-        two full-grid buffers.
+        The grid is copied into the stream-innermost layout once per run and
+        back to C order at the end; all launches in between reuse the two
+        full-grid buffers.
         """
         steps = self.grid.time_steps if time_steps is None else time_steps
         schedule = self.launch_schedule(steps)
         if not schedule:
             return initial.astype(self.dtype, copy=True)
-        current = self._to_internal(initial.astype(self.dtype, copy=False))
-        destination = current.copy()
+        current = self._empty(initial.shape)
+        np.copyto(current, initial, casting="unsafe")
+        destination = self._empty(initial.shape)
+        np.copyto(destination, current)
         for launch_steps in schedule:
             self._launch_into(current, destination, launch_steps)
             current, destination = destination, current
-        return self._from_internal(current)
+        return np.ascontiguousarray(current)
 
 
 def run_blocked(

@@ -9,6 +9,8 @@ per combined time step), which is replicated inline here.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,71 @@ def test_native_engine_bit_identical_to_interpreter(name, dtype):
     assert np.array_equal(native, interpreted)
 
 
+def _stream_last_stack(pattern, dtype, count=3, seed=0):
+    """A ``(count, ...)`` tile stack whose memory keeps logical axis 0 (the
+    streaming axis) innermost, as the blocked executor lays it out, and a
+    target region."""
+    rng = np.random.default_rng(seed)
+    rad = pattern.radius
+    shape = tuple(9 + 2 * rad + d for d in range(pattern.ndim))
+    memory = (count,) + shape[1:] + shape[:1]
+    src = np.moveaxis(rng.uniform(0.1, 1.0, size=memory).astype(numpy_dtype(dtype)), -1, 1)
+    return src, tuple(slice(rad, dim - rad) for dim in shape)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", ("j2d5pt", "box2d2r", "star3d2r", "j3d27pt"))
+def test_engines_bit_identical_on_stream_last_stacks(name, dtype):
+    pattern = load_pattern(name, dtype)
+    src, region = _stream_last_stack(pattern, dtype)
+    assert src.strides[1] == src.itemsize
+    target = (slice(None),) + region
+    modes = ["interpreter", "compiled"]
+    if _native_compiler() is not None and native_supported(pattern):
+        modes.append("native")
+    outputs = {}
+    for mode in modes:
+        out = np.zeros_like(src)[target]  # same memory order as src
+        compile_pattern(pattern, mode=mode)(src, region, out)
+        outputs[mode] = out
+    # Each stack member equals an unstacked, C-ordered call on its own copy.
+    expected = np.empty(outputs["interpreter"].shape, dtype=src.dtype)
+    for index in range(src.shape[0]):
+        compile_pattern(pattern, mode="interpreter")(
+            np.ascontiguousarray(src[index]), region, expected[index]
+        )
+    for mode, out in outputs.items():
+        assert np.array_equal(out, expected), mode
+    if "native" in outputs:
+        assert compile_pattern(pattern, mode="native").fallback_calls == 0
+
+
+@pytest.mark.parametrize(
+    "name,dtype,interior,config",
+    [
+        ("box2d2r", "double", (70, 50), BlockingConfig(bT=2, bS=(32,))),
+        ("j2d9pt", "float", (64, 48), BlockingConfig(bT=3, bS=(24,), hS=20)),
+        ("j3d27pt", "float", (20, 36, 28), BlockingConfig(bT=3, bS=(16, 16))),
+        ("star3d2r", "double", (24, 30, 30), BlockingConfig(bT=2, bS=(16, 16), hS=10)),
+    ],
+)
+def test_blocked_executor_kernel_modes_agree_bitwise(name, dtype, interior, config):
+    pattern = load_pattern(name, dtype)
+    grid = GridSpec(interior, 5)
+    initial = make_initial_grid(pattern, grid, seed=11)
+    modes = ["interpreter", "compiled"]
+    if _native_compiler() is not None and native_supported(pattern):
+        modes.append("native")
+    results = {
+        mode: BlockedStencilExecutor(pattern, grid, config, kernel_mode=mode).run(initial)
+        for mode in modes
+    }
+    for mode in modes[1:]:
+        assert np.array_equal(results[mode], results["interpreter"]), mode
+    if "native" in modes:
+        assert compile_pattern(pattern, mode="native").fallback_calls == 0
+
+
 def test_compiled_kernel_reuses_scratch_and_cache():
     pattern = load_pattern("j2d5pt", "float")
     assert compile_pattern(pattern, mode="compiled") is compile_pattern(
@@ -94,9 +161,9 @@ def test_compiled_kernel_reuses_scratch_and_cache():
     src, region = _sample_region(pattern, "float")
     out = np.empty(tuple(s.stop - s.start for s in region), dtype=np.float32)
     kernel(src, region, out)
-    scratch_before = kernel.scratch_for(out.shape)
+    scratch_before = kernel.scratch_for(out)
     kernel(src, region, out)
-    assert kernel.scratch_for(out.shape) is scratch_before
+    assert kernel.scratch_for(out) is scratch_before
     assert kernel.num_scratch >= 1
     assert "def _stencil_kernel" in kernel.source
 
@@ -191,6 +258,39 @@ def test_blocked_executor_matches_seed_bitwise(name, dtype, interior, config, ti
     seed_result = _seed_blocked_run(executor, initial, time_steps)
     assert new_result.dtype == seed_result.dtype
     assert np.array_equal(new_result, seed_result)
+
+
+#: sha256 over the blocked results of every Table-3 stencil (BENCHMARKS
+#: order, float then double) on the verify-exec geometry, recorded with the
+#: per-tile executor that predates tile grouping.
+BLOCKED_DIGEST = "6806867e7aba30de5b9007000b9a0c758dd7c0ab032f0dd74eb33da61547ddaf"
+
+
+def _verify_geometry(pattern):
+    """perfbench's verify grid and the largest valid bT from 4 down."""
+    if pattern.ndim == 2:
+        grid, bS = GridSpec((512, 512), 8), (64,)
+    else:
+        edge = {1: 48, 2: 32, 3: 24, 4: 24}[pattern.radius]
+        grid, bS = GridSpec((edge,) * 3, 4), (16, 16)
+    for bT in (4, 3, 2, 1):
+        config = BlockingConfig(bT=bT, bS=bS)
+        if config.is_valid(pattern):
+            return grid, config
+    raise AssertionError(f"no valid blocking for {pattern.name}")
+
+
+def test_blocked_executor_digest_is_pinned():
+    digest = hashlib.sha256()
+    for name in BENCHMARKS:
+        for dtype in DTYPES:
+            pattern = load_pattern(name, dtype)
+            grid, config = _verify_geometry(pattern)
+            result = BlockedStencilExecutor(pattern, grid, config).run(
+                make_initial_grid(pattern, grid, 7)
+            )
+            digest.update(result.tobytes())
+    assert digest.hexdigest() == BLOCKED_DIGEST
 
 
 def test_reference_executor_double_buffered_matches_stepwise():

@@ -7,10 +7,18 @@ launches) computes exactly what the original stencil loop computes.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec
-from repro.sim.executor import BlockedStencilExecutor, run_blocked, verify_blocking
+from repro.sim.executor import (
+    STACK_ELEMENTS,
+    BlockedStencilExecutor,
+    run_blocked,
+    verify_blocking,
+)
+from repro.stencils.generators import box_stencil, star_stencil
 from repro.stencils.library import load_pattern
 from repro.stencils.reference import make_initial_grid, run_reference
 
@@ -183,3 +191,57 @@ def test_reference_and_blocked_share_dtype():
     blocked = run_blocked(pattern, grid, BlockingConfig(bT=3, bS=(24,)))
     reference = run_reference(pattern, grid)
     assert blocked.dtype == reference.dtype == np.float64
+
+
+# -- tile groups ---------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    ndim=st.integers(2, 3),
+    radius=st.integers(1, 4),
+    box=st.booleans(),
+    bT=st.integers(1, 6),
+    bS=st.integers(8, 128),
+    hS=st.one_of(st.none(), st.integers(4, 40)),
+    extents=st.lists(st.integers(1, 700), min_size=3, max_size=3),
+)
+# A 700 x 100 grid in one 702 x 102 tile, which alone exceeds the stack cap.
+@example(ndim=2, radius=1, box=False, bT=2, bS=128, hS=None, extents=[700, 299, 1])
+def test_tile_groups_partition_tiles_by_local_geometry(ndim, radius, box, bT, bS, hS, extents):
+    pattern = (box_stencil if box else star_stencil)(ndim, radius)
+    config = BlockingConfig(bT=bT, bS=(bS,) * (ndim - 1), hS=hS)
+    assume(config.is_valid(pattern))
+    # 2-D tiles may be big enough to exceed the stack cap alone; 3-D grids
+    # stay small.
+    if ndim == 2:
+        interior = (extents[0], 1 + extents[1] % 200)
+    else:
+        interior = tuple(1 + e % 60 for e in extents)
+    executor = BlockedStencilExecutor(pattern, GridSpec(interior, bT), config)
+    rad, padded = pattern.radius, executor.grid.padded(pattern.radius)
+
+    tiles = list(executor.tiles(bT))
+    grouped = [tile for group in executor.tile_groups(bT) for tile in group.tiles]
+    assert sorted(grouped, key=repr) == sorted(tiles, key=repr)
+    for group in executor.tile_groups(bT):
+        for tile in group.tiles:
+            assert tuple(hi - lo for lo, hi in tile.load) == group.shape
+            assert group.base == tuple(
+                (max(max(lo, rad) - lo, rad), min(min(hi, dim - rad) - lo, hi - lo - rad))
+                for (lo, hi), dim in zip(tile.load, padded)
+            )
+            assert group.store == tuple(
+                (s_lo - l_lo, s_hi - l_lo) for (s_lo, s_hi), (l_lo, _) in zip(tile.store, tile.load)
+            )
+        assert group.stack_size == 1 or group.stack_size * np.prod(group.shape) <= STACK_ELEMENTS
+
+
+def test_interior_tiles_share_one_group():
+    pattern = load_pattern("star3d1r")
+    grid = GridSpec((48, 48, 48), 4)
+    executor = BlockedStencilExecutor(pattern, grid, BlockingConfig(bT=4, bS=(16, 16)))
+    groups = executor.tile_groups(4)
+    # 6 x 6 tiles: 16 interior, 16 edge (4 sides) and 4 corner tiles.
+    assert len(list(executor.tiles(4))) == 36
+    assert sorted(len(group.tiles) for group in groups) == [1, 1, 1, 1] + [4] * 4 + [16]
