@@ -19,7 +19,6 @@ efficiency that accounts for the phased hexagonal schedule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.baselines.common import BaselineResult

@@ -33,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import repro
 from repro.campaign.jobs import JobSpec
@@ -457,17 +457,6 @@ class ResultStore:
                 "Wire-committed records dropped because an ok row already existed",
             ).inc(len(records) - committed)
         return committed
-
-    def delete(self, key: str) -> bool:
-        self._bump_generation("results")
-        return self._commit("DELETE FROM results WHERE key = ?", (key,)).rowcount > 0
-
-    def purge(self, status: Optional[str] = None) -> int:
-        """Drop rows (all of them, or only those with the given status)."""
-        self._bump_generation("results")
-        if status is None:
-            return self._commit("DELETE FROM results", ()).rowcount
-        return self._commit("DELETE FROM results WHERE status = ?", (status,)).rowcount
 
     # -- reads -----------------------------------------------------------------
     def _row_to_result(self, row: Sequence[object]) -> StoredResult:
@@ -978,20 +967,3 @@ class ResultStore:
         return self._commit(
             "DELETE FROM results WHERE code_version = ?", (version,)
         ).rowcount
-
-    # -- bookkeeping -----------------------------------------------------------
-    def status_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for status, n in self._conn.execute(
-            "SELECT status, COUNT(*) FROM results GROUP BY status ORDER BY status"
-        ):
-            counts[status] = n
-        return counts
-
-    def kind_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for kind, n in self._conn.execute(
-            "SELECT kind, COUNT(*) FROM results GROUP BY kind ORDER BY kind"
-        ):
-            counts[kind] = n
-        return counts

@@ -28,7 +28,7 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.campaign.jobs import CampaignSpec
 from repro.campaign.scheduler import ShardPlan
@@ -178,7 +178,7 @@ class ClusterClient:
             except urllib.error.HTTPError as error:
                 try:
                     body = json.loads(error.read().decode("utf-8"))
-                except Exception:  # noqa: BLE001 — non-JSON error body
+                except (ValueError, OSError):  # non-JSON/UTF-8 body, or reset mid-read
                     body = {"error": str(error)}
                 http_error = ClusterHTTPError(
                     error.code, body, retry_after=_parse_retry_after(error.headers)
@@ -210,9 +210,6 @@ class ClusterClient:
         return json.loads(body)
 
     # -- cluster verbs ---------------------------------------------------------
-    def healthz(self, base_url: str) -> Dict[str, object]:
-        return self.get_json(base_url + "/healthz")
-
     def assign(
         self,
         base_url: str,

@@ -53,10 +53,6 @@ class FaultPlan:
         if self.delay_s < 0:
             raise ValueError("delay_s must be non-negative")
 
-    @property
-    def active(self) -> bool:
-        return any((self.drop, self.duplicate, self.delay, self.error))
-
 
 class FaultyClusterClient(ClusterClient):
     """A :class:`ClusterClient` that injects faults per the plan.

@@ -172,7 +172,3 @@ class LocalCluster:
         if self.coordinator is None:
             raise RuntimeError("cluster is not running")
         return self.coordinator.url
-
-    @property
-    def worker_urls(self) -> List[str]:
-        return [worker.url for worker in self.workers]

@@ -207,19 +207,6 @@ class InstanceRegistry:
         """Live instances that accept shard assignments, registration order."""
         return [i for i in self.live() if i.executes]
 
-    def live_coordinators(self) -> List[Instance]:
-        """Live instances that can coordinate (coordinator/both roles).
-
-        Wire-native workers resolve their commit targets from this list:
-        any of these is store-native and can receive ``/results/commit``,
-        whether or not it currently holds the coordinator lease.
-        """
-        return [i for i in self.live() if i.coordinates]
-
-    def lapsed(self) -> List[Instance]:
-        now = self._clock()
-        return [i for i in self.instances() if not i.live(self.liveness_timeout, now)]
-
     def summaries(self) -> List[Dict[str, object]]:
         now = self._clock()
         return [i.summary(self.liveness_timeout, now) for i in self.instances()]

@@ -27,12 +27,6 @@ class CudaEmitter:
     def emit(self, node: CudaNode, level: int = 0) -> str:
         return "\n".join(self._emit_lines(node, level))
 
-    def emit_many(self, nodes: List[CudaNode], level: int = 0) -> str:
-        lines: List[str] = []
-        for node in nodes:
-            lines.extend(self._emit_lines(node, level))
-        return "\n".join(lines)
-
     # -- internals -------------------------------------------------------------
     def _pad(self, level: int) -> str:
         return self.indent * level

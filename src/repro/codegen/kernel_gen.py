@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.codegen.cuda_ast import Block, Declare, For, FuncDef, If, Raw, Return, Sync
+from repro.codegen.cuda_ast import Block, Declare, For, FuncDef, Raw, Return, Sync
 from repro.codegen.emitter import CudaEmitter
 from repro.codegen.macros import generate_macro_definitions, macro_call_text, smem_declaration
 from repro.core.plan import KernelPlan, MacroCall, StreamPhase

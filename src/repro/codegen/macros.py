@@ -19,7 +19,7 @@ multi-plane form, a simplification documented in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.core.plan import KernelPlan
 from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, UnaryOp

@@ -15,7 +15,6 @@ code generation consumes (Section 4.3):
 
 from repro.core.config import BlockingConfig, ConfigurationError
 from repro.core.execution_model import (
-    BlockGeometry,
     DimensionCoverage,
     ExecutionModel,
     ThreadCategory,
@@ -31,7 +30,6 @@ from repro.core.plan import KernelPlan, MacroCall, StreamPhase
 from repro.core.transform import an5d_transform
 
 __all__ = [
-    "BlockGeometry",
     "BlockingConfig",
     "ConfigurationError",
     "DimensionCoverage",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.ir.classify import group_terms_by_subplane
-from repro.ir.expr import BinOp, Const, Expr, GridRead, UnaryOp
+from repro.ir.expr import BinOp, Expr
 from repro.ir.stencil import StencilPattern
 
 
@@ -60,29 +60,3 @@ def decompose_partial_sums(pattern: StencilPattern) -> List[PartialSumStep]:
             PartialSumStep(source_offset=offset, expr=_sum(terms), term_count=len(terms))
         )
     return steps
-
-
-def partial_sum_count(pattern: StencilPattern) -> int:
-    """Number of partial summations per cell (``1 + 2*rad`` for box stencils)."""
-    return len(decompose_partial_sums(pattern))
-
-
-def shift_expr_to_source_plane(expr: Expr) -> Expr:
-    """Rewrite a partial-sum expression relative to its source sub-plane.
-
-    Grid reads in a partial-sum step are expressed relative to the
-    *destination* cell; for code generation the kernel reads them from the
-    currently loaded *source* sub-plane, so the streaming-dimension component
-    of every offset is dropped (it is implied by the plane being read).
-    """
-    if isinstance(expr, GridRead):
-        return GridRead(expr.array, (0,) + expr.offset[1:], expr.time_offset)
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, BinOp):
-        return BinOp(
-            expr.op, shift_expr_to_source_plane(expr.lhs), shift_expr_to_source_plane(expr.rhs)
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, shift_expr_to_source_plane(expr.operand))
-    raise TypeError(f"unexpected node in partial sum: {expr!r}")

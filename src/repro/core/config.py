@@ -9,7 +9,7 @@ switches of Section 4.2/4.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.ir.stencil import StencilPattern

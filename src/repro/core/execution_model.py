@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.core.config import BlockingConfig, ConfigurationError
 from repro.ir.stencil import GridSpec, StencilPattern
@@ -51,21 +51,6 @@ class DimensionCoverage:
     compute_size: int
     num_blocks: int
     category_counts: Dict[ThreadCategory, int]
-
-    @property
-    def total_positions(self) -> int:
-        return self.num_blocks * self.block_size
-
-
-@dataclass(frozen=True)
-class BlockGeometry:
-    """Spatial placement of one thread block in the blocked dimensions."""
-
-    index: Tuple[int, ...]
-    origin: Tuple[int, ...]  # first compute-region cell (global coords)
-    load_origin: Tuple[int, ...]  # first loaded cell (origin - halo)
-    compute_size: Tuple[int, ...]
-    block_size: Tuple[int, ...]
 
 
 class ExecutionModel:
@@ -150,15 +135,6 @@ class ExecutionModel:
         if self.num_stream_blocks > 1:
             extra += self.stream_overlap_subplanes()
         return span + extra
-
-    def total_streamed_subplanes(self) -> int:
-        """Total sub-plane visits along the streaming dimension per pass,
-        summed over stream blocks (includes every redundant overlap plane of
-        every combined time step)."""
-        base = self.streaming_extent + 2 * self.radius
-        if self.num_stream_blocks <= 1:
-            return base
-        return base + (self.num_stream_blocks - 1) * self.stream_overlap_subplanes()
 
     def streamed_subplane_loads(self) -> int:
         """Sub-planes read from global memory per pass (T = 0 only).
@@ -248,48 +224,6 @@ class ExecutionModel:
         recurse(0, 1, 0)
         return combined
 
-    # -- block enumeration -------------------------------------------------------
-    def blocks(self) -> List[BlockGeometry]:
-        """Enumerate every thread block's spatial placement (one stream pass)."""
-        per_dim = self.blocks_per_dimension()
-        geometries: List[BlockGeometry] = []
-
-        def recurse(dim: int, index: List[int]) -> None:
-            if dim == len(per_dim):
-                origin = tuple(i * c for i, c in zip(index, self.compute_sizes))
-                compute = tuple(
-                    min(c, extent - o)
-                    for c, extent, o in zip(self.compute_sizes, self.blocked_extents, origin)
-                )
-                geometries.append(
-                    BlockGeometry(
-                        index=tuple(index),
-                        origin=origin,
-                        load_origin=tuple(o - self.halo_per_side for o in origin),
-                        compute_size=compute,
-                        block_size=self.config.bS,
-                    )
-                )
-                return
-            for i in range(per_dim[dim]):
-                recurse(dim + 1, index + [i])
-
-        recurse(0, [])
-        return geometries
-
-    def stream_ranges(self) -> List[Tuple[int, int]]:
-        """Compute-region ranges ``[start, stop)`` of each stream block along
-        the streaming dimension."""
-        if self.config.hS is None:
-            return [(0, self.streaming_extent)]
-        ranges = []
-        start = 0
-        while start < self.streaming_extent:
-            stop = min(start + self.config.hS, self.streaming_extent)
-            ranges.append((start, stop))
-            start = stop
-        return ranges
-
     # -- redundancy metrics --------------------------------------------------
     def redundant_compute_fraction(self) -> float:
         """Fraction of computed cells that are redundant (halo) work."""
@@ -298,16 +232,6 @@ class ExecutionModel:
         if compute_threads == 0:
             return 0.0
         return counts[ThreadCategory.REDUNDANT] / compute_threads
-
-    def valid_region_at_step(self, step: int) -> Tuple[int, ...]:
-        """Cells with valid results after combined time step ``step`` (0 < step <= bT).
-
-        Section 4.1: the valid region shrinks by ``2 * T * rad`` per blocked
-        dimension as T increases.
-        """
-        if not 0 <= step <= self.config.bT:
-            raise ValueError("step must lie in [0, bT]")
-        return tuple(max(size - 2 * step * self.radius, 0) for size in self.config.bS)
 
     def summary(self) -> Dict[str, object]:
         """A dictionary summary used by the CLI and examples."""

@@ -20,8 +20,8 @@ right after load ``p + bT * rad``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.core.config import BlockingConfig
 from repro.core.register_alloc import FixedRegisterAllocation
@@ -51,12 +51,6 @@ class MacroCall:
         sign = "+" if self.plane > 0 else "-"
         return f"{loop_var} {sign} {abs(self.plane)}"
 
-    @property
-    def macro_name(self) -> str:
-        if self.kind == "CALC":
-            return f"CALC{self.time_step}"
-        return self.kind
-
 
 @dataclass(frozen=True)
 class StreamPhase:
@@ -65,10 +59,6 @@ class StreamPhase:
     name: str  # "head", "inner", "tail"
     calls: Tuple[MacroCall, ...]
     loop_step: Optional[int] = None  # set for the inner phase
-
-    @property
-    def is_loop(self) -> bool:
-        return self.loop_step is not None
 
 
 @dataclass(frozen=True)
@@ -95,23 +85,6 @@ class KernelPlan:
     @property
     def tail(self) -> StreamPhase:
         return self.phases[-1]
-
-    @property
-    def rotation_period(self) -> int:
-        return 2 * self.pattern.radius + 1
-
-    @property
-    def macro_names(self) -> List[str]:
-        names = ["LOAD"]
-        names.extend(f"CALC{t}" for t in range(1, self.config.bT))
-        names.append("STORE")
-        return names
-
-    def all_calls(self) -> List[MacroCall]:
-        calls: List[MacroCall] = []
-        for phase in self.phases:
-            calls.extend(phase.calls)
-        return calls
 
 
 class PipelineScheduler:

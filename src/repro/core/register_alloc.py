@@ -17,7 +17,7 @@ generation, the shifting one models STENCILGEN for the baseline comparison
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,6 @@ class FixedRegisterAllocation(RegisterAllocation):
         shift = iteration % period
         return tuple((shift + k) % period for k in range(period))
 
-    def store_argument_sequence(self, iteration: int, time_step: int) -> Tuple[str, ...]:
-        """Register names passed to the STORE/CALC macro at ``iteration``.
-
-        Reproduces the argument rotation visible in Fig. 5, e.g.
-        ``STORE(i-4, reg_3_1, reg_3_2, reg_3_0)`` for bT = 4, rad = 1.
-        """
-        rotation = self.rotation(iteration)
-        return tuple(RegisterAssignment(time_step, slot).name for slot in rotation)
-
     def destination_slot(self, iteration: int) -> int:
         """Physical slot overwritten by the value produced at ``iteration``."""
         return self.rotation(iteration)[-1]
@@ -128,15 +119,3 @@ class ShiftingRegisterAllocation(RegisterAllocation):
     def rotation(self, iteration: int) -> Tuple[int, ...]:
         """Shifting keeps logical positions pinned to physical slots."""
         return tuple(range(self.slots_per_step))
-
-    def store_argument_sequence(self, iteration: int, time_step: int) -> Tuple[str, ...]:
-        return tuple(
-            RegisterAssignment(time_step, slot).name for slot in range(self.slots_per_step)
-        )
-
-
-def data_movement_ratio(radius: int) -> float:
-    """Ratio of register stores per update, shifting vs fixed (``1 + 2*rad``)."""
-    shifting = ShiftingRegisterAllocation(1, radius).moves_per_update()
-    fixed = FixedRegisterAllocation(1, radius).moves_per_update()
-    return shifting / fixed

@@ -46,9 +46,6 @@ class SharedMemoryPlan:
     def bytes_per_block(self) -> int:
         return self.words_per_block * WORD_BYTES
 
-    def fits(self, shared_memory_bytes: int) -> bool:
-        return self.bytes_per_block <= shared_memory_bytes
-
     def max_blocks_per_sm(self, shared_memory_bytes: int) -> int:
         if self.bytes_per_block == 0:
             return 0
@@ -93,16 +90,6 @@ def stencilgen_shared_memory_plan(
         stores_per_cell=1 if single_plane else 1 + 2 * pattern.radius,
         double_buffered=False,
     )
-
-
-def footprint_ratio(pattern: StencilPattern, config: BlockingConfig) -> float:
-    """STENCILGEN-to-AN5D shared-memory footprint ratio (``bT / 2`` with
-    double buffering)."""
-    ours = an5d_shared_memory_plan(pattern, config).words_per_block
-    theirs = stencilgen_shared_memory_plan(pattern, config).words_per_block
-    if ours == 0:
-        return float("inf")
-    return theirs / ours
 
 
 def synchronizations_per_subplane(config: BlockingConfig) -> int:

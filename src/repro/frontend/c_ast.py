@@ -8,7 +8,7 @@ built from array accesses, literals, identifiers, arithmetic and calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 
 class Node:

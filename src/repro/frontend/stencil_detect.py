@@ -29,7 +29,7 @@ from typing import Dict, List, Tuple
 
 from repro.frontend import c_ast
 from repro.frontend.cparser import parse_program
-from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, UnaryOp
+from repro.ir.expr import CALL_ARITY, BinOp, Call, Const, Expr, GridRead, UnaryOp
 from repro.ir.stencil import StencilPattern
 
 
@@ -158,8 +158,6 @@ def _collect_float_suffix(expr: c_ast.CExpr) -> bool:
 class _ExpressionLowerer:
     """Lowers a C expression to the stencil IR, resolving array accesses."""
 
-    _CALL_NAMES = {"sqrt", "sqrtf", "fabs", "fabsf", "exp", "expf", "min", "max", "fmin", "fmax"}
-
     def __init__(self, array: str, time_var: str, spatial_vars: List[str]) -> None:
         self.array = array
         self.time_var = time_var
@@ -207,9 +205,13 @@ class _ExpressionLowerer:
                 raise StencilDetectionError(f"unsupported unary operator {expr.op!r}")
             return UnaryOp("-", self.lower(expr.operand))
         if isinstance(expr, c_ast.CallExpr):
-            if expr.name not in self._CALL_NAMES:
+            if expr.name not in CALL_ARITY:
                 raise StencilDetectionError(f"unsupported call {expr.name!r}")
-            return Call(expr.name, tuple(self.lower(a) for a in expr.args))
+            args = tuple(self.lower(a) for a in expr.args)
+            try:
+                return Call(expr.name, args)
+            except ValueError as error:  # wrong argument count
+                raise StencilDetectionError(str(error)) from None
         if isinstance(expr, c_ast.Identifier):
             bound = self.env.get(expr.name)
             if bound is not None:

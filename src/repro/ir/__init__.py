@@ -15,22 +15,18 @@ from repro.ir.expr import (
     UnaryOp,
     evaluate,
     grid_reads,
-    simplify,
-    substitute,
 )
-from repro.ir.stencil import AccessInfo, GridSpec, StencilPattern
+from repro.ir.stencil import GridSpec, StencilPattern
 from repro.ir.classify import (
     StencilShape,
     classify_shape,
     is_associative,
     is_diagonal_access_free,
     uses_division,
-    uses_sqrt,
 )
 from repro.ir.flops import FlopCount, alu_efficiency, count_flops
 
 __all__ = [
-    "AccessInfo",
     "BinOp",
     "Call",
     "Const",
@@ -48,8 +44,5 @@ __all__ = [
     "grid_reads",
     "is_associative",
     "is_diagonal_access_free",
-    "simplify",
-    "substitute",
     "uses_division",
-    "uses_sqrt",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, Offset, UnaryOp, walk
 
@@ -61,11 +61,6 @@ def uses_division(expr: Expr) -> bool:
     division, which the timing simulator reproduces.
     """
     return any(isinstance(node, BinOp) and node.op == "/" for node in walk(expr))
-
-
-def uses_sqrt(expr: Expr) -> bool:
-    """True when the update expression contains a square root (gradient2d)."""
-    return any(isinstance(node, Call) and node.name in ("sqrt", "sqrtf") for node in walk(expr))
 
 
 def _is_single_read_term(expr: Expr) -> bool:
@@ -150,13 +145,3 @@ def group_terms_by_subplane(expr: Expr) -> dict[int, list[Expr]] | None:
         key = reads[0].offset[0] if reads else 0
         groups.setdefault(key, []).append(term)
     return groups
-
-
-def access_set_is_symmetric(offsets: Sequence[Offset]) -> bool:
-    """True when the offset set is symmetric around the centre.
-
-    All the paper's benchmarks are symmetric; the property-based tests use
-    this to validate the synthetic stencil generators.
-    """
-    offset_set = set(offsets)
-    return all(tuple(-c for c in offset) in offset_set for offset in offset_set)

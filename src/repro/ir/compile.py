@@ -38,8 +38,8 @@ and any memory order; the NumPy engine lays its scratch out like ``out`` and
 the native engine runs its loop nest with the contiguous axis innermost, so
 all engines stay bit-identical on such views.  Compiled kernels are
 cached per ``(pattern, dtype, mode)``; an interpreter-backed kernel with the
-same interface serves as fallback (or can be requested explicitly with
-``mode="interpreter"``, e.g. by the equivalence tests).
+same interface is the oracle the others are checked against (requested
+with ``mode="interpreter"``, e.g. by the equivalence tests and the fuzzer).
 """
 
 from __future__ import annotations
@@ -192,13 +192,7 @@ class _CodeGen:
             return self._emit_op(f"np.negative({term}", (buffer,), root_out)
 
         if isinstance(expr, Call):
-            ufunc = _CALL_NUMPY.get(expr.name)
-            if ufunc is None:
-                raise CompileError(f"unsupported call {expr.name!r}")
-            if len(expr.args) != ufunc.nin:
-                raise CompileError(
-                    f"call {expr.name!r} expects {ufunc.nin} argument(s), got {len(expr.args)}"
-                )
+            ufunc = _CALL_NUMPY[expr.name]  # Call checked the name and arity
             lowered = [self.emit(arg) for arg in expr.args]
             if all(value is not None for _, value, _ in lowered):
                 folded = ufunc(*[value for _, value, _ in lowered])
@@ -300,7 +294,7 @@ class CompiledKernel:
 
 
 class InterpretedKernel:
-    """Tree-walking fallback with the same call convention as CompiledKernel."""
+    """Tree-walking oracle with the same call convention as CompiledKernel."""
 
     mode = "interpreter"
     num_scratch = 0
@@ -617,16 +611,9 @@ class AutoKernel:
     def __init__(self, pattern: StencilPattern, dtype: str) -> None:
         self.pattern = pattern
         self.dtype = dtype
-        try:
-            self._active = CompiledKernel(pattern, dtype)
-        except CompileError:
-            self._active = InterpretedKernel(pattern, dtype)
+        self._active = CompiledKernel(pattern, dtype)
         self._elements = 0
-        self._can_promote = (
-            isinstance(self._active, CompiledKernel)
-            and _native_compiler() is not None
-            and native_supported(pattern)
-        )
+        self._can_promote = _native_compiler() is not None and native_supported(pattern)
 
     @property
     def mode(self) -> str:
@@ -666,8 +653,8 @@ def compile_pattern(
 
     ``mode`` selects ``"native"`` (single-pass C kernel; raises
     :class:`CompileError` when no toolchain is available), ``"compiled"``
-    (the fused NumPy engine; raise on failure), ``"interpreter"`` (force the
-    tree-walking fallback), or ``"auto"`` (tiered: the NumPy engine promotes
+    (the fused NumPy engine; raise on failure), ``"interpreter"`` (the
+    tree-walking oracle), or ``"auto"`` (tiered: the NumPy engine promotes
     itself to a native kernel once enough work has flowed through; honours
     ``REPRO_NO_NATIVE=1``).  All engines produce bit-identical results.
     """

@@ -16,7 +16,11 @@ from typing import Callable, Iterator, Mapping, Sequence, Tuple
 
 Offset = Tuple[int, ...]
 
-_SUPPORTED_CALLS = {"sqrt", "sqrtf", "fabs", "fabsf", "exp", "expf", "min", "max", "fmin", "fmax"}
+#: The supported math calls and how many arguments each takes.
+CALL_ARITY: Mapping[str, int] = {
+    "sqrt": 1, "sqrtf": 1, "fabs": 1, "fabsf": 1, "exp": 1, "expf": 1,
+    "min": 2, "max": 2, "fmin": 2, "fmax": 2,
+}
 
 _CALL_IMPL: Mapping[str, Callable[..., float]] = {
     "sqrt": math.sqrt,
@@ -154,9 +158,13 @@ class Call(Expr):
     args: Tuple[Expr, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.name not in _SUPPORTED_CALLS:
+        if self.name not in CALL_ARITY:
             raise ValueError(f"unsupported call {self.name!r}")
         object.__setattr__(self, "args", tuple(self.args))
+        if len(self.args) != CALL_ARITY[self.name]:
+            raise ValueError(
+                f"{self.name} takes {CALL_ARITY[self.name]} argument(s), got {len(self.args)}"
+            )
 
     def children(self) -> Sequence[Expr]:
         return self.args
@@ -179,21 +187,6 @@ def walk(expr: Expr) -> Iterator[Expr]:
 def grid_reads(expr: Expr) -> list[GridRead]:
     """Return all :class:`GridRead` leaves in left-to-right order."""
     return [node for node in walk(expr) if isinstance(node, GridRead)]
-
-
-def substitute(expr: Expr, mapping: Mapping[GridRead, Expr]) -> Expr:
-    """Return ``expr`` with grid reads replaced according to ``mapping``."""
-    if isinstance(expr, GridRead):
-        return mapping.get(expr, expr)
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, substitute(expr.lhs, mapping), substitute(expr.rhs, mapping))
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, substitute(expr.operand, mapping))
-    if isinstance(expr, Call):
-        return Call(expr.name, tuple(substitute(a, mapping) for a in expr.args))
-    raise TypeError(f"unknown expression node {expr!r}")
 
 
 def evaluate(expr: Expr, reader: Callable[[GridRead], float]) -> float:
@@ -221,48 +214,4 @@ def evaluate(expr: Expr, reader: Callable[[GridRead], float]) -> float:
     if isinstance(expr, Call):
         args = [evaluate(a, reader) for a in expr.args]
         return float(_CALL_IMPL[expr.name](*args))
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-def simplify(expr: Expr) -> Expr:
-    """Fold constant sub-expressions and strip arithmetic identities.
-
-    The frontend produces expressions with literal coefficients already in
-    place, so only a light cleanup is needed: constant folding, ``x * 1``,
-    ``x + 0`` and double negation removal.
-    """
-    if isinstance(expr, (Const, GridRead)):
-        return expr
-    if isinstance(expr, UnaryOp):
-        inner = simplify(expr.operand)
-        if isinstance(inner, Const):
-            return Const(-inner.value)
-        if isinstance(inner, UnaryOp):
-            return inner.operand
-        return UnaryOp("-", inner)
-    if isinstance(expr, Call):
-        args = tuple(simplify(a) for a in expr.args)
-        if all(isinstance(a, Const) for a in args):
-            return Const(float(_CALL_IMPL[expr.name](*[a.value for a in args])))
-        return Call(expr.name, args)
-    if isinstance(expr, BinOp):
-        lhs = simplify(expr.lhs)
-        rhs = simplify(expr.rhs)
-        if isinstance(lhs, Const) and isinstance(rhs, Const):
-            return Const(evaluate(BinOp(expr.op, lhs, rhs), lambda _: 0.0))
-        if expr.op == "+":
-            if isinstance(lhs, Const) and lhs.value == 0.0:
-                return rhs
-            if isinstance(rhs, Const) and rhs.value == 0.0:
-                return lhs
-        if expr.op == "-" and isinstance(rhs, Const) and rhs.value == 0.0:
-            return lhs
-        if expr.op == "*":
-            if isinstance(lhs, Const) and lhs.value == 1.0:
-                return rhs
-            if isinstance(rhs, Const) and rhs.value == 1.0:
-                return lhs
-        if expr.op == "/" and isinstance(rhs, Const) and rhs.value == 1.0:
-            return lhs
-        return BinOp(expr.op, lhs, rhs)
     raise TypeError(f"unknown expression node {expr!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, UnaryOp, walk
+from repro.ir.expr import BinOp, Call, Const, Expr, UnaryOp, walk
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,6 @@ class FlopCount:
         """Total issued instructions (an FMA is a single instruction)."""
         return self.fma + self.mul + self.add + self.div + self.other
 
-    def merged(self, other: "FlopCount") -> "FlopCount":
-        return FlopCount(
-            fma=self.fma + other.fma,
-            mul=self.mul + other.mul,
-            add=self.add + other.add,
-            div=self.div + other.div,
-            other=self.other + other.other,
-        )
-
 
 def _count_raw(expr: Expr, fast_math: bool) -> tuple[int, int, int, int]:
     """Return (adds, muls, divs, others) before FMA fusion."""
@@ -67,12 +58,9 @@ def _count_raw(expr: Expr, fast_math: bool) -> tuple[int, int, int, int]:
             # Negation folds into the consuming instruction on NVIDIA GPUs.
             continue
         elif isinstance(node, Call):
-            if node.name in ("min", "max", "fmin", "fmax", "fabs", "fabsf"):
-                others += 1
-            else:
-                # sqrt / exp: counted as a single "other" operation, matching
-                # how the paper counts gradient2d at 19 FLOP/cell.
-                others += 1
+            # Every call (sqrt, exp, min, fabs, ...) is a single "other"
+            # operation, matching how the paper counts gradient2d at 19 FLOP/cell.
+            others += 1
     return adds, muls, divs, others
 
 
@@ -103,12 +91,7 @@ def alu_efficiency(count: FlopCount) -> float:
     FLOPs); a mix with plain adds/muls can reach at most this fraction of
     peak.
     """
-    issued = count.fma + count.mul + count.add + count.div + count.other
+    issued = count.instruction_count
     if issued == 0:
         return 1.0
     return count.total / (2.0 * issued)
-
-
-def reads_per_cell(expr: Expr) -> int:
-    """Number of grid reads in the expression (with multiplicity)."""
-    return sum(1 for node in walk(expr) if isinstance(node, GridRead))

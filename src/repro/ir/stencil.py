@@ -8,9 +8,9 @@ shape classification, the data type, and the grid it applies to.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Sequence, Tuple
+from typing import Tuple
 
 from repro.ir import classify
 from repro.ir.expr import Expr, GridRead, Offset, grid_reads
@@ -57,22 +57,6 @@ class GridSpec:
     def padded(self, radius: int) -> Tuple[int, ...]:
         """Array shape including the constant boundary ring."""
         return tuple(v + 2 * radius for v in self.interior)
-
-
-@dataclass(frozen=True)
-class AccessInfo:
-    """Aggregated information about one neighbour offset of the stencil."""
-
-    offset: Offset
-    count: int
-
-    @property
-    def is_center(self) -> bool:
-        return all(o == 0 for o in self.offset)
-
-    @property
-    def is_axis_aligned(self) -> bool:
-        return sum(1 for o in self.offset if o != 0) <= 1
 
 
 @dataclass(frozen=True)
@@ -129,13 +113,6 @@ class StencilPattern:
         return sorted({read.offset for read in self.reads})
 
     @cached_property
-    def accesses(self) -> list[AccessInfo]:
-        counts: Dict[Offset, int] = {}
-        for read in self.reads:
-            counts[read.offset] = counts.get(read.offset, 0) + 1
-        return [AccessInfo(offset, counts[offset]) for offset in sorted(counts)]
-
-    @cached_property
     def radius(self) -> int:
         """The stencil radius ``rad``: the largest absolute offset component."""
         return max(abs(component) for offset in self.offsets for component in offset)
@@ -154,14 +131,6 @@ class StencilPattern:
     def shape(self) -> "classify.StencilShape":
         return classify.classify_shape(self.offsets)
 
-    @property
-    def is_star(self) -> bool:
-        return self.shape is classify.StencilShape.STAR
-
-    @property
-    def is_box(self) -> bool:
-        return self.shape is classify.StencilShape.BOX
-
     @cached_property
     def diagonal_access_free(self) -> bool:
         return classify.is_diagonal_access_free(self.offsets)
@@ -173,19 +142,6 @@ class StencilPattern:
     @cached_property
     def has_division(self) -> bool:
         return classify.uses_division(self.expr)
-
-    @cached_property
-    def has_sqrt(self) -> bool:
-        return classify.uses_sqrt(self.expr)
-
-    @cached_property
-    def streaming_offsets(self) -> list[int]:
-        """Distinct offsets along the streaming (outermost spatial) dimension."""
-        return sorted({offset[0] for offset in self.offsets})
-
-    def offsets_on_subplane(self, streaming_offset: int) -> list[Offset]:
-        """Offsets whose streaming-dimension component equals ``streaming_offset``."""
-        return [o for o in self.offsets if o[0] == streaming_offset]
 
     def describe(self) -> str:
         """A short human-readable description used by the CLI."""

@@ -33,10 +33,6 @@ class OccupancyResult:
     waves: float
     wave_efficiency: float
 
-    @property
-    def is_fully_occupied(self) -> bool:
-        return self.occupancy >= 0.99
-
 
 def paper_sm_efficiency(total_blocks: int, nthr: int, gpu: GpuSpec) -> float:
     """``effSM`` exactly as defined in Section 5.

@@ -41,15 +41,6 @@ class ThreadWorkCounts:
     threads_per_subplane_boundary: int
     threads_per_subplane_out_of_bound: int
 
-    @property
-    def total_threads_per_subplane(self) -> int:
-        return (
-            self.threads_per_subplane_valid
-            + self.threads_per_subplane_redundant
-            + self.threads_per_subplane_boundary
-            + self.threads_per_subplane_out_of_bound
-        )
-
 
 def count_thread_work(
     pattern: StencilPattern, grid: GridSpec, config: BlockingConfig

@@ -64,13 +64,6 @@ class TrafficTotals:
     alu_efficiency: float
     thread_work: ThreadWorkCounts
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """Useful FLOPs per byte of global-memory traffic."""
-        if self.global_bytes == 0:
-            return float("inf")
-        return self.useful_flops / self.global_bytes
-
 
 #: Memo for compute_traffic: traffic totals are identical for every register
 #: limit of a configuration, so tuning sweeps that fan one config out over

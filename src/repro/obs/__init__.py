@@ -29,7 +29,6 @@ from repro.obs.profile import (
     PROFILER,
     SamplingProfiler,
     arm_profiler,
-    disarm_profiler,
     profile_for,
 )
 from repro.obs.metrics import (
@@ -73,7 +72,6 @@ __all__ = [
     "context_from_wire",
     "context_to_wire",
     "current_trace",
-    "disarm_profiler",
     "emit_event",
     "get_registry",
     "profile_for",

@@ -86,10 +86,6 @@ class SingleFlightCache:
         if evicted:
             self._count("evictions", evicted)
 
-    def invalidate(self, key: Hashable) -> bool:
-        with self._lock:
-            return self._entries.pop(key, _MISSING) is not _MISSING
-
     def clear(self) -> int:
         with self._lock:
             dropped = len(self._entries)

@@ -215,11 +215,6 @@ class EventLog:
             except ValueError:
                 pass
 
-    @property
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
-
     # -- emission ----------------------------------------------------------
 
     def emit(self, event: str, **fields: object) -> Dict[str, object]:

@@ -24,7 +24,7 @@ import bisect
 import math
 import re
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Default latency buckets (seconds): sub-millisecond to half a minute.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -374,10 +374,6 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[_Metric]:
         with self._lock:
             return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
 
     def render(self) -> str:
         """The registry in Prometheus text exposition format."""

@@ -105,10 +105,6 @@ class SamplingProfiler:
     def disarm(self) -> None:
         self._armed = False
 
-    @property
-    def armed(self) -> bool:
-        return self._armed
-
     @contextlib.contextmanager
     def window(self, name: str = "") -> Iterator[None]:
         """Sample for the duration of a hot path, if the profiler is armed.
@@ -209,11 +205,6 @@ def arm_profiler(hz: Optional[float] = None) -> SamplingProfiler:
     return PROFILER
 
 
-def disarm_profiler() -> SamplingProfiler:
-    PROFILER.disarm()
-    return PROFILER
-
-
 def profile_for(
     seconds: float,
     hz: float = DEFAULT_HZ,
@@ -251,7 +242,6 @@ __all__ = [
     "PROFILER",
     "SamplingProfiler",
     "arm_profiler",
-    "disarm_profiler",
     "folded_diff",
     "profile_for",
 ]

@@ -32,9 +32,6 @@ class ResultTable:
         self.rows.append(tuple(values))
         return self
 
-    def add_dict(self, record: Mapping[str, object]) -> "ResultTable":
-        return self.add_row(*[record[h] for h in self.headers])
-
     @classmethod
     def from_records(
         cls,
@@ -110,14 +107,6 @@ class ResultTable:
             "headers": list(self.headers),
             "rows": [list(row) for row in self.rows],
         }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "ResultTable":
-        """Rebuild a table from :meth:`to_payload` output (e.g. service JSON)."""
-        table = cls(str(payload["title"]), list(payload["headers"]))  # type: ignore[arg-type]
-        for row in payload["rows"]:  # type: ignore[union-attr]
-            table.add_row(*row)
-        return table
 
     # -- persistence --------------------------------------------------------------
     def save(self, path: str | Path) -> Path:

@@ -8,7 +8,7 @@ CLI and future distributed workers are interchangeable views of one result
 set.
 
 ``wire``
-    Strict JSON wire format (spec decoding, campaign ids, table rendering).
+    Strict JSON wire format (spec decoding, table rendering).
 ``hotcache``
     The interactive tier's hot model-batch cache behind the synchronous
     ``POST /predict`` and ``POST /tune`` fast path.
@@ -35,7 +35,7 @@ Quick use::
 from repro.service.app import CampaignApp, CampaignServer
 from repro.service.hotcache import HotModelCache
 from repro.service.routes import Request, Response
-from repro.service.wire import WireError, campaign_id
+from repro.service.wire import WireError
 from repro.service.worker import CampaignRecord, CampaignWorker, QueueFull, WorkerSettings
 
 __all__ = [
@@ -49,5 +49,4 @@ __all__ = [
     "Response",
     "WireError",
     "WorkerSettings",
-    "campaign_id",
 ]

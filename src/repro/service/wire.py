@@ -1,10 +1,10 @@
 """Wire format of the campaign service.
 
 Everything that crosses the HTTP boundary goes through this module: strict
-JSON decoding of submitted :class:`~repro.campaign.jobs.CampaignSpec` (and
-:class:`~repro.campaign.jobs.JobSpec`) payloads, campaign ids, and the
-rendering of :class:`~repro.reporting.ResultTable` reports as JSON, JSONL
-or the CLI's plain-text layout.
+JSON decoding of submitted :class:`~repro.campaign.jobs.CampaignSpec` and
+:class:`~repro.campaign.jobs.JobSpec` payloads, and the rendering of
+:class:`~repro.reporting.ResultTable` reports as JSON, JSONL or the CLI's
+plain-text layout.
 
 The decoders are deliberately unforgiving — unknown fields are a 400, not a
 silently ignored typo — because a campaign spec is a *content address*: two
@@ -41,17 +41,6 @@ class WireError(ValueError):
     def __init__(self, message: str, status: int = 400) -> None:
         super().__init__(message)
         self.status = status
-
-
-def campaign_id(spec: CampaignSpec) -> str:
-    """Short, deterministic id of a campaign (prefix of its content address).
-
-    Alias-equivalent submissions (``"v100"`` vs ``"V100"``, repeated matrix
-    entries, an explicit all-benchmarks list vs the default) share one id,
-    so re-submitting the same work converges on the same campaign record —
-    and the cluster coordinator's submission ids are the same ids.
-    """
-    return spec.short_id()
 
 
 def decode_json(body: bytes) -> object:
@@ -103,11 +92,6 @@ def decode_submit(body: bytes) -> Tuple[CampaignSpec, Optional[TraceContext]]:
     return _campaign_spec_from_json(data), trace
 
 
-def decode_campaign_spec(body: bytes) -> CampaignSpec:
-    """Decode and validate a submitted campaign spec (strict, alias-safe)."""
-    return decode_submit(body)[0]
-
-
 def decode_assignment(
     body: bytes,
 ) -> Tuple[CampaignSpec, ShardPlan, Optional[TraceContext]]:
@@ -136,15 +120,6 @@ def decode_assignment(
         message = error.args[0] if error.args and isinstance(error.args[0], str) else error
         raise WireError(f"invalid shard plan: {message}") from None
     return spec, plan, trace
-
-
-def decode_job_spec(data: Mapping[str, object]) -> JobSpec:
-    """Decode one job spec mapping (used by tests and future job routes)."""
-    try:
-        return JobSpec.from_json(data)
-    except (KeyError, ValueError) as error:
-        message = error.args[0] if error.args and isinstance(error.args[0], str) else error
-        raise WireError(f"invalid job spec: {message}") from None
 
 
 def decode_result_records(

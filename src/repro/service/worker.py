@@ -38,7 +38,6 @@ from repro.campaign.scheduler import CampaignOutcome, CampaignScheduler, ShardPl
 from repro.campaign.store import ResultStore
 from repro.obs import MetricsRegistry, emit_event, get_registry, record_suppressed, span
 from repro.obs.trace import TraceContext
-from repro.service.wire import campaign_id
 
 #: Campaign lifecycle states reported by the status endpoint.
 STATES = ("queued", "running", "done", "failed")
@@ -356,7 +355,7 @@ class CampaignWorker:
         """
         if self._loop is None:
             raise RuntimeError("campaign worker is not running")
-        cid = campaign_id(spec)
+        cid = spec.short_id()
         with self._lock:
             record = self._records.get(cid)
             if (

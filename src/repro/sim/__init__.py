@@ -15,7 +15,7 @@ that hardware with two cooperating pieces:
 """
 
 from repro.sim.device import SimulatedGPU
-from repro.sim.executor import BlockedStencilExecutor, run_blocked, verify_blocking
+from repro.sim.executor import BlockedStencilExecutor, verify_blocking
 from repro.sim.memory import sustained_global_bandwidth, sustained_shared_bandwidth
 from repro.sim.timing import SimulatedMeasurement, TimingSimulator, simulate_performance
 
@@ -24,7 +24,6 @@ __all__ = [
     "SimulatedGPU",
     "SimulatedMeasurement",
     "TimingSimulator",
-    "run_blocked",
     "simulate_performance",
     "sustained_global_bandwidth",
     "sustained_shared_bandwidth",

@@ -293,19 +293,6 @@ class BlockedStencilExecutor:
         return np.ascontiguousarray(current)
 
 
-def run_blocked(
-    pattern: StencilPattern,
-    grid: GridSpec,
-    config: BlockingConfig,
-    initial: np.ndarray | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Convenience wrapper: run the blocked executor from a seeded grid."""
-    if initial is None:
-        initial = make_initial_grid(pattern, grid, seed)
-    return BlockedStencilExecutor(pattern, grid, config).run(initial)
-
-
 @dataclass(frozen=True)
 class VerificationResult:
     """Outcome of checking the blocked schedule against the reference."""

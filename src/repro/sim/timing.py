@@ -26,7 +26,7 @@ from repro.core.config import BlockingConfig
 from repro.core.execution_model import ExecutionModel
 from repro.core.shared_memory import synchronizations_per_subplane
 from repro.ir.stencil import GridSpec, StencilPattern
-from repro.model.gpu_specs import GpuSpec, get_gpu
+from repro.model.gpu_specs import GpuSpec
 from repro.model.occupancy import occupancy_for
 from repro.model.registers import effective_registers, estimate_registers, spill_penalty
 from repro.model.traffic import compute_traffic

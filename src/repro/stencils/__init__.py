@@ -16,7 +16,6 @@ from repro.stencils.generators import (
 from repro.stencils.library import (
     BENCHMARKS,
     BenchmarkStencil,
-    benchmark_names,
     figure6_benchmarks,
     get_benchmark,
     load_pattern,
@@ -27,7 +26,6 @@ __all__ = [
     "BENCHMARKS",
     "BenchmarkStencil",
     "ReferenceExecutor",
-    "benchmark_names",
     "box_stencil",
     "box_stencil_source",
     "figure6_benchmarks",

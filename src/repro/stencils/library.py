@@ -317,16 +317,6 @@ FIGURE6_NAMES: Tuple[str, ...] = (
 )
 
 
-def benchmark_names() -> List[str]:
-    """All benchmark names, synthetic stencils first (matching Table 3)."""
-    return list(BENCHMARKS)
-
-
-def scenario_names() -> List[str]:
-    """The named scenario stencils beyond Table 3."""
-    return list(SCENARIOS)
-
-
 def get_benchmark(name: str) -> BenchmarkStencil:
     """Resolve a stencil by name.
 

@@ -19,7 +19,7 @@ oracle: :func:`reference_rank` is the scalar stage-1 ranking the tests and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np

@@ -10,8 +10,8 @@ additionally 96 for the Tuned configuration) are applied per candidate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import StencilPattern
@@ -53,10 +53,3 @@ def default_search_space(pattern: StencilPattern) -> SearchSpace:
         spatial_blocks=((16, 16), (16, 32), (32, 32), (16, 64)),
         stream_blocks=(128, 256),
     )
-
-
-def sconf_space(pattern: StencilPattern) -> SearchSpace:
-    """The single-configuration 'space' matching STENCILGEN's parameters."""
-    if pattern.ndim == 2:
-        return SearchSpace(time_blocks=(4,), spatial_blocks=((128,),), stream_blocks=(128,))
-    return SearchSpace(time_blocks=(4,), spatial_blocks=((32, 32),), stream_blocks=(None,))

@@ -155,7 +155,7 @@ def test_store_failed_results_are_not_cache_hits(tmp_path):
         store.put(job, {"error": "boom"}, status="failed")
         assert job.key() in store
         assert not store.has_ok(job)
-        assert store.status_counts() == {"failed": 1}
+        assert store.count() == store.count("failed") == 1
         # A later success overwrites the failure under the same key.
         store.put(job, {"tuned_gflops": 1.0}, status="ok")
         assert store.has_ok(job)
@@ -238,7 +238,7 @@ def test_scheduler_retries_and_records_failures(monkeypatch):
     with ResultStore(":memory:") as store:
         outcome = CampaignScheduler(spec, store, retries=2).run()
         assert outcome.ok and outcome.retried == 1
-        assert store.status_counts() == {"ok": 1}
+        assert store.count() == store.count("ok") == 1
 
 
 def test_scheduler_exhausted_retries_surface_failure(monkeypatch):
@@ -267,6 +267,47 @@ def test_scheduler_parallel_matches_serial(tmp_path):
         assert outcome.ok
         parallel = store.export_records()
     assert serial == parallel
+
+
+def test_scheduler_pool_death_runs_undelivered_jobs_inline(monkeypatch):
+    import repro.campaign.scheduler as scheduler_module
+
+    class DyingPool:
+        """Delivers one result, then dies the way a killed worker pool does."""
+
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def imap_unordered(self, func, tasks, chunksize=1):
+            yield func(tasks[0])
+            raise RuntimeError("pool worker was killed")
+
+    class Context:
+        Pool = DyingPool
+
+    monkeypatch.setattr(scheduler_module.multiprocessing, "get_context", lambda method: Context)
+    monkeypatch.setattr(
+        scheduler_module, "_execute_with_timeout", lambda spec, timeout: {"tuned_gflops": 1.0}
+    )
+    spec = small_spec(gpus=("V100", "P100"))
+    with ResultStore(":memory:") as store:
+        commits = []
+        real_put = store.put
+
+        def counting_put(job, *args, **kwargs):
+            commits.append(job.key())
+            return real_put(job, *args, **kwargs)
+
+        monkeypatch.setattr(store, "put", counting_put)
+        outcome = CampaignScheduler(spec, store, workers=2).run()
+        assert outcome.ok and outcome.executed == 4
+        assert sorted(commits) == sorted(job.key() for job in spec.expand())  # each once
 
 
 def test_job_timeout_enforced():

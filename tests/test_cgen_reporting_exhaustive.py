@@ -17,7 +17,7 @@ from repro.tuning.search_space import SearchSpace
 def make_table():
     table = ResultTable("demo", ["stencil", "gflops"])
     table.add_row("j2d5pt", 5288)
-    table.add_dict({"stencil": "star2d1r", "gflops": 4800})
+    table.add_row("star2d1r", 4800)
     return table
 
 

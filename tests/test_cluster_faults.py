@@ -15,11 +15,15 @@ each pinned by their own test:
 * the journal — results survive a coordinator outage and a worker crash.
 """
 
+import http.server
 import json
 import random
+import threading
 import time
 
 import pytest
+
+import repro.cluster.client as cluster_client_module
 
 from repro.campaign.jobs import CampaignSpec
 from repro.campaign.scheduler import CampaignScheduler
@@ -109,9 +113,46 @@ def test_backoff_delay_is_capped_exponential_with_jitter():
 # -- fault plan and injection ---------------------------------------------------------
 
 
+class _PlainTextErrors(http.server.BaseHTTPRequestHandler):
+    """``/flaky`` answers one text/plain 503, then JSON; ``/bad`` is a text/plain 400."""
+
+    def do_GET(self) -> None:
+        hits = self.server.hits  # type: ignore[attr-defined]
+        hits[self.path] = hits.get(self.path, 0) + 1
+        if self.path == "/flaky" and hits[self.path] > 1:
+            status, body, kind = 200, b'{"ok": true}', "application/json"
+        else:
+            status, body, kind = (503 if self.path == "/flaky" else 400), b"not JSON", "text/plain"
+        self.send_response(status)
+        self.send_header("Content-Type", kind)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
+        pass
+
+
+def test_plain_text_error_bodies_are_retried_or_raised(monkeypatch):
+    monkeypatch.setattr(cluster_client_module.time, "sleep", lambda seconds: None)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _PlainTextErrors)
+    server.hits = {}
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    base = f"http://127.0.0.1:{server.server_port}"
+    try:
+        client = ClusterClient(retries=2)
+        assert client.get_json(base + "/flaky") == {"ok": True}
+        assert server.hits["/flaky"] == 2  # the 503 was retried
+        with pytest.raises(ClusterHTTPError) as excinfo:
+            client.request(base + "/bad")
+        assert excinfo.value.status == 400 and set(excinfo.value.payload) == {"error"}
+        assert server.hits["/bad"] == 1  # a terminal 400 raises at once
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_fault_plan_validates_probabilities():
-    assert not FaultPlan().active
-    assert FaultPlan(drop=0.1).active
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         FaultPlan(drop=1.5)
     with pytest.raises(ValueError, match="non-negative"):

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.associative import (
-    decompose_partial_sums,
-    partial_sum_count,
-    shift_expr_to_source_plane,
-)
+from repro.core.associative import decompose_partial_sums
 from repro.core.config import BlockingConfig
 from repro.core.plan import PipelineScheduler
 from repro.core.transform import an5d_transform
@@ -18,9 +14,10 @@ from repro.stencils.generators import box_stencil
 
 
 def test_partial_sum_count_matches_column_height(box2d1r, j3d27pt):
-    assert partial_sum_count(box2d1r) == 3
-    assert partial_sum_count(j3d27pt) == 3
-    assert partial_sum_count(box_stencil(2, 2)) == 5
+    # One partial summation per source sub-plane: 1 + 2*rad for box stencils.
+    assert len(decompose_partial_sums(box2d1r)) == 3
+    assert len(decompose_partial_sums(j3d27pt)) == 3
+    assert len(decompose_partial_sums(box_stencil(2, 2))) == 5
 
 
 def test_decomposition_rejects_non_associative(gradient2d):
@@ -53,14 +50,6 @@ def test_partial_sum_terms_read_single_subplane(box2d1r):
         assert planes == {step.source_offset}
 
 
-def test_shift_expr_to_source_plane_zeroes_streaming_offset(box2d1r):
-    step = decompose_partial_sums(box2d1r)[0]
-    shifted = shift_expr_to_source_plane(step.expr)
-    assert {read.offset[0] for read in grid_reads(shifted)} == {0}
-    # In-plane offsets are preserved.
-    assert {read.offset[1] for read in grid_reads(shifted)} == {-1, 0, 1}
-
-
 # -- kernel plan -------------------------------------------------------------------
 
 
@@ -73,7 +62,9 @@ def test_plan_has_three_phases(j2d5pt):
 
 def test_macro_names_cover_all_time_steps(j2d5pt):
     plan = an5d_transform(j2d5pt, BlockingConfig(bT=4, bS=(64,)))
-    assert plan.macro_names == ["LOAD", "CALC1", "CALC2", "CALC3", "STORE"]
+    calls = [call for phase in plan.phases for call in phase.calls]
+    assert {call.kind for call in calls} == {"LOAD", "CALC", "STORE"}
+    assert sorted({call.time_step for call in calls if call.kind == "CALC"}) == [1, 2, 3]
 
 
 def test_head_length_is_rotation_aligned(j2d5pt, j2d9pt):
@@ -94,8 +85,8 @@ def test_inner_phase_is_one_rotation_period(j2d5pt, j2d9pt):
     for pattern in (j2d5pt, j2d9pt):
         plan = an5d_transform(pattern, BlockingConfig(bT=3, bS=(64,)))
         loads = [c for c in plan.inner.calls if c.kind == "LOAD"]
-        assert len(loads) == plan.rotation_period
-        assert plan.inner.loop_step == plan.rotation_period
+        assert len(loads) == 2 * pattern.radius + 1
+        assert plan.inner.loop_step == 2 * pattern.radius + 1
 
 
 def test_inner_phase_store_plane_offset(j2d5pt):
@@ -132,7 +123,7 @@ def test_calc_args_reference_previous_time_step_group(j2d5pt):
 
 def test_store_args_use_final_group(j2d5pt):
     plan = an5d_transform(j2d5pt, BlockingConfig(bT=4, bS=(64,)))
-    stores = [c for c in plan.all_calls() if c.kind == "STORE"]
+    stores = [c for phase in plan.phases for c in phase.calls if c.kind == "STORE"]
     assert stores
     for store in stores:
         assert all(arg.startswith("reg_3_") for arg in store.args)

@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import BlockingConfig, ConfigurationError
 from repro.core.execution_model import ExecutionModel, ThreadCategory
 from repro.ir.stencil import GridSpec
+from repro.sim.executor import BlockedStencilExecutor
 
 
 def make_model(pattern, interior, bT=4, bS=(64,), hS=None, time_steps=100):
@@ -45,12 +46,16 @@ def test_stream_overlap_formula(j2d5pt, j2d9pt):
 
 def test_total_streamed_subplanes_without_division(j2d5pt):
     model = make_model(j2d5pt, (512, 512), bT=4, bS=(64,), hS=None)
-    assert model.total_streamed_subplanes() == 512 + 2
+    assert model.streamed_subplane_loads() == 512 + 2
+    assert model.streamed_subplane_compute_steps() == 4 * (512 + 2)
 
 
 def test_total_streamed_subplanes_with_division(j2d5pt):
+    # Each of the 3 internal boundaries loads bT*rad planes per side at T = 0
+    # and recomputes 2*rad*(bT - T) planes at each combined step T.
     model = make_model(j2d5pt, (512, 512), bT=4, bS=(64,), hS=128)
-    assert model.total_streamed_subplanes() == 512 + 2 + 3 * model.stream_overlap_subplanes()
+    assert model.streamed_subplane_loads() == 512 + 2 + 3 * 2 * 4
+    assert model.streamed_subplane_compute_steps() == 4 * (512 + 2) + 3 * 2 * (3 + 2 + 1 + 0)
 
 
 def test_subplanes_per_stream_block(j2d5pt):
@@ -60,13 +65,11 @@ def test_subplanes_per_stream_block(j2d5pt):
     assert divided.subplanes_per_stream_block() == 128 + 2 + divided.stream_overlap_subplanes()
 
 
-def test_valid_region_shrinks_with_time_step(j2d5pt):
-    model = make_model(j2d5pt, (512, 512), bT=4, bS=(64,))
-    assert model.valid_region_at_step(0) == (64,)
-    assert model.valid_region_at_step(1) == (62,)
-    assert model.valid_region_at_step(4) == (56,)
-    with pytest.raises(ValueError):
-        model.valid_region_at_step(5)
+def test_valid_region_shrinks_with_time_step(j2d5pt, j2d9pt):
+    # Section 4.1: the valid region shrinks by 2*T*rad per blocked dimension.
+    for bT in range(1, 5):
+        assert make_model(j2d5pt, (512, 512), bT=bT, bS=(64,)).compute_sizes == (64 - 2 * bT,)
+        assert make_model(j2d9pt, (512, 512), bT=bT, bS=(64,)).compute_sizes == (64 - 4 * bT,)
 
 
 def test_category_counts_cover_all_positions(j2d5pt):
@@ -104,31 +107,35 @@ def test_redundant_fraction_shrinks_with_block_size(j2d5pt):
     assert large < small
 
 
+def _tiles(pattern, interior, bT, bS, hS=None):
+    config = BlockingConfig(bT=bT, bS=bS, hS=hS)
+    return list(BlockedStencilExecutor(pattern, GridSpec(interior, 10), config).tiles(bT))
+
+
 def test_blocks_enumeration_matches_ntb(j2d5pt, star3d1r):
     model = make_model(j2d5pt, (300, 300), bT=2, bS=(64,))
-    blocks = model.blocks()
-    assert len(blocks) == model.ntb
+    tiles = _tiles(j2d5pt, (300, 300), bT=2, bS=(64,))
+    assert len(tiles) == model.ntb
     # Compute regions tile the grid without gaps.
-    covered = sum(b.compute_size[0] for b in blocks)
-    assert covered == 300
+    assert sum(hi - lo for lo, hi in (tile.store[1] for tile in tiles)) == 300
 
     model3 = make_model(star3d1r, (32, 70, 70), bT=2, bS=(32, 32))
-    assert len(model3.blocks()) == model3.ntb
+    assert len(_tiles(star3d1r, (32, 70, 70), bT=2, bS=(32, 32))) == model3.ntb
 
 
 def test_block_geometry_origins(j2d5pt):
-    model = make_model(j2d5pt, (300, 300), bT=2, bS=(64,))
-    first = model.blocks()[0]
-    assert first.origin == (0,)
-    assert first.load_origin == (-2,)
-    assert first.block_size == (64,)
+    # Padded coordinates (rad = 1): a block stores its 60-cell compute region
+    # and loads bT*rad = 2 halo cells on each side, 64 = bS cells in all.
+    second = _tiles(j2d5pt, (300, 300), bT=2, bS=(64,))[1]
+    assert second.store[1] == (1 + 60, 1 + 120)
+    assert second.load[1] == (1 + 60 - 2, 1 + 120 + 2)
 
 
 def test_stream_ranges_cover_extent(j2d5pt):
     model = make_model(j2d5pt, (500, 500), bT=4, bS=(64,), hS=128)
-    ranges = model.stream_ranges()
-    assert ranges[0] == (0, 128)
-    assert ranges[-1][1] == 500
+    ranges = sorted({tile.store[0] for tile in _tiles(j2d5pt, (500, 500), bT=4, bS=(64,), hS=128)})
+    assert len(ranges) == model.num_stream_blocks
+    assert ranges[0] == (1, 1 + 128) and ranges[-1][1] == 1 + 500
     assert sum(stop - start for start, stop in ranges) == 500
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.frontend.stencil_detect import StencilDetectionError, parse_stencil
+from repro.ir.classify import StencilShape
 from repro.stencils.generators import box_stencil_source, star_stencil_source
 from repro.stencils.library import get_benchmark
 
@@ -55,13 +56,13 @@ def test_synthetic_star_sources_round_trip(ndim, radius):
     pattern = parse_stencil(star_stencil_source(ndim, radius)).pattern
     assert pattern.ndim == ndim
     assert pattern.radius == radius
-    assert pattern.is_star
+    assert pattern.shape is StencilShape.STAR
 
 
 @pytest.mark.parametrize("ndim,radius", [(2, 1), (2, 2), (3, 1)])
 def test_synthetic_box_sources_round_trip(ndim, radius):
     pattern = parse_stencil(box_stencil_source(ndim, radius)).pattern
-    assert pattern.is_box
+    assert pattern.shape is StencilShape.BOX
     assert len(pattern.offsets) == (2 * radius + 1) ** ndim
 
 
@@ -149,6 +150,21 @@ def test_reject_free_scalar_coefficient():
           A[(t+1)%2][i][j] = alpha * A[t%2][i][j];
     """
     with pytest.raises(StencilDetectionError):
+        parse_stencil(source)
+
+
+@pytest.mark.parametrize("call", [
+    "sqrtf(A[t%2][i][j], A[t%2][i+1][j])",  # numpy would take the 2nd as out=
+    "fmax(A[t%2][i][j])",
+])
+def test_reject_call_with_wrong_argument_count(call):
+    source = f"""
+    for (t = 0; t < T; t++)
+      for (i = 1; i <= N; i++)
+        for (j = 1; j <= M; j++)
+          A[(t+1)%2][i][j] = {call};
+    """
+    with pytest.raises(StencilDetectionError, match="argument"):
         parse_stencil(source)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 from repro import api
 from repro.core.config import BlockingConfig
 from repro.frontend.stencil_detect import parse_stencil
+from repro.ir.classify import StencilShape
 from repro.ir.stencil import GridSpec
 from repro.sim.executor import verify_blocking
 from repro.stencils.library import BENCHMARKS, figure6_benchmarks, load_pattern
@@ -57,7 +58,7 @@ def test_custom_stencil_end_to_end(tmp_path):
     """
     detected = parse_stencil(source, name="heat2d")
     pattern = detected.pattern
-    assert pattern.is_star and pattern.associative
+    assert pattern.shape is StencilShape.STAR and pattern.associative
 
     config = BlockingConfig(bT=4, bS=(64,))
     compiled = api.compile_stencil(pattern, config=config)

@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import BlockingConfig
 from repro.ir.compile import (
     _CALL_NUMPY,
+    CompileError,
     CompiledKernel,
     InterpretedKernel,
     compile_pattern,
@@ -166,6 +167,13 @@ def test_compiled_kernel_reuses_scratch_and_cache():
     assert kernel.scratch_for(out) is scratch_before
     assert kernel.num_scratch >= 1
     assert "def _stencil_kernel" in kernel.source
+
+
+@pytest.mark.parametrize("mode", ["auto", "compiled", "interpreter"])
+def test_every_engine_rejects_an_unknown_dtype(mode):
+    # "auto" has no interpreter fallback: no valid pattern needs one.
+    with pytest.raises(CompileError, match="unsupported dtype"):
+        compile_pattern(load_pattern("j2d5pt"), dtype="half", mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from repro.ir.expr import (
     UnaryOp,
     evaluate,
     grid_reads,
-    simplify,
-    substitute,
     walk,
 )
 
@@ -41,6 +39,15 @@ def test_unary_rejects_unknown_operator():
 def test_call_rejects_unknown_function():
     with pytest.raises(ValueError):
         Call("tan", (Const(1.0),))
+
+
+def test_call_checks_argument_count():
+    a, b = GridRead("A", (0, 0)), GridRead("A", (1, 0))
+    with pytest.raises(ValueError, match="takes 1 argument"):
+        Call("sqrtf", (a, b))
+    with pytest.raises(ValueError, match="takes 2 argument"):
+        Call("fmax", (a,))
+    assert Call("fmax", (a, b)).args == (a, b)
 
 
 def test_operator_sugar_builds_tree():
@@ -91,42 +98,6 @@ def test_evaluate_calls_and_negation():
 def test_evaluate_division():
     expr = BinOp("/", Const(7.0), Const(2.0))
     assert evaluate(expr, lambda _: 0.0) == pytest.approx(3.5)
-
-
-def test_substitute_replaces_reads():
-    a = GridRead("A", (0, 0))
-    b = GridRead("A", (1, 0))
-    expr = BinOp("+", a, b)
-    replaced = substitute(expr, {a: Const(5.0)})
-    assert evaluate(replaced, lambda _: 1.0) == pytest.approx(6.0)
-
-
-def test_substitute_preserves_structure_for_calls():
-    a = GridRead("A", (0, 0))
-    expr = Call("sqrt", (BinOp("*", a, a),))
-    replaced = substitute(expr, {a: Const(3.0)})
-    assert evaluate(replaced, lambda _: 0.0) == pytest.approx(3.0)
-
-
-def test_simplify_folds_constants():
-    expr = BinOp("+", Const(2.0), BinOp("*", Const(3.0), Const(4.0)))
-    assert simplify(expr) == Const(14.0)
-
-
-def test_simplify_strips_identities():
-    a = GridRead("A", (0, 0))
-    assert simplify(BinOp("*", Const(1.0), a)) == a
-    assert simplify(BinOp("+", a, Const(0.0))) == a
-    assert simplify(BinOp("/", a, Const(1.0))) == a
-
-
-def test_simplify_double_negation():
-    a = GridRead("A", (0, 0))
-    assert simplify(UnaryOp("-", UnaryOp("-", a))) == a
-
-
-def test_simplify_constant_call():
-    assert simplify(Call("sqrt", (Const(9.0),))) == Const(3.0)
 
 
 def test_expressions_are_hashable_value_objects():

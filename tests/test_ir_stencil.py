@@ -41,7 +41,7 @@ def test_pattern_offsets_are_sorted_and_unique(box2d1r):
 def test_pattern_shape_classification(j2d5pt, box2d1r, gradient2d):
     assert j2d5pt.shape is StencilShape.STAR
     assert box2d1r.shape is StencilShape.BOX
-    assert gradient2d.is_star
+    assert gradient2d.shape is StencilShape.STAR
 
 
 def test_pattern_dtype_word_sizes():
@@ -69,24 +69,6 @@ def test_pattern_rejects_no_reads():
 def test_pattern_rejects_future_time_reads():
     with pytest.raises(ValueError):
         StencilPattern("x", 2, GridRead("A", (0, 0), time_offset=1))
-
-
-def test_accesses_counts_and_flags(box2d1r):
-    accesses = {a.offset: a for a in box2d1r.accesses}
-    assert accesses[(0, 0)].is_center
-    assert accesses[(1, 0)].is_axis_aligned
-    assert not accesses[(1, 1)].is_axis_aligned
-    assert all(a.count == 1 for a in box2d1r.accesses)
-
-
-def test_streaming_offsets(star3d1r, j2d9pt):
-    assert star3d1r.streaming_offsets == [-1, 0, 1]
-    assert j2d9pt.streaming_offsets == [-2, -1, 0, 1, 2]
-
-
-def test_offsets_on_subplane(box2d1r):
-    assert box2d1r.offsets_on_subplane(0) == [(0, -1), (0, 0), (0, 1)]
-    assert len(box2d1r.offsets_on_subplane(1)) == 3
 
 
 def test_describe_mentions_key_facts(j2d5pt):

@@ -30,7 +30,7 @@ from repro.obs import (
 from repro.obs.events import EventLog
 from repro.obs.metrics import parse_prometheus
 from repro.obs.top import code_version_report, render_history, stream_records, telemetry_deltas
-from repro.service import CampaignApp, CampaignServer, Request, WorkerSettings, campaign_id
+from repro.service import CampaignApp, CampaignServer, Request, WorkerSettings
 
 #: Two-job campaign, small enough to run cold in a couple of seconds.
 SPEC_JSON = {
@@ -87,7 +87,7 @@ def test_subscription_receives_matching_events():
         second = sub.get(timeout=1.0)
     assert first["event"] == "ping" and first["n"] == 1
     assert second["event"] == "ping" and second["n"] == 3
-    assert log.subscriber_count == 0  # context manager detached it
+    assert log._subscribers == []  # context manager detached it
 
 
 def test_subscription_predicate_filters_on_emitting_thread():
@@ -371,15 +371,15 @@ def test_events_stream_ends_after_max_events(app):
 
 
 def test_mid_stream_disconnect_detaches_subscriber(app):
-    baseline = EVENTS.subscriber_count
+    baseline = len(EVENTS._subscribers)
     response = app.handle(Request("GET", "/events/stream", query={"timeout": "30"}))
     iterator = iter(response.stream)
     assert next(iterator) == b"\n"  # keep-alive while idle
-    assert EVENTS.subscriber_count == baseline + 1
+    assert len(EVENTS._subscribers) == baseline + 1
     # The client vanishes: closing the generator (what the chunked sender
     # does in its finally) must detach the subscription immediately.
     response.stream.close()
-    assert EVENTS.subscriber_count == baseline
+    assert len(EVENTS._subscribers) == baseline
 
 
 def test_campaign_stream_unknown_campaign_404(app):
@@ -387,7 +387,7 @@ def test_campaign_stream_unknown_campaign_404(app):
         Request("GET", "/campaigns/nope/stream", query={})
     )
     assert response.status == 404
-    assert EVENTS.subscriber_count == 0
+    assert EVENTS._subscribers == []
 
 
 # -- streaming during a live campaign (real HTTP) ------------------------------
@@ -404,7 +404,7 @@ def server(tmp_path):
 
 
 def test_campaign_stream_yields_every_job_exactly_once(server):
-    cid = campaign_id(SPEC)
+    cid = SPEC.short_id()
     records = []
     errors = []
 

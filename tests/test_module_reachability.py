@@ -1,19 +1,23 @@
-"""Every ``repro`` module must be reachable from a real entry point.
+"""Every ``repro`` module and name must be reachable from real code.
 
 The entry points are the ``an5d`` CLI, ``repro.api``, the ``repro`` package
 itself and every script under ``benchmarks/``, ``perfbench/`` and
-``examples/``.  The test walks the import graph of those files (top-level,
-function-local and relative imports alike) and fails, naming the module, if
-some ``repro.*`` module is reached only from ``tests/``: such a module is
-either missing a caller or should be deleted.
+``examples/``.  The module check walks the import graph of those files
+(top-level, function-local and relative imports alike) and fails, naming the
+module, if some ``repro.*`` module is reached only from ``tests/``.
+
+The name check does the same one level down: every top-level function and
+class of ``src/repro``, and every method, must be referenced from non-test
+code outside its own definition.  A name found only in ``tests/`` is either
+missing a caller or should be deleted.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import deque
+from collections import defaultdict, deque
 from pathlib import Path
-from typing import Container
+from typing import Container, Dict, Iterable, Iterator, List, Set, Tuple
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -86,3 +90,154 @@ def test_module_graph_sees_lazy_and_relative_imports(tmp_path):
     known = {"pkg", "pkg.eager", "pkg.lazy"}
     assert _imports(package / "__init__.py", "pkg", known) == {"pkg", "pkg.eager"}
     assert _imports(package / "eager.py", "pkg.eager", known) == {"pkg.lazy", "os.path"}
+
+
+# -- names -----------------------------------------------------------------------
+
+#: Public top-level functions of this module are the documented library surface.
+API_MODULE = "repro.api"
+
+#: Names with no caller in the code, each with the reason it stays.  Only two
+#: kinds belong here: methods a framework calls, and test oracles (code a test
+#: compares another implementation against).
+ALLOWED: Dict[str, str] = {
+    "repro.service.app._CampaignRequestHandler._handle": (
+        "http.server calls it through the do_GET/do_POST/do_DELETE/do_PUT aliases"
+    ),
+    "repro.service.app._CampaignRequestHandler.log_message": (
+        "BaseHTTPRequestHandler calls it to log every request"
+    ),
+    "repro.core.associative.decompose_partial_sums": (
+        "test oracle: its per-sub-plane partial sums must re-add to the direct update for"
+        " every stencil classify.is_associative accepts, the premise of the one-plane model"
+    ),
+    "repro.ir.expr.evaluate": (
+        "test oracle: the scalar value the partial-sum and sum_terms rewrites are checked against"
+    ),
+}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: The chain of qualified definitions enclosing a reference, module first.
+Scope = Tuple[str, ...]
+
+
+def _is_dunder(name: str) -> bool:
+    """Python calls ``__dunder__`` methods itself."""
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module, module: str) -> Iterator[Tuple[str, ast.AST, bool]]:
+    """``(qualified name, node, is_method)`` of every checked definition."""
+    for node in tree.body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            yield f"{module}.{node.name}", node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _FUNCTIONS) and not _is_dunder(item.name):
+                    yield f"{module}.{node.name}.{item.name}", item, True
+
+
+class _References(ast.NodeVisitor):
+    """Every name a file uses, with the definitions each use sits inside.
+
+    Bare names (``f()``) can reach top-level functions and classes only;
+    attributes (``obj.f``) and identifier strings (``getattr(obj, "f")``,
+    dispatch tables) can reach methods too.  ``__all__`` entries do not
+    count: a re-export is not a caller.
+    """
+
+    def __init__(self) -> None:
+        self.bare: Dict[str, Set[Scope]] = defaultdict(set)
+        self.dotted: Dict[str, Set[Scope]] = defaultdict(set)
+        self._scope: Scope = ()
+
+    def scan(self, path: Path, module: str) -> None:
+        self._scope = (module,)
+        self.visit(ast.parse(path.read_text(), filename=str(path)))
+
+    def _enter(self, node: ast.AST) -> None:
+        outer = self._scope
+        self._scope = (*outer, f"{outer[-1]}.{node.name}")
+        self.generic_visit(node)
+        self._scope = outer
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self.bare[node.id].add(self._scope)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.dotted[node.attr].add(self._scope)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self.dotted[node.value].add(self._scope)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        targets = [target for target in node.targets if isinstance(target, ast.Name)]
+        if not any(target.id == "__all__" for target in targets):
+            self.generic_visit(node)
+
+
+def _non_test_files(repo: Path, script_dirs: Iterable[str]) -> Iterator[Tuple[Path, Path]]:
+    """``(file, import base)`` of every non-test Python file."""
+    for path in sorted((repo / "src").rglob("*.py")):
+        yield path, repo / "src"
+    for directory in script_dirs:
+        for path in sorted((repo / directory).rglob("*.py")):
+            if not path.name.startswith(("test_", "conftest")):
+                yield path, repo
+
+
+def unreferenced_names(repo: Path = REPO, script_dirs: Iterable[str] = SCRIPT_DIRS) -> List[str]:
+    """``path:line qualified.name`` of every definition no non-test code uses."""
+    references = _References()
+    for path, base in _non_test_files(repo, script_dirs):
+        references.scan(path, _module_name(path, base))
+    missing = []
+    for path in sorted((repo / "src").rglob("*.py")):
+        module = _module_name(path, repo / "src")
+        for name, node, is_method in _definitions(ast.parse(path.read_text()), module):
+            public = isinstance(node, _FUNCTIONS) and not node.name.startswith("_")
+            if module == API_MODULE and public and not is_method:
+                continue
+            scopes = references.dotted[node.name]
+            if not is_method:
+                scopes = scopes | references.bare[node.name]
+            if not any(name not in scope for scope in scopes):
+                missing.append(f"{path.relative_to(repo)}:{node.lineno} {name}")
+    return missing
+
+
+def test_every_repro_name_has_a_non_test_caller():
+    flagged = [entry for entry in unreferenced_names() if entry.split()[-1] not in ALLOWED]
+    assert not flagged, "only tests reach (add a caller or delete):\n" + "\n".join(flagged)
+
+
+def test_allowlist_entries_are_live_and_give_a_reason():
+    stale = set(ALLOWED) - {entry.split()[-1] for entry in unreferenced_names()}
+    assert not stale, "allowlisted names that now have a caller or are gone: " + ", ".join(stale)
+    assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_name_check_sees_attributes_strings_and_self_reference(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from .mod import unused, used\n__all__ = ['unused', 'used', 'Box']\n"
+    )
+    (package / "mod.py").write_text(
+        "def used():\n    return Box().shown + getattr(Box(), 'dispatched')()\n"
+        "def unused():\n    return unused()\n"
+        "class Box:\n"
+        "    shown = 1\n"
+        "    def dispatched(self):\n        return 1\n"
+        "    def hidden(self):\n        return self.hidden()\n"
+        "    def __len__(self):\n        return 0\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "run.py").write_text("from pkg.mod import used\nused()\n")
+    (tmp_path / "scripts" / "test_run.py").write_text("from pkg.mod import unused\nunused()\n")
+    found = [entry.split()[-1] for entry in unreferenced_names(tmp_path, ("scripts",))]
+    assert found == ["pkg.mod.unused", "pkg.mod.Box.hidden"]

@@ -17,9 +17,8 @@ import pytest
 
 from repro.campaign.jobs import CampaignSpec, JobSpec
 from repro.cli import main
-from repro.reporting import ResultTable
-from repro.service import CampaignApp, CampaignServer, Request, WorkerSettings, campaign_id
-from repro.service.wire import WireError, decode_campaign_spec, decode_job_spec
+from repro.service import CampaignApp, CampaignServer, Request, WorkerSettings
+from repro.service.wire import WireError, decode_submit
 
 #: A campaign small enough to run cold in a couple of seconds.
 SPEC_JSON = {
@@ -129,8 +128,8 @@ def test_report_kinds_and_formats(server):
 
     _, body, headers = _request(server, f"/campaigns/{cid}/report?kind=leaderboard")
     assert headers["Content-Type"] == "application/json"
-    table = ResultTable.from_payload(json.loads(body))
-    assert table.headers[:2] == ["rank", "pattern"] and len(table.rows) == 2
+    table = json.loads(body)
+    assert table["headers"][:2] == ["rank", "pattern"] and len(table["rows"]) == 2
 
     _, body, _ = _request(server, f"/campaigns/{cid}/report?kind=accuracy&format=jsonl")
     records = [json.loads(line) for line in body.decode().splitlines()]
@@ -272,12 +271,12 @@ def test_campaign_id_stable_across_aliases_and_spellings():
     # GPU aliases, repeated matrix entries and case differences all collapse
     # to the same normalised spec — and therefore the same campaign id.
     aliased = CampaignSpec.from_json(dict(SPEC_JSON, gpus=["v100", "volta", "V100"]))
-    assert campaign_id(aliased) == campaign_id(canonical)
+    assert aliased.short_id() == canonical.short_id()
     assert aliased.gpus == ("V100",)
     repeated = CampaignSpec.from_json(
         dict(SPEC_JSON, benchmarks=["j2d5pt", "j2d5pt", "star3d1r"])
     )
-    assert campaign_id(repeated) == campaign_id(canonical)
+    assert repeated.short_id() == canonical.short_id()
 
 
 def test_job_spec_json_round_trip_normalizes_gpu_aliases():
@@ -309,10 +308,8 @@ def test_job_spec_rejects_unknown_and_missing_fields():
 def test_wire_decoders_map_failures_to_400():
     for body in (b"", b"[1, 2]", b"\xff\xfe", json.dumps({"gpus": "V100"}).encode()):
         with pytest.raises(WireError) as excinfo:
-            decode_campaign_spec(body)
+            decode_submit(body)
         assert excinfo.value.status == 400
-    with pytest.raises(WireError):
-        decode_job_spec({"kind": "frobnicate"})
 
 
 # -- the app is drivable without a socket ---------------------------------------------

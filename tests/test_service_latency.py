@@ -14,7 +14,8 @@ import time
 import pytest
 
 import repro.cluster.client as cluster_client_module
-from repro.campaign.jobs import JobSpec, _json_safe, run_job
+from repro.campaign.jobs import CampaignSpec, JobSpec, _json_safe, run_job
+from repro.campaign.store import make_record
 from repro.cluster import ClusterClient
 from repro.cluster.client import ClusterHTTPError, _parse_retry_after
 from repro.obs import MetricsRegistry, SingleFlightCache
@@ -223,19 +224,15 @@ def test_report_cache_invalidated_by_store_writes(app):
         Request("GET", f"/campaigns/{cid}/report", query={"cache": "off"})
     ))
 
-    # Mutate one of the campaign's rows through the wire-commit path
-    # (delete + commit_records, the cluster result path) and check the
-    # cached report does not go stale.
+    # Mutate one of the campaign's rows through the local commit path (a
+    # failed attempt) and then the wire-commit path (the cluster's upgrade of
+    # that failure by a successful retry); neither may leave the cached
+    # report stale.
     victim = app.store.query(kind="tune")[0]
-    app.store.delete(victim.key)
-    record = {
-        "key": victim.key, "kind": victim.kind, "pattern": victim.pattern,
-        "gpu": victim.gpu, "dtype": victim.dtype, "grid": victim.grid,
-        "time_steps": victim.time_steps, "code_version": victim.code_version,
-        "status": "ok",
-        "payload": {**victim.payload, "tuned_gflops": 9999.0},
-        "elapsed_s": victim.elapsed_s,
-    }
+    job = next(j for j in CampaignSpec.from_json(SPEC_JSON).expand() if j.key() == victim.key)
+    app.store.put(job, {"error": "injected"}, status="failed")
+    assert _json(app.handle(report_request)) != warm
+    record = make_record(job, {**victim.payload, "tuned_gflops": 9999.0})
     assert app.store.commit_records([record]) == 1
 
     fresh = _json(app.handle(report_request))

@@ -15,7 +15,6 @@ from repro.ir.stencil import GridSpec
 from repro.sim.executor import (
     STACK_ELEMENTS,
     BlockedStencilExecutor,
-    run_blocked,
     verify_blocking,
 )
 from repro.stencils.generators import box_stencil, star_stencil
@@ -150,7 +149,8 @@ def test_boundary_ring_is_preserved():
     pattern = load_pattern("j2d5pt")
     grid = GridSpec((48, 48), 6)
     initial = make_initial_grid(pattern, grid, seed=3)
-    blocked = run_blocked(pattern, grid, BlockingConfig(bT=3, bS=(32,)), initial=initial.copy())
+    config = BlockingConfig(bT=3, bS=(32,))
+    blocked = BlockedStencilExecutor(pattern, grid, config).run(initial.copy())
     assert np.array_equal(blocked[0, :], initial[0, :])
     assert np.array_equal(blocked[:, -1], initial[:, -1])
 
@@ -159,7 +159,8 @@ def test_blocked_result_differs_from_initial():
     pattern = load_pattern("j2d5pt")
     grid = GridSpec((48, 48), 6)
     initial = make_initial_grid(pattern, grid, seed=3)
-    blocked = run_blocked(pattern, grid, BlockingConfig(bT=3, bS=(32,)), initial=initial.copy())
+    config = BlockingConfig(bT=3, bS=(32,))
+    blocked = BlockedStencilExecutor(pattern, grid, config).run(initial.copy())
     assert not np.allclose(blocked, initial)
 
 
@@ -188,7 +189,8 @@ def test_different_seeds_give_different_grids():
 def test_reference_and_blocked_share_dtype():
     pattern = load_pattern("j2d5pt", "double")
     grid = GridSpec((32, 32), 3)
-    blocked = run_blocked(pattern, grid, BlockingConfig(bT=3, bS=(24,)))
+    initial = make_initial_grid(pattern, grid, seed=0)
+    blocked = BlockedStencilExecutor(pattern, grid, BlockingConfig(bT=3, bS=(24,))).run(initial)
     reference = run_reference(pattern, grid)
     assert blocked.dtype == reference.dtype == np.float64
 

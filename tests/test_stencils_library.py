@@ -11,7 +11,6 @@ from repro.stencils.library import (
     DEFAULT_2D_GRID,
     DEFAULT_3D_GRID,
     FIGURE6_NAMES,
-    benchmark_names,
     figure6_benchmarks,
     get_benchmark,
     load_pattern,
@@ -24,6 +23,7 @@ from repro.stencils.reference import (
     max_relative_error,
     run_reference,
 )
+from repro.ir.classify import StencilShape
 from repro.ir.stencil import GridSpec
 
 
@@ -35,7 +35,7 @@ def test_table3_has_21_benchmarks():
 
 
 def test_benchmark_names_cover_synthetic_and_named():
-    names = benchmark_names()
+    names = list(BENCHMARKS)
     for expected in ("star2d1r", "box2d4r", "star3d4r", "box3d1r", "j2d5pt", "gradient2d", "j3d27pt"):
         assert expected in names
 
@@ -70,8 +70,8 @@ def test_load_pattern_caches_instances():
 
 def test_synthetic_star_shapes():
     for radius in range(1, 5):
-        assert load_pattern(f"star2d{radius}r").is_star
-        assert load_pattern(f"box3d{radius}r").is_box if radius <= 2 else True
+        assert load_pattern(f"star2d{radius}r").shape is StencilShape.STAR
+        assert load_pattern(f"box3d{radius}r").shape is StencilShape.BOX if radius <= 2 else True
 
 
 def test_benchmark_descriptions_are_informative():
@@ -173,9 +173,9 @@ def test_generated_source_has_no_zero_coefficients(name, source):
 
 
 def test_scenario_benchmarks_resolve():
-    from repro.stencils.library import scenario_names
+    from repro.stencils.library import SCENARIOS
 
-    names = scenario_names()
+    names = list(SCENARIOS)
     assert "fdtd2d" in names and "fdtd3d" in names
     for name in names:
         benchmark = get_benchmark(name)

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.config import BlockingConfig
+from repro.core.config import BlockingConfig, sconf_configuration
 from repro.ir.stencil import GridSpec
 from repro.stencils.library import load_pattern
 from repro.tuning.autotuner import AutoTuner, tune
 from repro.tuning.pruning import prune_configurations, pruning_statistics
-from repro.tuning.search_space import default_search_space, sconf_space
+from repro.tuning.search_space import default_search_space
 
 
 # The paper performs its parameter search on 8,192^2 grids with 120
@@ -37,8 +37,12 @@ def test_search_space_with_register_limits(j2d5pt):
 
 
 def test_sconf_space_single_point(j2d5pt, star3d1r):
-    assert sconf_space(j2d5pt).size() == 1
-    assert sconf_space(star3d1r).size() == 1
+    # STENCILGEN's one configuration: bT = 4, bS = 128 and hS = 128 in 2D,
+    # bS = 32x32 without stream division in 3D.
+    two_d = sconf_configuration(j2d5pt)
+    assert (two_d.bT, two_d.bS, two_d.hS) == (4, (128,), 128)
+    three_d = sconf_configuration(star3d1r)
+    assert (three_d.bT, three_d.bS, three_d.hS) == (4, (32, 32), None)
 
 
 # -- pruning ---------------------------------------------------------------------
@@ -86,7 +90,6 @@ def test_tune_returns_best_of_topk(j2d5pt):
 
 
 def test_tuned_beats_sconf(j2d5pt):
-    from repro.core.config import sconf_configuration
     from repro.sim.timing import simulate_performance
 
     result = tune(j2d5pt, SMALL_2D_GRID, "V100")

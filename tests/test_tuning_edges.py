@@ -9,7 +9,7 @@ configurations sitting exactly on the register-limit pruning thresholds.
 import pytest
 
 from repro import api
-from repro.core.config import BlockingConfig
+from repro.core.config import BlockingConfig, sconf_configuration
 from repro.ir.expr import BinOp, GridRead
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.gpu_specs import get_gpu
@@ -22,7 +22,6 @@ from repro.tuning.search_space import (
     REGISTER_LIMITS,
     SearchSpace,
     default_search_space,
-    sconf_space,
 )
 
 V100 = get_gpu("V100")
@@ -57,8 +56,10 @@ def test_search_space_configurations_count_matches_size():
 
 
 def test_sconf_space_is_a_single_point():
-    assert sconf_space(load_pattern("j2d5pt")).size() == 1
-    assert sconf_space(load_pattern("j3d27pt")).size() == 1
+    # The one Sconf configuration is valid for 2D and 3D Table-3 stencils.
+    for name in ("j2d5pt", "j3d27pt"):
+        pattern = load_pattern(name)
+        sconf_configuration(pattern).validate(pattern)
 
 
 def test_empty_search_space_dimensions():
