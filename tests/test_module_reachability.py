@@ -9,12 +9,17 @@ module, if some ``repro.*`` module is reached only from ``tests/``.
 The name check does the same one level down: every top-level function and
 class of ``src/repro``, and every method, must be referenced from non-test
 code outside its own definition.  A name found only in ``tests/`` is either
-missing a caller or should be deleted.
+missing a caller or should be deleted.  The ``python - <<'EOF'`` scripts of
+the CI workflows count as non-test code, and every ``repro`` name they import
+must exist.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import re
+import textwrap
 from collections import defaultdict, deque
 from pathlib import Path
 from typing import Container, Dict, Iterable, Iterator, List, Set, Tuple
@@ -151,9 +156,9 @@ class _References(ast.NodeVisitor):
         self.dotted: Dict[str, Set[Scope]] = defaultdict(set)
         self._scope: Scope = ()
 
-    def scan(self, path: Path, module: str) -> None:
+    def scan(self, source: str, module: str, filename: str) -> None:
         self._scope = (module,)
-        self.visit(ast.parse(path.read_text(), filename=str(path)))
+        self.visit(ast.parse(source, filename=filename))
 
     def _enter(self, node: ast.AST) -> None:
         outer = self._scope
@@ -180,21 +185,35 @@ class _References(ast.NodeVisitor):
             self.generic_visit(node)
 
 
-def _non_test_files(repo: Path, script_dirs: Iterable[str]) -> Iterator[Tuple[Path, Path]]:
-    """``(file, import base)`` of every non-test Python file."""
+def workflow_scripts(repo: Path = REPO) -> Iterator[Tuple[str, str]]:
+    """``(file:line, source)`` of every ``python - <<'TAG'`` block in the CI workflows."""
+    for path in sorted((repo / ".github" / "workflows").glob("*.yml")):
+        lines = path.read_text().splitlines()
+        for start, line in enumerate(lines):
+            opener = re.search(r"python - <<'(\w+)'", line)
+            if opener:
+                end = next(i for i in range(start + 1, len(lines)) if lines[i].strip() == opener[1])
+                body = textwrap.dedent("\n".join(lines[start + 1 : end]))
+                yield f"{path.relative_to(repo)}:{start + 2}", body
+
+
+def _non_test_sources(repo: Path, script_dirs: Iterable[str]) -> Iterator[Tuple[str, str, str]]:
+    """``(source, module, filename)`` of every non-test Python file and CI script."""
     for path in sorted((repo / "src").rglob("*.py")):
-        yield path, repo / "src"
+        yield path.read_text(), _module_name(path, repo / "src"), str(path)
     for directory in script_dirs:
         for path in sorted((repo / directory).rglob("*.py")):
             if not path.name.startswith(("test_", "conftest")):
-                yield path, repo
+                yield path.read_text(), _module_name(path, repo), str(path)
+    for label, source in workflow_scripts(repo):
+        yield source, label, label
 
 
 def unreferenced_names(repo: Path = REPO, script_dirs: Iterable[str] = SCRIPT_DIRS) -> List[str]:
     """``path:line qualified.name`` of every definition no non-test code uses."""
     references = _References()
-    for path, base in _non_test_files(repo, script_dirs):
-        references.scan(path, _module_name(path, base))
+    for source, module, filename in _non_test_sources(repo, script_dirs):
+        references.scan(source, module, filename)
     missing = []
     for path in sorted((repo / "src").rglob("*.py")):
         module = _module_name(path, repo / "src")
@@ -215,6 +234,29 @@ def test_every_repro_name_has_a_non_test_caller():
     assert not flagged, "only tests reach (add a caller or delete):\n" + "\n".join(flagged)
 
 
+def test_workflow_scripts_import_only_live_names():
+    """A CI script importing a deleted name fails here, not in a CI job."""
+    dead = []
+    for label, source in workflow_scripts():
+        for node in ast.walk(ast.parse(source, filename=label)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):
+                        try:
+                            importlib.import_module(f"{node.module}.{alias.name}")
+                        except ImportError:
+                            dead.append(f"{label} {node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("repro"):
+                        try:
+                            importlib.import_module(alias.name)
+                        except ImportError:
+                            dead.append(f"{label} {alias.name}")
+    assert not dead, "CI scripts import names that do not exist:\n" + "\n".join(dead)
+
+
 def test_allowlist_entries_are_live_and_give_a_reason():
     stale = set(ALLOWED) - {entry.split()[-1] for entry in unreferenced_names()}
     assert not stale, "allowlisted names that now have a caller or are gone: " + ", ".join(stale)
@@ -233,11 +275,17 @@ def test_name_check_sees_attributes_strings_and_self_reference(tmp_path):
         "class Box:\n"
         "    shown = 1\n"
         "    def dispatched(self):\n        return 1\n"
+        "    def ci_only(self):\n        return 1\n"
         "    def hidden(self):\n        return self.hidden()\n"
         "    def __len__(self):\n        return 0\n"
     )
     (tmp_path / "scripts").mkdir()
     (tmp_path / "scripts" / "run.py").write_text("from pkg.mod import used\nused()\n")
     (tmp_path / "scripts" / "test_run.py").write_text("from pkg.mod import unused\nunused()\n")
+    (tmp_path / ".github" / "workflows").mkdir(parents=True)
+    (tmp_path / ".github" / "workflows" / "ci.yml").write_text(
+        "      - run: |\n          python - <<'EOF'\n          from pkg.mod import Box\n"
+        "          Box().ci_only()\n          EOF\n"
+    )
     found = [entry.split()[-1] for entry in unreferenced_names(tmp_path, ("scripts",))]
     assert found == ["pkg.mod.unused", "pkg.mod.Box.hidden"]
