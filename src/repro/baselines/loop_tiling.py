@@ -22,7 +22,7 @@ from repro.sim.device import SimulatedGPU
 _GIGA = 1.0e9
 
 #: PPCG's default (square/cubic) tile edge.
-DEFAULT_TILE_EDGE = 32
+TILE_EDGE = 32
 
 #: Fraction of the measured streaming bandwidth a generic PPCG kernel
 #: sustains on these devices (uncoalesced edges, no texture/smem staging).
@@ -34,7 +34,6 @@ class LoopTilingBaseline:
     """Simulated PPCG loop tiling on one device."""
 
     gpu: GpuSpec
-    tile_edge: int = DEFAULT_TILE_EDGE
 
     @staticmethod
     def from_name(name: str) -> "LoopTilingBaseline":
@@ -52,7 +51,7 @@ class LoopTilingBaseline:
         # Per time step: read every cell (plus the per-tile halo re-reads that
         # miss in cache) and write every cell.
         halo_rereads = (
-            (self.tile_edge + 2 * pattern.radius) ** pattern.ndim / self.tile_edge**pattern.ndim
+            (TILE_EDGE + 2 * pattern.radius) ** pattern.ndim / TILE_EDGE**pattern.ndim
             - 1.0
         )
         global_bytes = updates * word * (2.0 + halo_rereads)

@@ -41,23 +41,19 @@ def _format_config(payload: Dict[str, object]) -> str:
 
 def leaderboard(
     store: ResultStore,
-    kind: str = "tune",
     gpu: Optional[str] = None,
     dtype: Optional[str] = None,
     top: int = 10,
     keys: Optional[Sequence[str]] = None,
 ) -> ResultTable:
-    """The best-performing stored results of one kind, fastest first."""
-    metric = {"tune": "tuned_gflops", "exhaustive": "best_gflops", "baseline": "gflops",
-              "predict": "simulated_gflops"}.get(kind)
-    if metric is None:
-        raise ValueError(f"no leaderboard metric for job kind {kind!r}")
-    results = _scoped(store.query(kind=kind, gpu=gpu, dtype=dtype, status="ok"), keys)
+    """The best-performing stored tune results, fastest first."""
+    metric = "tuned_gflops"
+    results = _scoped(store.query(kind="tune", gpu=gpu, dtype=dtype, status="ok"), keys)
     results.sort(
         key=lambda r: (-float(r.payload.get(metric, 0.0)), r.pattern, r.gpu, r.dtype)
     )
     table = ResultTable(
-        f"Campaign leaderboard ({kind})",
+        "Campaign leaderboard (tune)",
         ["rank", "pattern", "gpu", "dtype", "gflops", "config"],
     )
     for rank, result in enumerate(results[:top], start=1):

@@ -187,7 +187,6 @@ def make_record(
     payload: Dict[str, object],
     status: str = "ok",
     elapsed_s: float = 0.0,
-    code_version: Optional[str] = None,
 ) -> Dict[str, object]:
     """One wire-committable result record for a finished job.
 
@@ -198,7 +197,7 @@ def make_record(
     have written.  The record carries no timestamps: ``created_at`` is
     stamped by whichever store receives it.
     """
-    version = code_version if code_version is not None else repro.__version__
+    version = repro.__version__
     return {
         "key": spec.key(version),
         "kind": spec.kind,
@@ -230,11 +229,9 @@ class ResultStore:
     def __init__(
         self,
         path: Union[str, Path] = "campaign.sqlite",
-        timeout_s: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.path = str(path)
-        self.timeout_s = self.BUSY_TIMEOUT_S if timeout_s is None else float(timeout_s)
         self.metrics = metrics if metrics is not None else get_registry()
         self._lock = threading.Lock()
         # Serialises writers on the shared in-memory connection; file stores
@@ -265,12 +262,12 @@ class ResultStore:
         # were opened by (possibly finished) worker threads; each connection
         # is still *used* by exactly one thread.
         conn = sqlite3.connect(
-            self.path, timeout=self.timeout_s, check_same_thread=False
+            self.path, timeout=self.BUSY_TIMEOUT_S, check_same_thread=False
         )
         if self.path != ":memory:":
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(f"PRAGMA busy_timeout={int(self.timeout_s * 1000)}")
+        conn.execute(f"PRAGMA busy_timeout={int(self.BUSY_TIMEOUT_S * 1000)}")
         conn.executescript(_SCHEMA)
         # Stamp the schema version, upgrading only: an older binary opening a
         # newer store must not silently downgrade the recorded version.
@@ -362,16 +359,10 @@ class ResultStore:
         payload: Dict[str, object],
         status: str = "ok",
         elapsed_s: float = 0.0,
-        code_version: Optional[str] = None,
-        now: Optional[float] = None,
     ) -> str:
-        """Commit one result immediately (incremental commit = resumability).
-
-        ``now`` overrides the ``created_at`` stamp (injectable so chaos tests
-        and deterministic replays never read the wall clock).
-        """
-        record = make_record(spec, payload, status, elapsed_s, code_version)
-        timestamp = time.time() if now is None else float(now)
+        """Commit one result immediately (incremental commit = resumability)."""
+        record = make_record(spec, payload, status, elapsed_s)
+        timestamp = time.time()
         self._commit(
             "INSERT OR REPLACE INTO results "
             "(key, kind, pattern, gpu, dtype, grid, time_steps, code_version, "
@@ -484,16 +475,16 @@ class ResultStore:
         row = self._conn.execute(self._SELECT + " WHERE key = ?", (key,)).fetchone()
         return self._row_to_result(row) if row else None
 
-    def lookup(self, spec: JobSpec, code_version: Optional[str] = None) -> Optional[StoredResult]:
-        return self.get(spec.key(code_version))
+    def lookup(self, spec: JobSpec) -> Optional[StoredResult]:
+        return self.get(spec.key())
 
     def __contains__(self, key: str) -> bool:
         row = self._conn.execute("SELECT 1 FROM results WHERE key = ?", (key,)).fetchone()
         return row is not None
 
-    def has_ok(self, spec: JobSpec, code_version: Optional[str] = None) -> bool:
+    def has_ok(self, spec: JobSpec) -> bool:
         """True when a successful result for this job is already stored."""
-        result = self.lookup(spec, code_version)
+        result = self.lookup(spec)
         return result is not None and result.ok
 
     def count(self, status: Optional[str] = None) -> int:
@@ -709,13 +700,10 @@ class ResultStore:
         )
         self._bump_generation("cluster")
 
-    def update_submission(
-        self, sid: str, state: str, now: Optional[float] = None
-    ) -> bool:
-        timestamp = time.time() if now is None else float(now)
+    def update_submission(self, sid: str, state: str) -> bool:
         cursor = self._commit(
             "UPDATE submissions SET state = ?, updated_at = ? WHERE id = ?",
-            (state, timestamp, sid),
+            (state, time.time(), sid),
         )
         self._bump_generation("cluster")
         return cursor.rowcount > 0
@@ -738,24 +726,19 @@ class ResultStore:
         ).fetchone()
         return self._submission_row(row) if row else None
 
-    def submission_rows(self, state: Optional[str] = None) -> List[Dict[str, object]]:
-        """Submissions in queue order (optionally only one state)."""
-        sql = "SELECT id, spec, shards, state, created_at, updated_at FROM submissions"
-        args: Tuple[object, ...] = ()
-        if state is not None:
-            sql += " WHERE state = ?"
-            args = (state,)
-        sql += " ORDER BY created_at, id"
-        return [self._submission_row(row) for row in self._conn.execute(sql, args)]
+    def submission_rows(self) -> List[Dict[str, object]]:
+        """Submissions in queue order."""
+        sql = (
+            "SELECT id, spec, shards, state, created_at, updated_at FROM submissions"
+            " ORDER BY created_at, id"
+        )
+        return [self._submission_row(row) for row in self._conn.execute(sql)]
 
-    def set_assignment(
-        self, sid: str, shard_index: int, instance_id: str, now: Optional[float] = None
-    ) -> None:
-        timestamp = time.time() if now is None else float(now)
+    def set_assignment(self, sid: str, shard_index: int, instance_id: str) -> None:
         self._commit(
             "INSERT OR REPLACE INTO assignments "
             "(submission_id, shard_index, instance_id, updated_at) VALUES (?, ?, ?, ?)",
-            (sid, int(shard_index), instance_id, timestamp),
+            (sid, int(shard_index), instance_id, time.time()),
         )
         self._bump_generation("cluster")
 

@@ -640,7 +640,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.profile:
         from repro.obs import arm_profiler
 
-        arm_profiler(hz=args.profile_hz)
+        arm_profiler()
     cluster = None
     if args.coordinator_url is not None:
         # Wire-native worker: no filesystem access to the store — results
@@ -659,12 +659,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal = args.journal
         if journal is None:
             journal = f"an5d-worker-{os.getpid()}.journal.jsonl"
-        store = RemoteStore(
-            args.coordinator_url,
-            journal=journal,
-            flush_interval=args.flush_interval,
-            backoff_cap_s=args.backoff_cap,
-        )
+        store = RemoteStore(args.coordinator_url, journal=journal)
     else:
         if args.cluster or args.role != "worker":
             cluster = _cluster_config(args, args.role)
@@ -685,7 +680,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cluster=cluster,
         advertise_host=args.advertise_host,
         telemetry_interval=args.telemetry_interval,
-        telemetry_keep=args.telemetry_keep,
     )
     shown_store = server.app.store.path if args.coordinator_url is not None else args.store
     print(f"an5d campaign service on {server.url} (store: {shown_store})")
@@ -767,14 +761,6 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParse
         "journal.jsonl); drained on reconnect, replayed after a crash",
     )
     serve_parser.add_argument(
-        "--flush-interval", type=float, default=0.2,
-        help="seconds between wire-commit journal flushes",
-    )
-    serve_parser.add_argument(
-        "--backoff-cap", type=float, default=2.0,
-        help="max seconds between flush retries while the coordinator is down",
-    )
-    serve_parser.add_argument(
         "--event-log", default=None,
         help="append structured JSONL events to this file (also honours the "
         "AN5D_EVENT_LOG environment variable)",
@@ -795,17 +781,9 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParse
         "'an5d top --history')",
     )
     serve_parser.add_argument(
-        "--telemetry-keep", type=int, default=1000, metavar="N",
-        help="telemetry snapshots to retain (default: 1000)",
-    )
-    serve_parser.add_argument(
         "--profile", action="store_true",
         help="arm the sampling profiler: scheduler/engine hot paths record "
         "folded stacks, ready for GET /profile and 'an5d profile'",
-    )
-    serve_parser.add_argument(
-        "--profile-hz", type=float, default=None,
-        help="profiler sampling rate when armed (default: 97 Hz)",
     )
     _add_cluster_serve_arguments(serve_parser)
     serve_parser.add_argument("--verbose", "-v", action="store_true", help="log requests")
@@ -816,7 +794,7 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParse
 def _cmd_top_history(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.top import render_history
+    from repro.obs.top import SCRAPE_TIMEOUT_S, render_history
 
     if args.store:
         # Offline mode: read the telemetry table straight from the store —
@@ -828,7 +806,7 @@ def _cmd_top_history(args: argparse.Namespace) -> int:
     import urllib.request
 
     url = f"{args.url.rstrip('/')}/telemetry/history?limit={args.limit}"
-    with urllib.request.urlopen(url, timeout=args.timeout) as response:
+    with urllib.request.urlopen(url, timeout=SCRAPE_TIMEOUT_S) as response:
         payload = json.loads(response.read())
     print(
         render_history(
@@ -844,14 +822,14 @@ def _cmd_top_follow(args: argparse.Namespace) -> int:
     from repro.obs.top import collect, render, stream_records
 
     url = args.url.rstrip("/")
-    rows = collect(url, timeout=args.timeout)
+    rows = collect(url)
     print(render(rows))
     kinds = "job_finished,campaign_run_started,campaign_run_finished,campaign_failed"
     stream_url = f"{url}/events/stream?event={kinds}"
     print(f"following {stream_url} (ctrl-c to stop)")
     sys.stdout.flush()
     try:
-        for record in stream_records(stream_url, timeout=max(args.timeout, 30.0)):
+        for record in stream_records(stream_url):
             event = record.get("event")
             if event == "job_finished":
                 print(
@@ -866,7 +844,7 @@ def _cmd_top_follow(args: argparse.Namespace) -> int:
                 )
             else:  # terminal campaign events: refresh the cluster table
                 print(f"  {event}: {record.get('campaign', '?')}")
-                previous, rows = rows, collect(url, timeout=args.timeout)
+                previous, rows = rows, collect(url)
                 print(render(rows, previous=previous))
             sys.stdout.flush()
     except KeyboardInterrupt:  # pragma: no cover — interactive only
@@ -882,16 +860,14 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if args.follow:
         return _cmd_top_follow(args)
     url = args.url.rstrip("/")
-    rows = collect(url, timeout=args.timeout)
+    rows = collect(url)
     print(render(rows))
     if not args.watch:
         return 0
-    refreshed = 0
     try:
-        while args.iterations <= 0 or refreshed < args.iterations:
-            refreshed += 1
+        while True:
             time.sleep(args.watch)
-            previous, rows = rows, collect(url, timeout=args.timeout)
+            previous, rows = rows, collect(url)
             # Clear + home, like top(1); rates come from the scrape deltas.
             print("\033[2J\033[H", end="")
             print(render(rows, previous=previous, interval_s=args.watch))
@@ -915,11 +891,6 @@ def _add_top_parser(sub: argparse._SubParsersAction) -> None:
         "--watch", type=float, default=0.0, metavar="SECS",
         help="refresh every SECS seconds (0 = one-shot)",
     )
-    top_parser.add_argument(
-        "--iterations", type=int, default=0,
-        help="stop after N refreshes in --watch mode (0 = until interrupted)",
-    )
-    top_parser.add_argument("--timeout", type=float, default=5.0, help="scrape timeout")
     top_parser.add_argument(
         "--follow", action="store_true",
         help="push mode: render once, then tail the server's event stream "
@@ -947,19 +918,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.url:
         import urllib.request
 
-        url = (
-            f"{args.url.rstrip('/')}/profile?seconds={args.seconds}"
-            + (f"&hz={args.hz}" if args.hz else "")
-        )
+        url = f"{args.url.rstrip('/')}/profile?seconds={args.seconds}"
         with urllib.request.urlopen(url, timeout=args.seconds + 30.0) as response:
             body = response.read().decode("utf-8")
             samples = response.headers.get("X-Profile-Samples", "?")
     else:
         from repro.obs import profile_for
 
-        body, samples = profile_for(
-            args.seconds, **({"hz": args.hz} if args.hz else {})
-        )
+        body, samples = profile_for(args.seconds)
         if body and not body.endswith("\n"):
             body += "\n"
     if args.output:
@@ -982,9 +948,6 @@ def _add_profile_parser(sub: argparse._SubParsersAction) -> None:
     )
     profile_parser.add_argument(
         "--seconds", type=float, default=2.0, help="sampling window length"
-    )
-    profile_parser.add_argument(
-        "--hz", type=float, default=None, help="sampling rate (default: 97 Hz)"
     )
     profile_parser.add_argument(
         "--output", "-o", default=None,

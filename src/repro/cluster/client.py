@@ -83,20 +83,15 @@ def is_retryable(error: BaseException) -> bool:
     return False
 
 
-def backoff_delay(
-    attempt: int,
-    base_s: float = BACKOFF_BASE_S,
-    cap_s: float = BACKOFF_CAP_S,
-    rng: Optional[random.Random] = None,
-) -> float:
+def backoff_delay(attempt: int, rng: Optional[random.Random] = None) -> float:
     """Capped exponential backoff with full jitter for retry ``attempt``.
 
-    Attempt 0 waits up to ``base_s``, each further attempt doubles the
-    ceiling up to ``cap_s``; the actual delay is uniform in (0, ceiling]
-    so N workers retrying a recovered coordinator do not stampede in
-    lockstep.  Pass a seeded ``rng`` for deterministic tests.
+    Attempt 0 waits up to ``BACKOFF_BASE_S``, each further attempt doubles
+    the ceiling up to ``BACKOFF_CAP_S``; the actual delay is uniform in
+    (0, ceiling] so N workers retrying a recovered coordinator do not
+    stampede in lockstep.  Pass a seeded ``rng`` for deterministic tests.
     """
-    ceiling = min(float(cap_s), float(base_s) * (2 ** max(0, int(attempt))))
+    ceiling = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** max(0, int(attempt))))
     fraction = (rng or random).random()
     return ceiling * max(fraction, 0.1)
 
@@ -123,19 +118,9 @@ def _parse_retry_after(headers) -> Optional[float]:
 class ClusterClient:
     """Small JSON-over-HTTP client retrying the retryable error class."""
 
-    def __init__(
-        self,
-        timeout: float = 10.0,
-        retries: int = 2,
-        backoff_s: float = BACKOFF_BASE_S,
-        backoff_cap_s: float = BACKOFF_CAP_S,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, timeout: float = 10.0, retries: int = 2) -> None:
         self.timeout = float(timeout)
         self.retries = max(0, int(retries))
-        self.backoff_s = float(backoff_s)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self._rng = rng or random.Random()
 
     # -- plumbing --------------------------------------------------------------
     #: Ceiling on a server-sent Retry-After (seconds) — a confused peer must
@@ -146,9 +131,7 @@ class ClusterClient:
         if retry_after is not None and retry_after > 0:
             time.sleep(min(float(retry_after), self.MAX_RETRY_AFTER_S))
             return
-        time.sleep(
-            backoff_delay(attempt, self.backoff_s, self.backoff_cap_s, self._rng)
-        )
+        time.sleep(backoff_delay(attempt))
 
     def request(
         self,

@@ -4,13 +4,9 @@ The chaos suite's one lever: :class:`FaultyClusterClient` wraps the stock
 :class:`~repro.cluster.client.ClusterClient` and, per request, may
 
 * **drop** it (raise :class:`~repro.cluster.client.ClusterError` without
-  sending — the caller sees an unreachable peer),
-* **delay** it (sleep before sending — exercises timeout/backoff paths),
+  sending — the caller sees an unreachable peer), or
 * **duplicate** it (send the identical request twice and return the second
-  answer — exercises commit idempotency end-to-end),
-* **error** it (send, then *discard* the real answer and surface an
-  injected HTTP 503 — the caller retries a request that in fact landed,
-  the harshest duplicate of all).
+  answer — exercises commit idempotency end-to-end).
 
 Decisions come from a seeded RNG, so a chaos run is reproducible from its
 :class:`FaultPlan`; injected counts are tallied for assertions ("the run
@@ -26,12 +22,11 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.cluster.client import ClusterClient, ClusterError, ClusterHTTPError
+from repro.cluster.client import ClusterClient, ClusterError
 
 
 @dataclass(frozen=True)
@@ -40,18 +35,13 @@ class FaultPlan:
 
     drop: float = 0.0
     duplicate: float = 0.0
-    delay: float = 0.0
-    delay_s: float = 0.05
-    error: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("drop", "duplicate", "delay", "error"):
+        for name in ("drop", "duplicate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"fault probability {name}={value} must lie in [0, 1]")
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
 
 
 class FaultyClusterClient(ClusterClient):
@@ -78,8 +68,6 @@ class FaultyClusterClient(ClusterClient):
             return {
                 "drop": self._fault_rng.random() < self.plan.drop,
                 "duplicate": self._fault_rng.random() < self.plan.duplicate,
-                "delay": self._fault_rng.random() < self.plan.delay,
-                "error": self._fault_rng.random() < self.plan.error,
             }
 
     def request(
@@ -94,10 +82,6 @@ class FaultyClusterClient(ClusterClient):
             url, method=method, payload=payload, data=data, content_type=content_type
         )
         faults = self._decide()
-        if faults["delay"]:
-            with self._fault_lock:
-                self.injected["delay"] += 1
-            time.sleep(self.plan.delay_s)
         if faults["drop"]:
             with self._fault_lock:
                 self.injected["drop"] += 1
@@ -107,16 +91,6 @@ class FaultyClusterClient(ClusterClient):
                 self.injected["duplicate"] += 1
             send()  # first copy lands; its answer is discarded
             return send()
-        if faults["error"]:
-            # The request *lands* — then the answer is replaced with a 503,
-            # so the caller retries something the peer already applied.
-            with self._fault_lock:
-                self.injected["error"] += 1
-            try:
-                send()
-            except ClusterError:
-                pass  # the peer really was down; the 503 below still stands
-            raise ClusterHTTPError(503, {"error": "injected 503"})
         return send()
 
     def injected_counts(self) -> Dict[str, int]:
@@ -140,10 +114,10 @@ def kill_instance(server: object) -> None:
 class ChaosTally:
     """Recovery timings and fault counts one chaos run records."""
 
-    injected: Dict[str, int] = field(default_factory=dict)
-    kill_at: Optional[float] = None
-    lease_seized_at: Optional[float] = None
-    completed_at: Optional[float] = None
+    injected: Dict[str, int] = field(default_factory=dict, init=False)
+    kill_at: Optional[float] = field(default=None, init=False)
+    lease_seized_at: Optional[float] = field(default=None, init=False)
+    completed_at: Optional[float] = field(default=None, init=False)
 
     def as_row(self) -> Dict[str, object]:
         row: Dict[str, object] = {"injected": dict(self.injected)}

@@ -41,8 +41,8 @@ class LocalCluster:
     ``standbys`` adds lease-contending coordinator instances: they accept
     submissions and serve status/exports, and the first one whose monitor
     tick finds the primary's lease expired seizes it and resumes fan-out.
-    ``faults`` (a :class:`~repro.cluster.faults.FaultPlan`) injects drops /
-    delays / duplicates / 5xx into every wire worker's client.
+    ``faults`` (a :class:`~repro.cluster.faults.FaultPlan`) injects drops
+    and duplicates into every wire worker's client.
     """
 
     def __init__(
@@ -51,9 +51,6 @@ class LocalCluster:
         instances: int = 2,
         host: str = "127.0.0.1",
         settings: Optional[object] = None,  # service.WorkerSettings
-        heartbeat_interval: float = LOCAL_HEARTBEAT_INTERVAL,
-        liveness_timeout: float = LOCAL_LIVENESS_TIMEOUT,
-        prefix: str = "w",
         standbys: int = 0,
         wire_workers: bool = False,
         faults: Optional[object] = None,  # cluster.faults.FaultPlan
@@ -70,9 +67,6 @@ class LocalCluster:
         self.instances = int(instances)
         self.host = host
         self.settings = settings
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.liveness_timeout = float(liveness_timeout)
-        self.prefix = prefix
         self.standby_count = int(standbys)
         self.wire_workers = bool(wire_workers)
         self.faults = faults
@@ -105,15 +99,15 @@ class LocalCluster:
                 cluster=ClusterConfig(
                     instance_id=instance_id,
                     role=role,
-                    heartbeat_interval=self.heartbeat_interval,
-                    liveness_timeout=self.liveness_timeout,
+                    heartbeat_interval=LOCAL_HEARTBEAT_INTERVAL,
+                    liveness_timeout=LOCAL_LIVENESS_TIMEOUT,
                 ),
             )
 
         try:
-            self.coordinator = server(f"{self.prefix}-coordinator", "coordinator")
+            self.coordinator = server("w-coordinator", "coordinator")
             self.standbys = [
-                server(f"{self.prefix}-standby{index}", "coordinator")
+                server(f"w-standby{index}", "coordinator")
                 for index in range(1, self.standby_count + 1)
             ]
             if self.wire_workers:
@@ -126,15 +120,15 @@ class LocalCluster:
                 for index in range(1, self.instances + 1):
                     remote = RemoteStore(
                         self.coordinator.url,
-                        journal=self.workdir / f"{self.prefix}{index}.journal.jsonl",
+                        journal=self.workdir / f"w{index}.journal.jsonl",
                         client=self._worker_client(),
                     )
-                    worker = server(f"{self.prefix}{index}", "worker", store=remote)
+                    worker = server(f"w{index}", "worker", store=remote)
                     self.workers.append(worker)
                     worker.start()
             else:
                 self.workers = [
-                    server(f"{self.prefix}{index}", "worker")
+                    server(f"w{index}", "worker")
                     for index in range(1, self.instances + 1)
                 ]
                 # Workers first: by the time the coordinator's monitor thread

@@ -36,7 +36,6 @@ rotation.
 from __future__ import annotations
 
 import json
-import random
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -44,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.campaign.jobs import JobSpec
 from repro.campaign.store import RECORD_FIELDS, make_record
 from repro.cluster.client import (
-    BACKOFF_CAP_S,
     ClusterClient,
     ClusterError,
     ClusterHTTPError,
@@ -71,18 +69,13 @@ class RemoteStore:
         journal: Optional[Union[str, Path]] = None,
         client: Optional[ClusterClient] = None,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
-        backoff_cap_s: float = BACKOFF_CAP_S,
-        rng: Optional[random.Random] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._primary = url.rstrip("/")
         self._peers: List[str] = []
         self.journal = Path(journal) if journal is not None else None
         self.client = client or ClusterClient()
         self.flush_interval = float(flush_interval)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.metrics = metrics if metrics is not None else get_registry()
-        self._rng = rng or random.Random()
+        self.metrics = get_registry()
         self._lock = threading.Lock()
         self._pending: List[Dict[str, object]] = []
         self._kick = threading.Event()
@@ -172,15 +165,13 @@ class RemoteStore:
         payload: Dict[str, object],
         status: str = "ok",
         elapsed_s: float = 0.0,
-        code_version: Optional[str] = None,
-        now: Optional[float] = None,  # created_at is receiver-stamped; ignored
     ) -> str:
         """Journal one result and wake the flush loop; returns the job key.
 
         The journal append happens *before* any network attempt, so a crash
         at any point after ``put`` returns cannot lose the result.
         """
-        record = make_record(spec, payload, status, elapsed_s, code_version)
+        record = make_record(spec, payload, status, elapsed_s)
         trace = current_trace()
         if trace is not None:
             # The run span's context rides the journal and the commit wire
@@ -220,8 +211,8 @@ class RemoteStore:
                 out[key] = pending[key]
         return out
 
-    def has_ok(self, spec: JobSpec, code_version: Optional[str] = None) -> bool:
-        key = spec.key(code_version)
+    def has_ok(self, spec: JobSpec) -> bool:
+        key = spec.key()
         return self.statuses([key]).get(key) == "ok"
 
     # -- flush loop --------------------------------------------------------------
@@ -266,9 +257,7 @@ class RemoteStore:
                 # Coordinator gone (or every peer 5xx-ing): back off with
                 # jitter so N workers do not stampede the next coordinator,
                 # but never stop — the journal holds everything meanwhile.
-                delay = backoff_delay(
-                    self._flush_failures, cap_s=self.backoff_cap_s, rng=self._rng
-                )
+                delay = backoff_delay(self._flush_failures)
                 self._flush_failures += 1
                 self.metrics.counter(
                     "flush_failures_total", "Journal flush attempts no peer accepted"
@@ -310,13 +299,9 @@ class RemoteRegistry:
     member's liveness independent of its local wall clock.
     """
 
-    def __init__(
-        self,
-        store: RemoteStore,
-        client: Optional[ClusterClient] = None,
-    ) -> None:
+    def __init__(self, store: RemoteStore) -> None:
         self.remote = store
-        self.client = client or store.client
+        self.client = store.client
         self._registration: Optional[Dict[str, object]] = None
 
     def _send(self, send) -> Dict[str, object]:

@@ -30,13 +30,11 @@ class Declare(CudaNode):
     ctype: str
     name: str
     init: str | None = None
-    qualifiers: str = ""
 
     def render(self) -> str:
-        prefix = f"{self.qualifiers} " if self.qualifiers else ""
         if self.init is not None:
-            return f"{prefix}{self.ctype} {self.name} = {self.init};"
-        return f"{prefix}{self.ctype} {self.name};"
+            return f"{self.ctype} {self.name} = {self.init};"
+        return f"{self.ctype} {self.name};"
 
 
 @dataclass
@@ -77,11 +75,10 @@ class Block(CudaNode):
 
 @dataclass
 class If(CudaNode):
-    """An ``if`` (optionally ``if``/``else``) statement."""
+    """An ``if`` statement."""
 
     condition: str
     then: Block
-    otherwise: Block | None = None
 
 
 @dataclass

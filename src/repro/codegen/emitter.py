@@ -21,18 +21,14 @@ from repro.codegen.cuda_ast import (
 class CudaEmitter:
     """Renders CUDA nodes to indented source text."""
 
-    def __init__(self, indent: str = "  ") -> None:
-        self.indent = indent
+    INDENT = "  "
 
     def emit(self, node: CudaNode, level: int = 0) -> str:
         return "\n".join(self._emit_lines(node, level))
 
     # -- internals -------------------------------------------------------------
-    def _pad(self, level: int) -> str:
-        return self.indent * level
-
     def _emit_lines(self, node: CudaNode, level: int) -> List[str]:
-        pad = self._pad(level)
+        pad = self.INDENT * level
         if isinstance(node, Raw):
             return [pad + line for line in node.text.splitlines()] or [pad]
         if isinstance(node, Declare):
@@ -51,9 +47,6 @@ class CudaEmitter:
         if isinstance(node, If):
             lines = [pad + f"if ({node.condition}) {{"]
             lines.extend(self._emit_lines(node.then, level + 1))
-            if node.otherwise is not None and node.otherwise.statements:
-                lines.append(pad + "} else {")
-                lines.extend(self._emit_lines(node.otherwise, level + 1))
             lines.append(pad + "}")
             return lines
         if isinstance(node, For):

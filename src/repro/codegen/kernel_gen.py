@@ -109,7 +109,7 @@ class KernelGenerator:
                           if reg.time_step < self.config.bT)
         return [Raw(f"{dtype} {names};")]
 
-    def _phase_statements(self, phase: StreamPhase, guard_time_steps: bool = True) -> List:
+    def _phase_statements(self, phase: StreamPhase) -> List:
         """Render one phase's macro calls, inserting barriers between time steps."""
         statements: List = []
         previous_step: int | None = None

@@ -72,7 +72,7 @@ def render_expression(
     rad = pattern.radius
     dtype = pattern.dtype
 
-    def render(node: Expr) -> str:
+    def leaf(node: Expr) -> str:
         if isinstance(node, Const):
             return _float_literal(node.value, dtype)
         if isinstance(node, GridRead):
@@ -82,16 +82,30 @@ def render_expression(
             plane = f"[{stream_offset + rad}]" if multi_plane else ""
             subscript = _thread_index(pattern.ndim, blocked)
             return f"__an5d_sm_load(&{smem_buffer}{plane}{subscript})"
-        if isinstance(node, BinOp):
-            return f"({render(node.lhs)} {node.op} {render(node.rhs)})"
-        if isinstance(node, UnaryOp):
-            return f"(-{render(node.operand)})"
-        if isinstance(node, Call):
-            args = ", ".join(render(a) for a in node.args)
-            return f"{_CALL_RENDER[node.name]}({args})"
         raise TypeError(f"cannot render expression node {node!r}")
 
-    return render(expr)
+    # Emit tokens left to right from an explicit stack (strings are literal
+    # text, expressions still to expand), so deep sums need no recursion.
+    tokens: List[str] = []
+    stack: List[object] = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            tokens.append(node)
+        elif isinstance(node, BinOp):
+            stack += (")", node.rhs, f" {node.op} ", node.lhs, "(")
+        elif isinstance(node, UnaryOp):
+            stack += (")", node.operand, "(-")
+        elif isinstance(node, Call):
+            stack.append(")")
+            for index in reversed(range(len(node.args))):
+                stack.append(node.args[index])
+                if index:
+                    stack.append(", ")
+            stack.append(f"{_CALL_RENDER[node.name]}(")
+        else:
+            tokens.append(leaf(node))
+    return "".join(tokens)
 
 
 def _smem_plane_count(plan: KernelPlan) -> int:

@@ -23,11 +23,10 @@ class CudaSourcePackage:
         """A single translation unit containing kernel and host code."""
         return self.kernel_source + "\n" + self.host_source
 
-    def nvcc_command(self, arch: str = "sm_70", register_limit: int | None = None) -> str:
+    def nvcc_command(self, register_limit: int | None = None) -> str:
         """The compile command the paper uses (Section 6.2)."""
-        compute = arch.replace("sm_", "compute_")
         flags = [
-            f"-gencode=arch={compute},code={arch}",
+            "-gencode=arch=compute_70,code=sm_70",
             "--use_fast_math",
             "-Xcompiler",
             "-O3",

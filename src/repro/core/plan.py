@@ -111,39 +111,18 @@ class PipelineScheduler:
         fill = self.bT * self.radius + 1
         return (math.ceil(fill / self.period) + 1) * self.period
 
-    def calls_for_load(self, load_index: int, relative: bool = False) -> List[MacroCall]:
+    def calls_for_load(self, load_index: int) -> List[MacroCall]:
         """All macro calls issued right after streaming load ``load_index``."""
-        calls: List[MacroCall] = []
         slot = load_index % self.period
-        load_args = (f"reg_0_{slot}",)
-        calls.append(
-            MacroCall("LOAD", 0, load_index if not relative else 0, load_args, relative)
-        )
+        calls = [MacroCall("LOAD", 0, load_index, (f"reg_0_{slot}",))]
         for step in range(1, self.bT):
             plane = load_index - step * self.radius
-            if plane < 0:
-                continue
-            args = self._calc_args(step, load_index)
-            calls.append(
-                MacroCall(
-                    "CALC",
-                    step,
-                    plane if not relative else plane - load_index,
-                    args,
-                    relative,
-                )
-            )
+            if plane >= 0:
+                calls.append(MacroCall("CALC", step, plane, self._calc_args(step, load_index)))
         store_plane = load_index - self.bT * self.radius
         if store_plane >= 0:
-            args = self._store_args(load_index)
             calls.append(
-                MacroCall(
-                    "STORE",
-                    self.bT,
-                    store_plane if not relative else store_plane - load_index,
-                    args,
-                    relative,
-                )
+                MacroCall("STORE", self.bT, store_plane, self._store_args(load_index))
             )
         return calls
 

@@ -93,21 +93,20 @@ def sum_terms(expr: Expr) -> list[Expr] | None:
         divisor *= node.rhs.value
         node = node.lhs
 
+    # Left-to-right terms from an explicit stack: deep sums need no recursion.
     terms: list[Expr] = []
-
-    def collect(e: Expr, sign: int) -> bool:
-        if isinstance(e, BinOp) and e.op == "+":
-            return collect(e.lhs, sign) and collect(e.rhs, sign)
-        if isinstance(e, BinOp) and e.op == "-":
-            return collect(e.lhs, sign) and collect(e.rhs, -sign)
-        if isinstance(e, UnaryOp) and e.op == "-":
-            return collect(e.operand, -sign)
-        term = e if sign > 0 else UnaryOp("-", e)
-        terms.append(term)
-        return True
-
-    if not collect(node, 1):
-        return None
+    stack = [(node, 1)]
+    while stack:
+        e, sign = stack.pop()
+        while True:  # descend the left spine, deferring right operands
+            if isinstance(e, BinOp) and e.op in ("+", "-"):
+                stack.append((e.rhs, sign if e.op == "+" else -sign))
+                e = e.lhs
+            elif isinstance(e, UnaryOp) and e.op == "-":
+                e, sign = e.operand, -sign
+            else:
+                terms.append(e if sign > 0 else UnaryOp("-", e))
+                break
     if divisor != 1.0:
         terms = [BinOp("*", t, Const(1.0 / divisor)) for t in terms]
     return terms

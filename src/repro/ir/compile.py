@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, UnaryOp, walk
+from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, UnaryOp, fold, walk
 from repro.ir.stencil import StencilPattern
 
 _NUMPY_DTYPES = {"float": np.float32, "double": np.float64}
@@ -162,7 +162,17 @@ class _CodeGen:
         ``None``.  ``buffer_index`` identifies a scratch buffer owned by the
         result, or ``None`` for views/constants.  When ``root_out`` is given
         the result is stored there instead of a scratch buffer.
+
+        Lowering runs bottom-up through :func:`~repro.ir.expr.fold`, so
+        sums of thousands of terms need no recursion.
         """
+        return fold(
+            expr,
+            lambda node, operands: self._lower(node, operands, root_out if node is expr else None),
+        )
+
+    def _lower(self, expr: Expr, operands: List[tuple], root_out: Optional[str]):
+        """Lower one node whose children are already lowered to ``operands``."""
         if isinstance(expr, Const):
             value = self.np_dtype(expr.value)
             if root_out is not None:
@@ -178,27 +188,25 @@ class _CodeGen:
             return term, None, None
 
         if isinstance(expr, BinOp):
-            lhs_term, lhs_val, lhs_buf = self.emit(expr.lhs)
-            rhs_term, rhs_val, rhs_buf = self.emit(expr.rhs)
+            (lhs_term, lhs_val, lhs_buf), (rhs_term, rhs_val, rhs_buf) = operands
             if lhs_val is not None and rhs_val is not None:
                 return self._fold_binop(expr.op, lhs_val, rhs_val, root_out)
             ufunc = _BINOP_NUMPY[expr.op].__name__
             return self._emit_op(f"np.{ufunc}({lhs_term}, {rhs_term}", (lhs_buf, rhs_buf), root_out)
 
         if isinstance(expr, UnaryOp):
-            term, value, buffer = self.emit(expr.operand)
+            ((term, value, buffer),) = operands
             if value is not None:
                 return self._fold_scalar(-value, root_out)
             return self._emit_op(f"np.negative({term}", (buffer,), root_out)
 
         if isinstance(expr, Call):
             ufunc = _CALL_NUMPY[expr.name]  # Call checked the name and arity
-            lowered = [self.emit(arg) for arg in expr.args]
-            if all(value is not None for _, value, _ in lowered):
-                folded = ufunc(*[value for _, value, _ in lowered])
+            if all(value is not None for _, value, _ in operands):
+                folded = ufunc(*[value for _, value, _ in operands])
                 return self._fold_scalar(self.np_dtype(folded), root_out)
-            terms = ", ".join(term for term, _, _ in lowered)
-            buffers = tuple(buffer for _, _, buffer in lowered)
+            terms = ", ".join(term for term, _, _ in operands)
+            buffers = tuple(buffer for _, _, buffer in operands)
             return self._emit_op(f"np.{ufunc.__name__}({terms}", buffers, root_out)
 
         raise CompileError(f"unknown expression node {expr!r}")
@@ -646,9 +654,7 @@ StencilKernel = Callable[[np.ndarray, Region, np.ndarray], np.ndarray]
 _KERNEL_CACHE: Dict[Tuple[int, str, str], StencilKernel] = {}
 
 
-def compile_pattern(
-    pattern: StencilPattern, dtype: Optional[str] = None, mode: str = "auto"
-) -> StencilKernel:
+def compile_pattern(pattern: StencilPattern, mode: str = "auto") -> StencilKernel:
     """Build (or fetch from cache) the region kernel for ``pattern``.
 
     ``mode`` selects ``"native"`` (single-pass C kernel; raises
@@ -658,7 +664,7 @@ def compile_pattern(
     itself to a native kernel once enough work has flowed through; honours
     ``REPRO_NO_NATIVE=1``).  All engines produce bit-identical results.
     """
-    dtype = dtype or pattern.dtype
+    dtype = pattern.dtype
     if mode not in ("auto", "native", "compiled", "interpreter"):
         raise ValueError(f"unknown kernel mode {mode!r}")
     key = (pattern.cache_key, dtype, mode)

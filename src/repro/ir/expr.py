@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence, Tuple
+from typing import Callable, Iterator, List, Mapping, Sequence, Tuple, TypeVar
 
 Offset = Tuple[int, ...]
+T = TypeVar("T")
 
 #: The supported math calls and how many arguments each takes.
 CALL_ARITY: Mapping[str, int] = {
@@ -100,13 +101,12 @@ class GridRead(Expr):
 
     ``array`` names the grid, ``offset`` is the per-spatial-dimension offset
     from the cell being updated (ordered outermost-to-innermost, i.e. the
-    streaming dimension first for 3D stencils), and ``time_offset`` is the
-    offset from the *previous* time step (0 for the usual Jacobi pattern).
+    streaming dimension first for 3D stencils).  Every read is of the
+    previous time step (the frontend rejects any other).
     """
 
     array: str
     offset: Offset
-    time_offset: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "offset", tuple(int(o) for o in self.offset))
@@ -189,29 +189,55 @@ def grid_reads(expr: Expr) -> list[GridRead]:
     return [node for node in walk(expr) if isinstance(node, GridRead)]
 
 
+def fold(expr: Expr, combine: Callable[[Expr, List[T]], T]) -> T:
+    """Reduce ``expr`` bottom-up: ``combine(node, child_results)`` runs in
+    post-order, children left to right.
+
+    The walk uses an explicit stack, so sums of thousands of terms (a 3-D
+    radius-5 box has 1,331) need no recursion.
+    """
+    # Pre-order with children pushed left to right visits root, right, left;
+    # reversed, that is the post-order (left, right, root) the fold needs.
+    order: List[Tuple[Expr, int]] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        children = node.children()
+        order.append((node, len(children)))
+        stack += children
+    results: List[T] = []
+    for node, arity in reversed(order):
+        operands = results[len(results) - arity :]
+        del results[len(results) - arity :]
+        results.append(combine(node, operands))
+    return results[0]
+
+
 def evaluate(expr: Expr, reader: Callable[[GridRead], float]) -> float:
     """Evaluate ``expr`` numerically, resolving grid reads through ``reader``.
 
     Used by the NumPy reference executor and by unit tests that check the
     associative partial-summation rewrite preserves values.
     """
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, GridRead):
-        return float(reader(expr))
-    if isinstance(expr, BinOp):
-        lhs = evaluate(expr.lhs, reader)
-        rhs = evaluate(expr.rhs, reader)
-        if expr.op == "+":
-            return lhs + rhs
-        if expr.op == "-":
-            return lhs - rhs
-        if expr.op == "*":
-            return lhs * rhs
-        return lhs / rhs
-    if isinstance(expr, UnaryOp):
-        return -evaluate(expr.operand, reader)
-    if isinstance(expr, Call):
-        args = [evaluate(a, reader) for a in expr.args]
-        return float(_CALL_IMPL[expr.name](*args))
-    raise TypeError(f"unknown expression node {expr!r}")
+
+    def combine(node: Expr, args: List[float]) -> float:
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, GridRead):
+            return float(reader(node))
+        if isinstance(node, BinOp):
+            lhs, rhs = args
+            if node.op == "+":
+                return lhs + rhs
+            if node.op == "-":
+                return lhs - rhs
+            if node.op == "*":
+                return lhs * rhs
+            return lhs / rhs
+        if isinstance(node, UnaryOp):
+            return -args[0]
+        if isinstance(node, Call):
+            return float(_CALL_IMPL[node.name](*args))
+        raise TypeError(f"unknown expression node {node!r}")
+
+    return fold(expr, combine)

@@ -38,7 +38,7 @@ class FlopCount:
         return self.fma + self.mul + self.add + self.div + self.other
 
 
-def _count_raw(expr: Expr, fast_math: bool) -> tuple[int, int, int, int]:
+def _count_raw(expr: Expr) -> tuple[int, int, int, int]:
     """Return (adds, muls, divs, others) before FMA fusion."""
     adds = muls = divs = others = 0
     for node in walk(expr):
@@ -48,7 +48,7 @@ def _count_raw(expr: Expr, fast_math: bool) -> tuple[int, int, int, int]:
             elif node.op == "*":
                 muls += 1
             elif node.op == "/":
-                if fast_math and isinstance(node.rhs, Const):
+                if isinstance(node.rhs, Const):
                     # --use_fast_math turns division by a constant into a
                     # multiplication by its reciprocal.
                     muls += 1
@@ -64,7 +64,7 @@ def _count_raw(expr: Expr, fast_math: bool) -> tuple[int, int, int, int]:
     return adds, muls, divs, others
 
 
-def count_flops(expr: Expr, fast_math: bool = True) -> FlopCount:
+def count_flops(expr: Expr) -> FlopCount:
     """Count the operation mix of ``expr`` after FMA fusion.
 
     The fusion model follows the paper: in a sum-of-products every
@@ -74,14 +74,14 @@ def count_flops(expr: Expr, fast_math: bool = True) -> FlopCount:
     star2d1r: 4 muls on neighbours + 1 on the centre + 4 adds = 4 FMA + 1 MUL
     = 9 FLOPs.
     """
-    adds, muls, divs, others = _count_raw(expr, fast_math)
+    adds, muls, divs, others = _count_raw(expr)
     fma = min(adds, muls)
     return FlopCount(fma=fma, mul=muls - fma, add=adds - fma, div=divs, other=others)
 
 
-def flops_per_cell(expr: Expr, fast_math: bool = True) -> int:
+def flops_per_cell(expr: Expr) -> int:
     """Total FLOPs per cell update (the paper's Table 3 ``FLOP/Cell``)."""
-    return count_flops(expr, fast_math).total
+    return count_flops(expr).total
 
 
 def alu_efficiency(count: FlopCount) -> float:

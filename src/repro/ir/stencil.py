@@ -88,8 +88,6 @@ class StencilPattern:
                 raise ValueError(
                     f"grid read {read} has {read.ndim} spatial dims, expected {self.ndim}"
                 )
-            if read.time_offset != 0:
-                raise ValueError("only reads from the previous time step are supported")
 
     # -- identity ----------------------------------------------------------
     @cached_property

@@ -128,12 +128,12 @@ class ConfigBatch:
 
     # -- construction --------------------------------------------------------
     @classmethod
-    def from_space(cls, space: "SearchSpace", include_register_limits: bool = False) -> "ConfigBatch":
+    def from_space(cls, space: "SearchSpace") -> "ConfigBatch":
         """Materialise a search space in its enumeration order.
 
         Rows follow ``itertools.product(time_blocks, spatial_blocks,
-        stream_blocks[, register_limits])`` exactly, so row ``i`` corresponds
-        to the ``i``-th configuration of ``space.configurations()``.
+        stream_blocks)`` exactly, so row ``i`` corresponds to the ``i``-th
+        configuration of ``space.configurations()``.
         """
         time_blocks = np.asarray(space.time_blocks, dtype=np.int64).reshape(-1)
         spatial = np.asarray(space.spatial_blocks, dtype=np.int64)
@@ -142,19 +142,12 @@ class ConfigBatch:
         stream = np.asarray(
             [UNSET if v is None else v for v in space.stream_blocks], dtype=np.int64
         ).reshape(-1)
-        limits = (
-            np.asarray(
-                [UNSET if v is None else v for v in space.register_limits], dtype=np.int64
-            ).reshape(-1)
-            if include_register_limits
-            else np.asarray([UNSET], dtype=np.int64)
-        )
-        nt, ns, nh, nl = len(time_blocks), spatial.shape[0], len(stream), len(limits)
+        nt, ns, nh = len(time_blocks), spatial.shape[0], len(stream)
         return cls(
-            bT=np.repeat(time_blocks, ns * nh * nl),
-            bS=np.tile(np.repeat(spatial, nh * nl, axis=0), (nt, 1)),
-            hS=np.tile(np.repeat(stream, nl), nt * ns),
-            regs=np.tile(limits, nt * ns * nh),
+            bT=np.repeat(time_blocks, ns * nh),
+            bS=np.tile(np.repeat(spatial, nh, axis=0), (nt, 1)),
+            hS=np.tile(stream, nt * ns),
+            regs=np.full(nt * ns * nh, UNSET, dtype=np.int64),
         )
 
     @classmethod

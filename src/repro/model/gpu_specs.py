@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict
+from typing import ClassVar, Dict
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,12 @@ class GpuSpec:
     measured_smembw_double_gbs: float
     sm_count: int
     shared_memory_per_sm_bytes: int
-    registers_per_sm: int = 65536
-    max_registers_per_thread: int = 255
-    max_threads_per_sm: int = 2048
-    max_threads_per_block: int = 1024
-    max_blocks_per_sm: int = 32
+    # Limits Pascal and Volta share (compute capability 6.0 and 7.0).
+    registers_per_sm: ClassVar[int] = 65536
+    max_registers_per_thread: ClassVar[int] = 255
+    max_threads_per_sm: ClassVar[int] = 2048
+    max_threads_per_block: ClassVar[int] = 1024
+    max_blocks_per_sm: ClassVar[int] = 32
     shared_efficiency_float: float = 1.0
     shared_efficiency_double: float = 1.0
     fp64_division_penalty: float = 1.0

@@ -37,9 +37,7 @@ class SharedMemoryAccess:
     writes: int
 
 
-def shared_memory_access_per_thread(
-    pattern: StencilPattern, practical: bool = True
-) -> SharedMemoryAccess:
+def shared_memory_access_per_thread(pattern: StencilPattern) -> SharedMemoryAccess:
     """Table 2: shared-memory reads/writes per thread for one update."""
     rad = pattern.radius
     points_per_column = 2 * rad + 1
@@ -81,17 +79,16 @@ def compute_traffic(
     pattern: StencilPattern,
     grid: GridSpec,
     config: BlockingConfig,
-    practical_smem: bool = True,
 ) -> TrafficTotals:
     """Total global/shared traffic and FLOPs for running ``grid.time_steps``.
 
     Results are memoized per (pattern, grid, configuration-sans-register-limit).
     """
     base_config = config if config.register_limit is None else config.with_register_limit(None)
-    key = (pattern.cache_key, grid, base_config, practical_smem)
+    key = (pattern.cache_key, grid, base_config)
     cached = _TRAFFIC_CACHE.get(key)
     if cached is None:
-        cached = _compute_traffic(pattern, grid, base_config, practical_smem)
+        cached = _compute_traffic(pattern, grid, base_config)
         if len(_TRAFFIC_CACHE) >= _TRAFFIC_CACHE_MAX:
             _TRAFFIC_CACHE.clear()
         _TRAFFIC_CACHE[key] = cached
@@ -99,10 +96,7 @@ def compute_traffic(
 
 
 def _compute_traffic(
-    pattern: StencilPattern,
-    grid: GridSpec,
-    config: BlockingConfig,
-    practical_smem: bool,
+    pattern: StencilPattern, grid: GridSpec, config: BlockingConfig
 ) -> TrafficTotals:
     work = count_thread_work(pattern, grid, config)
     flop_mix = count_flops(pattern.expr)
@@ -110,12 +104,11 @@ def _compute_traffic(
     word_bytes = pattern.word_bytes
 
     access = shared_memory_access_per_thread(pattern)
-    reads_per_thread = access.reads_practical if practical_smem else access.reads_expected
 
     total_flops = work.compute * flops_per_cell
     useful_flops = grid.cells * grid.time_steps * flops_per_cell
     global_bytes = (work.gm_read + work.gm_write) * word_bytes
-    shared_bytes = (work.sm_read * reads_per_thread + work.sm_write * access.writes) * word_bytes
+    shared_bytes = (work.sm_read * access.reads_practical + work.sm_write * access.writes) * word_bytes
 
     return TrafficTotals(
         total_flops=float(total_flops),

@@ -42,16 +42,19 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 
-#: Default per-subscriber queue depth; deep enough for a burst of job
-#: completions, small enough that a dead reader costs bounded memory.
-DEFAULT_QUEUE_DEPTH = 512
+#: Per-subscriber queue depth; deep enough for a burst of job completions,
+#: small enough that a dead reader costs bounded memory.
+QUEUE_DEPTH = 512
+
+#: Events the in-memory ring keeps.
+RING_CAPACITY = 1000
 
 #: Rotated generations kept beside the live file (``.1`` is the newest).
 DEFAULT_KEEP_ROTATED = 3
 
 
-def _drop_counter(registry: Optional[MetricsRegistry] = None):
-    return (registry if registry is not None else get_registry()).counter(
+def _drop_counter():
+    return get_registry().counter(
         "stream_dropped_total",
         "Events dropped instead of blocking, by reason",
         labels=("reason",),
@@ -71,12 +74,11 @@ class EventSubscription:
     def __init__(
         self,
         log: "EventLog",
-        maxsize: int = DEFAULT_QUEUE_DEPTH,
         events: Optional[frozenset] = None,
         predicate: Optional[Callable[[Dict[str, object]], bool]] = None,
     ) -> None:
         self._log = log
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=max(1, int(maxsize)))
+        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=QUEUE_DEPTH)
         self._events = events
         self._predicate = predicate
         self._closed = threading.Event()
@@ -141,22 +143,16 @@ class EventSubscription:
 class EventLog:
     """Thread-safe event sink: bounded ring, optional JSONL file, fan-out."""
 
-    def __init__(
-        self,
-        path: Optional[Union[str, Path]] = None,
-        capacity: int = 1000,
-        max_bytes: Optional[int] = None,
-        keep_rotated: int = DEFAULT_KEEP_ROTATED,
-    ) -> None:
-        self._ring: Deque[Dict[str, object]] = deque(maxlen=int(capacity))
+    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
+        self._ring: Deque[Dict[str, object]] = deque(maxlen=RING_CAPACITY)
         self._lock = threading.Lock()
         self._file_lock = threading.Lock()
         self._path: Optional[Path] = None
         self._max_bytes: Optional[int] = None
-        self._keep_rotated = int(keep_rotated)
+        self._keep_rotated = DEFAULT_KEEP_ROTATED
         self._subscribers: List[EventSubscription] = []
         if path:
-            self.configure(path, max_bytes=max_bytes, keep_rotated=keep_rotated)
+            self.configure(path)
 
     def configure(
         self,
@@ -186,7 +182,6 @@ class EventLog:
 
     def subscribe(
         self,
-        maxsize: int = DEFAULT_QUEUE_DEPTH,
         events: Optional[Union[str, List[str], frozenset]] = None,
         predicate: Optional[Callable[[Dict[str, object]], bool]] = None,
     ) -> EventSubscription:
@@ -201,9 +196,7 @@ class EventLog:
             events = frozenset((events,))
         elif events is not None:
             events = frozenset(events)
-        subscription = EventSubscription(
-            self, maxsize=maxsize, events=events, predicate=predicate
-        )
+        subscription = EventSubscription(self, events=events, predicate=predicate)
         with self._lock:
             self._subscribers.append(subscription)
         return subscription
@@ -259,13 +252,10 @@ class EventLog:
                 source.rename(path.with_name(path.name + f".{index + 1}"))
         path.rename(path.with_name(path.name + ".1"))
 
-    def tail(self, n: int = 50, event: Optional[str] = None) -> List[Dict[str, object]]:
-        """The most recent ``n`` events (optionally of one kind), oldest first."""
+    def tail(self) -> List[Dict[str, object]]:
+        """The events the ring still holds, oldest first."""
         with self._lock:
-            records = list(self._ring)
-        if event is not None:
-            records = [record for record in records if record.get("event") == event]
-        return records[-n:]
+            return list(self._ring)
 
     def clear(self) -> None:
         with self._lock:
@@ -310,7 +300,7 @@ def record_suppressed(
 
 
 __all__ = [
-    "DEFAULT_QUEUE_DEPTH",
+    "QUEUE_DEPTH",
     "EVENTS",
     "EventLog",
     "EventSubscription",

@@ -99,7 +99,7 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str, labels: Tuple[str, ...] = ()) -> None:
+    def __init__(self, name: str, help: str, labels: Tuple[str, ...]) -> None:
         super().__init__(name, help, labels)
         self._values: Dict[Tuple[str, ...], float] = {}
 
@@ -141,7 +141,7 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str, labels: Tuple[str, ...] = ()) -> None:
+    def __init__(self, name: str, help: str, labels: Tuple[str, ...]) -> None:
         super().__init__(name, help, labels)
         self._values: Dict[Tuple[str, ...], float] = {}
 
@@ -155,8 +155,8 @@ class Gauge(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
+    def dec(self, **labels: object) -> None:
+        self.inc(-1.0, **labels)
 
     def value(self, **labels: object) -> float:
         with self._lock:
@@ -175,8 +175,8 @@ class Histogram(_Metric):
         self,
         name: str,
         help: str,
-        labels: Tuple[str, ...] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
+        labels: Tuple[str, ...],
+        buckets: Sequence[float],
     ) -> None:
         super().__init__(name, help, labels)
         edges = tuple(sorted(float(edge) for edge in buckets))
@@ -357,8 +357,8 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Counter:
         return self._register(Counter, name, help, tuple(labels))
 
-    def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Gauge:
-        return self._register(Gauge, name, help, tuple(labels))
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        return self._register(Gauge, name, help, ())
 
     def histogram(
         self,

@@ -60,12 +60,10 @@ class SamplingProfiler:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self, hz: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Acquire the sampler; the first acquisition spawns the thread."""
         with self._lock:
             self._refs += 1
-            if hz is not None:
-                self._hz = float(hz)
             if self._thread is None:
                 self._stop_event = threading.Event()
                 self._thread = threading.Thread(
@@ -96,10 +94,8 @@ class SamplingProfiler:
 
     # -- arming (hot-path windows) -----------------------------------------
 
-    def arm(self, hz: Optional[float] = None) -> None:
+    def arm(self) -> None:
         """Make :meth:`window` calls real; until then they are no-ops."""
-        if hz is not None:
-            self._hz = float(hz)
         self._armed = True
 
     def disarm(self) -> None:
@@ -199,15 +195,14 @@ def folded_diff(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]
 PROFILER = SamplingProfiler()
 
 
-def arm_profiler(hz: Optional[float] = None) -> SamplingProfiler:
+def arm_profiler() -> SamplingProfiler:
     """Arm the process-wide profiler (hot-path windows begin sampling)."""
-    PROFILER.arm(hz=hz)
+    PROFILER.arm()
     return PROFILER
 
 
 def profile_for(
     seconds: float,
-    hz: float = DEFAULT_HZ,
     profiler: Optional[SamplingProfiler] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Tuple[str, int]:
@@ -223,7 +218,7 @@ def profile_for(
     seconds = max(0.05, min(float(seconds), 300.0))
     before = target.snapshot()
     samples_before = target.samples
-    target.start(hz=hz)
+    target.start()
     try:
         time.sleep(seconds)
     finally:

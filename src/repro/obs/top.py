@@ -23,17 +23,20 @@ from repro.obs.metrics import parse_prometheus, scrape_quantile
 
 Samples = Dict[str, List[Tuple[Dict[str, str], float]]]
 
+#: Seconds one ``/metrics`` or ``/cluster/instances`` read may take.
+SCRAPE_TIMEOUT_S = 5.0
 
-def _fetch(url: str, timeout: float) -> bytes:
-    with urllib.request.urlopen(url, timeout=timeout) as response:
+
+def _fetch(url: str) -> bytes:
+    with urllib.request.urlopen(url, timeout=SCRAPE_TIMEOUT_S) as response:
         return response.read()
 
 
-def discover_instances(url: str, timeout: float = 5.0) -> List[Dict[str, object]]:
+def discover_instances(url: str) -> List[Dict[str, object]]:
     """Live instances reachable from ``url`` (itself, for a solo server)."""
     base = url.rstrip("/")
     try:
-        payload = json.loads(_fetch(base + "/cluster/instances", timeout))
+        payload = json.loads(_fetch(base + "/cluster/instances"))
         instances = [
             {
                 "id": str(row.get("instance_id", "?")),
@@ -50,10 +53,10 @@ def discover_instances(url: str, timeout: float = 5.0) -> List[Dict[str, object]
     return [{"id": base, "role": "solo", "url": base, "live": True}]
 
 
-def scrape(url: str, timeout: float = 5.0) -> Optional[Samples]:
+def scrape(url: str) -> Optional[Samples]:
     """One instance's parsed ``/metrics`` (None when unreachable)."""
     try:
-        body = _fetch(url.rstrip("/") + "/metrics", timeout)
+        body = _fetch(url.rstrip("/") + "/metrics")
         return parse_prometheus(body.decode("utf-8"))
     except (urllib.error.URLError, OSError, ValueError):
         return None
@@ -124,11 +127,11 @@ def cache_ratio(row: Dict[str, object]) -> Optional[float]:
     return hits / total
 
 
-def collect(url: str, timeout: float = 5.0) -> List[Dict[str, object]]:
+def collect(url: str) -> List[Dict[str, object]]:
     """Scrape every live instance reachable from ``url`` into top rows."""
     rows = []
-    for instance in discover_instances(url, timeout):
-        samples = scrape(str(instance["url"]), timeout) if instance["live"] else None
+    for instance in discover_instances(url):
+        samples = scrape(str(instance["url"])) if instance["live"] else None
         rows.append(instance_row(instance, samples))
     return rows
 

@@ -22,7 +22,7 @@ class ResultTable:
 
     title: str
     headers: Sequence[str]
-    rows: List[Sequence[object]] = field(default_factory=list)
+    rows: List[Sequence[object]] = field(default_factory=list, init=False)
 
     def add_row(self, *values: object) -> "ResultTable":
         if len(values) != len(self.headers):

@@ -46,7 +46,6 @@ from repro.obs import (
     span,
 )
 from repro.obs.events import EventSubscription
-from repro.obs.profile import DEFAULT_HZ as PROFILE_HZ
 from repro.obs.top import code_version_report, telemetry_deltas
 from repro.service.hotcache import HotModelCache
 from repro.service.routes import Request, Response, dispatch, route_table
@@ -88,19 +87,20 @@ def _event_line(record: Dict[str, object]) -> bytes:
 class CampaignApp:
     """Endpoint handlers over one store, one worker and (optionally) a cluster."""
 
+    #: Telemetry snapshots kept in the store (older ones are pruned).
+    TELEMETRY_KEEP = 1000
+
     def __init__(
         self,
         store: Union[str, Path, ResultStore, RemoteStore] = "campaign.sqlite",
         settings: Optional[WorkerSettings] = None,
         cluster: Optional[ClusterConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
         telemetry_interval: Optional[float] = None,
-        telemetry_keep: int = 1000,
     ) -> None:
-        # Each app gets its *own* registry by default (injectable, like the
-        # cluster layer's clocks): in-process multi-instance topologies then
-        # serve genuinely per-instance /metrics, and tests assert exact counts.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # Each app gets its *own* registry: in-process multi-instance
+        # topologies then serve genuinely per-instance /metrics, and tests
+        # assert exact counts.
+        self.metrics = MetricsRegistry()
         # Most recent trace id seen by any span-opening handler; attached to
         # the request-latency histogram as an OpenMetrics exemplar so a
         # scrape links straight into ``GET /trace/{id}``.
@@ -108,9 +108,8 @@ class CampaignApp:
         # Telemetry history: with an interval, a background thread persists
         # ``metrics.snapshot()`` into the store's (timestamped, non-exported)
         # telemetry table every ``telemetry_interval`` seconds, pruned to the
-        # newest ``telemetry_keep`` rows.
+        # newest ``TELEMETRY_KEEP`` rows.
         self.telemetry_interval = telemetry_interval
-        self.telemetry_keep = int(telemetry_keep)
         self._telemetry_stop = threading.Event()
         self._telemetry_thread: Optional[threading.Thread] = None
         self._owns_store = not isinstance(store, (ResultStore, RemoteStore))
@@ -272,8 +271,7 @@ class CampaignApp:
                 self.metrics.snapshot(),
                 code_version=repro.__version__,
             )
-            if self.telemetry_keep > 0:
-                self.store.prune_telemetry(self.telemetry_keep)
+            self.store.prune_telemetry(self.TELEMETRY_KEEP)
             return row_id
         except Exception as error:  # noqa: BLE001 — history must not kill serving
             record_suppressed("app.telemetry_snapshot", error, metrics=self.metrics)
@@ -391,8 +389,7 @@ class CampaignApp:
         seconds = float(request.param("seconds", "2"))
         if not 0.0 < seconds <= 60.0:
             raise WireError("seconds must be in (0, 60]")
-        hz = float(request.param("hz", str(PROFILE_HZ)))
-        folded, samples = profile_for(seconds, hz=hz, metrics=self.metrics)
+        folded, samples = profile_for(seconds, metrics=self.metrics)
         body = folded.encode("utf-8")
         if body and not body.endswith(b"\n"):
             body += b"\n"
@@ -971,14 +968,9 @@ class CampaignServer:
         cluster: Optional[ClusterConfig] = None,
         advertise_host: Optional[str] = None,
         telemetry_interval: Optional[float] = None,
-        telemetry_keep: int = 1000,
     ) -> None:
         self.app = CampaignApp(
-            store,
-            settings,
-            cluster=cluster,
-            telemetry_interval=telemetry_interval,
-            telemetry_keep=telemetry_keep,
+            store, settings, cluster=cluster, telemetry_interval=telemetry_interval
         )
         handler = type(
             "BoundCampaignRequestHandler",

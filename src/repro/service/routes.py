@@ -13,7 +13,7 @@ Endpoints
     This instance's metrics registry in Prometheus text format.
 ``GET  /trace/{trace_id}``
     The span tree this process recorded for one trace id (JSON).
-``GET  /profile?seconds=N&hz=H``
+``GET  /profile?seconds=N``
     Sample this process' thread stacks for N seconds; folded-stack
     (flamegraph ``collapse``) text.
 ``GET  /events/stream``

@@ -184,12 +184,12 @@ _TUNE_FIELDS = {"pattern", "gpu", "dtype", "interior", "time_steps", "top_k"}
 _DEFAULT_GRIDS = {2: DEFAULT_2D_GRID, 3: DEFAULT_3D_GRID}
 
 
-def _decode_int(data: Mapping[str, object], name: str, minimum: int = 1) -> int:
+def _decode_int(data: Mapping[str, object], name: str) -> int:
     value = data[name]
     if isinstance(value, bool) or not isinstance(value, int):
         raise WireError(f"field {name!r} must be an integer")
-    if value < minimum:
-        raise WireError(f"field {name!r} must be >= {minimum}, got {value}")
+    if value < 1:
+        raise WireError(f"field {name!r} must be >= 1, got {value}")
     return value
 
 

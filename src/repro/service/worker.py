@@ -71,25 +71,27 @@ class CampaignRecord:
 
     id: str
     spec: CampaignSpec
-    state: str = "queued"
-    runs: int = 0
     submitted_seq: int = 0
     plan: Optional[ShardPlan] = None  # None = the worker's default slice
-    outcome: Optional[CampaignOutcome] = None
-    error: Optional[str] = None
+    # Run state, never set by the constructor.
+    state: str = field(default="queued", init=False)
+    runs: int = field(default=0, init=False)
+    outcome: Optional[CampaignOutcome] = field(default=None, init=False)
+    error: Optional[str] = field(default=None, init=False)
     # Trace context of the submitting request.  Carried explicitly because
     # run_in_executor does not propagate contextvars — the run span below
     # re-establishes it on the executor thread.
-    trace: Optional[TraceContext] = None
-    enqueued_at: float = 0.0  # perf_counter at (re-)submit, for queue-wait
+    trace: Optional[TraceContext] = field(default=None, init=False)
+    # perf_counter at (re-)submit, for queue-wait
+    enqueued_at: float = field(default=0.0, init=False)
     # Memoised job content addresses for (spec, plan) — both frozen while
     # the plan stands, so reports/exports stop re-expanding the campaign on
     # every request.  Reset whenever a re-submission swaps the plan.
-    job_keys_cache: Optional[List[str]] = field(default=None, repr=False)
+    job_keys_cache: Optional[List[str]] = field(default=None, init=False, repr=False)
     # Re-submitting an in-flight campaign under a widened plan enqueues the
     # record again; this lock serialises the two scheduler runs so they never
     # execute the overlapping slice concurrently.
-    run_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    run_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     def summary(self) -> Dict[str, object]:
         summary: Dict[str, object] = {
@@ -158,11 +160,14 @@ class CampaignWorker:
         if not self._ready.wait(timeout=10.0):  # pragma: no cover — startup hang
             raise RuntimeError("campaign worker event loop failed to start")
 
-    def stop(self, timeout: float = 10.0) -> bool:
+    #: Seconds :meth:`stop` waits for in-flight campaigns to drain.
+    STOP_TIMEOUT_S = 10.0
+
+    def stop(self) -> bool:
         """Finish in-flight campaigns, then stop the loop thread.
 
         Returns True when the drain completed; False means a campaign is
-        still running past the timeout (callers must then leave shared
+        still running past ``STOP_TIMEOUT_S`` (callers must then leave shared
         resources — the store — alive for it).
         """
         if self._loop is None or self._thread is None:
@@ -172,7 +177,7 @@ class CampaignWorker:
         except RuntimeError as error:
             # Loop already closed (e.g. after kill()) — fine, but accounted.
             record_suppressed("worker.stop", error, metrics=self.metrics)
-        self._thread.join(timeout)
+        self._thread.join(self.STOP_TIMEOUT_S)
         if self._thread.is_alive():
             return False
         self._thread = None

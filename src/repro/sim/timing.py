@@ -171,7 +171,6 @@ def simulate_performance(
     grid: GridSpec,
     config: BlockingConfig,
     gpu: GpuSpec | str,
-    framework: str = "an5d",
 ) -> SimulatedMeasurement:
     """Convenience wrapper around :class:`TimingSimulator`."""
-    return TimingSimulator(gpu).simulate(pattern, grid, config, framework)
+    return TimingSimulator(gpu).simulate(pattern, grid, config)

@@ -105,11 +105,11 @@ def variable_coefficients(offsets: Sequence[Tuple[int, ...]], seed: int) -> List
     return _exact_unit_sum(raw, _anchor_index(offsets, raw))
 
 
-def expr_for_terms(terms: Sequence[Term], array: str = "A") -> Expr:
+def expr_for_terms(terms: Sequence[Term]) -> Expr:
     """The left-associated sum of ``coefficient * read`` products."""
     expr: Optional[Expr] = None
     for offset, coefficient in terms:
-        product = BinOp("*", Const(coefficient), GridRead(array, tuple(offset)))
+        product = BinOp("*", Const(coefficient), GridRead("A", tuple(offset)))
         expr = product if expr is None else BinOp("+", expr, product)
     if expr is None:
         raise ValueError("a stencil needs at least one term")
@@ -139,22 +139,18 @@ def anisotropic_star_offsets(radii: Sequence[int]) -> List[Tuple[int, ...]]:
     return sorted(offsets)
 
 
-def star_stencil(ndim: int, radius: int, dtype: str = "float", array: str = "A") -> StencilPattern:
+def star_stencil(ndim: int, radius: int, dtype: str = "float") -> StencilPattern:
     """Build a synthetic star stencil pattern (``star{ndim}d{radius}r``)."""
     _validate(ndim, radius)
-    expr = expr_for_terms(normalised_terms(star_offsets(ndim, radius)), array)
-    return StencilPattern(
-        name=f"star{ndim}d{radius}r", ndim=ndim, expr=expr, dtype=dtype, array=array
-    )
+    expr = expr_for_terms(normalised_terms(star_offsets(ndim, radius)))
+    return StencilPattern(name=f"star{ndim}d{radius}r", ndim=ndim, expr=expr, dtype=dtype)
 
 
-def box_stencil(ndim: int, radius: int, dtype: str = "float", array: str = "A") -> StencilPattern:
+def box_stencil(ndim: int, radius: int, dtype: str = "float") -> StencilPattern:
     """Build a synthetic box stencil pattern (``box{ndim}d{radius}r``)."""
     _validate(ndim, radius)
-    expr = expr_for_terms(normalised_terms(box_offsets(ndim, radius)), array)
-    return StencilPattern(
-        name=f"box{ndim}d{radius}r", ndim=ndim, expr=expr, dtype=dtype, array=array
-    )
+    expr = expr_for_terms(normalised_terms(box_offsets(ndim, radius)))
+    return StencilPattern(name=f"box{ndim}d{radius}r", ndim=ndim, expr=expr, dtype=dtype)
 
 
 def anisotropic_name(radii: Sequence[int]) -> str:
@@ -162,14 +158,14 @@ def anisotropic_name(radii: Sequence[int]) -> str:
 
 
 def anisotropic_star_stencil(
-    radii: Sequence[int], dtype: str = "float", array: str = "A", name: Optional[str] = None
+    radii: Sequence[int], dtype: str = "float", name: Optional[str] = None
 ) -> StencilPattern:
     """Build an anisotropic star stencil (``astar{n}d{r1}x{r2}[x{r3}]r``)."""
     radii = tuple(int(radius) for radius in radii)
     _validate_radii(radii)
-    expr = expr_for_terms(normalised_terms(anisotropic_star_offsets(radii)), array)
+    expr = expr_for_terms(normalised_terms(anisotropic_star_offsets(radii)))
     return StencilPattern(
-        name=name or anisotropic_name(radii), ndim=len(radii), expr=expr, dtype=dtype, array=array
+        name=name or anisotropic_name(radii), ndim=len(radii), expr=expr, dtype=dtype
     )
 
 
@@ -178,7 +174,6 @@ def variable_star_stencil(
     radius: int,
     seed: int,
     dtype: str = "float",
-    array: str = "A",
     name: Optional[str] = None,
 ) -> StencilPattern:
     """Build a variable-coefficient star stencil (``vstar{n}d{r}r-s{seed}``)."""
@@ -188,9 +183,8 @@ def variable_star_stencil(
     return StencilPattern(
         name=name or f"vstar{ndim}d{radius}r-s{seed}",
         ndim=ndim,
-        expr=expr_for_terms(terms, array),
+        expr=expr_for_terms(terms),
         dtype=dtype,
-        array=array,
     )
 
 
@@ -222,12 +216,12 @@ def _axis_offset(axis: int, ndim: int, sign: int) -> Tuple[int, ...]:
     return tuple(sign if dim == axis else 0 for dim in range(ndim))
 
 
-def _laplacian_expr(axis: int, ndim: int, array: str) -> Expr:
+def _laplacian_expr(axis: int, ndim: int) -> Expr:
     """``A[-1] - 2*A[0] + A[+1]`` along one axis, left-associated like the
     parse of the emitted C."""
-    centre = GridRead(array, (0,) * ndim)
-    minus = GridRead(array, _axis_offset(axis, ndim, -1))
-    plus = GridRead(array, _axis_offset(axis, ndim, 1))
+    centre = GridRead("A", (0,) * ndim)
+    minus = GridRead("A", _axis_offset(axis, ndim, -1))
+    plus = GridRead("A", _axis_offset(axis, ndim, 1))
     return BinOp("+", BinOp("-", minus, BinOp("*", Const(2.0), centre)), plus)
 
 
@@ -245,7 +239,6 @@ def _fdtd_weights(ndim: int, weights: Optional[Sequence[float]]) -> Tuple[float,
 def fdtd_stencil(
     ndim: int,
     dtype: str = "float",
-    array: str = "A",
     weights: Optional[Sequence[float]] = None,
     name: Optional[str] = None,
 ) -> StencilPattern:
@@ -257,12 +250,10 @@ def fdtd_stencil(
     corresponding source.
     """
     resolved = _fdtd_weights(ndim, weights)
-    expr: Expr = GridRead(array, (0,) * ndim)
+    expr: Expr = GridRead("A", (0,) * ndim)
     for axis, weight in enumerate(resolved):
-        expr = BinOp("+", expr, BinOp("*", Const(weight), _laplacian_expr(axis, ndim, array)))
-    return StencilPattern(
-        name=name or f"fdtd{ndim}d", ndim=ndim, expr=expr, dtype=dtype, array=array
-    )
+        expr = BinOp("+", expr, BinOp("*", Const(weight), _laplacian_expr(axis, ndim)))
+    return StencilPattern(name=name or f"fdtd{ndim}d", ndim=ndim, expr=expr, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +283,7 @@ def _loop_header(ndim: int) -> List[str]:
     return loops
 
 
-def source_for_terms(
-    terms: Sequence[Term], ndim: int, dtype: str = "float", array: str = "A"
-) -> str:
+def source_for_terms(terms: Sequence[Term], ndim: int, dtype: str = "float") -> str:
     """Emit the canonical double-buffered C loop nest for a term list."""
     spatial_vars = _LOOP_VARS[:ndim]
     parts = []
@@ -302,50 +291,43 @@ def source_for_terms(
         subscripts = "".join(
             f"[{_offset_subscript(var, component)}]" for var, component in zip(spatial_vars, offset)
         )
-        parts.append(f"{_literal(coefficient, dtype)} * {array}[t%2]{subscripts}")
+        parts.append(f"{_literal(coefficient, dtype)} * A[t%2]{subscripts}")
     body = "\n        + ".join(parts)
     lhs_subscripts = "".join(f"[{var}]" for var in spatial_vars)
     indent = "  " * (ndim + 1)
-    statement = f"{indent}{array}[(t+1)%2]{lhs_subscripts} = ({body});"
+    statement = f"{indent}A[(t+1)%2]{lhs_subscripts} = ({body});"
     return "\n".join(_loop_header(ndim) + [statement]) + "\n"
 
 
-def star_stencil_source(ndim: int, radius: int, dtype: str = "float", array: str = "A") -> str:
+def star_stencil_source(ndim: int, radius: int) -> str:
     """C source of a synthetic star stencil (accepted by the frontend)."""
     _validate(ndim, radius)
-    return source_for_terms(normalised_terms(star_offsets(ndim, radius)), ndim, dtype, array)
+    return source_for_terms(normalised_terms(star_offsets(ndim, radius)), ndim)
 
 
-def box_stencil_source(ndim: int, radius: int, dtype: str = "float", array: str = "A") -> str:
+def box_stencil_source(ndim: int, radius: int) -> str:
     """C source of a synthetic box stencil (accepted by the frontend)."""
     _validate(ndim, radius)
-    return source_for_terms(normalised_terms(box_offsets(ndim, radius)), ndim, dtype, array)
+    return source_for_terms(normalised_terms(box_offsets(ndim, radius)), ndim)
 
 
-def anisotropic_star_stencil_source(
-    radii: Sequence[int], dtype: str = "float", array: str = "A"
-) -> str:
+def anisotropic_star_stencil_source(radii: Sequence[int]) -> str:
     """C source of an anisotropic star stencil."""
     radii = tuple(int(radius) for radius in radii)
     _validate_radii(radii)
-    terms = normalised_terms(anisotropic_star_offsets(radii))
-    return source_for_terms(terms, len(radii), dtype, array)
+    return source_for_terms(normalised_terms(anisotropic_star_offsets(radii)), len(radii))
 
 
-def variable_star_stencil_source(
-    ndim: int, radius: int, seed: int, dtype: str = "float", array: str = "A"
-) -> str:
+def variable_star_stencil_source(ndim: int, radius: int, seed: int) -> str:
     """C source of a variable-coefficient star stencil."""
     _validate(ndim, radius)
     offsets = star_offsets(ndim, radius)
-    terms = list(zip(offsets, variable_coefficients(offsets, seed)))
-    return source_for_terms(terms, ndim, dtype, array)
+    return source_for_terms(list(zip(offsets, variable_coefficients(offsets, seed))), ndim)
 
 
 def fdtd_stencil_source(
     ndim: int,
     dtype: str = "float",
-    array: str = "A",
     weights: Optional[Sequence[float]] = None,
 ) -> str:
     """C source of the FDTD-style update — the multi-statement input form.
@@ -362,7 +344,7 @@ def fdtd_stencil_source(
         subscripts = "".join(
             f"[{_offset_subscript(var, component)}]" for var, component in zip(spatial_vars, offset)
         )
-        return f"{array}[t%2]{subscripts}"
+        return f"A[t%2]{subscripts}"
 
     centre = (0,) * ndim
     indent = "  " * (ndim + 1)
@@ -376,7 +358,7 @@ def fdtd_stencil_source(
     rhs = access(centre)
     for axis, weight in enumerate(resolved):
         rhs += f" + {_literal(weight, dtype)} * lap{axis}"
-    lhs = f"{array}[(t+1)%2]" + "".join(f"[{var}]" for var in spatial_vars)
+    lhs = "A[(t+1)%2]" + "".join(f"[{var}]" for var in spatial_vars)
     body.append(f"{indent}  {lhs} = {rhs};")
     body.append(f"{indent}}}")
     return "\n".join(_loop_header(ndim) + body) + "\n"

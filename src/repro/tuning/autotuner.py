@@ -152,7 +152,6 @@ class AutoTuner:
         grid: GridSpec,
         ranked: Sequence[TuningCandidate],
         explored: int,
-        register_limits: Sequence[Optional[int]] = REGISTER_LIMITS,
     ) -> TuningResult:
         """Stage 2 only: simulate the top candidates of a precomputed ranking.
 
@@ -166,18 +165,18 @@ class AutoTuner:
             )
         head = ranked[: self.top_k]
         batch = ConfigBatch.from_configs([c.config for c in head]).with_register_limits(
-            register_limits
+            REGISTER_LIMITS
         )
         engine = BatchModelEngine(pattern, grid, self.gpu)
         measured = engine.simulate(batch)
         # Rows are finalist-major, limit-minor.  ``argmax`` and ``max`` both
         # keep the first maximum: ties go to the earlier limit, then to the
         # higher-ranked finalist.
-        limits = len(register_limits)
+        limits = len(REGISTER_LIMITS)
         choice = np.argmax(measured.gflops.reshape(len(head), limits), axis=1)
         finalists = [
             TuningCandidate(
-                candidate.config.with_register_limit(register_limits[column]),
+                candidate.config.with_register_limit(REGISTER_LIMITS[column]),
                 candidate.predicted,
                 engine.measurement(measured, row * limits + column),
             )
@@ -199,21 +198,13 @@ class AutoTuner:
         pattern: StencilPattern,
         grid: GridSpec,
         space: SearchSpace | None = None,
-        register_limits: Sequence[Optional[int]] = REGISTER_LIMITS,
     ) -> TuningResult:
         """Full tuning: prune, rank, simulate the top candidates, pick the best."""
         space = space or default_search_space(pattern)
         ranked = self.rank(pattern, grid, space)
-        return self.tune_ranked(
-            pattern, grid, ranked, explored=space.size(), register_limits=register_limits
-        )
+        return self.tune_ranked(pattern, grid, ranked, explored=space.size())
 
 
-def tune(
-    pattern: StencilPattern,
-    grid: GridSpec,
-    gpu: GpuSpec | str,
-    top_k: int = 5,
-) -> TuningResult:
+def tune(pattern: StencilPattern, grid: GridSpec, gpu: GpuSpec | str) -> TuningResult:
     """Convenience wrapper: tune ``pattern`` for ``gpu`` over ``grid``."""
-    return AutoTuner(gpu, top_k).tune(pattern, grid)
+    return AutoTuner(gpu).tune(pattern, grid)

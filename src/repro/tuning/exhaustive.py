@@ -18,7 +18,7 @@ tuning path calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -56,7 +56,6 @@ def exhaustive_search(
     grid: GridSpec,
     gpu: GpuSpec | str,
     space: SearchSpace | None = None,
-    register_limits: Sequence[Optional[int]] = REGISTER_LIMITS,
 ) -> ExhaustiveResult:
     """Simulate every valid configuration and return the best one.
 
@@ -66,16 +65,15 @@ def exhaustive_search(
     """
     spec = get_gpu(gpu) if isinstance(gpu, str) else gpu
     space = space or default_search_space(pattern)
-    limits = tuple(register_limits)
     candidates = ConfigBatch.from_space(space)
     survivors = candidates.select(prune_mask(pattern, candidates, spec))
     if survivors.size == 0:
         raise ValueError(f"no valid configuration for stencil {pattern.name!r}")
     engine = BatchModelEngine(pattern, grid, spec)
-    sweep = survivors.with_register_limits(limits)
+    sweep = survivors.with_register_limits(REGISTER_LIMITS)
     # Traffic is independent of the register limit: one pass over the
     # survivors feeds the whole limit-expanded sweep.
-    traffic = engine.traffic(survivors).repeat(len(limits))
+    traffic = engine.traffic(survivors).repeat(len(REGISTER_LIMITS))
     measured = engine.simulate(sweep, traffic)
     best = int(np.argmax(measured.gflops)) if sweep.size else 0
     if not sweep.size or not measured.gflops[best] > 0.0:
@@ -92,7 +90,6 @@ def reference_search(
     grid: GridSpec,
     gpu: GpuSpec | str,
     space: SearchSpace | None = None,
-    register_limits: Sequence[Optional[int]] = REGISTER_LIMITS,
 ) -> ExhaustiveResult:
     """The scalar sweep: the oracle :func:`exhaustive_search` matches.
 
@@ -107,7 +104,7 @@ def reference_search(
     best_gflops = 0.0
     evaluated = 0
     for config in prune_configurations(pattern, space.configurations(), spec):
-        for limit in register_limits:
+        for limit in REGISTER_LIMITS:
             candidate = config.with_register_limit(limit)
             gflops = simulator.simulate(pattern, grid, candidate).gflops
             evaluated += 1
@@ -144,11 +141,10 @@ def compare_guided_vs_exhaustive(
     pattern: StencilPattern,
     grid: GridSpec,
     gpu: GpuSpec | str,
-    top_k: int = 5,
     space: SearchSpace | None = None,
 ) -> TuningEfficiency:
     """Run both procedures on the same space and report the efficiency."""
     spec = get_gpu(gpu) if isinstance(gpu, str) else gpu
-    guided = AutoTuner(spec, top_k=top_k).tune(pattern, grid, space)
+    guided = AutoTuner(spec).tune(pattern, grid, space)
     exhaustive = exhaustive_search(pattern, grid, spec, space)
     return TuningEfficiency(guided=guided, exhaustive=exhaustive)

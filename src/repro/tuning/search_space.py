@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import StencilPattern
@@ -26,18 +26,17 @@ class SearchSpace:
     time_blocks: Tuple[int, ...]
     spatial_blocks: Tuple[Tuple[int, ...], ...]
     stream_blocks: Tuple[Optional[int], ...]
-    register_limits: Tuple[Optional[int], ...] = REGISTER_LIMITS
 
     def size(self) -> int:
         return len(self.time_blocks) * len(self.spatial_blocks) * len(self.stream_blocks)
 
-    def configurations(self, include_register_limits: bool = False) -> Iterator[BlockingConfig]:
-        """Enumerate candidate configurations (optionally x register limits)."""
-        limits: Sequence[Optional[int]] = self.register_limits if include_register_limits else (None,)
-        for bT, bS, hS, limit in itertools.product(
-            self.time_blocks, self.spatial_blocks, self.stream_blocks, limits
+    def configurations(self) -> Iterator[BlockingConfig]:
+        """Enumerate candidate configurations (register limits are applied
+        per candidate later)."""
+        for bT, bS, hS in itertools.product(
+            self.time_blocks, self.spatial_blocks, self.stream_blocks
         ):
-            yield BlockingConfig(bT=bT, bS=bS, hS=hS, register_limit=limit)
+            yield BlockingConfig(bT=bT, bS=bS, hS=hS)
 
 
 def default_search_space(pattern: StencilPattern) -> SearchSpace:

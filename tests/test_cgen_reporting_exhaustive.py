@@ -8,7 +8,7 @@ from repro.ir.stencil import GridSpec
 from repro.reporting import ResultTable
 from repro.stencils.library import load_pattern
 from repro.tuning.exhaustive import compare_guided_vs_exhaustive, exhaustive_search
-from repro.tuning.search_space import SearchSpace
+from repro.tuning.search_space import REGISTER_LIMITS, SearchSpace
 
 
 # -- reporting ----------------------------------------------------------------------
@@ -59,21 +59,20 @@ SMALL_SPACE = SearchSpace(
     time_blocks=(1, 2, 4, 8),
     spatial_blocks=((128,), (256,)),
     stream_blocks=(512,),
-    register_limits=(None, 64),
 )
 
 
 def test_exhaustive_search_finds_positive_optimum(j2d5pt):
     grid = GridSpec((8192, 8192), 120)
-    result = exhaustive_search(j2d5pt, grid, "V100", SMALL_SPACE, register_limits=(None, 64))
+    result = exhaustive_search(j2d5pt, grid, "V100", SMALL_SPACE)
     assert result.best_gflops > 0
-    assert result.evaluated == len(list(SMALL_SPACE.configurations())) * 2
+    assert result.evaluated == len(list(SMALL_SPACE.configurations())) * len(REGISTER_LIMITS)
     assert result.as_row()["bT"] in (1, 2, 4, 8)
 
 
 def test_guided_tuning_close_to_exhaustive(j2d5pt):
     grid = GridSpec((8192, 8192), 120)
-    comparison = compare_guided_vs_exhaustive(j2d5pt, grid, "V100", top_k=3, space=SMALL_SPACE)
+    comparison = compare_guided_vs_exhaustive(j2d5pt, grid, "V100", space=SMALL_SPACE)
     assert 0.85 <= comparison.efficiency <= 1.0
     assert comparison.evaluations_saved >= 0
 

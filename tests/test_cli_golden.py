@@ -17,9 +17,12 @@ A refactor of the entry layer must leave every pin unchanged.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -73,9 +76,9 @@ PARSER_DIGESTS = {
     "an5d campaign export": "12bd81a8f777b617ea1a0d8f9496b284a0c9611be9e328a45e2d3348dc2defa8",
     "an5d campaign watch": "ee7a58d0997c1a377acf7c81d995152bdc396a60581fd7118a4ad694d645edfa",
     "an5d campaign prune": "d409cb049b4216cc4d527ad411a05ba49f04497a8b814affb9adf3f1dd35ca17",
-    "an5d serve": "8680b489af386b2964a7f9b7aac32dfca31f0d9db33d1dbb92b2d7ed0ad65504",
-    "an5d top": "16e9030d90f9a269d82089817db148bbfd881e0964f9d0fcab59f4c81b091525",
-    "an5d profile": "fcd96ab04e272be508d4590a37f95c076d88c1ad9c86bf64c03c65f9d87d7f87",
+    "an5d serve": "7e8516458a9b8628c7d5fc7376a213332edfafc33effa34a844890bef94f533e",
+    "an5d top": "3574593457cb250f62a7b67492b58c6aa3130b2c3705b59f24e732106c165cce",
+    "an5d profile": "82a978729bc62065b9de86bdb9eb2ad0f9d9290ae9198e43e932055858fda3c7",
     "an5d cluster": "9ce7aff16f554d76e396e37bc7e17e00968414890359a10546dc606777b18688",
     "an5d cluster up": "c8963b01fce4d31df8e90c76b4556b437de5b737938998cf13f75da368f05a8b",
     "an5d cluster coordinator": "761ed5789dfe6a718678a934ae5cc90f0d5e341bb565e91eef43862bb346a4b0",
@@ -92,6 +95,48 @@ def test_every_parser_is_pinned():
 def test_parser_structure(path):
     parsers = dict(_parsers(build_parser()))
     assert _structure_digest(parsers[path]) == PARSER_DIGESTS[path]
+
+
+
+# -- command lines outside the tests ---------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Everything from the first shell operator on (pipe, redirect, background).
+_SHELL_TAIL = re.compile(r"\s(?:\|\|?|&&?|;|\d*>)")
+
+
+def _scripted_command_lines():
+    """``(where, argv)`` of every ``python -m repro.cli`` command a CI step runs
+    (continuation lines joined) and every argv list a benchmark script passes
+    to ``subprocess`` (a variable argument becomes a placeholder)."""
+    for path in sorted((REPO / ".github" / "workflows").glob("*.yml")):
+        for line in path.read_text().replace("\\\n", " ").splitlines():
+            start = line.find("python -m repro.cli")
+            if start >= 0:
+                command = " ".join(_SHELL_TAIL.split(line[start:] + " ")[0].split())
+                yield f"{path.name}: {command}", shlex.split(command)[3:]
+    for directory in ("benchmarks", "perfbench"):
+        for path in sorted((REPO / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.List):
+                    argv = [e.value if isinstance(e, ast.Constant) else "VALUE" for e in node.elts]
+                    if "repro.cli" in argv:
+                        yield f"{path.relative_to(REPO)}:{node.lineno}", argv[argv.index("repro.cli") + 1 :]
+
+
+def test_every_scripted_command_line_parses(capsys):
+    """Deleting a flag a CI step or benchmark still passes fails here, not in CI."""
+    commands = list(_scripted_command_lines())
+    assert len(commands) >= 30
+    assert any(where.startswith("perfbench/service_mixed.py") for where, _ in commands)
+    rejected = []
+    for where, argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            rejected.append(f"{where}\n  {capsys.readouterr().err.strip()}")
+    assert not rejected, "argparse rejects:\n" + "\n".join(rejected)
 
 
 # -- invocations ----------------------------------------------------------------------

@@ -488,12 +488,14 @@ def test_worker_role_rejects_cluster_submission(tmp_path):
 # -- campaign prune (code-version maintenance) ----------------------------------------
 
 
-def test_store_code_version_maintenance(tmp_path):
+def test_store_code_version_maintenance(tmp_path, monkeypatch):
     spec = PREDICT_SPEC
     store = ResultStore(tmp_path / "versions.sqlite")
     jobs = spec.expand()
-    for job in jobs[:2]:
-        store.put(job, {"x": 1}, code_version="0.0.0-old")
+    with monkeypatch.context() as old_release:
+        old_release.setattr(repro, "__version__", "0.0.0-old")
+        for job in jobs[:2]:
+            store.put(job, {"x": 1})
     for job in jobs:
         store.put(job, {"x": 2})
     versions = store.code_versions()
@@ -503,12 +505,14 @@ def test_store_code_version_maintenance(tmp_path):
     store.close()
 
 
-def test_cli_campaign_prune(tmp_path, capsys):
+def test_cli_campaign_prune(tmp_path, capsys, monkeypatch):
     store_path = tmp_path / "prune.sqlite"
     jobs = PREDICT_SPEC.expand()
     with ResultStore(store_path) as store:
-        for job in jobs[:3]:
-            store.put(job, {"x": 1}, code_version="0.0.0-old")
+        with monkeypatch.context() as old_release:
+            old_release.setattr(repro, "__version__", "0.0.0-old")
+            for job in jobs[:3]:
+                store.put(job, {"x": 1})
         for job in jobs:
             store.put(job, {"x": 2})
     # Listing only.

@@ -18,6 +18,7 @@ each pinned by their own test:
 import http.server
 import json
 import random
+import sqlite3
 import threading
 import time
 
@@ -155,8 +156,6 @@ def test_plain_text_error_bodies_are_retried_or_raised(monkeypatch):
 def test_fault_plan_validates_probabilities():
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         FaultPlan(drop=1.5)
-    with pytest.raises(ValueError, match="non-negative"):
-        FaultPlan(delay=0.1, delay_s=-1.0)
 
 
 def test_fault_injection_is_seeded_and_tallied():
@@ -627,3 +626,103 @@ def test_chaos_campaign_is_fully_observable(tmp_path):
         # (d) the export is still byte-identical to a solo run.
         exported = client.export(cluster.url, submitted["id"])
     assert exported == _solo_export(tmp_path)
+
+
+# -- the app's supervision and shutdown paths survive store failures ---------------
+
+
+def _swallowed(app, site):
+    counter = app.metrics.get("errors_swallowed_total")
+    return 0.0 if counter is None else counter.value(site=site, error_class="OperationalError")
+
+
+def _fails_once(real):
+    """``real`` behind a first call that raises a locked-database error."""
+    calls = []
+
+    def call(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise sqlite3.OperationalError("database is locked")
+        return real(*args)
+
+    call.calls = calls
+    return call
+
+
+def _always_fails(*args, **kwargs):
+    raise sqlite3.OperationalError("database is locked")
+
+
+def _coordinator_app(store):
+    from repro.cluster import ClusterConfig
+    from repro.service import CampaignApp, WorkerSettings
+
+    app = CampaignApp(
+        store,
+        WorkerSettings(),
+        cluster=ClusterConfig("c0", role="coordinator", heartbeat_interval=0.02),
+    )
+    app.set_endpoint("127.0.0.1", 9)
+    return app
+
+
+def test_heartbeat_and_monitor_loops_outlive_a_failing_store(tmp_path, monkeypatch):
+    from repro.service import Request
+
+    with ResultStore(tmp_path / "loops.sqlite") as store:
+        app = _coordinator_app(store)
+        beat = _fails_once(app.registry.heartbeat)
+        tick = _fails_once(app.coordinator.tick)
+        monkeypatch.setattr(app.registry, "heartbeat", beat)
+        monkeypatch.setattr(app.coordinator, "tick", tick)
+        app.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while (len(beat.calls) < 3 or len(tick.calls) < 3) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            # Both loops kept beating after their first call raised.
+            assert len(beat.calls) >= 3 and len(tick.calls) >= 3
+            assert _swallowed(app, "app.heartbeat_loop") == 1
+            assert _swallowed(app, "app.monitor_loop") == 1
+            assert app.handle(Request("GET", "/healthz")).status == 200
+        finally:
+            app.close()
+
+
+def test_a_failed_telemetry_snapshot_is_counted_and_serving_continues(tmp_path, monkeypatch):
+    from repro.service import CampaignApp, Request, WorkerSettings
+
+    app = CampaignApp(tmp_path / "telemetry.sqlite", WorkerSettings())
+    try:
+        monkeypatch.setattr(app.store, "record_telemetry", _always_fails)
+        assert app.record_telemetry_snapshot() is None
+        assert _swallowed(app, "app.telemetry_snapshot") == 1
+        assert app.handle(Request("GET", "/healthz")).status == 200
+        monkeypatch.undo()
+        assert app.record_telemetry_snapshot() is not None
+    finally:
+        app.close()
+
+
+def test_shutdown_deregisters_even_when_releasing_the_lease_fails(tmp_path, monkeypatch):
+    with ResultStore(tmp_path / "release.sqlite") as store:
+        app = _coordinator_app(store)
+        app.start()
+        assert [row["instance_id"] for row in store.instance_rows()] == ["c0"]
+        monkeypatch.setattr(app.coordinator, "release_lease", _always_fails)
+        app.close()
+        assert _swallowed(app, "app.release_lease") == 1
+        assert store.instance_rows() == []  # deregistration still ran
+
+
+def test_shutdown_completes_when_deregistration_fails(tmp_path, monkeypatch):
+    with ResultStore(tmp_path / "deregister.sqlite") as store:
+        app = _coordinator_app(store)
+        app.start()
+        monkeypatch.setattr(app.registry, "deregister", _always_fails)
+        app.close()
+        assert _swallowed(app, "app.deregister") == 1
+        assert app.worker._thread is None  # the worker drained and stopped after it
+        # The lease was handed back before the failing step.
+        assert store.acquire_lease("coordinator", "c1", ttl=10.0)

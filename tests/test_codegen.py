@@ -30,14 +30,14 @@ def test_emitter_indents_nested_blocks():
         "void",
         "f",
         ("int x",),
-        Block([If("x > 0", Block([Assign("x", "x - 1"), Sync()]), Block([Return()]))]),
+        Block([If("x > 0", Block([Assign("x", "x - 1"), Sync()])), Return()]),
     )
     text = emitter.emit(tree)
     assert "void f(int x) {" in text
     assert "  if (x > 0) {" in text
     assert "    x = x - 1;" in text
     assert "    __syncthreads();" in text
-    assert "  } else {" in text
+    assert "  }\n  return;" in text
 
 
 def test_emitter_for_loop_and_declarations():
@@ -51,10 +51,6 @@ def test_emitter_for_loop_and_declarations():
 def test_emitter_rejects_unknown_node():
     with pytest.raises(TypeError):
         CudaEmitter().emit(object())  # type: ignore[arg-type]
-
-
-def test_declare_with_qualifiers():
-    assert Declare("float", "x", qualifiers="__shared__").render() == "__shared__ float x;"
 
 
 # -- expression rendering --------------------------------------------------------
@@ -226,7 +222,7 @@ def test_package_bundles_kernel_and_host(j2d5pt):
 
 def test_package_nvcc_command_matches_paper_flags(j2d5pt):
     package = generate_cuda(make_plan(j2d5pt))
-    command = package.nvcc_command(arch="sm_70", register_limit=64)
+    command = package.nvcc_command(register_limit=64)
     assert "--use_fast_math" in command
     assert "arch=compute_70,code=sm_70" in command
     assert "-maxrregcount=64" in command

@@ -197,7 +197,7 @@ def pattern_digest(source):
         if isinstance(node, Const):
             record = f"C{node.value!r}"
         elif isinstance(node, GridRead):
-            record = f"G{node.array}{node.offset}{node.time_offset}"
+            record = f"G{node.array}{node.offset}0"
         elif isinstance(node, BinOp):
             record = f"B{node.op}"
             stack += (node.rhs, node.lhs)

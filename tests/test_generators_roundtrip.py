@@ -49,7 +49,7 @@ def _assert_bit_equal(direct, parsed):
 @pytest.mark.parametrize("ndim,radius", [(2, 1), (2, 4), (2, 8), (3, 3), (3, 8)])
 def test_star_round_trip(ndim, radius, dtype):
     direct = star_stencil(ndim, radius, dtype)
-    parsed = parse_stencil(star_stencil_source(ndim, radius, dtype)).pattern
+    parsed = parse_stencil(star_stencil_source(ndim, radius), dtype=dtype).pattern
     _assert_bit_equal(direct, parsed)
 
 
@@ -57,7 +57,7 @@ def test_star_round_trip(ndim, radius, dtype):
 @pytest.mark.parametrize("ndim,radius", [(2, 1), (2, 6), (3, 2), (3, 4)])
 def test_box_round_trip(ndim, radius, dtype):
     direct = box_stencil(ndim, radius, dtype)
-    parsed = parse_stencil(box_stencil_source(ndim, radius, dtype)).pattern
+    parsed = parse_stencil(box_stencil_source(ndim, radius), dtype=dtype).pattern
     _assert_bit_equal(direct, parsed)
 
 

@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import BlockingConfig
 from repro.ir.compile import (
     _CALL_NUMPY,
+    AutoKernel,
     CompileError,
     CompiledKernel,
     InterpretedKernel,
@@ -172,8 +173,9 @@ def test_compiled_kernel_reuses_scratch_and_cache():
 @pytest.mark.parametrize("mode", ["auto", "compiled", "interpreter"])
 def test_every_engine_rejects_an_unknown_dtype(mode):
     # "auto" has no interpreter fallback: no valid pattern needs one.
+    engine = {"auto": AutoKernel, "compiled": CompiledKernel, "interpreter": InterpretedKernel}
     with pytest.raises(CompileError, match="unsupported dtype"):
-        compile_pattern(load_pattern("j2d5pt"), dtype="half", mode=mode)
+        engine[mode](load_pattern("j2d5pt"), "half")
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +361,45 @@ def test_max_relative_error_streams_large_input():
     b[-1] *= 1.5
     result = max_relative_error(a, b)
     assert 0.3 < result < 0.4
+
+
+# ---------------------------------------------------------------------------
+# Deep sums: no per-term recursion anywhere on the compiler path
+# ---------------------------------------------------------------------------
+
+
+def test_radius5_box3d_tunes_compiles_and_runs_at_the_default_recursion_limit():
+    """1,331 terms: classification, CUDA rendering and the fused NumPy
+    lowering all walk the sum without recursion."""
+    from repro import api
+    from repro.ir.expr import evaluate
+    from repro.stencils.generators import box_stencil
+
+    pattern = box_stencil(3, 5)
+    assert api.tune(pattern).best.measured_gflops > 0
+    assert "__global__" in api.compile_stencil(pattern, bT=2, bS=(32, 32)).cuda.full_source
+    kernel = compile_pattern(pattern, mode="compiled")
+    src = np.random.default_rng(5).random((11, 11, 11)).astype(np.float32)
+    out = np.zeros((1, 1, 1), dtype=np.float32)
+    kernel(src, (slice(5, 6),) * 3, out)
+    expected = evaluate(pattern.expr, lambda read: float(src[tuple(5 + o for o in read.offset)]))
+    assert out[0, 0, 0] == pytest.approx(expected, rel=1e-5)
+
+
+def test_box3d4r_goes_through_ir_plan_codegen_and_executor_under_a_recursion_limit_of_150():
+    import sys
+
+    from repro import api
+    from repro.frontend.stencil_detect import parse_stencil
+    from repro.stencils.library import get_benchmark
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        pattern = parse_stencil(get_benchmark("box3d4r").source, name="box3d4r").pattern
+        compiled = api.compile_stencil(pattern, bT=2, bS=(32, 32))
+        checked = api.verify(pattern, bT=2, bS=(32, 32), grid=(20, 36, 36), time_steps=2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert compiled.plan.config.bT == 2 and "__global__" in compiled.cuda.full_source
+    assert checked.matches

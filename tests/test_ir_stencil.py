@@ -66,11 +66,6 @@ def test_pattern_rejects_no_reads():
         StencilPattern("x", 2, Const(1.0))
 
 
-def test_pattern_rejects_future_time_reads():
-    with pytest.raises(ValueError):
-        StencilPattern("x", 2, GridRead("A", (0, 0), time_offset=1))
-
-
 def test_describe_mentions_key_facts(j2d5pt):
     text = j2d5pt.describe()
     assert "j2d5pt" in text and "2D" in text and "star" in text and "radius 1" in text

@@ -27,6 +27,7 @@ from repro.obs import (
     profile_for,
     set_registry,
 )
+from repro.obs import events as events_module
 from repro.obs.events import EventLog
 from repro.obs.metrics import parse_prometheus
 from repro.obs.top import code_version_report, render_history, stream_records, telemetry_deltas
@@ -100,13 +101,14 @@ def test_subscription_predicate_filters_on_emitting_thread():
         assert sub.get(timeout=0.05) is None
 
 
-def test_slow_subscriber_drops_without_blocking_emitter():
+def test_slow_subscriber_drops_without_blocking_emitter(monkeypatch):
+    monkeypatch.setattr(events_module, "QUEUE_DEPTH", 4)
     registry = MetricsRegistry()
     previous = get_registry()
     set_registry(registry)
     try:
         log = EventLog()
-        sub = log.subscribe(maxsize=4)
+        sub = log.subscribe()
         start = time.perf_counter()
         for index in range(200):
             log.emit("tick", index=index)
@@ -128,7 +130,8 @@ def test_slow_subscriber_drops_without_blocking_emitter():
 
 def test_event_log_rotation_caps_file_size(tmp_path):
     path = tmp_path / "events.jsonl"
-    log = EventLog(path=path, max_bytes=400, keep_rotated=2)
+    log = EventLog()
+    log.configure(path, max_bytes=400, keep_rotated=2)
     for index in range(120):
         log.emit("tick", index=index, padding="x" * 40)
     # The loop may have ended exactly on a rotation (live file momentarily
@@ -200,9 +203,7 @@ def test_profile_for_returns_window_only_counts():
     worker = threading.Thread(target=_burn, args=(deadline,))
     worker.start()
     try:
-        folded, samples = profile_for(
-            0.3, hz=250.0, profiler=profiler, metrics=registry
-        )
+        folded, samples = profile_for(0.3, profiler=profiler, metrics=registry)
     finally:
         worker.join()
     assert samples > 0
@@ -436,7 +437,7 @@ def test_campaign_stream_yields_every_job_exactly_once(server):
     assert records[-1]["ok"] is True
 
 
-def test_exports_byte_identical_with_full_observability_on(server, tmp_path):
+def test_exports_byte_identical_with_full_observability_on(server, tmp_path, monkeypatch):
     # Solo reference run: same spec, fresh store, no service, no obs extras.
     solo_store = tmp_path / "solo.sqlite"
     api.campaign(store=solo_store, **{
@@ -457,7 +458,9 @@ def test_exports_byte_identical_with_full_observability_on(server, tmp_path):
     # Service run with the whole observability plane on: telemetry history
     # snapshots ticking (fixture), profiler armed, and a deliberately stalled
     # stream subscriber attached for the entire campaign.
-    stalled = EVENTS.subscribe(maxsize=1)
+    with monkeypatch.context() as one_slot:
+        one_slot.setattr(events_module, "QUEUE_DEPTH", 1)
+        stalled = EVENTS.subscribe()
     PROFILER.arm()
     try:
         status, body, _ = _request(server, "/campaigns", method="POST", data=SPEC_JSON)
@@ -475,10 +478,12 @@ def test_exports_byte_identical_with_full_observability_on(server, tmp_path):
     assert json.loads(history)["snapshots"]
 
 
-def test_slow_http_subscriber_never_wedges_the_worker(server):
+def test_slow_http_subscriber_never_wedges_the_worker(server, monkeypatch):
     # A subscriber with a one-slot queue that never reads: the campaign must
     # finish at full speed and the overflow must be counted, not waited on.
-    stalled = EVENTS.subscribe(maxsize=1)
+    with monkeypatch.context() as one_slot:
+        one_slot.setattr(events_module, "QUEUE_DEPTH", 1)
+        stalled = EVENTS.subscribe()
     try:
         status, body, _ = _request(server, "/campaigns", method="POST", data=SPEC_JSON)
         assert status == 202

@@ -64,8 +64,13 @@ def test_from_space_matches_enumeration_order(case):
 def test_from_space_with_register_limits(case):
     pattern, _, _ = case
     space = default_search_space(pattern)
-    batch = ConfigBatch.from_space(space, include_register_limits=True)
-    assert list(batch.configs()) == list(space.configurations(include_register_limits=True))
+    batch = ConfigBatch.from_space(space).with_register_limits(REGISTER_LIMITS)
+    expected = [
+        config.with_register_limit(limit)
+        for config in space.configurations()
+        for limit in REGISTER_LIMITS
+    ]
+    assert list(batch.configs()) == expected
 
 
 def test_register_limit_cross_product_is_config_major():
@@ -409,14 +414,14 @@ def _random_case(rng, names, gpus):
         time_blocks=_pick(rng, axes["time"], int(rng.integers(1, 4))),
         spatial_blocks=_pick(rng, axes["spatial"], int(rng.integers(1, 3))),
         stream_blocks=_pick(rng, axes["stream"], int(rng.integers(1, 3))),
-        register_limits=_pick(rng, REGISTER_LIMITS, int(rng.integers(1, 3))),
     )
+    limits = _pick(rng, REGISTER_LIMITS, int(rng.integers(1, 3)))
     interiors = axes["interiors"]
     grid = GridSpec(
         interiors[int(rng.integers(len(interiors)))],
         _TIME_STEPS[int(rng.integers(len(_TIME_STEPS)))],
     )
-    return pattern, grid, gpus[int(rng.integers(len(gpus)))], space
+    return pattern, grid, gpus[int(rng.integers(len(gpus)))], space, limits
 
 
 def test_randomized_spaces_match_scalar_oracle():
@@ -428,8 +433,8 @@ def test_randomized_spaces_match_scalar_oracle():
     simulators = {gpu: TimingSimulator(gpu) for gpu in gpus}
     compared = 0
     for case_index in range(RANDOM_SPACE_COUNT):
-        pattern, grid, gpu, space = _random_case(rng, names, gpus)
-        label = f"case {case_index}: {pattern.name} {grid.interior} {space}"
+        pattern, grid, gpu, space, limits = _random_case(rng, names, gpus)
+        label = f"case {case_index}: {pattern.name} {grid.interior} {space} {limits}"
         configs = list(space.configurations())
         batch = ConfigBatch.from_space(space)
         assert list(batch.configs()) == configs, label
@@ -449,7 +454,7 @@ def test_randomized_spaces_match_scalar_oracle():
                 f"{label}: {config.describe()}"
             )
 
-        sweep = survivors.with_register_limits(space.register_limits)
+        sweep = survivors.with_register_limits(limits)
         measured = engine.simulate(sweep)
         for index, config in enumerate(sweep.configs()):
             scalar = simulators[gpu].simulate(pattern, grid, config)

@@ -12,6 +12,11 @@ code outside its own definition.  A name found only in ``tests/`` is either
 missing a caller or should be deleted.  The ``python - <<'EOF'`` scripts of
 the CI workflows count as non-test code, and every ``repro`` name they import
 must exist.
+
+The option check does the same for values: every defaulted parameter and
+dataclass constructor field in ``src/repro`` must be passed somewhere by that
+non-test code.  An option only tests set is a constant in disguise.  Run as a
+script, this file prints the option budget (library options and CLI flags).
 """
 
 from __future__ import annotations
@@ -289,3 +294,402 @@ def test_name_check_sees_attributes_strings_and_self_reference(tmp_path):
     )
     found = [entry.split()[-1] for entry in unreferenced_names(tmp_path, ("scripts",))]
     assert found == ["pkg.mod.unused", "pkg.mod.Box.hidden"]
+
+
+# -- options ---------------------------------------------------------------------
+
+#: Defaulted parameters and dataclass fields no non-test code sets, each with
+#: the reason it stays.  Only two kinds belong here: test seams (an injected
+#: clock, rng, client, metrics registry or sampler, or an interval a test pins
+#: for determinism) and deployment settings (paths, addresses, ports).
+#: Parameters of public ``repro.api`` functions are roots and need no entry.
+ALLOWED_OPTIONS: Dict[str, str] = {
+    "repro.campaign.store.ResultStore.enqueue_submission(now)": (
+        "test seam: tests stamp submissions at fixed times to pin queue order"
+    ),
+    "repro.campaign.store.ResultStore.record_telemetry(now)": (
+        "test seam: tests stamp snapshots at fixed times to pin history order and deltas"
+    ),
+    "repro.cluster.client.backoff_delay(rng)": (
+        "test seam: a seeded rng makes the backoff jitter deterministic"
+    ),
+    "repro.cluster.coordinator.ClusterCoordinator.__init__(client)": (
+        "test seam: tests inject a stub client that records shard forwards"
+    ),
+    "repro.cluster.registry.InstanceRegistry.__init__(clock)": (
+        "test seam: tests drive heartbeat liveness with a fake clock"
+    ),
+    "repro.cluster.remote.RemoteStore.__init__(flush_interval)": (
+        "interval a test pins: test_cluster_faults waits 10 s between flushes so no"
+        " background flush races its journal assertions"
+    ),
+    "repro.obs.profile.SamplingProfiler.__init__(hz)": (
+        "interval a test pins: tests sample at 200-250 Hz so sub-second windows collect stacks"
+    ),
+    "repro.obs.profile.profile_for(profiler)": (
+        "test seam: tests pass a private sampler so windows armed elsewhere in the"
+        " process cannot add to the counts"
+    ),
+}
+
+#: One option: ``(label, lineno, parameter, positional index or None, callees)``.
+Option = Tuple[str, int, str, "int | None", Set[str]]
+
+
+def _decorator_names(node: ast.AST) -> Set[str]:
+    names = set()
+    for decorator in getattr(node, "decorator_list", ()):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        names.add(target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", ""))
+    return names
+
+
+def _is_init_field(value: "ast.expr | None") -> bool:
+    """False for ``field(init=False)``: run state, not a constructor argument."""
+    if not (isinstance(value, ast.Call) and _callee(value.func) == "field"):
+        return True
+    return not any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in value.keywords
+    )
+
+
+def _callee(func: ast.expr) -> "str | None":
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _options(tree: ast.Module, module: str, heirs: Dict[str, Set[str]]) -> Iterator[Option]:
+    """Every defaulted parameter of a top-level function or method, and every
+    defaulted constructor field of a dataclass.
+
+    ``heirs`` maps a class name to itself plus the subclasses that inherit
+    its ``__init__``: constructing any of them sets its options.
+    """
+
+    def parameters(function, label: str, callees: Set[str], bound: bool) -> Iterator[Option]:
+        args = function.args
+        positional = [*args.posonlyargs, *args.args][1 if bound else 0 :]
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            yield f"{label}({arg.arg})", function.lineno, arg.arg, index, callees
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{label}({arg.arg})", function.lineno, arg.arg, None, callees
+
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS):
+            yield from parameters(node, f"{module}.{node.name}", {node.name}, False)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if "dataclass" in _decorator_names(node):
+            fields = [
+                item
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.unparse(item.annotation)
+                and _is_init_field(item.value)
+            ]
+            for index, item in enumerate(fields):
+                if item.value is not None:
+                    label = f"{module}.{node.name}.{item.target.id}"
+                    yield label, item.lineno, item.target.id, index, heirs[node.name]
+        for item in node.body:
+            if not isinstance(item, _FUNCTIONS) or (_is_dunder(item.name) and item.name != "__init__"):
+                continue
+            callees = heirs[node.name] if item.name == "__init__" else {item.name}
+            bound = "staticmethod" not in _decorator_names(item)
+            yield from parameters(item, f"{module}.{node.name}.{item.name}", callees, bound)
+
+
+class _Calls(ast.NodeVisitor):
+    """Every call in non-test code, by the name of what it calls.
+
+    A ``cls(...)`` call inside a classmethod calls its class, and
+    ``super().__init__(...)`` calls the bases.  A call through a dispatch
+    table (a dict literal of functions: ``TABLE[key](...)``,
+    ``TABLE.get(key)(...)``) or through a local alias of one or more
+    callables (``f = TABLE[key]``, ``f = a.g if c else a.h``) calls every
+    function it can reach.  A function handed to a runner together with
+    ``args=``/``kwargs=`` (``benchmark.pedantic(f, args=..., kwargs=...)``,
+    ``Thread(target=f, kwargs=...)``) is called with them.
+    """
+
+    def __init__(self, tables: Dict[str, Set[str]]) -> None:
+        self.tables = tables
+        self.by_callee: Dict[str, List[ast.Call]] = defaultdict(list)
+        self._classes: List[ast.ClassDef] = []
+        self._aliases: List[Dict[str, Set[str]]] = [{}]
+        self._in_classmethod: List[bool] = [False]
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._classes.append(node)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_FunctionDef(self, node: ast.AST) -> None:
+        self._aliases.append({})
+        self._in_classmethod.append("classmethod" in _decorator_names(node))
+        self.generic_visit(node)
+        self._in_classmethod.pop()
+        self._aliases.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _targets(self, expr: ast.expr) -> Set[str]:
+        """The callables ``expr`` can evaluate to (empty when unknown)."""
+        if isinstance(expr, ast.IfExp):
+            return self._targets(expr.body) | self._targets(expr.orelse)
+        if isinstance(expr, ast.Subscript):
+            return self.tables.get(_callee(expr.value) or "", set())
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
+            if expr.func.attr == "get":
+                return self.tables.get(_callee(expr.func.value) or "", set())
+            return set()
+        name = _callee(expr)
+        if name is None:
+            return set()
+        if isinstance(expr, ast.Name):
+            if name == "cls" and self._in_classmethod[-1] and self._classes:
+                return {self._classes[-1].name}
+            if name in self._aliases[-1]:
+                return self._aliases[-1][name]
+        return {name}
+
+    def scan(self, tree: ast.Module) -> None:
+        self._aliases = [{}]
+        self.visit(tree)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            targets = self._targets(node.value)
+            if targets:
+                self._aliases[-1][node.targets[0].id] = targets
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and _callee(func.value.func) == "super"
+            and self._classes
+        ):
+            callees = {_callee(base) or "" for base in self._classes[-1].bases}
+        else:
+            callees = self._targets(func)
+        for name in callees:
+            self.by_callee[name].append(node)
+        self._runner_call(node)
+        self.generic_visit(node)
+
+    def _runner_call(self, node: ast.Call) -> None:
+        """Record ``runner(f, args=(...), kwargs={...})`` as a call of ``f``."""
+        passed = {kw.arg: kw.value for kw in node.keywords if kw.arg}
+        if not {"args", "kwargs"} & set(passed):
+            return
+        function = passed.get("target", node.args[0] if node.args else None)
+        if function is None:
+            return
+        args = passed.get("args")
+        kwargs = passed.get("kwargs")
+        call = ast.Call(
+            func=function,
+            args=list(args.elts) if isinstance(args, ast.Tuple) else [ast.Starred(args)] if args else [],
+            keywords=[
+                ast.keyword(arg=key.value if isinstance(key, ast.Constant) else None, value=value)
+                for key, value in zip(kwargs.keys, kwargs.values)
+            ]
+            if isinstance(kwargs, ast.Dict)
+            else [ast.keyword(arg=None, value=kwargs)] if kwargs else [],
+        )
+        for name in self._targets(function):
+            self.by_callee[name].append(call)
+
+
+def _sets(call: ast.Call, parameter: str, index: "int | None") -> bool:
+    """Whether ``call`` passes ``parameter``: by keyword, through a ``**``
+    splat, or positionally at ``index`` or later (a ``*`` splat reaches
+    every position from its own on)."""
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return any(
+        position >= index or isinstance(arg, ast.Starred)
+        for position, arg in enumerate(call.args)
+    )
+
+
+def _dispatch_tables(trees: Iterable[ast.Module]) -> Dict[str, Set[str]]:
+    """``NAME = {key: function, ...}`` literals: name -> the functions."""
+    tables: Dict[str, Set[str]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Dict)
+            ):
+                functions = {_callee(value) for value in node.value.values} - {None}
+                if functions:
+                    tables[node.targets[0].id] = functions  # type: ignore[assignment]
+    return tables
+
+
+def _heirs(trees: Iterable[ast.Module]) -> Dict[str, Set[str]]:
+    """Class name -> itself plus every subclass that inherits its ``__init__``."""
+    bases: Dict[str, List[str]] = {}
+    own_init: Set[str] = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [_callee(base) or "" for base in node.bases]
+                if any(isinstance(item, _FUNCTIONS) and item.name == "__init__" for item in node.body):
+                    own_init.add(node.name)
+    heirs: Dict[str, Set[str]] = {name: {name} for name in bases}
+    changed = True
+    while changed:
+        changed = False
+        for name, parents in bases.items():
+            if name in own_init:
+                continue
+            for parent in parents:
+                if parent in heirs and not heirs[name] <= heirs[parent]:
+                    heirs[parent] |= heirs[name]
+                    changed = True
+    return heirs
+
+
+def library_options(repo: Path = REPO) -> List[Tuple[str, str]]:
+    """``(path:line, label)`` of every option in ``src/repro``."""
+    return [(where, label) for where, label, _ in _scan_options(repo, SCRIPT_DIRS)]
+
+
+def _scan_options(repo: Path, script_dirs: Iterable[str]) -> List[Tuple[str, str, bool]]:
+    """``(path:line, label, set by non-test code)`` of every option."""
+    sources = [
+        ast.parse(source, filename=filename)
+        for source, _, filename in _non_test_sources(repo, script_dirs)
+    ]
+    src_files = sorted((repo / "src").rglob("*.py"))
+    src_trees = {path: ast.parse(path.read_text()) for path in src_files}
+    heirs = _heirs(src_trees.values())
+    calls = _Calls(_dispatch_tables(sources))
+    for tree in sources:
+        calls.scan(tree)
+    found = []
+    for path, tree in src_trees.items():
+        module = _module_name(path, repo / "src")
+        for label, line, parameter, index, callees in _options(tree, module, heirs):
+            function = label[len(module) + 1 :].split("(")[0]
+            root = module == API_MODULE and "." not in function and not function.startswith("_")
+            is_set = root or any(
+                _sets(call, parameter, index) for name in callees for call in calls.by_callee[name]
+            )
+            found.append((f"{path.relative_to(repo)}:{line}", label, is_set))
+    return found
+
+
+def unset_options(repo: Path = REPO, script_dirs: Iterable[str] = SCRIPT_DIRS) -> List[str]:
+    """``path:line label`` of every option no non-test code sets."""
+    return [f"{where} {label}" for where, label, is_set in _scan_options(repo, script_dirs) if not is_set]
+
+
+def allowlist_problems(allowed: Dict[str, str], unset: List[str]) -> List[str]:
+    """Allowlist entries that give no reason, or name an option that is now
+    set or gone."""
+    live = {entry.split()[-1] for entry in unset}
+    return [f"stale (set or gone): {name}" for name in sorted(set(allowed) - live)] + [
+        f"no reason: {name}" for name, reason in sorted(allowed.items()) if not reason.strip()
+    ]
+
+
+def cli_flags() -> List[str]:
+    """``parser: --flag`` of every option of every ``an5d`` parser."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    flags = []
+    parsers = [("an5d", build_parser())]
+    while parsers:
+        path, parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend((f"{path} {name}", child) for name, child in action.choices.items())
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                flags.append(f"{path}: {action.option_strings[-1]}")
+    return sorted(flags)
+
+
+def test_every_repro_option_has_a_non_test_setter():
+    flagged = [entry for entry in unset_options() if entry.split()[-1] not in ALLOWED_OPTIONS]
+    assert not flagged, "only tests set (pass it somewhere or make it a constant):\n" + "\n".join(
+        flagged
+    )
+
+
+def test_option_allowlist_entries_are_live_and_give_a_reason():
+    problems = allowlist_problems(ALLOWED_OPTIONS, unset_options())
+    assert not problems, "\n".join(problems)
+
+
+def test_option_check_sees_keywords_positions_splats_and_dispatch_tables(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "def unset(x=1):\n    return x\n"
+        "def by_keyword(x=1):\n    return x\n"
+        "def by_position(a, x=1):\n    return x\n"
+        "def by_splat(*, x=1):\n    return x\n"
+        "def by_table(x=1):\n    return x\n"
+        "def only_in_tests(x=1):\n    return x\n"
+        "def by_runner(x=1):\n    return x\n"
+        "TABLE = {'t': by_table}\n"
+        "class Box:\n"
+        "    def __init__(self, size=1):\n        self.size = size\n"
+        "    @classmethod\n    def make(cls):\n        return cls(2)\n"
+        "    def method(self, flag=False):\n        return flag\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    name: str\n"
+        "    state: str = field(default='new', init=False)\n"
+        "    note: str = ''\n"
+        "    count: int = 0\n"
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "run.py").write_text(
+        "from pkg.mod import *\n"
+        "by_keyword(x=2)\nby_position(1, 2)\noptions = {'x': 3}\nby_splat(**options)\n"
+        "def report(name):\n    make = TABLE[name]\n    return make(4)\n"
+        "Box.make().method(True)\nRecord('a', count=3)\n"
+        "benchmark.pedantic(by_runner, args=(), kwargs={'x': 6})\n"
+    )
+    (tmp_path / "scripts" / "test_run.py").write_text("from pkg.mod import only_in_tests\nonly_in_tests(x=5)\n")
+    unset = unset_options(tmp_path, ("scripts",))
+    assert [entry.split()[-1] for entry in unset] == [
+        "pkg.mod.unset(x)",
+        "pkg.mod.only_in_tests(x)",
+        "pkg.mod.Record.note",
+    ]
+    assert allowlist_problems({"pkg.mod.unset(x)": "test seam: injected clock"}, unset) == []
+    assert allowlist_problems(
+        {"pkg.mod.only_in_tests(x)": " ", "pkg.mod.by_keyword(x)": "set by run.py"}, unset
+    ) == ["stale (set or gone): pkg.mod.by_keyword(x)", "no reason: pkg.mod.only_in_tests(x)"]
+
+
+if __name__ == "__main__":
+    # CI's "Line budget" step writes the option budget to its summary.
+    print(
+        f"Settable options: {len(library_options())} defaulted parameters and dataclass fields"
+        f" in src/repro, {len(cli_flags())} CLI flags"
+    )

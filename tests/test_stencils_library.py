@@ -151,7 +151,7 @@ def _family_sources():
     sources["astar2d1x3r"] = anisotropic_star_stencil_source((1, 3))
     sources["astar3d2x1x1r"] = anisotropic_star_stencil_source((2, 1, 1))
     sources["vstar2d2r-s7"] = variable_star_stencil_source(2, 2, 7)
-    sources["vstar3d2r-s11"] = variable_star_stencil_source(3, 2, 11, dtype="double")
+    sources["vstar3d2r-s11"] = variable_star_stencil_source(3, 2, 11)
     sources["fdtd2d"] = fdtd_stencil_source(2)
     sources["fdtd3d"] = fdtd_stencil_source(3, dtype="double")
     for index in range(6):

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.config import BlockingConfig, sconf_configuration
 from repro.ir.stencil import GridSpec
+from repro.model.batch import ConfigBatch
 from repro.stencils.library import load_pattern
 from repro.tuning.autotuner import AutoTuner, tune
 from repro.tuning.pruning import prune_configurations, pruning_statistics
-from repro.tuning.search_space import default_search_space
+from repro.tuning.search_space import REGISTER_LIMITS, default_search_space
 
 
 # The paper performs its parameter search on 8,192^2 grids with 120
@@ -32,8 +33,8 @@ def test_search_space_enumeration_matches_size(j2d5pt):
 
 def test_search_space_with_register_limits(j2d5pt):
     space = default_search_space(j2d5pt)
-    configs = list(space.configurations(include_register_limits=True))
-    assert len(configs) == space.size() * len(space.register_limits)
+    configs = list(ConfigBatch.from_space(space).with_register_limits(REGISTER_LIMITS).configs())
+    assert len(configs) == space.size() * len(REGISTER_LIMITS)
 
 
 def test_sconf_space_single_point(j2d5pt, star3d1r):
@@ -83,7 +84,7 @@ def test_rank_orders_by_predicted_performance(j2d5pt, v100):
 
 
 def test_tune_returns_best_of_topk(j2d5pt):
-    result = tune(j2d5pt, SMALL_2D_GRID, "V100", top_k=3)
+    result = AutoTuner("V100", top_k=3).tune(j2d5pt, SMALL_2D_GRID)
     assert len(result.top_candidates) == 3
     best_measured = max(c.measured_gflops for c in result.top_candidates)
     assert result.best.measured_gflops == best_measured

@@ -12,6 +12,7 @@ from repro import api
 from repro.core.config import BlockingConfig, sconf_configuration
 from repro.ir.expr import BinOp, GridRead
 from repro.ir.stencil import GridSpec, StencilPattern
+from repro.model.batch import ConfigBatch
 from repro.model.gpu_specs import get_gpu
 from repro.model.registers import estimate_registers, register_pressure_ok
 from repro.stencils.library import load_pattern
@@ -51,8 +52,8 @@ def test_search_space_configurations_count_matches_size():
     assert len(configs) == space.size()
     assert len(set(configs)) == len(configs)
     # Register limits multiply the enumeration only when asked for.
-    with_limits = list(space.configurations(include_register_limits=True))
-    assert len(with_limits) == space.size() * len(REGISTER_LIMITS)
+    with_limits = ConfigBatch.from_space(space).with_register_limits(REGISTER_LIMITS)
+    assert with_limits.size == space.size() * len(REGISTER_LIMITS)
 
 
 def test_sconf_space_is_a_single_point():
