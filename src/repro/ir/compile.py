@@ -24,7 +24,22 @@ rounds exactly like the matching NumPy ufunc) and loaded through ``ctypes``.
 One pass over the region replaces the engine's 10-30 elementwise passes,
 which is worth another ~5x on top of the fused NumPy engine.  The native
 backend is an accelerator only — results are bit-identical across all three
-engines, and hosts without a compiler silently use the NumPy engine.
+engines, and hosts without a compiler (or with ``REPRO_NO_NATIVE=1``) use
+the NumPy engine.
+
+Builds outlive the process.  Each library is keyed by sha256 over its C
+source, the compiler's resolved path and stat, the flags and the host, and
+published atomically into :func:`native_cache_dir`, a 0700 directory per
+user under ``tempfile.gettempdir()`` (so ``TMPDIR`` moves it); a later
+process only loads it.  A library is loaded only from a directory this user
+owns that nobody else may write, and only when its bytes match the digest
+in its name; otherwise it is rebuilt, or built in a private per-process
+directory.
+
+``mode="auto"`` picks one engine per check, before it runs: the caller
+passes the cell updates it is about to run, and native is chosen when that
+work, repeated over :data:`NATIVE_AMORTISED_RUNS` runs, saves more than the
+build costs (both models are fitted below, next to their constants).
 
 Kernels share one call convention::
 
@@ -45,9 +60,12 @@ with ``mode="interpreter"``, e.g. by the equivalence tests and the fuzzer).
 from __future__ import annotations
 
 import atexit
+import contextlib
 import ctypes
 import os
+import platform
 import shutil
+import stat
 import subprocess
 import tempfile
 from typing import Callable, Dict, List, Optional, Tuple
@@ -158,8 +176,9 @@ class _CodeGen:
         """Lower ``expr``; returns ``(term, scalar_value, buffer_index)``.
 
         ``scalar_value`` is the folded NumPy scalar when the subtree is
-        constant (``term`` then names the registered constant), otherwise
-        ``None``.  ``buffer_index`` identifies a scratch buffer owned by the
+        constant (``term`` is then ``None``: a constant gets a name only
+        where generated code uses it), otherwise ``None``.
+        ``buffer_index`` identifies a scratch buffer owned by the
         result, or ``None`` for views/constants.  When ``root_out`` is given
         the result is stored there instead of a scratch buffer.
 
@@ -174,11 +193,7 @@ class _CodeGen:
     def _lower(self, expr: Expr, operands: List[tuple], root_out: Optional[str]):
         """Lower one node whose children are already lowered to ``operands``."""
         if isinstance(expr, Const):
-            value = self.np_dtype(expr.value)
-            if root_out is not None:
-                self.lines.append(f"{root_out}[...] = {self._const_term(value)}")
-                return root_out, None, None
-            return self._const_term(value), value, None
+            return self._fold_scalar(self.np_dtype(expr.value), root_out)
 
         if isinstance(expr, GridRead):
             term = self._view_term(expr.offset)
@@ -192,7 +207,8 @@ class _CodeGen:
             if lhs_val is not None and rhs_val is not None:
                 return self._fold_binop(expr.op, lhs_val, rhs_val, root_out)
             ufunc = _BINOP_NUMPY[expr.op].__name__
-            return self._emit_op(f"np.{ufunc}({lhs_term}, {rhs_term}", (lhs_buf, rhs_buf), root_out)
+            terms = ", ".join(self._term(operand) for operand in operands)
+            return self._emit_op(f"np.{ufunc}({terms}", (lhs_buf, rhs_buf), root_out)
 
         if isinstance(expr, UnaryOp):
             ((term, value, buffer),) = operands
@@ -205,7 +221,7 @@ class _CodeGen:
             if all(value is not None for _, value, _ in operands):
                 folded = ufunc(*[value for _, value, _ in operands])
                 return self._fold_scalar(self.np_dtype(folded), root_out)
-            terms = ", ".join(term for term, _, _ in operands)
+            terms = ", ".join(self._term(operand) for operand in operands)
             buffers = tuple(buffer for _, _, buffer in operands)
             return self._emit_op(f"np.{ufunc.__name__}({terms}", buffers, root_out)
 
@@ -220,7 +236,12 @@ class _CodeGen:
         if root_out is not None:
             self.lines.append(f"{root_out}[...] = {self._const_term(value)}")
             return root_out, None, None
-        return self._const_term(value), value, None
+        return None, value, None
+
+    def _term(self, operand: tuple) -> str:
+        """The source term of a lowered operand, naming its constant if any."""
+        term, value, _ = operand
+        return term if value is None else self._const_term(value)
 
     def _emit_op(self, call_prefix: str, operand_buffers: Tuple[Optional[int], ...], root_out):
         if root_out is not None:
@@ -348,14 +369,19 @@ _NATIVE_SAFE_CALLS = {"sqrt", "sqrtf", "fabs", "fabsf"}
 
 _C_TYPES = {"float": "float", "double": "double"}
 
-_NATIVE_BUILD_DIR: Optional[str] = None
-_NATIVE_COMPILER: Optional[str] = ""  # "" = not probed yet, None = unavailable
-_NATIVE_COUNTER = 0
+#: Flags of every native build: no fast-math and no FMA contraction, so each
+#: operation rounds like its NumPy ufunc.  ``-march=native`` is tried first.
+_NATIVE_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
-#: Built C entry points shared by generated source text: structurally equal
-#: patterns generate identical source, so each distinct kernel is compiled by
-#: the toolchain at most once per process.
-_NATIVE_FN_CACHE: Dict[Tuple[str, int], object] = {}
+_NATIVE_COMPILER: Optional[str] = ""  # "" = not probed yet, None = unavailable
+
+#: Entry points by build key (or the message of the build that failed):
+#: structurally equal patterns generate identical source, so each distinct
+#: kernel is loaded, or tried, at most once per process.
+_NATIVE_FN_CACHE: Dict[str, object] = {}
+
+#: Per-process build directory, used when the shared one is not private.
+_FALLBACK_DIR: Optional[str] = None
 
 
 def _native_compiler() -> Optional[str]:
@@ -368,12 +394,139 @@ def _native_compiler() -> Optional[str]:
     return _NATIVE_COMPILER
 
 
-def _native_build_dir() -> str:
-    global _NATIVE_BUILD_DIR
-    if _NATIVE_BUILD_DIR is None:
-        _NATIVE_BUILD_DIR = tempfile.mkdtemp(prefix="repro_native_kernels_")
-        atexit.register(shutil.rmtree, _NATIVE_BUILD_DIR, ignore_errors=True)
-    return _NATIVE_BUILD_DIR
+def native_cache_dir() -> str:
+    """The directory where built kernels outlive the process: one per user
+    under the temp directory (``TMPDIR``)."""
+    return os.path.join(tempfile.gettempdir(), f"repro-native-kernels-{os.getuid()}")
+
+
+def _is_private(path: str, kind: int) -> bool:
+    """Whether ``path`` is a ``kind`` (``stat.S_IFDIR``/``S_IFREG``, never a
+    symlink) owned by this user that no group or other user may write."""
+    try:
+        info = os.lstat(path)
+    except OSError:
+        return False
+    return (
+        stat.S_IFMT(info.st_mode) == kind
+        and info.st_uid == os.getuid()
+        and not info.st_mode & 0o022
+    )
+
+
+def _kernel_dir() -> str:
+    """:func:`native_cache_dir`, created 0700 if missing; a per-process
+    directory instead when the shared one is not this user's alone."""
+    global _FALLBACK_DIR
+    path = native_cache_dir()
+    with contextlib.suppress(OSError):
+        os.mkdir(path, 0o700)
+    if _is_private(path, stat.S_IFDIR):
+        return path
+    if _FALLBACK_DIR is None:
+        _FALLBACK_DIR = tempfile.mkdtemp(prefix="repro-native-kernels-")
+        atexit.register(shutil.rmtree, _FALLBACK_DIR, ignore_errors=True)
+    return _FALLBACK_DIR
+
+
+def _build_key(compiler: str, source: str) -> str:
+    """sha256 over the source, the compiler's resolved path and stat, the
+    flags and the host: whatever changes the built library changes the key."""
+    import hashlib  # native path only: it loads OpenSSL
+
+    real = os.path.realpath(compiler)
+    info = os.stat(real)
+    toolchain = (real, info.st_size, info.st_mtime_ns, _NATIVE_FLAGS, tuple(platform.uname()))
+    return hashlib.sha256(f"{toolchain!r}\0{source}".encode()).hexdigest()
+
+
+def _sha256_file(path: str) -> str:
+    import hashlib
+
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _cached_library(directory: str, key: str) -> Optional[str]:
+    """A published library of ``key`` whose bytes match the digest in its
+    name (``<key>.<digest>.so``); one that does not (truncated) is removed."""
+    for name in os.listdir(directory):
+        if not (name.startswith(key + ".") and name.endswith(".so")):
+            continue
+        path = os.path.join(directory, name)
+        if not _is_private(path, stat.S_IFREG):
+            continue
+        if name == f"{key}.{_sha256_file(path)[:16]}.so":
+            return path
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+    return None
+
+
+def _compile_library(compiler: str, directory: str, key: str, source: str) -> str:
+    """Build ``source`` and publish it under ``key`` atomically (temp file,
+    then ``os.replace``), so concurrent builders of one key all succeed."""
+    fd, temp = tempfile.mkstemp(dir=directory, prefix=f".{key[:16]}-", suffix=".tmp")
+    os.close(fd)
+    try:
+        for extra in (["-march=native"], []):
+            result = subprocess.run(
+                [compiler, *_NATIVE_FLAGS, *extra, "-x", "c", "-o", temp, "-"],
+                input=source,
+                capture_output=True,
+                text=True,
+            )
+            if result.returncode == 0:
+                break
+        else:
+            raise CompileError(f"native kernel build failed: {result.stderr.strip()[:500]}")
+        os.chmod(temp, 0o700)
+        path = os.path.join(directory, f"{key}.{_sha256_file(temp)[:16]}.so")
+        os.replace(temp, path)
+        return path
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+
+
+def _entry_point(path: str, ndim: int):
+    fn = ctypes.CDLL(path).kern
+    fn.restype = None
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_ssize_t] * (
+        3 + 2 * (ndim - 1) + 2 * ndim
+    )
+    return fn
+
+
+def _native_entry_points(compiler: str, sources: List[str], ndim: int) -> List[object]:
+    """Entry points of ``sources``: loaded in this process already, from the
+    cache directory, or built there side by side.  Raises
+    :class:`CompileError` if one cannot be had (and remembers why)."""
+    from concurrent.futures import ThreadPoolExecutor  # native path only
+
+    keys = [_build_key(compiler, source) for source in sources]
+    missing = {key: source for key, source in zip(keys, sources) if key not in _NATIVE_FN_CACHE}
+    if missing:
+        directory = _kernel_dir()
+
+        def load(key: str):
+            try:
+                path = _cached_library(directory, key) or _compile_library(
+                    compiler, directory, key, missing[key]
+                )
+                return _entry_point(path, ndim)
+            except CompileError as error:
+                return str(error)
+            except OSError as error:
+                return f"native kernel build failed: {error}"
+
+        with ThreadPoolExecutor(max_workers=len(missing)) as pool:
+            _NATIVE_FN_CACHE.update(zip(missing, pool.map(load, missing)))
+    fns = [_NATIVE_FN_CACHE[key] for key in keys]
+    for fn in fns:
+        if isinstance(fn, str):
+            raise CompileError(fn)
+    return fns
 
 
 def native_supported(pattern: StencilPattern) -> bool:
@@ -414,7 +567,12 @@ class _CExprGen:
 
     def emit(self, expr: Expr):
         """Returns ``(term, scalar_value)``; scalar subtrees fold exactly as
-        the NumPy engine does (same dtype-typed scalar arithmetic)."""
+        the NumPy engine does (same dtype-typed scalar arithmetic).  Runs
+        bottom-up through :func:`~repro.ir.expr.fold`, without recursion."""
+        return fold(expr, self._lower)
+
+    def _lower(self, expr: Expr, operands: List[tuple]):
+        """Lower one node whose children are already lowered to ``operands``."""
         if isinstance(expr, Const):
             value = self.np_dtype(expr.value)
             return self._literal(value), value
@@ -422,8 +580,7 @@ class _CExprGen:
             name = self.reads.setdefault(expr.offset, f"r{len(self.reads)}")
             return f"{name}[k]", None
         if isinstance(expr, BinOp):
-            lhs, lval = self.emit(expr.lhs)
-            rhs, rval = self.emit(expr.rhs)
+            (lhs, lval), (rhs, rval) = operands
             if lval is not None and rval is not None:
                 with np.errstate(all="ignore"):
                     folded = _BINOP_NUMPY[expr.op](lval, rval)
@@ -431,7 +588,7 @@ class _CExprGen:
                 return self._literal(value), value
             return self._temp(f"{lhs} {expr.op} {rhs}"), None
         if isinstance(expr, UnaryOp):
-            term, value = self.emit(expr.operand)
+            ((term, value),) = operands
             if value is not None:
                 value = self.np_dtype(-value)
                 return self._literal(value), value
@@ -439,7 +596,7 @@ class _CExprGen:
         if isinstance(expr, Call):
             if expr.name not in _NATIVE_SAFE_CALLS or len(expr.args) != 1:
                 raise CompileError(f"call {expr.name!r} not supported by the native backend")
-            term, value = self.emit(expr.args[0])
+            ((term, value),) = operands
             fn = "sqrt" if expr.name.startswith("sqrt") else "fabs"
             if value is not None:
                 value = self.np_dtype(_CALL_NUMPY[expr.name](value))
@@ -527,48 +684,24 @@ class NativeKernel:
         self.ndim = pattern.ndim
         self._compiler = compiler
         self.source = generate_native_source(pattern, dtype)
-        self._fns: Dict[Tuple[int, ...], object] = {}
-        self._fn_for(tuple(range(self.ndim)), self.source)  # build now
+        # A check runs C-ordered grids (the reference) and stacks whose
+        # memory keeps the streaming axis innermost (the blocked executor),
+        # so both loop orders are loaded or built now, side by side.
+        sources = {tuple(range(self.ndim)): self.source}
+        stream_last = tuple(range(1, self.ndim)) + (0,)
+        if stream_last not in sources:
+            sources[stream_last] = generate_native_source(pattern, dtype, stream_last)
+        fns = _native_entry_points(compiler, list(sources.values()), self.ndim)
+        self._fns: Dict[Tuple[int, ...], object] = dict(zip(sources, fns))
         self._fallback: Optional[CompiledKernel] = None
         self.fallback_calls = 0
 
-    def _fn_for(self, order: Tuple[int, ...], source: Optional[str] = None):
+    def _fn_for(self, order: Tuple[int, ...]):
         """The entry point whose loop nest runs the dimensions in ``order``."""
         fn = self._fns.get(order)
         if fn is None:
-            source = source or generate_native_source(self.pattern, self.dtype, order)
-            fn = _NATIVE_FN_CACHE.get((source, self.ndim))
-            if fn is None:
-                fn = _NATIVE_FN_CACHE[(source, self.ndim)] = self._build(source)
-            self._fns[order] = fn
-        return fn
-
-    def _build(self, source: str):
-        global _NATIVE_COUNTER
-        build_dir = _native_build_dir()
-        stem = os.path.join(build_dir, f"kernel_{os.getpid()}_{_NATIVE_COUNTER}")
-        _NATIVE_COUNTER += 1
-        c_path, so_path = stem + ".c", stem + ".so"
-        with open(c_path, "w") as handle:
-            handle.write(source)
-        flags = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared"]
-        base_cmd = [self._compiler] + flags
-        for extra in (["-march=native"], []):
-            result = subprocess.run(
-                base_cmd + extra + ["-o", so_path, c_path],
-                capture_output=True,
-                text=True,
-            )
-            if result.returncode == 0:
-                break
-        else:
-            raise CompileError(f"native kernel build failed: {result.stderr.strip()[:500]}")
-        lib = ctypes.CDLL(so_path)
-        fn = lib.kern
-        fn.restype = None
-        fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_ssize_t] * (
-            3 + 2 * (self.ndim - 1) + 2 * self.ndim
-        )
+            source = generate_native_source(self.pattern, self.dtype, order)
+            fn = self._fns[order] = _native_entry_points(self._compiler, [source], self.ndim)[0]
         return fn
 
     def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
@@ -603,48 +736,53 @@ class NativeKernel:
         return out
 
 
-#: Elements a kernel must process before "auto" mode pays the toolchain cost
-#: of a native build.  Small runs (unit tests, verification grids) stay on
-#: the NumPy engine; sustained workloads promote and amortize the compile.
-NATIVE_PROMOTION_ELEMENTS = 4_000_000
+#: The "auto" engine model, fitted on a 2-vCPU x86-64 host (gcc 12, -O3
+#: -march=native).  One build of one loop order took star2d1r 0.13 s,
+#: star3d4r 0.35 s, box2d4r 0.62 s, box3d2r 1.09 s, box3d3r 6.9 s and
+#: box3d4r 33 s: about 130 ms + 60 us x reads^2, where reads are the
+#: distinct grid offsets, and a check builds two loop orders.  Over the
+#: blocked and reference updates of a verify-sized check (doubles), native
+#: saved 1.2-2.0 ns per element-read (gradient2d's sqrt and division 4.7
+#: ns); the model takes 1 ns.  Builds outlive the process, so "auto" builds
+#: when NATIVE_AMORTISED_RUNS runs of the caller's updates save more than
+#: the builds cost.  At 64, every verify-sized check of perfbench's
+#: verify-exec runs native except the 3-D radius-3 and radius-4 ones
+#: (star3d3r needs 95 runs to pay, star3d2r 50, box3d3r 250).
+NATIVE_BUILD_S = 0.130
+NATIVE_BUILD_S_PER_READ_SQUARED = 60e-6
+NATIVE_SAVED_S_PER_ELEMENT_READ = 1e-9
+NATIVE_AMORTISED_RUNS = 64
 
 
-class AutoKernel:
-    """Tiered kernel: fused NumPy engine first, native C once it pays off.
+def _native_pays(pattern: StencilPattern, elements: int) -> bool:
+    """Whether ``elements`` cell updates of ``pattern`` pay for a native build."""
+    reads = len(pattern.offsets)
+    build_s = 2 * (NATIVE_BUILD_S + NATIVE_BUILD_S_PER_READ_SQUARED * reads * reads)
+    saved_s = NATIVE_AMORTISED_RUNS * elements * reads * NATIVE_SAVED_S_PER_ELEMENT_READ
+    return saved_s >= build_s and _native_compiler() is not None and native_supported(pattern)
 
-    All engines are bit-identical, so promotion mid-run is invisible except
-    in throughput.
+
+def _auto_kernel(pattern: StencilPattern, dtype: str, elements: int, cached):
+    """The "auto" engine of one check of ``elements`` cell updates.
+
+    Native when it pays (:func:`_native_pays`) and builds, else the NumPy
+    engine.  A ``cached`` native choice is kept; a cached NumPy one is kept
+    unless this check pays for native.  The mode reads ``auto:<engine>``.
     """
-
-    def __init__(self, pattern: StencilPattern, dtype: str) -> None:
-        self.pattern = pattern
-        self.dtype = dtype
-        self._active = CompiledKernel(pattern, dtype)
-        self._elements = 0
-        self._can_promote = _native_compiler() is not None and native_supported(pattern)
-
-    @property
-    def mode(self) -> str:
-        return f"auto:{self._active.mode}"
-
-    @property
-    def np_dtype(self) -> type:
-        return self._active.np_dtype
-
-    @property
-    def source(self):
-        return self._active.source
-
-    def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
-        if self._can_promote:
-            self._elements += out.size
-            if self._elements >= NATIVE_PROMOTION_ELEMENTS:
-                self._can_promote = False
-                try:
-                    self._active = NativeKernel(self.pattern, self.dtype)
-                except CompileError:
-                    pass
-        return self._active(src, region, out)
+    native = _native_pays(pattern, elements)
+    if cached is not None and (cached.mode == "auto:native" or not native):
+        return cached
+    kernel = cached
+    if native:
+        try:
+            kernel = NativeKernel(pattern, dtype)
+            kernel.mode = "auto:native"
+        except CompileError:
+            pass  # the NumPy engine is bit-identical
+    if kernel is None:
+        kernel = CompiledKernel(pattern, dtype)
+        kernel.mode = "auto:compiled"
+    return kernel
 
 
 StencilKernel = Callable[[np.ndarray, Region, np.ndarray], np.ndarray]
@@ -654,14 +792,17 @@ StencilKernel = Callable[[np.ndarray, Region, np.ndarray], np.ndarray]
 _KERNEL_CACHE: Dict[Tuple[int, str, str], StencilKernel] = {}
 
 
-def compile_pattern(pattern: StencilPattern, mode: str = "auto") -> StencilKernel:
+def compile_pattern(
+    pattern: StencilPattern, mode: str = "auto", elements: int = 0
+) -> StencilKernel:
     """Build (or fetch from cache) the region kernel for ``pattern``.
 
     ``mode`` selects ``"native"`` (single-pass C kernel; raises
     :class:`CompileError` when no toolchain is available), ``"compiled"``
     (the fused NumPy engine; raise on failure), ``"interpreter"`` (the
-    tree-walking oracle), or ``"auto"`` (tiered: the NumPy engine promotes
-    itself to a native kernel once enough work has flowed through; honours
+    tree-walking oracle), or ``"auto"``: one engine per check, native when
+    the ``elements`` cell updates the caller is about to run pay for its
+    build, the NumPy engine otherwise (see :func:`_auto_kernel`; honours
     ``REPRO_NO_NATIVE=1``).  All engines produce bit-identical results.
     """
     dtype = pattern.dtype
@@ -669,16 +810,19 @@ def compile_pattern(pattern: StencilPattern, mode: str = "auto") -> StencilKerne
         raise ValueError(f"unknown kernel mode {mode!r}")
     key = (pattern.cache_key, dtype, mode)
     kernel = _KERNEL_CACHE.get(key)
-    if kernel is not None:
+    if mode == "auto":
+        chosen = _auto_kernel(pattern, dtype, elements, kernel)
+        if chosen is kernel:
+            return kernel
+        kernel = chosen
+    elif kernel is not None:
         return kernel
-    if mode == "interpreter":
+    elif mode == "interpreter":
         kernel = InterpretedKernel(pattern, dtype)
     elif mode == "compiled":
         kernel = CompiledKernel(pattern, dtype)
     elif mode == "native":
         kernel = NativeKernel(pattern, dtype)
-    else:
-        kernel = AutoKernel(pattern, dtype)
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
         _KERNEL_CACHE.clear()
     _KERNEL_CACHE[key] = kernel

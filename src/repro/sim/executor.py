@@ -20,7 +20,9 @@ loads are copied into one stacked ``(G, ...)`` buffer pair of at most
 :data:`STACK_ELEMENTS` elements, and each time step is one kernel call over
 the whole stack, so every cell still sees the same ufunc sequence as with
 one call per tile.  The kernel is the one :func:`compile_pattern` returns
-for the pattern itself, so a check shares it with the reference executor.
+for the pattern itself, its engine chosen from the cell updates the run will
+make (:meth:`BlockedStencilExecutor.updated_elements`), so a check shares it
+with the reference executor.
 Grids and stacks keep the streaming dimension innermost in memory (the
 dependency cone only shrinks the blocked dimensions, so the kernel's ufuncs
 sweep long contiguous spans); coordinates stay logical throughout.
@@ -31,6 +33,7 @@ fuzz campaign rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
@@ -95,6 +98,23 @@ class TileGroup:
     def stack_size(self) -> int:
         return max(1, STACK_ELEMENTS // int(np.prod(self.shape)))
 
+    @property
+    def updatable(self) -> bool:
+        return all(lo < hi for lo, hi in self.base)
+
+    def cone_region(self, step: int, time_block: int, rad: int) -> Tuple[slice, ...]:
+        """The local cells step ``step`` of ``time_block`` updates.
+
+        Dependency cone: at step s only cells within (time_block - s) * rad
+        of the stored region can still influence it, so the update region
+        shrinks toward the store region without changing any stored value.
+        """
+        margin = (time_block - step) * rad
+        return tuple(
+            slice(max(b_lo, s_lo - margin), min(b_hi, s_hi + margin))
+            for (b_lo, b_hi), (s_lo, s_hi) in zip(self.base, self.store)
+        )
+
 
 class BlockedStencilExecutor:
     """Runs a stencil with AN5D's overlapped space/time blocking on NumPy."""
@@ -113,11 +133,13 @@ class BlockedStencilExecutor:
         self.radius = pattern.radius
         self.model = ExecutionModel(pattern, grid, config)
         self.dtype = numpy_dtype(pattern.dtype)
-        self.kernel = compile_pattern(pattern, mode=kernel_mode)
         # Groups are identical for every launch with the same time_block;
         # stacks of equal shape share one pair of buffers.
         self._groups: Dict[int, List[TileGroup]] = {}
         self._stack_buffers: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
+        self.kernel = compile_pattern(
+            pattern, mode=kernel_mode, elements=self.updated_elements(grid.time_steps)
+        )
 
     # -- tiling ----------------------------------------------------------------
     def _dim_tiles(self, extent: int, compute: int, halo: int) -> List[Tuple[int, int, int, int]]:
@@ -215,18 +237,7 @@ class BlockedStencilExecutor:
         for index, tile in enumerate(tiles):
             np.copyto(current[index], source[_slices(tile.load)])
 
-        def cone_region(step: int) -> Tuple[slice, ...]:
-            # Dependency cone: at step s only cells within (time_block - s) *
-            # rad of the stored region can still influence it, so the update
-            # region shrinks toward the store region without changing any
-            # stored value.
-            margin = (time_block - step) * rad
-            return tuple(
-                slice(max(b_lo, s_lo - margin), min(b_hi, s_hi + margin))
-                for (b_lo, b_hi), (s_lo, s_hi) in zip(group.base, group.store)
-            )
-
-        if all(lo < hi for lo, hi in group.base):
+        if group.updatable:
             # Double-buffered stepping: each buffer's never-written cells keep
             # their loaded values (stale halo cells near cut edges are never
             # read by any cell the stored region depends on).  The second
@@ -237,11 +248,11 @@ class BlockedStencilExecutor:
             if time_block >= 2:
                 seed = stack + tuple(
                     slice(max(s.start - rad, 0), min(s.stop + rad, dim))
-                    for s, dim in zip(cone_region(1), group.shape)
+                    for s, dim in zip(group.cone_region(1, time_block, rad), group.shape)
                 )
                 np.copyto(other[seed], current[seed])
             for step in range(1, time_block + 1):
-                region = cone_region(step)
+                region = group.cone_region(step, time_block, rad)
                 self.kernel(current, region, out=other[stack + region])
                 current, other = other, current
         store = _slices(group.store)
@@ -261,6 +272,18 @@ class BlockedStencilExecutor:
             for first in range(0, len(group.tiles), size):
                 tiles = group.tiles[first:first + size]
                 self._run_stack(source, destination, group, tiles, time_block)
+
+    def updated_elements(self, total_steps: int) -> int:
+        """Cell updates the kernel runs over ``total_steps`` steps, known
+        before the run from the launch schedule and the tile groups."""
+        total = 0
+        for launch_steps in self.launch_schedule(total_steps):
+            for group in self.tile_groups(launch_steps):
+                if group.updatable:
+                    for step in range(1, launch_steps + 1):
+                        region = group.cone_region(step, launch_steps, self.radius)
+                        total += len(group.tiles) * math.prod(s.stop - s.start for s in region)
+        return total
 
     def launch_schedule(self, total_steps: int) -> List[int]:
         """Split ``total_steps`` into per-launch step counts (host-code logic)."""

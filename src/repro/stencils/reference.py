@@ -33,7 +33,9 @@ class ReferenceExecutor:
 
     The expression is lowered once to a fused kernel
     (:func:`repro.ir.compile.compile_pattern`); time stepping double-buffers
-    two preallocated grids instead of copying the source every step.
+    two preallocated grids instead of copying the source every step.  With
+    no ``kernel`` given it reuses the pattern's cached "auto" kernel, the
+    one a check's blocked executor chose.
     """
 
     def __init__(self, pattern: StencilPattern, kernel: StencilKernel | None = None) -> None:
@@ -73,7 +75,8 @@ def run_reference(
     """Run the reference executor over ``grid.time_steps`` steps."""
     if initial is None:
         initial = make_initial_grid(pattern, grid, seed)
-    return ReferenceExecutor(pattern).run(initial, grid.time_steps)
+    kernel = compile_pattern(pattern, elements=grid.cells * grid.time_steps)
+    return ReferenceExecutor(pattern, kernel).run(initial, grid.time_steps)
 
 
 #: Chunk length for the streaming max_relative_error pass; bounds scratch

@@ -17,12 +17,12 @@ import pytest
 from repro.core.config import BlockingConfig
 from repro.ir.compile import (
     _CALL_NUMPY,
-    AutoKernel,
     CompileError,
     CompiledKernel,
     InterpretedKernel,
     compile_pattern,
     native_supported,
+    _auto_kernel,
     _native_compiler,
 )
 from repro.ir.expr import BinOp, Call, Const, GridRead, UnaryOp
@@ -173,7 +173,11 @@ def test_compiled_kernel_reuses_scratch_and_cache():
 @pytest.mark.parametrize("mode", ["auto", "compiled", "interpreter"])
 def test_every_engine_rejects_an_unknown_dtype(mode):
     # "auto" has no interpreter fallback: no valid pattern needs one.
-    engine = {"auto": AutoKernel, "compiled": CompiledKernel, "interpreter": InterpretedKernel}
+    engine = {
+        "auto": lambda pattern, dtype: _auto_kernel(pattern, dtype, 10**9, None),
+        "compiled": CompiledKernel,
+        "interpreter": InterpretedKernel,
+    }
     with pytest.raises(CompileError, match="unsupported dtype"):
         engine[mode](load_pattern("j2d5pt"), "half")
 
