@@ -44,11 +44,11 @@ from repro.core.execution_model import ExecutionModel
 from repro.ir.compile import compile_pattern
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.stencils.reference import (
+    ReferenceExecutor,
     allclose_for_dtype,
     make_initial_grid,
     max_relative_error,
     numpy_dtype,
-    run_reference,
 )
 
 #: Element cap of one tile stack (members x tile cells); a single tile may
@@ -332,11 +332,15 @@ def verify_blocking(
     grid: GridSpec,
     config: BlockingConfig,
     seed: int = 0,
+    kernel_mode: str = "auto",
 ) -> VerificationResult:
-    """Run both executors from the same initial grid and compare."""
+    """Run both executors from the same initial grid, on one kernel, and
+    compare.  ``kernel_mode`` is the engine (see
+    :func:`~repro.ir.compile.compile_pattern`)."""
     initial = make_initial_grid(pattern, grid, seed)
-    blocked = BlockedStencilExecutor(pattern, grid, config).run(initial)
-    reference = run_reference(pattern, grid, initial=initial.copy())
+    executor = BlockedStencilExecutor(pattern, grid, config, kernel_mode=kernel_mode)
+    blocked = executor.run(initial)
+    reference = ReferenceExecutor(pattern, executor.kernel).run(initial, grid.time_steps)
     return VerificationResult(
         matches=allclose_for_dtype(blocked, reference, pattern.dtype),
         max_relative_error=max_relative_error(blocked, reference),

@@ -2,12 +2,31 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import pytest
 
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec
 from repro.model.gpu_specs import get_gpu
 from repro.stencils.library import load_pattern
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_temp_dir(tmp_path_factory):
+    """A temp directory of the session's own, so native kernels build into
+    an empty cache (see ``repro.ir.compile.native_cache_dir``) and a run
+    neither reads nor fills the user's.  Subprocesses inherit ``TMPDIR``."""
+    root = str(tmp_path_factory.mktemp("tmp"))
+    saved = os.environ.get("TMPDIR"), tempfile.tempdir
+    os.environ["TMPDIR"], tempfile.tempdir = root, None
+    yield root
+    if saved[0] is None:
+        os.environ.pop("TMPDIR", None)
+    else:
+        os.environ["TMPDIR"] = saved[0]
+    tempfile.tempdir = saved[1]
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ never loaded) and what happens when the toolchain fails or is absent.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import shutil
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.campaign.jobs import CampaignSpec, run_job
 from repro.core.config import BlockingConfig
 from repro.ir import compile as ir_compile
 from repro.ir.compile import (
@@ -223,7 +225,7 @@ def test_a_failing_compiler_raises_its_stderr_and_auto_falls_back(cache_root, tm
     monkeypatch.setattr(ir_compile, "_NATIVE_COMPILER", fake)
     pattern = load_pattern("j2d5pt", "float")
     with pytest.raises(CompileError, match="out of kaboom"):
-        NativeKernel(pattern, "float")
+        NativeKernel(pattern, "float", both_orders=True)
     calls = len(log.read_text().splitlines())
     assert calls == 4  # two loop orders, each with and without -march=native
     executor = BlockedStencilExecutor(pattern, GRID_2D, CONFIG_2D)
@@ -256,6 +258,65 @@ def test_a_failed_march_native_build_is_retried_without_it(cache_root, tmp_path,
     assert np.array_equal(
         _run_region(kernel, pattern), _run_region(compile_pattern(pattern, mode="interpreter"), pattern)
     )
+
+
+@needs_cc
+def test_an_os_error_fails_one_build_and_is_not_remembered(cache_root, monkeypatch):
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    real = ir_compile._compile_library
+    calls = []
+
+    def full_disk_twice(*args):
+        calls.append(args)
+        if len(calls) <= 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(*args)
+
+    monkeypatch.setattr(ir_compile, "_compile_library", full_disk_twice)
+    pattern = line_pattern(0.75)
+    with pytest.raises(CompileError, match="No space left on device"):
+        NativeKernel(pattern, "double")
+    # "auto" runs that check on NumPy; the next check that pays builds.
+    assert compile_pattern(pattern, elements=10**8).mode == "auto:compiled"
+    assert ir_compile._NATIVE_FN_CACHE == {}
+    assert compile_pattern(pattern, elements=10**8).mode == "auto:native"
+    assert len(calls) == 3
+
+
+@needs_cc
+def test_a_native_kernel_builds_its_other_loop_order_at_first_use(cache_root):
+    pattern = load_pattern("j2d5pt", "double")
+    kernel = compile_pattern(pattern, mode="native")
+    assert len(_libraries(native_cache_dir())) == 1
+    grid, config = GridSpec((40, 40), 4), BlockingConfig(bT=2, bS=(16,))
+    executor = BlockedStencilExecutor(pattern, grid, config, kernel_mode="native")
+    assert executor.kernel is kernel
+    initial = make_initial_grid(pattern, grid, seed=4)
+    blocked = executor.run(initial)
+    # The executor's stacks keep the streaming axis innermost: the second order.
+    assert len(_libraries(native_cache_dir())) == 2
+    assert kernel.fallback_calls == 0
+    oracle = ReferenceExecutor(pattern, compile_pattern(pattern, mode="interpreter"))
+    assert np.array_equal(blocked, oracle.run(initial, grid.time_steps))
+
+
+def test_a_fuzz_job_builds_no_native_kernel(cache_root, tmp_path, monkeypatch):
+    log = tmp_path / "calls"
+    fake = _script(tmp_path / "fake-cc", f'echo x >> "{log}"\nexit 1\n')
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    monkeypatch.setattr(ir_compile, "_NATIVE_COMPILER", fake)
+    # fuzz-7-1 is a 13-read 3-D stencil whose blocked check, run by "auto",
+    # would pay for a build over NATIVE_AMORTISED_RUNS reuses.
+    job = CampaignSpec(kinds=("fuzz",), fuzz_seed=7, fuzz_count=2).expand()[1]
+    pattern = load_pattern(job.pattern, job.dtype)
+    grid = job.grid()
+    config = BlockingConfig(bT=2, bS=(16, 16))
+    executor = BlockedStencilExecutor(pattern, grid, config, kernel_mode="compiled")
+    assert ir_compile._native_pays(pattern, executor.updated_elements(grid.time_steps))
+    payload = run_job(job)
+    assert payload["passed"] and "blocked_vs_reference" in [c["check"] for c in payload["checks"]]
+    assert not log.exists()
+    assert ir_compile._NATIVE_FN_CACHE == {}
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,8 @@ def test_tile_groups_partition_tiles_by_local_geometry(ndim, radius, box, bT, bS
         interior = (extents[0], 1 + extents[1] % 200)
     else:
         interior = tuple(1 + e % 60 for e in extents)
-    executor = BlockedStencilExecutor(pattern, GridSpec(interior, bT), config)
+    # Only the tiling is inspected: the NumPy engine builds nothing.
+    executor = BlockedStencilExecutor(pattern, GridSpec(interior, bT), config, kernel_mode="compiled")
     rad, padded = pattern.radius, executor.grid.padded(pattern.radius)
 
     tiles = list(executor.tiles(bT))
