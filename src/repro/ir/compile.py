@@ -334,26 +334,29 @@ class InterpretedKernel:
         self.np_dtype = numpy_dtype(dtype)
         self.source = None
 
-    def _eval(self, expr: Expr, src: np.ndarray, region: Region) -> np.ndarray:
-        if isinstance(expr, Const):
-            return np.asarray(expr.value, dtype=self.np_dtype)
-        if isinstance(expr, GridRead):
-            return src[(Ellipsis,) + tuple(
-                slice(s.start + off, s.stop + off) for s, off in zip(region, expr.offset)
-            )]
-        if isinstance(expr, BinOp):
-            lhs = self._eval(expr.lhs, src, region)
-            rhs = self._eval(expr.rhs, src, region)
-            return _BINOP_NUMPY[expr.op](lhs, rhs)
-        if isinstance(expr, UnaryOp):
-            return -self._eval(expr.operand, src, region)
-        if isinstance(expr, Call):
-            args = [self._eval(a, src, region) for a in expr.args]
-            return _CALL_NUMPY[expr.name](*args)
-        raise TypeError(f"unknown expression node {expr!r}")
+    def _eval(self, src: np.ndarray, region: Region) -> np.ndarray:
+        """Evaluate the pattern node by node, bottom-up through
+        :func:`~repro.ir.expr.fold`, so deep sums need no recursion."""
+
+        def combine(expr: Expr, args: List[np.ndarray]) -> np.ndarray:
+            if isinstance(expr, Const):
+                return np.asarray(expr.value, dtype=self.np_dtype)
+            if isinstance(expr, GridRead):
+                return src[(Ellipsis,) + tuple(
+                    slice(s.start + off, s.stop + off) for s, off in zip(region, expr.offset)
+                )]
+            if isinstance(expr, BinOp):
+                return _BINOP_NUMPY[expr.op](*args)
+            if isinstance(expr, UnaryOp):
+                return -args[0]
+            if isinstance(expr, Call):
+                return _CALL_NUMPY[expr.name](*args)
+            raise TypeError(f"unknown expression node {expr!r}")
+
+        return fold(self.pattern.expr, combine)
 
     def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
-        out[...] = self._eval(self.pattern.expr, src, region)
+        out[...] = self._eval(src, region)
         return out
 
 
@@ -379,6 +382,12 @@ _NATIVE_COMPILER: Optional[str] = ""  # "" = not probed yet, None = unavailable
 #: structurally equal patterns generate identical source, so each distinct
 #: kernel is loaded, or tried, at most once per process.
 _NATIVE_FN_CACHE: Dict[str, object] = {}
+
+#: Build keys by (pattern token, dtype, loop order, compiler), so a check
+#: that makes its kernel again (perfbench clears the kernel cache before
+#: every item) finds the loaded entry point without regenerating the C
+#: source, which took box3d4r's check 15 of its ~33 ms.
+_NATIVE_KEYS: Dict[Tuple[int, str, Tuple[int, ...], str], str] = {}
 
 #: Per-process build directory, used when the shared one is not private.
 _FALLBACK_DIR: Optional[str] = None
@@ -498,44 +507,30 @@ def _entry_point(path: str, ndim: int):
     return fn
 
 
-def _native_entry_points(compiler: str, sources: List[str], ndim: int) -> List[object]:
-    """Entry points of ``sources``: loaded in this process already, from the
-    cache directory, or built there side by side.  Raises
-    :class:`CompileError` if one cannot be had (and remembers why)."""
-    from concurrent.futures import ThreadPoolExecutor  # native path only
-
-    keys = [_build_key(compiler, source) for source in sources]
-    found = {key: _NATIVE_FN_CACHE[key] for key in keys if key in _NATIVE_FN_CACHE}
-    missing = {key: source for key, source in zip(keys, sources) if key not in found}
-    if missing:
+def _native_entry_point(compiler: str, key: str, source: Optional[str], ndim: int):
+    """The entry point of build key ``key``: loaded in this process
+    already, or else (``source`` is then required) from the cache
+    directory, or built there.  Raises :class:`CompileError` if it cannot
+    be had (and remembers why)."""
+    fn = _NATIVE_FN_CACHE.get(key)
+    if fn is None:
         directory = _kernel_dir()
-
-        def load(key: str):
-            try:
-                path = _cached_library(directory, key) or _compile_library(
-                    compiler, directory, key, missing[key]
-                )
-                return _entry_point(path, ndim)
-            except CompileError as error:
-                return str(error)
-            except OSError as error:
-                return error
-
-        with ThreadPoolExecutor(max_workers=len(missing)) as pool:
-            found.update(zip(missing, pool.map(load, missing)))
-        # The compiler's own failure is remembered for the process; an
-        # OSError (a full disk, no free descriptors, a cache directory
-        # removed mid-build) fails this call only.
-        _NATIVE_FN_CACHE.update(
-            (key, found[key]) for key in missing if not isinstance(found[key], OSError)
-        )
-    fns = [found[key] for key in keys]
-    for fn in fns:
-        if isinstance(fn, OSError):
-            raise CompileError(f"native kernel build failed: {fn}")
-        if isinstance(fn, str):
-            raise CompileError(fn)
-    return fns
+        try:
+            path = _cached_library(directory, key) or _compile_library(
+                compiler, directory, key, source
+            )
+            fn = _entry_point(path, ndim)
+        except CompileError as error:
+            fn = str(error)
+        except OSError as error:
+            # An OSError (a full disk, no free descriptors, a cache directory
+            # removed mid-build) fails this call only; the compiler's own
+            # failure is remembered for the process.
+            raise CompileError(f"native kernel build failed: {error}") from error
+        _NATIVE_FN_CACHE[key] = fn
+    if isinstance(fn, str):
+        raise CompileError(fn)
+    return fn
 
 
 def native_supported(pattern: StencilPattern) -> bool:
@@ -549,15 +544,19 @@ def native_supported(pattern: StencilPattern) -> bool:
 
 
 class _CExprGen:
-    """Lowers the expression tree to a flat sequence of C assignments."""
+    """Lowers the expression tree to a flat sequence of C assignments.
+
+    ``statements`` holds one ``(temp, rhs, operand terms)`` per assignment,
+    in evaluation order; :meth:`chunks` splits them where the loop body can
+    be cut.
+    """
 
     def __init__(self, np_dtype: type, ctype: str) -> None:
         self.np_dtype = np_dtype
         self.ctype = ctype
         self.suffix = "f" if ctype == "float" else ""
         self.reads: Dict[Tuple[int, ...], str] = {}
-        self.lines: List[str] = []
-        self._temps = 0
+        self.statements: List[Tuple[str, str, Tuple[str, ...]]] = []
 
     def _literal(self, value) -> str:
         value = float(value)
@@ -568,10 +567,9 @@ class _CExprGen:
             return f"({sign}({self.ctype})INFINITY)"
         return value.hex() + self.suffix
 
-    def _temp(self, rhs: str) -> str:
-        name = f"v{self._temps}"
-        self._temps += 1
-        self.lines.append(f"const {self.ctype} {name} = {rhs};")
+    def _temp(self, rhs: str, *operands: str) -> str:
+        name = f"v{len(self.statements)}"
+        self.statements.append((name, rhs, operands))
         return name
 
     def emit(self, expr: Expr):
@@ -595,13 +593,13 @@ class _CExprGen:
                     folded = _BINOP_NUMPY[expr.op](lval, rval)
                 value = self.np_dtype(folded)
                 return self._literal(value), value
-            return self._temp(f"{lhs} {expr.op} {rhs}"), None
+            return self._temp(f"{lhs} {expr.op} {rhs}", lhs, rhs), None
         if isinstance(expr, UnaryOp):
             ((term, value),) = operands
             if value is not None:
                 value = self.np_dtype(-value)
                 return self._literal(value), value
-            return self._temp(f"-{term}"), None
+            return self._temp(f"-{term}", term), None
         if isinstance(expr, Call):
             if expr.name not in _NATIVE_SAFE_CALLS or len(expr.args) != 1:
                 raise CompileError(f"call {expr.name!r} not supported by the native backend")
@@ -610,8 +608,54 @@ class _CExprGen:
             if value is not None:
                 value = self.np_dtype(_CALL_NUMPY[expr.name](value))
                 return self._literal(value), value
-            return self._temp(f"{fn}{self.suffix}({term})"), None
+            return self._temp(f"{fn}{self.suffix}({term})", term), None
         raise CompileError(f"unknown expression node {expr!r}")
+
+    def chunks(self, result: str, size: int) -> List[Tuple[int, int, Optional[str]]]:
+        """Split the statements into ``(start, stop, carried)`` runs of at
+        most ``size`` where possible.  A run may end only where exactly one
+        temporary is live (``carried``, handed to the next run through the
+        output row); a run with no such cut within ``size`` statements
+        extends to the next one."""
+        last_use = {result: len(self.statements)}
+        for index, (_, _, operands) in enumerate(self.statements):
+            for term in operands:
+                last_use[term] = index
+        # cuts[i]: the one live temporary after statement i, if exactly one.
+        cuts: Dict[int, str] = {}
+        live: set = set()
+        for index, (name, _, operands) in enumerate(self.statements[:-1]):
+            live.difference_update(term for term in operands if last_use[term] == index)
+            live.add(name)
+            if len(live) == 1:
+                cuts[index] = next(iter(live))
+        runs: List[Tuple[int, int, Optional[str]]] = []
+        start, carried = 0, None
+        total = len(self.statements)
+        while total - start > size:
+            inside = [i for i in cuts if start <= i < start + size]
+            beyond = [i for i in cuts if i >= start + size]
+            if not inside and not beyond:
+                break
+            end = max(inside) if inside else min(beyond)
+            runs.append((start, end + 1, carried))
+            start, carried = end + 1, cuts[end]
+        runs.append((start, total, carried))
+        return runs
+
+
+#: Statements per ``k`` loop of a native kernel.  gcc's RTL passes (the
+#: combiner and register allocation, 98% of box3d3r's 4.8-s build) grow
+#: faster than linearly with one loop body's statements and the row
+#: pointers live across it, so a longer body is split into consecutive
+#: loops over the same row, each reading back the one carried value from
+#: ``orow[k]``.  One loop order on a 2-vCPU x86-64 host (gcc 12, -O3
+#: -march=native), split at 64 / 128 / 256 / never: box3d3r built in 2.4 /
+#: 2.8 / 3.5 / 4.8 s, box3d4r 5.7 / 5.3 / - / 33 s.  Verify-sized checks
+#: ran within noise across 64-256 (box2d4r, box3d2r and box3d3r), and at
+#: 128 no slower than the unsplit body in an interleaved A/B.  Bodies of
+#: up to 128 statements (box2d3r has 97) keep their source and build key.
+NATIVE_CHUNK_STATEMENTS = 128
 
 
 def generate_native_source(
@@ -624,7 +668,9 @@ def generate_native_source(
     logical order).  The last dimension of ``order`` must be contiguous in
     both ``src`` and ``out`` (the wrapper checks this); per-read row pointers
     are hoisted so the inner loop is a plain stride-1 sweep the compiler can
-    vectorize.
+    vectorize.  A body of more than :data:`NATIVE_CHUNK_STATEMENTS`
+    statements runs as several such sweeps, each in its own block with the
+    row pointers it reads.
     """
     ctype = _C_TYPES[dtype]
     gen = _CExprGen(_NUMPY_DTYPES[dtype], ctype)
@@ -647,37 +693,75 @@ def generate_native_source(
     for d in range(outer):
         lines.append(f"{indent}for (ptrdiff_t i{d} = l{d}; i{d} < h{d}; ++i{d}) {{")
         indent += "    "
-    for offset, name in gen.reads.items():
-        terms = ["g*sn"] + [f"(i{d} + ({offset[order[d]]}))*s{d}" for d in range(outer)]
-        terms.append(f"({offset[order[outer]]})")
-        lines.append(f"{indent}const {ctype}* {name} = src + {' + '.join(terms)};")
+
+    def row_pointers(reads, indent: str) -> None:
+        for offset, name in reads:
+            terms = ["g*sn"] + [f"(i{d} + ({offset[order[d]]}))*s{d}" for d in range(outer)]
+            terms.append(f"({offset[order[outer]]})")
+            lines.append(f"{indent}const {ctype}* {name} = src + {' + '.join(terms)};")
+
+    def sweep(statements, stored: str, indent: str, carried: Optional[str]) -> None:
+        lines.append(f"{indent}for (ptrdiff_t k = l{outer}; k < h{outer}; ++k) {{")
+        if carried is not None:
+            lines.append(f"{indent}    const {ctype} {carried} = orow[k];")
+        for name, rhs, _ in statements:
+            lines.append(f"{indent}    const {ctype} {name} = {rhs};")
+        lines.append(f"{indent}    orow[k] = {stored};")
+
     out_terms = ["g*on"] + [f"(i{d} - l{d})*o{d}" for d in range(outer)]
     out_terms.append(f"(-l{outer})")
-    lines.append(f"{indent}{ctype}* orow = out + {' + '.join(out_terms)};")
-    lines.append(f"{indent}for (ptrdiff_t k = l{outer}; k < h{outer}; ++k) {{")
-    body_indent = indent + "    "
-    for line in gen.lines:
-        lines.append(body_indent + line)
-    lines.append(f"{body_indent}orow[k] = {result};")
-    for d in range(outer + 2):
+    runs = gen.chunks(result, NATIVE_CHUNK_STATEMENTS)
+    if len(runs) == 1:
+        row_pointers(gen.reads.items(), indent)
+        lines.append(f"{indent}{ctype}* orow = out + {' + '.join(out_terms)};")
+        sweep(gen.statements, result, indent, None)
+    else:
+        lines.append(f"{indent}{ctype}* orow = out + {' + '.join(out_terms)};")
+        names = {f"{name}[k]": (offset, name) for offset, name in gen.reads.items()}
+        for number, (start, stop, carried) in enumerate(runs):
+            statements = gen.statements[start:stop]
+            used = dict.fromkeys(
+                names[term] for _, _, operands in statements for term in operands if term in names
+            )
+            stored = result if number == len(runs) - 1 else runs[number + 1][2]
+            lines.append(f"{indent}{{")
+            row_pointers(used, indent + "    ")
+            sweep(statements, stored, indent + "    ", carried)
+            lines.append(f"{indent}    }}")
+            lines.append(f"{indent}}}")
+    # The one-run body leaves its ``k`` loop open, as it always has, so
+    # kernels that need no split keep their source and their build key.
+    for d in range(outer + 1 + (len(runs) == 1)):
         indent = indent[:-4]
         lines.append(f"{indent}}}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+def empty_stream_last(shape: Tuple[int, ...], ndim: int, np_dtype: type) -> np.ndarray:
+    """An uninitialised array of logical ``shape`` (an ``ndim``-D grid, or a
+    stack of them along leading axes) whose memory keeps the streaming
+    dimension, the grid's first, innermost.  Both executors run their
+    kernel on this layout, so a check runs one native loop order."""
+    stream = len(shape) - ndim
+    memory = shape[:stream] + shape[stream + 1:] + shape[stream:stream + 1]
+    return np.moveaxis(np.empty(memory, np_dtype), -1, stream)
+
+
 class NativeKernel:
     """A single-pass C kernel, built at first use with the host toolchain.
 
-    A call whose arrays are contiguous along another axis than the last runs
-    a build of the permuted loop nest; a call it cannot take goes to the
-    NumPy engine and counts in ``fallback_calls``.
+    The loop order of :func:`empty_stream_last` arrays is loaded or built
+    when the kernel is made; a call whose arrays are contiguous along
+    another axis runs a build of that permuted loop nest, made at its first
+    use.  A call it cannot take goes to the NumPy engine and counts in
+    ``fallback_calls``.
     """
 
     mode = "native"
     num_scratch = 0
 
-    def __init__(self, pattern: StencilPattern, dtype: str, both_orders: bool = False) -> None:
+    def __init__(self, pattern: StencilPattern, dtype: str) -> None:
         compiler = _native_compiler()
         if compiler is None:
             raise CompileError("no C compiler available for the native backend")
@@ -692,17 +776,8 @@ class NativeKernel:
         self.itemsize = np.dtype(self.np_dtype).itemsize
         self.ndim = pattern.ndim
         self._compiler = compiler
-        self.source = generate_native_source(pattern, dtype)
-        # A check runs C-ordered grids (the reference) and stacks whose
-        # memory keeps the streaming axis innermost (the blocked executor),
-        # so a kernel chosen for a check (``both_orders``) loads or builds
-        # both loop orders now, side by side.  Other orders build at first use.
-        sources = {tuple(range(self.ndim)): self.source}
-        stream_last = tuple(range(1, self.ndim)) + (0,)
-        if both_orders and stream_last not in sources:
-            sources[stream_last] = generate_native_source(pattern, dtype, stream_last)
-        fns = _native_entry_points(compiler, list(sources.values()), self.ndim)
-        self._fns: Dict[Tuple[int, ...], object] = dict(zip(sources, fns))
+        self._fns: Dict[Tuple[int, ...], object] = {}
+        self._fn_for(tuple(range(1, self.ndim)) + (0,))  # empty_stream_last's order
         self._fallback: Optional[CompiledKernel] = None
         self.fallback_calls = 0
 
@@ -710,8 +785,15 @@ class NativeKernel:
         """The entry point whose loop nest runs the dimensions in ``order``."""
         fn = self._fns.get(order)
         if fn is None:
-            source = generate_native_source(self.pattern, self.dtype, order)
-            fn = self._fns[order] = _native_entry_points(self._compiler, [source], self.ndim)[0]
+            memo = (self.pattern.cache_key, self.dtype, order, self._compiler)
+            key, source = _NATIVE_KEYS.get(memo), None
+            if key not in _NATIVE_FN_CACHE:
+                source = generate_native_source(self.pattern, self.dtype, order)
+                key = _build_key(self._compiler, source)
+                if len(_NATIVE_KEYS) >= _KERNEL_CACHE_MAX:
+                    _NATIVE_KEYS.clear()
+                _NATIVE_KEYS[memo] = key
+            fn = self._fns[order] = _native_entry_point(self._compiler, key, source, self.ndim)
         return fn
 
     def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
@@ -747,33 +829,34 @@ class NativeKernel:
 
 
 #: The "auto" engine model, fitted on a 2-vCPU x86-64 host (gcc 12, -O3
-#: -march=native).  One build of one loop order took star2d1r 0.13 s,
-#: star3d4r 0.35 s, box2d4r 0.62 s, box3d2r 1.09 s, box3d3r 6.9 s and
-#: box3d4r 33 s: about 130 ms + 60 us x reads^2, where reads are the
-#: distinct grid offsets, and a check builds two loop orders.  Over the
-#: blocked and reference updates of a verify-sized check (doubles), native
-#: saved 1.2-2.0 ns per element-read (gradient2d's sqrt and division 4.7
-#: ns); the model takes 1 ns.  Builds outlive the process, so a build pays
-#: when the checks that reuse it save more than it costs.
-#: NATIVE_AMORTISED_RUNS is the reuse measured for the repeated check,
-#: perfbench's verify-exec: a 25-s run checks every item 10 times (one
-#: warm-up and 9 timed passes, 378 checks of 42 items), and comparing two
-#: commits runs it 10 times per checkout against one cache.  At 100, every
-#: verify-exec item runs native except star3d4r, box3d3r and box3d4r (which
-#: need 242, 250 and 1589 checks to pay; star3d3r needs 95, star3d1r 48).
-#: A caller whose kernel runs once selects the engine itself: a fuzz job's
-#: stencil has its own random coefficients, so its build would never be
-#: reused.
+#: -march=native).  A check runs one loop order (both executors keep the
+#: streaming axis innermost), and one build of it took star2d1r 0.14 s,
+#: star3d4r 0.31 s, box2d4r 0.58 s, box3d2r 0.94 s, box3d3r 2.1 s and
+#: box3d4r 4.3 s: about 130 ms + 6 ms x reads, where reads are the distinct
+#: grid offsets (the body is split into NATIVE_CHUNK_STATEMENTS runs, so
+#: the cost is linear).  The check's blocked run and its reference share
+#: the kernel, and over both of their updates native saved 0.65-2.8 ns per
+#: element-read at verify size (gradient2d's sqrt and division 4.3 ns;
+#: 2-D floats save least); the model takes 0.6 ns.  Builds outlive the
+#: process, so a build pays when the checks that reuse it save more than
+#: it costs.  NATIVE_AMORTISED_RUNS is the reuse measured for the repeated
+#: check, perfbench's verify-exec: a 25-s run checks every item 10 times
+#: (one warm-up and 9 timed passes, 378 checks of 42 items), and comparing
+#: two commits runs it 10 times per checkout against one cache.  At 100,
+#: every verify-exec item runs native except star3d4r, which needs 169
+#: checks to pay (star3d3r 96, box3d4r 93, box3d3r 48).  A caller whose
+#: kernel runs once selects the engine itself: a fuzz job's stencil has its
+#: own random coefficients, so its build would never be reused.
 NATIVE_BUILD_S = 0.130
-NATIVE_BUILD_S_PER_READ_SQUARED = 60e-6
-NATIVE_SAVED_S_PER_ELEMENT_READ = 1e-9
+NATIVE_BUILD_S_PER_READ = 6e-3
+NATIVE_SAVED_S_PER_ELEMENT_READ = 0.6e-9
 NATIVE_AMORTISED_RUNS = 100
 
 
 def _native_pays(pattern: StencilPattern, elements: int) -> bool:
     """Whether ``elements`` cell updates of ``pattern`` pay for a native build."""
     reads = len(pattern.offsets)
-    build_s = 2 * (NATIVE_BUILD_S + NATIVE_BUILD_S_PER_READ_SQUARED * reads * reads)
+    build_s = NATIVE_BUILD_S + NATIVE_BUILD_S_PER_READ * reads
     saved_s = NATIVE_AMORTISED_RUNS * elements * reads * NATIVE_SAVED_S_PER_ELEMENT_READ
     return saved_s >= build_s and _native_compiler() is not None and native_supported(pattern)
 
@@ -791,7 +874,7 @@ def _auto_kernel(pattern: StencilPattern, dtype: str, elements: int, cached):
     kernel = cached
     if native:
         try:
-            kernel = NativeKernel(pattern, dtype, both_orders=True)
+            kernel = NativeKernel(pattern, dtype)
             kernel.mode = "auto:native"
         except CompileError:
             pass  # the NumPy engine is bit-identical

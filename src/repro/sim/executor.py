@@ -21,11 +21,12 @@ loads are copied into one stacked ``(G, ...)`` buffer pair of at most
 the whole stack, so every cell still sees the same ufunc sequence as with
 one call per tile.  The kernel is the one :func:`compile_pattern` returns
 for the pattern itself, its engine chosen from the cell updates the run will
-make (:meth:`BlockedStencilExecutor.updated_elements`), so a check shares it
-with the reference executor.
+make (:meth:`BlockedStencilExecutor.updated_elements`) and those of the
+reference executor, which shares it.
 Grids and stacks keep the streaming dimension innermost in memory (the
 dependency cone only shrinks the blocked dimensions, so the kernel's ufuncs
-sweep long contiguous spans); coordinates stay logical throughout.
+sweep long contiguous spans), as the reference's grids do, so a check runs
+one loop order of a native kernel; coordinates stay logical throughout.
 
 The executor is the correctness oracle the test-suite, ``verify`` and the
 fuzz campaign rely on.
@@ -41,7 +42,7 @@ import numpy as np
 
 from repro.core.config import BlockingConfig
 from repro.core.execution_model import ExecutionModel
-from repro.ir.compile import compile_pattern
+from repro.ir.compile import compile_pattern, empty_stream_last
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.stencils.reference import (
     ReferenceExecutor,
@@ -49,6 +50,7 @@ from repro.stencils.reference import (
     make_initial_grid,
     max_relative_error,
     numpy_dtype,
+    stream_last_buffers,
 )
 
 #: Element cap of one tile stack (members x tile cells); a single tile may
@@ -137,8 +139,12 @@ class BlockedStencilExecutor:
         # stacks of equal shape share one pair of buffers.
         self._groups: Dict[int, List[TileGroup]] = {}
         self._stack_buffers: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
+        # A check's reference runs on this kernel too: its engine is chosen
+        # from the cell updates of both runs.
         self.kernel = compile_pattern(
-            pattern, mode=kernel_mode, elements=self.updated_elements(grid.time_steps)
+            pattern,
+            mode=kernel_mode,
+            elements=self.updated_elements(grid.time_steps) + grid.cells * grid.time_steps,
         )
 
     # -- tiling ----------------------------------------------------------------
@@ -210,14 +216,6 @@ class BlockedStencilExecutor:
         return cached
 
     # -- execution -----------------------------------------------------------------
-    def _empty(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """An uninitialised array of logical ``shape`` (a grid, or a stack of
-        tiles along a leading axis) whose memory keeps the streaming
-        dimension innermost."""
-        stream = len(shape) - self.pattern.ndim
-        memory = shape[:stream] + shape[stream + 1:] + shape[stream:stream + 1]
-        return np.moveaxis(np.empty(memory, self.dtype), -1, stream)
-
     def _run_stack(
         self,
         source: np.ndarray,
@@ -232,7 +230,11 @@ class BlockedStencilExecutor:
         key = (len(tiles),) + group.shape
         pair = self._stack_buffers.get(key)
         if pair is None:
-            pair = self._stack_buffers[key] = (self._empty(key), self._empty(key))
+            ndim = self.pattern.ndim
+            pair = self._stack_buffers[key] = (
+                empty_stream_last(key, ndim, self.dtype),
+                empty_stream_last(key, ndim, self.dtype),
+            )
         current, other = pair
         for index, tile in enumerate(tiles):
             np.copyto(current[index], source[_slices(tile.load)])
@@ -306,10 +308,7 @@ class BlockedStencilExecutor:
         schedule = self.launch_schedule(steps)
         if not schedule:
             return initial.astype(self.dtype, copy=True)
-        current = self._empty(initial.shape)
-        np.copyto(current, initial, casting="unsafe")
-        destination = self._empty(initial.shape)
-        np.copyto(destination, current)
+        current, destination = stream_last_buffers(initial, self.pattern.ndim, self.dtype)
         for launch_steps in schedule:
             self._launch_into(current, destination, launch_steps)
             current, destination = destination, current

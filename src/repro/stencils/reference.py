@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ir.compile import StencilKernel, compile_pattern, numpy_dtype
+from repro.ir.compile import StencilKernel, compile_pattern, empty_stream_last, numpy_dtype
 from repro.ir.stencil import GridSpec, StencilPattern
 
 
@@ -26,6 +26,18 @@ def make_initial_grid(pattern: StencilPattern, grid: GridSpec, seed: int = 0) ->
     shape = grid.padded(pattern.radius)
     data = rng.uniform(0.1, 1.0, size=shape)
     return data.astype(numpy_dtype(pattern.dtype))
+
+
+def stream_last_buffers(
+    initial: np.ndarray, ndim: int, np_dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two copies of ``initial`` to time-step between, laid out by
+    :func:`~repro.ir.compile.empty_stream_last`."""
+    current = empty_stream_last(initial.shape, ndim, np_dtype)
+    np.copyto(current, initial, casting="unsafe")
+    other = empty_stream_last(initial.shape, ndim, np_dtype)
+    np.copyto(other, current)
+    return current, other
 
 
 class ReferenceExecutor:
@@ -57,16 +69,18 @@ class ReferenceExecutor:
 
         Double-buffered: the boundary ring is constant across steps, so the
         two buffers swap roles instead of re-copying the grid every step.
+        They keep the streaming dimension innermost in memory, as the
+        blocked executor's do, so a check runs one loop order of its kernel;
+        the result comes back in C order.
         """
-        current = initial.astype(self.dtype, copy=True)
         if time_steps <= 0:
-            return current
+            return initial.astype(self.dtype, copy=True)
+        current, other = stream_last_buffers(initial, self.pattern.ndim, self.dtype)
         interior = tuple(slice(self.radius, dim - self.radius) for dim in current.shape)
-        other = current.copy()
         for _ in range(time_steps):
             self.kernel(current, interior, out=other[interior])
             current, other = other, current
-        return current
+        return np.ascontiguousarray(current)
 
 
 def run_reference(

@@ -307,6 +307,31 @@ def test_blocked_executor_digest_is_pinned():
     assert digest.hexdigest() == BLOCKED_DIGEST
 
 
+@pytest.mark.parametrize("name", ("j2d5pt", "star3d1r"))
+def test_both_executors_run_stream_last_and_hand_back_c_order(name):
+    pattern = load_pattern(name, "double")
+    grid = GridSpec((20,) * pattern.ndim, 3)
+    config = BlockingConfig(bT=2, bS=(12,) * (pattern.ndim - 1))
+    initial = make_initial_grid(pattern, grid, seed=8)
+    before = initial.copy()
+    kernel = compile_pattern(pattern, mode="compiled")
+    seen = []
+
+    def recording(src, region, out):
+        seen.append(src.strides[-pattern.ndim] == src.itemsize)
+        return kernel(src, region, out)
+
+    executor = BlockedStencilExecutor(pattern, grid, config, kernel_mode="compiled")
+    executor.kernel = recording
+    blocked = executor.run(initial)
+    reference = ReferenceExecutor(pattern, recording).run(initial, grid.time_steps)
+    # Every call of both runs sweeps the streaming axis innermost.
+    assert seen and all(seen)
+    for result in (blocked, reference):
+        assert result.flags.c_contiguous and not np.shares_memory(result, initial)
+    assert np.array_equal(blocked, reference) and np.array_equal(initial, before)
+
+
 def test_reference_executor_double_buffered_matches_stepwise():
     pattern = load_pattern("j2d5pt", "float")
     grid = GridSpec((20, 20), 6)
@@ -388,6 +413,17 @@ def test_radius5_box3d_tunes_compiles_and_runs_at_the_default_recursion_limit():
     kernel(src, (slice(5, 6),) * 3, out)
     expected = evaluate(pattern.expr, lambda read: float(src[tuple(5 + o for o in read.offset)]))
     assert out[0, 0, 0] == pytest.approx(expected, rel=1e-5)
+
+
+def test_the_interpreter_oracle_walks_a_radius5_box_at_the_default_recursion_limit():
+    from repro.stencils.generators import box_stencil
+
+    pattern = box_stencil(3, 5)
+    grid = GridSpec((3, 3, 3), 2)
+    initial = make_initial_grid(pattern, grid, seed=4)
+    oracle = ReferenceExecutor(pattern, compile_pattern(pattern, mode="interpreter"))
+    compiled = ReferenceExecutor(pattern, compile_pattern(pattern, mode="compiled"))
+    assert np.array_equal(oracle.run(initial, 2), compiled.run(initial, 2))
 
 
 def test_box3d4r_goes_through_ir_plan_codegen_and_executor_under_a_recursion_limit_of_150():

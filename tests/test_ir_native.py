@@ -8,6 +8,7 @@ never loaded) and what happens when the toolchain fails or is absent.
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import hashlib
 import os
@@ -25,10 +26,12 @@ from repro.campaign.jobs import CampaignSpec, run_job
 from repro.core.config import BlockingConfig
 from repro.ir import compile as ir_compile
 from repro.ir.compile import (
+    NATIVE_CHUNK_STATEMENTS,
     CompileError,
     NativeKernel,
     clear_kernel_cache,
     compile_pattern,
+    empty_stream_last,
     generate_kernel_source,
     generate_native_source,
     native_cache_dir,
@@ -36,6 +39,7 @@ from repro.ir.compile import (
 from repro.ir.expr import BinOp, Call, Const, GridRead, UnaryOp
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.sim.executor import BlockedStencilExecutor, verify_blocking
+from repro.stencils.generators import box_stencil
 from repro.stencils.library import load_pattern
 from repro.stencils.reference import (
     ReferenceExecutor,
@@ -139,6 +143,98 @@ def test_constant_subtrees_fold_to_one_literal_in_both_lowerings(case, dtype):
 
 
 # ---------------------------------------------------------------------------
+# Long native loop bodies, split into runs
+# ---------------------------------------------------------------------------
+
+#: sha256 of j2d5pt's C source per (dtype, loop order), as generated before
+#: long bodies were split: a body of one run keeps its source, so its build
+#: key and every library already built for it.
+J2D5PT_SOURCES = {
+    ("float", (0, 1)): "66f2caf8dae901a3a7b2686d8d887fbbe5e6722e86ea9cef0f789d0b684dadcd",
+    ("float", (1, 0)): "315e975a54cc0a2b7842ae4b1e6d15bb9973f08ea42a55116df010ce4c77a72d",
+    ("double", (0, 1)): "a6258b50ce0efe25946d9b411003dbd0806378d9be79f412ddafbbce04396ef5",
+    ("double", (1, 0)): "059bbb33c36eca88e860a3b135208f49f5303438afd963dac06d530fe991bac3",
+}
+
+
+def test_a_body_of_one_run_generates_the_source_it_always_had():
+    for (dtype, order), digest in J2D5PT_SOURCES.items():
+        source = generate_native_source(load_pattern("j2d5pt", dtype), dtype, order)
+        assert hashlib.sha256(source.encode()).hexdigest() == digest
+        assert source.count("for (ptrdiff_t k") == 1
+
+
+def product_of_sums(dtype: str) -> StencilPattern:
+    """(a sum of 3 weighted reads) x (a sum of 65) over a 3-D radius-1 box:
+    the second sum keeps two values live, so no run may end inside it."""
+    offsets = [(di, dj, dk) for di in (-1, 0, 1) for dj in (-1, 0, 1) for dk in (-1, 0, 1)]
+
+    def weighted_sum(count: int, scale: float):
+        terms = [
+            BinOp("*", Const(scale * (1 + index % 7) / 64), GridRead("A", offsets[index % 27]))
+            for index in range(count)
+        ]
+        total = terms[0]
+        for term in terms[1:]:
+            total = BinOp("+", total, term)
+        return total
+
+    expr = BinOp("*", weighted_sum(3, 1.0), weighted_sum(65, 0.5))
+    return StencilPattern("sum-product", 3, expr, dtype=dtype)
+
+
+def _runs(pattern: StencilPattern):
+    gen = ir_compile._CExprGen(numpy_dtype(pattern.dtype), "double")
+    result, _ = gen.emit(pattern.expr)
+    return gen.chunks(result, NATIVE_CHUNK_STATEMENTS), len(gen.statements)
+
+
+def test_runs_end_only_where_one_value_is_live():
+    # A left-fold sum can end a run after any add: every run is full.
+    runs, total = _runs(box_stencil(3, 3, "double"))
+    assert total == 685 and len(runs) == 6
+    assert all(stop - start <= NATIVE_CHUNK_STATEMENTS for start, stop, _ in runs)
+    assert [start for start, _, _ in runs[1:]] == [stop for _, stop, _ in runs[:-1]]
+    assert runs[0][2] is None and all(carried for _, _, carried in runs[1:])
+    # The product: a run ends where the first sum does; the second sum and
+    # the product then run as one body past the size.
+    runs, total = _runs(product_of_sums("double"))
+    assert total == 135 and runs == [(0, 5, None), (5, 135, "v4")]
+
+
+def _outputs_in_both_orders(kernel, pattern, seed=0):
+    """The kernel's update of a C-ordered grid and of a stream-last one."""
+    rng = np.random.default_rng(seed)
+    rad = pattern.radius
+    shape = (6 + 2 * rad,) * pattern.ndim
+    region = tuple(slice(rad, dim - rad) for dim in shape)
+    data = rng.uniform(0.1, 1.0, size=shape).astype(numpy_dtype(pattern.dtype))
+    outputs = []
+    for empty in (np.empty, lambda shape, dtype: empty_stream_last(shape, pattern.ndim, dtype)):
+        src = empty(shape, data.dtype)
+        src[...] = data
+        out = empty(tuple(s.stop - s.start for s in region), data.dtype)
+        kernel(src, region, out)
+        outputs.append(np.ascontiguousarray(out).tobytes())
+    return outputs
+
+
+@needs_cc
+@pytest.mark.parametrize("dtype", ("float", "double"))
+@pytest.mark.parametrize("build", ("box_stencil", "product_of_sums"))
+def test_a_split_body_is_bit_equal_to_both_numpy_engines_in_both_loop_orders(build, dtype):
+    # Session cache: box3d3r's stream-last builds are the pinned digest's.
+    pattern = box_stencil(3, 3, dtype) if build == "box_stencil" else product_of_sums(dtype)
+    assert generate_native_source(pattern, dtype).count("for (ptrdiff_t k") > 1
+    native = NativeKernel(pattern, dtype)
+    expected = _outputs_in_both_orders(compile_pattern(pattern, mode="interpreter"), pattern)
+    assert expected[0] == expected[1]
+    assert _outputs_in_both_orders(compile_pattern(pattern, mode="compiled"), pattern) == expected
+    assert _outputs_in_both_orders(native, pattern) == expected
+    assert native.fallback_calls == 0 and len(native._fns) == 2
+
+
+# ---------------------------------------------------------------------------
 # The per-check decision
 # ---------------------------------------------------------------------------
 
@@ -167,15 +263,19 @@ def test_a_2d_verify_check_runs_native_from_its_first_call(cache_root):
     # and so does the sized one (it updates fewer cells than the executor).
     assert ReferenceExecutor(pattern).kernel is executor.kernel
     assert compile_pattern(pattern, elements=GRID_2D.cells * GRID_2D.time_steps) is executor.kernel
-    # Both loop orders of the check were built, side by side.
-    assert len(_libraries(native_cache_dir())) == 2
+    # Both runs keep the streaming axis innermost: one loop order, one build.
+    assert len(_libraries(native_cache_dir())) == 1
     initial = make_initial_grid(pattern, GRID_2D, seed=3)
     blocked = executor.run(initial)
-    assert executor.kernel.fallback_calls == 0
     assert np.array_equal(blocked, run_reference(pattern, GRID_2D, initial=initial))
+    assert executor.kernel.fallback_calls == 0
+    assert len(_libraries(native_cache_dir())) == 1
 
 
-def test_a_high_read_3d_verify_check_never_starts_a_build(cache_root):
+@needs_cc
+def test_box3d3r_verify_check_goes_native():
+    # The session's cache: the pinned blocked digest runs this geometry too,
+    # so the 343-read build is usually loaded here, not made again.
     pattern = load_pattern("box3d3r", "double")
     grid = GridSpec((24, 24, 24), 4)
     config = next(
@@ -183,8 +283,27 @@ def test_a_high_read_3d_verify_check_never_starts_a_build(cache_root):
         for config in (BlockingConfig(bT=bT, bS=(16, 16)) for bT in (4, 3, 2, 1))
         if config.is_valid(pattern)
     )
+    clear_kernel_cache()
     executor = BlockedStencilExecutor(pattern, grid, config)
+    kernel = executor.kernel
+    assert kernel.mode == "auto:native"
+    initial = make_initial_grid(pattern, grid, seed=6)
+    blocked = executor.run(initial)
+    reference = ReferenceExecutor(pattern).run(initial, grid.time_steps)
+    oracle = BlockedStencilExecutor(pattern, grid, config, kernel_mode="compiled")
+    assert np.array_equal(blocked, oracle.run(initial))
+    assert np.array_equal(reference, ReferenceExecutor(pattern, oracle.kernel).run(initial, grid.time_steps))
+    assert kernel.fallback_calls == 0 and list(kernel._fns) == [(1, 2, 0)]
+    clear_kernel_cache()
+
+
+def test_a_check_too_small_to_pay_never_starts_a_build(cache_root):
+    pattern = load_pattern("box3d3r", "double")
+    grid = GridSpec((8, 8, 8), 2)
+    executor = BlockedStencilExecutor(pattern, grid, BlockingConfig(bT=1, bS=(8, 8)))
     assert executor.kernel.mode == "auto:compiled"
+    initial = make_initial_grid(pattern, grid, seed=2)
+    assert np.array_equal(executor.run(initial), ReferenceExecutor(pattern).run(initial, 2))
     assert ir_compile._NATIVE_FN_CACHE == {}
     assert not os.path.exists(native_cache_dir())
 
@@ -225,9 +344,9 @@ def test_a_failing_compiler_raises_its_stderr_and_auto_falls_back(cache_root, tm
     monkeypatch.setattr(ir_compile, "_NATIVE_COMPILER", fake)
     pattern = load_pattern("j2d5pt", "float")
     with pytest.raises(CompileError, match="out of kaboom"):
-        NativeKernel(pattern, "float", both_orders=True)
+        NativeKernel(pattern, "float")
     calls = len(log.read_text().splitlines())
-    assert calls == 4  # two loop orders, each with and without -march=native
+    assert calls == 2  # one loop order, with and without -march=native
     executor = BlockedStencilExecutor(pattern, GRID_2D, CONFIG_2D)
     assert executor.kernel.mode == "auto:compiled"
     assert verify_blocking(pattern, GRID_2D, CONFIG_2D, seed=2).matches
@@ -293,11 +412,40 @@ def test_a_native_kernel_builds_its_other_loop_order_at_first_use(cache_root):
     assert executor.kernel is kernel
     initial = make_initial_grid(pattern, grid, seed=4)
     blocked = executor.run(initial)
-    # The executor's stacks keep the streaming axis innermost: the second order.
+    reference = ReferenceExecutor(pattern, kernel).run(initial, grid.time_steps)
+    # Both executors keep the streaming axis innermost: the order built first.
+    assert len(_libraries(native_cache_dir())) == 1
+    oracle = ReferenceExecutor(pattern, compile_pattern(pattern, mode="interpreter"))
+    expected = oracle.run(initial, grid.time_steps)
+    assert np.array_equal(blocked, expected) and np.array_equal(reference, expected)
+    # A C-ordered grid runs the other order, built at its first use.
+    stepped = initial
+    for _ in range(grid.time_steps):
+        stepped = ReferenceExecutor(pattern, kernel).step(stepped)
     assert len(_libraries(native_cache_dir())) == 2
     assert kernel.fallback_calls == 0
-    oracle = ReferenceExecutor(pattern, compile_pattern(pattern, mode="interpreter"))
-    assert np.array_equal(blocked, oracle.run(initial, grid.time_steps))
+    assert np.array_equal(stepped, expected)
+
+
+@needs_cc
+def test_a_kernel_made_again_for_a_loaded_pattern_skips_its_source(cache_root, monkeypatch):
+    pattern = load_pattern("j2d5pt", "float")
+    NativeKernel(pattern, "float")
+    generated = []
+    real = ir_compile.generate_native_source
+    monkeypatch.setattr(
+        ir_compile, "generate_native_source", lambda *args: generated.append(args) or real(*args)
+    )
+    # As after clear_kernel_cache: the library is loaded, so nothing is made.
+    again = NativeKernel(pattern, "float")
+    assert generated == []
+    # A structurally equal pattern is another instance: it generates the
+    # source once and then finds the loaded library by its build key.
+    twin = dataclasses.replace(pattern)
+    assert twin.cache_key != pattern.cache_key
+    NativeKernel(twin, "float")
+    assert len(generated) == 1 and len(_libraries(native_cache_dir())) == 1
+    assert np.array_equal(_run_region(again, pattern), _run_region(compile_pattern(pattern, mode="compiled"), pattern))
 
 
 def test_a_fuzz_job_builds_no_native_kernel(cache_root, tmp_path, monkeypatch):
