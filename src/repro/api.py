@@ -216,7 +216,7 @@ def run(
     spec = _resolve_grid(resolved, grid, time_steps)
     if initial is None:
         initial = make_initial_grid(resolved, spec, seed)
-    return BlockedStencilExecutor(resolved, spec, config).run(initial)
+    return BlockedStencilExecutor(resolved, spec, config, with_reference=False).run(initial)
 
 
 def reference(

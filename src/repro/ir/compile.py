@@ -383,12 +383,6 @@ _NATIVE_COMPILER: Optional[str] = ""  # "" = not probed yet, None = unavailable
 #: kernel is loaded, or tried, at most once per process.
 _NATIVE_FN_CACHE: Dict[str, object] = {}
 
-#: Build keys by (pattern token, dtype, loop order, compiler), so a check
-#: that makes its kernel again (perfbench clears the kernel cache before
-#: every item) finds the loaded entry point without regenerating the C
-#: source, which took box3d4r's check 15 of its ~33 ms.
-_NATIVE_KEYS: Dict[Tuple[int, str, Tuple[int, ...], str], str] = {}
-
 #: Per-process build directory, used when the shared one is not private.
 _FALLBACK_DIR: Optional[str] = None
 
@@ -507,11 +501,11 @@ def _entry_point(path: str, ndim: int):
     return fn
 
 
-def _native_entry_point(compiler: str, key: str, source: Optional[str], ndim: int):
-    """The entry point of build key ``key``: loaded in this process
-    already, or else (``source`` is then required) from the cache
-    directory, or built there.  Raises :class:`CompileError` if it cannot
-    be had (and remembers why)."""
+def _native_entry_point(compiler: str, source: str, ndim: int):
+    """The entry point of ``source``: loaded in this process already, from
+    the cache directory, or built there.  Raises :class:`CompileError` if it
+    cannot be had (and remembers why)."""
+    key = _build_key(compiler, source)
     fn = _NATIVE_FN_CACHE.get(key)
     if fn is None:
         directory = _kernel_dir()
@@ -785,15 +779,8 @@ class NativeKernel:
         """The entry point whose loop nest runs the dimensions in ``order``."""
         fn = self._fns.get(order)
         if fn is None:
-            memo = (self.pattern.cache_key, self.dtype, order, self._compiler)
-            key, source = _NATIVE_KEYS.get(memo), None
-            if key not in _NATIVE_FN_CACHE:
-                source = generate_native_source(self.pattern, self.dtype, order)
-                key = _build_key(self._compiler, source)
-                if len(_NATIVE_KEYS) >= _KERNEL_CACHE_MAX:
-                    _NATIVE_KEYS.clear()
-                _NATIVE_KEYS[memo] = key
-            fn = self._fns[order] = _native_entry_point(self._compiler, key, source, self.ndim)
+            source = generate_native_source(self.pattern, self.dtype, order)
+            fn = self._fns[order] = _native_entry_point(self._compiler, source, self.ndim)
         return fn
 
     def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:

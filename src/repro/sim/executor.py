@@ -21,8 +21,8 @@ loads are copied into one stacked ``(G, ...)`` buffer pair of at most
 the whole stack, so every cell still sees the same ufunc sequence as with
 one call per tile.  The kernel is the one :func:`compile_pattern` returns
 for the pattern itself, its engine chosen from the cell updates the run will
-make (:meth:`BlockedStencilExecutor.updated_elements`) and those of the
-reference executor, which shares it.
+make (:meth:`BlockedStencilExecutor.updated_elements`) and, in a check,
+those of the reference executor, which shares it.
 Grids and stacks keep the streaming dimension innermost in memory (the
 dependency cone only shrinks the blocked dimensions, so the kernel's ufuncs
 sweep long contiguous spans), as the reference's grids do, so a check runs
@@ -127,7 +127,11 @@ class BlockedStencilExecutor:
         grid: GridSpec,
         config: BlockingConfig,
         kernel_mode: str = "auto",
+        with_reference: bool = True,
     ) -> None:
+        """``with_reference``: a reference run of the same grid (a check)
+        will share :attr:`kernel`, so its cell updates count toward the
+        "auto" engine choice too; pass False for a blocked run alone."""
         config.validate(pattern)
         self.pattern = pattern
         self.grid = grid
@@ -139,13 +143,10 @@ class BlockedStencilExecutor:
         # stacks of equal shape share one pair of buffers.
         self._groups: Dict[int, List[TileGroup]] = {}
         self._stack_buffers: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
-        # A check's reference runs on this kernel too: its engine is chosen
-        # from the cell updates of both runs.
-        self.kernel = compile_pattern(
-            pattern,
-            mode=kernel_mode,
-            elements=self.updated_elements(grid.time_steps) + grid.cells * grid.time_steps,
-        )
+        elements = self.updated_elements(grid.time_steps)
+        if with_reference:
+            elements += grid.cells * grid.time_steps
+        self.kernel = compile_pattern(pattern, mode=kernel_mode, elements=elements)
 
     # -- tiling ----------------------------------------------------------------
     def _dim_tiles(self, extent: int, compute: int, halo: int) -> List[Tuple[int, int, int, int]]:

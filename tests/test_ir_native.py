@@ -8,7 +8,6 @@ never loaded) and what happens when the toolchain fails or is absent.
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import hashlib
 import os
@@ -223,8 +222,7 @@ def _outputs_in_both_orders(kernel, pattern, seed=0):
 @pytest.mark.parametrize("dtype", ("float", "double"))
 @pytest.mark.parametrize("build", ("box_stencil", "product_of_sums"))
 def test_a_split_body_is_bit_equal_to_both_numpy_engines_in_both_loop_orders(build, dtype):
-    # Session cache: box3d3r's stream-last builds are the pinned digest's.
-    pattern = box_stencil(3, 3, dtype) if build == "box_stencil" else product_of_sums(dtype)
+    pattern = box_stencil(3, 2, dtype) if build == "box_stencil" else product_of_sums(dtype)
     assert generate_native_source(pattern, dtype).count("for (ptrdiff_t k") > 1
     native = NativeKernel(pattern, dtype)
     expected = _outputs_in_both_orders(compile_pattern(pattern, mode="interpreter"), pattern)
@@ -252,6 +250,25 @@ def test_updated_elements_counts_every_cell_the_kernel_updates():
     executor.kernel = counting
     executor.run(make_initial_grid(pattern, grid, seed=1))
     assert sum(counted) == executor.updated_elements(grid.time_steps)
+
+
+def test_a_check_counts_its_reference_updates_and_a_blocked_run_alone_does_not(monkeypatch):
+    from repro import api
+    from repro.sim import executor as executor_module
+
+    pattern = load_pattern("j2d5pt", "float")
+    grid = GridSpec((40, 30), 4)
+    config = BlockingConfig(bT=2, bS=(16,))
+    asked = []
+    real = executor_module.compile_pattern
+    monkeypatch.setattr(
+        executor_module,
+        "compile_pattern",
+        lambda pattern, mode, elements: asked.append(elements) or real(pattern, mode="compiled"),
+    )
+    blocked = BlockedStencilExecutor(pattern, grid, config).updated_elements(grid.time_steps)
+    api.run(pattern, config, grid)
+    assert asked == [blocked + grid.cells * grid.time_steps, blocked]
 
 
 @needs_cc
@@ -425,27 +442,6 @@ def test_a_native_kernel_builds_its_other_loop_order_at_first_use(cache_root):
     assert len(_libraries(native_cache_dir())) == 2
     assert kernel.fallback_calls == 0
     assert np.array_equal(stepped, expected)
-
-
-@needs_cc
-def test_a_kernel_made_again_for_a_loaded_pattern_skips_its_source(cache_root, monkeypatch):
-    pattern = load_pattern("j2d5pt", "float")
-    NativeKernel(pattern, "float")
-    generated = []
-    real = ir_compile.generate_native_source
-    monkeypatch.setattr(
-        ir_compile, "generate_native_source", lambda *args: generated.append(args) or real(*args)
-    )
-    # As after clear_kernel_cache: the library is loaded, so nothing is made.
-    again = NativeKernel(pattern, "float")
-    assert generated == []
-    # A structurally equal pattern is another instance: it generates the
-    # source once and then finds the loaded library by its build key.
-    twin = dataclasses.replace(pattern)
-    assert twin.cache_key != pattern.cache_key
-    NativeKernel(twin, "float")
-    assert len(generated) == 1 and len(_libraries(native_cache_dir())) == 1
-    assert np.array_equal(_run_region(again, pattern), _run_region(compile_pattern(pattern, mode="compiled"), pattern))
 
 
 def test_a_fuzz_job_builds_no_native_kernel(cache_root, tmp_path, monkeypatch):
