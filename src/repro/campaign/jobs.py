@@ -22,7 +22,7 @@ import repro
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.gpu_specs import GPUS, get_gpu
-from repro.stencils.generators import fuzz_name, fuzz_stencil
+from repro.stencils.generators import fuzz_name, fuzz_stencil, parse_fuzz_name
 from repro.stencils.library import (
     BENCHMARKS,
     DEFAULT_2D_GRID,
@@ -200,10 +200,7 @@ def _unique(values) -> Tuple:
 def _canonical_gpu_name(name: str) -> str:
     """The registry's short name ("V100") for any accepted alias."""
     spec = get_gpu(name)  # raises KeyError for unknown GPUs
-    for short_name, registered in GPUS.items():
-        if registered is spec:
-            return short_name
-    return name  # pragma: no cover — every registered spec has a short name
+    return next(short_name for short_name, registered in GPUS.items() if registered is spec)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +316,10 @@ def _run_fuzz(spec: JobSpec) -> Dict[str, object]:
 
     from repro.frontend.stencil_detect import parse_stencil
     from repro.ir.compile import compile_pattern
-    from repro.model.batch import BatchModelEngine, ConfigBatch, supports_pattern
+    from repro.model.batch import BatchModelEngine, ConfigBatch
     from repro.model.roofline import predict_performance
     from repro.sim.executor import verify_blocking
     from repro.sim.timing import simulate_performance
-    from repro.stencils.library import direct_pattern
     from repro.stencils.reference import ReferenceExecutor, make_initial_grid
     from repro.tuning.search_space import REGISTER_LIMITS
 
@@ -337,17 +333,16 @@ def _run_fuzz(spec: JobSpec) -> Dict[str, object]:
     def record(check: str, passed: bool, detail: str = "") -> None:
         checks.append({"check": check, "passed": bool(passed), "detail": detail})
 
-    reference = direct_pattern(spec.pattern, spec.dtype)
-    if reference is None:
-        record("frontend_roundtrip", True, "no direct IR builder for this name")
-    else:
-        parsed = parse_stencil(benchmark.source, name=spec.pattern, dtype=spec.dtype).pattern
-        same = (
-            parsed.expr == reference.expr
-            and parsed.ndim == reference.ndim
-            and parsed.array == reference.array
-        )
-        record("frontend_roundtrip", same, "" if same else "parsed IR differs from direct IR")
+    # Fuzz jobs are named fuzz-SEED-INDEX: the generator builds the IR
+    # directly, bypassing the frontend.
+    reference = fuzz_stencil(*parse_fuzz_name(spec.pattern)).build_pattern(spec.dtype)
+    parsed = parse_stencil(benchmark.source, name=spec.pattern, dtype=spec.dtype).pattern
+    same = (
+        parsed.expr == reference.expr
+        and parsed.ndim == reference.ndim
+        and parsed.array == reference.array
+    )
+    record("frontend_roundtrip", same, "" if same else "parsed IR differs from direct IR")
 
     initial = make_initial_grid(pattern, grid, seed=seed)
     oracle = ReferenceExecutor(pattern, compile_pattern(pattern, mode="interpreter"))
@@ -366,28 +361,23 @@ def _run_fuzz(spec: JobSpec) -> Dict[str, object]:
 
     # The largest standard verify degree the stencil's halo admits: high-order
     # stencils (e.g. radius 4 on a 32-wide block) leave no compute region at
-    # bT=4, so the degree backs off deterministically per pattern.
+    # bT=4, so the degree backs off deterministically per pattern.  Fuzz radii
+    # (at most 4 in 2-D, 3 in 3-D) always leave one at bT=1.
     bS = (32,) if pattern.ndim == 2 else (16, 16)
     degrees = (4, 3, 2, 1) if pattern.ndim == 2 else (2, 1)
     config = next(
-        (
-            candidate
-            for bT in degrees
-            for candidate in [BlockingConfig(bT=bT, bS=bS)]
-            if candidate.is_valid(pattern)
-        ),
-        None,
+        candidate
+        for bT in degrees
+        for candidate in [BlockingConfig(bT=bT, bS=bS)]
+        if candidate.is_valid(pattern)
     )
-    if config is None:
-        record("blocked_vs_reference", True, "no valid blocking on the verify grid")
-    else:
-        # Each fuzz stencil has its own random coefficients, so its kernel
-        # runs this once and a native build would never be reused.
-        blocked = verify_blocking(pattern, grid, config, seed=seed, kernel_mode="compiled")
-        record(
-            "blocked_vs_reference", blocked.matches,
-            "" if blocked.matches else f"max_relative_error={blocked.max_relative_error:.3e}",
-        )
+    # Each fuzz stencil has its own random coefficients, so its kernel
+    # runs this once and a native build would never be reused.
+    blocked = verify_blocking(pattern, grid, config, seed=seed, kernel_mode="compiled")
+    record(
+        "blocked_vs_reference", blocked.matches,
+        "" if blocked.matches else f"max_relative_error={blocked.max_relative_error:.3e}",
+    )
 
     # Every register limit, capped ones included: the tuner's stage 2 reads
     # the capped rows from the batch engine.
@@ -396,27 +386,26 @@ def _run_fuzz(spec: JobSpec) -> Dict[str, object]:
         for bT in (1, 2, 4)
         for limit in REGISTER_LIMITS
     ]
+    # Fuzz stencils are 2-D or 3-D, inside the batch engine's support, and
+    # bT=1 is valid for every one of them.
     model_configs = [c for c in model_configs if c.is_valid(pattern)]
-    if not supports_pattern(pattern) or not model_configs:
-        record("batch_vs_scalar_model", True, "pattern outside the batch engine's support")
-    else:
-        gpu = get_gpu(spec.gpu)
-        engine = BatchModelEngine(pattern, grid, gpu)
-        batch = ConfigBatch.from_configs(model_configs)
-        traffic = engine.traffic(batch)
-        predicted = engine.predict(batch, traffic)
-        simulated = engine.simulate(batch, traffic)
-        same = all(
-            float(predicted.gflops[index])
-            == predict_performance(pattern, grid, config, gpu).gflops
-            and float(simulated.gflops[index])
-            == simulate_performance(pattern, grid, config, spec.gpu).gflops
-            for index, config in enumerate(model_configs)
-        )
-        record(
-            "batch_vs_scalar_model", same,
-            "" if same else "batch engine diverges from the scalar model",
-        )
+    gpu = get_gpu(spec.gpu)
+    engine = BatchModelEngine(pattern, grid, gpu)
+    batch = ConfigBatch.from_configs(model_configs)
+    traffic = engine.traffic(batch)
+    predicted = engine.predict(batch, traffic)
+    simulated = engine.simulate(batch, traffic)
+    same = all(
+        float(predicted.gflops[index])
+        == predict_performance(pattern, grid, config, gpu).gflops
+        and float(simulated.gflops[index])
+        == simulate_performance(pattern, grid, config, spec.gpu).gflops
+        for index, config in enumerate(model_configs)
+    )
+    record(
+        "batch_vs_scalar_model", same,
+        "" if same else "batch engine diverges from the scalar model",
+    )
 
     divergences = sum(1 for check in checks if not check["passed"])
     return {
@@ -506,8 +495,6 @@ def run_predict_jobs(specs: List[JobSpec]) -> List[Union[Dict[str, object], Exce
     """
     from repro.model.batch import BatchModelEngine, ConfigBatch
 
-    if not specs:
-        return []
     if len({predict_batch_key(spec) for spec in specs}) != 1:
         raise ValueError("predict batch mixes incompatible jobs")
     pattern = load_pattern(specs[0].pattern, specs[0].dtype)

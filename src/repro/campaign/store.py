@@ -494,9 +494,6 @@ class ResultStore:
             "SELECT COUNT(*) FROM results WHERE status = ?", (status,)
         ).fetchone()[0]
 
-    def keys(self) -> List[str]:
-        return [row[0] for row in self._conn.execute("SELECT key FROM results ORDER BY key")]
-
     def statuses(self, keys: Sequence[str]) -> Dict[str, str]:
         """Status by key for the subset of ``keys`` present in the store.
 
@@ -597,16 +594,10 @@ class ResultStore:
         path.write_text("\n".join(lines) + ("\n" if lines else ""))
         return path
 
-    def export_json(
-        self,
-        path: Union[str, Path],
-        records: Optional[List[dict]] = None,
-        **filters: object,
-    ) -> Path:
+    def export_json(self, path: Union[str, Path], records: List[dict]) -> Path:
+        """Write ``records`` (from :meth:`export_records`) as one JSON document."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if records is None:
-            records = self.export_records(**filters)
         path.write_text(json.dumps({"results": records}, sort_keys=True, indent=2) + "\n")
         return path
 

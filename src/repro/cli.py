@@ -847,7 +847,7 @@ def _cmd_top_follow(args: argparse.Namespace) -> int:
                 previous, rows = rows, collect(url)
                 print(render(rows, previous=previous))
             sys.stdout.flush()
-    except KeyboardInterrupt:  # pragma: no cover — interactive only
+    except KeyboardInterrupt:  # ctrl-c ends the view
         pass
     return 0
 
@@ -872,7 +872,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             print("\033[2J\033[H", end="")
             print(render(rows, previous=previous, interval_s=args.watch))
             sys.stdout.flush()
-    except KeyboardInterrupt:  # pragma: no cover — interactive only
+    except KeyboardInterrupt:  # ctrl-c ends the view
         pass
     return 0
 
@@ -926,8 +926,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         from repro.obs import profile_for
 
         body, samples = profile_for(args.seconds)
-        if body and not body.endswith("\n"):
-            body += "\n"
     if args.output:
         Path(args.output).write_text(body, encoding="utf-8")
         print(f"{samples} samples over {args.seconds}s -> {args.output}")
@@ -987,7 +985,7 @@ def _cmd_cluster_up(args: argparse.Namespace) -> int:
         try:
             while True:
                 time.sleep(1.0)
-        except KeyboardInterrupt:  # pragma: no cover — interactive only
+        except KeyboardInterrupt:  # ctrl-c stops the cluster
             pass
     finally:
         cluster.stop()

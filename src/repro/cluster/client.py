@@ -225,9 +225,6 @@ class ClusterClient:
     def cluster_status(self, base_url: str) -> Dict[str, object]:
         return self.get_json(base_url + "/cluster/status")
 
-    def cluster_instances(self, base_url: str) -> Dict[str, object]:
-        return self.get_json(base_url + "/cluster/instances")
-
     def submission_status(self, base_url: str, sid: str) -> Dict[str, object]:
         return self.get_json(f"{base_url}/cluster/campaigns/{sid}")
 

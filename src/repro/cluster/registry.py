@@ -73,11 +73,6 @@ class ClusterConfig:
         """Whether this instance accepts cluster submissions and fans out."""
         return self.role in ("coordinator", "both")
 
-    @property
-    def executes(self) -> bool:
-        """Whether this instance accepts shard assignments."""
-        return self.role in ("worker", "both")
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -98,10 +93,6 @@ class Instance:
     @property
     def executes(self) -> bool:
         return self.role in ("worker", "both")
-
-    @property
-    def coordinates(self) -> bool:
-        return self.role in ("coordinator", "both")
 
     def heartbeat_age(self, now: Optional[float] = None) -> float:
         """Age of the last heartbeat against the *reader's* clock.
@@ -193,11 +184,6 @@ class InstanceRegistry:
             for row in self.store.instance_rows()
         ]
 
-    def get(self, instance_id: str) -> Optional[Instance]:
-        for instance in self.instances():
-            if instance.instance_id == instance_id:
-                return instance
-        return None
 
     def live(self) -> List[Instance]:
         now = self._clock()

@@ -66,13 +66,13 @@ class RemoteStore:
     def __init__(
         self,
         url: str,
-        journal: Optional[Union[str, Path]] = None,
+        journal: Union[str, Path],
         client: Optional[ClusterClient] = None,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
     ) -> None:
         self._primary = url.rstrip("/")
         self._peers: List[str] = []
-        self.journal = Path(journal) if journal is not None else None
+        self.journal = Path(journal)
         self.client = client or ClusterClient()
         self.flush_interval = float(flush_interval)
         self.metrics = get_registry()
@@ -82,8 +82,7 @@ class RemoteStore:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._flush_failures = 0  # consecutive, drives the backoff ceiling
-        if self.journal is not None:
-            self._load_journal()
+        self._load_journal()
         self._start_flusher()
 
     def set_metrics(self, metrics: MetricsRegistry) -> None:
@@ -139,8 +138,6 @@ class RemoteStore:
         self._set_journal_gauge(len(records))
 
     def _append_journal(self, record: Dict[str, object]) -> None:
-        if self.journal is None:
-            return
         with self.journal.open("a") as handle:
             handle.write(
                 json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
@@ -148,8 +145,6 @@ class RemoteStore:
 
     def _rewrite_journal(self) -> None:
         """Journal = exactly the unacknowledged records (called under lock)."""
-        if self.journal is None:
-            return
         lines = [
             json.dumps(record, sort_keys=True, separators=(",", ":"))
             for record in self._pending

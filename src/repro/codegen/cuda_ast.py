@@ -25,16 +25,14 @@ class Raw(CudaNode):
 
 @dataclass
 class Declare(CudaNode):
-    """A variable declaration, optionally initialised."""
+    """An initialised variable declaration."""
 
     ctype: str
     name: str
-    init: str | None = None
+    init: str
 
     def render(self) -> str:
-        if self.init is not None:
-            return f"{self.ctype} {self.name} = {self.init};"
-        return f"{self.ctype} {self.name};"
+        return f"{self.ctype} {self.name} = {self.init};"
 
 
 @dataclass

@@ -229,8 +229,6 @@ class ExecutionModel:
         """Fraction of computed cells that are redundant (halo) work."""
         counts = self.thread_category_counts()
         compute_threads = counts[ThreadCategory.VALID] + counts[ThreadCategory.REDUNDANT]
-        if compute_threads == 0:
-            return 0.0
         return counts[ThreadCategory.REDUNDANT] / compute_threads
 
     def summary(self) -> Dict[str, object]:

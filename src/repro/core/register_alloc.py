@@ -46,15 +46,12 @@ class RegisterAllocation:
     # -- interface ------------------------------------------------------------
     @property
     def registers_per_thread(self) -> int:
-        """Sub-plane registers held per thread (excluding scratch/index regs)."""
-        return self._register_count()
+        """Sub-plane registers held per thread (excluding scratch/index regs).
 
-    def _register_count(self) -> int:
-        raise NotImplementedError
-
-    def moves_per_update(self) -> int:
-        """Register data movements per sub-plane update."""
-        raise NotImplementedError
+        One register group per produced time step T = 0 .. bT - 1; the final
+        time step writes directly to global memory, so it needs no group.
+        """
+        return self.time_block * self.slots_per_step
 
     def all_registers(self) -> List[RegisterAssignment]:
         """Every named register, ordered by (time step, slot)."""
@@ -76,12 +73,8 @@ class FixedRegisterAllocation(RegisterAllocation):
     into macro arguments.
     """
 
-    def _register_count(self) -> int:
-        # One register group per produced time step T = 0 .. bT - 1; the final
-        # time step writes directly to global memory, so it needs no group.
-        return self.time_block * self.slots_per_step
-
     def moves_per_update(self) -> int:
+        """Register data movements per sub-plane update."""
         return 1
 
     def rotation(self, iteration: int) -> Tuple[int, ...]:
@@ -110,10 +103,8 @@ class ShiftingRegisterAllocation(RegisterAllocation):
     :mod:`repro.model.registers`).
     """
 
-    def _register_count(self) -> int:
-        return self.time_block * self.slots_per_step
-
     def moves_per_update(self) -> int:
+        """Register data movements per sub-plane update."""
         return 1 + 2 * self.radius
 
     def rotation(self, iteration: int) -> Tuple[int, ...]:

@@ -47,8 +47,6 @@ class SharedMemoryPlan:
         return self.words_per_block * WORD_BYTES
 
     def max_blocks_per_sm(self, shared_memory_bytes: int) -> int:
-        if self.bytes_per_block == 0:
-            return 0
         return shared_memory_bytes // self.bytes_per_block
 
 

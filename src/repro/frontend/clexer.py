@@ -90,9 +90,6 @@ class Token(NamedTuple):
     line: int
     column: int
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
-
 
 @lru_cache(maxsize=64)
 def _master_regex(alpha: str, alnum: str, digit: str) -> re.Pattern[str]:

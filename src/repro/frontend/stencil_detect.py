@@ -212,14 +212,13 @@ class _ExpressionLowerer:
                 return Call(expr.name, args)
             except ValueError as error:  # wrong argument count
                 raise StencilDetectionError(str(error)) from None
-        if isinstance(expr, c_ast.Identifier):
-            bound = self.env.get(expr.name)
-            if bound is not None:
-                return bound
-            raise StencilDetectionError(
-                f"free scalar variable {expr.name!r}: coefficients must be literal constants"
-            )
-        raise StencilDetectionError(f"unsupported expression {expr!r}")
+        # The parser makes no other leaf than an identifier.
+        bound = self.env.get(expr.name)
+        if bound is not None:
+            return bound
+        raise StencilDetectionError(
+            f"free scalar variable {expr.name!r}: coefficients must be literal constants"
+        )
 
     def _lower_access(self, access: c_ast.ArrayAccess) -> GridRead:
         if access.array != self.array:

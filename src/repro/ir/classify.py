@@ -79,8 +79,8 @@ def _is_single_read_term(expr: Expr) -> bool:
     return True
 
 
-def sum_terms(expr: Expr) -> list[Expr] | None:
-    """Flatten a top-level sum into its terms, or ``None`` if not a sum.
+def sum_terms(expr: Expr) -> list[Expr]:
+    """Flatten a top-level sum into its terms (one term when not a sum).
 
     Handles an optional trailing division by a constant (the Jacobi
     ``(...)/c0`` idiom): the divisor is distributed over the terms so that the
@@ -120,8 +120,6 @@ def is_associative(expr: Expr) -> bool:
     more than one source sub-plane resident in shared memory at a time.
     """
     terms = sum_terms(expr)
-    if terms is None:
-        return False
     if not any(isinstance(n, GridRead) for t in terms for n in walk(t)):
         return False
     return all(_is_single_read_term(term) for term in terms)
@@ -136,7 +134,7 @@ def group_terms_by_subplane(expr: Expr) -> dict[int, list[Expr]] | None:
     are attached to sub-plane 0.
     """
     terms = sum_terms(expr)
-    if terms is None or not all(_is_single_read_term(t) for t in terms):
+    if not all(_is_single_read_term(t) for t in terms):
         return None
     groups: dict[int, list[Expr]] = {}
     for term in terms:

@@ -130,8 +130,7 @@ class _CodeGen:
     the tree's peak number of live array temporaries, not its node count).
     """
 
-    def __init__(self, ndim: int, np_dtype: type) -> None:
-        self.ndim = ndim
+    def __init__(self, np_dtype: type) -> None:
         self.np_dtype = np_dtype
         self.lines: List[str] = []
         self.consts: List[object] = []
@@ -162,8 +161,6 @@ class _CodeGen:
         return name
 
     def _view_term(self, offset: Tuple[int, ...]) -> str:
-        if len(offset) != self.ndim:
-            raise CompileError(f"grid read {offset} does not match ndim {self.ndim}")
         parts = []
         for dim, off in enumerate(offset):
             lo = f"s{dim}{off:+d}" if off else f"s{dim}"
@@ -193,7 +190,7 @@ class _CodeGen:
     def _lower(self, expr: Expr, operands: List[tuple], root_out: Optional[str]):
         """Lower one node whose children are already lowered to ``operands``."""
         if isinstance(expr, Const):
-            return self._fold_scalar(self.np_dtype(expr.value), root_out)
+            return None, self.np_dtype(expr.value), None
 
         if isinstance(expr, GridRead):
             term = self._view_term(expr.offset)
@@ -205,7 +202,9 @@ class _CodeGen:
         if isinstance(expr, BinOp):
             (lhs_term, lhs_val, lhs_buf), (rhs_term, rhs_val, rhs_buf) = operands
             if lhs_val is not None and rhs_val is not None:
-                return self._fold_binop(expr.op, lhs_val, rhs_val, root_out)
+                with np.errstate(all="ignore"):
+                    value = _BINOP_NUMPY[expr.op](lhs_val, rhs_val)
+                return None, self.np_dtype(value), None
             ufunc = _BINOP_NUMPY[expr.op].__name__
             terms = ", ".join(self._term(operand) for operand in operands)
             return self._emit_op(f"np.{ufunc}({terms}", (lhs_buf, rhs_buf), root_out)
@@ -213,30 +212,19 @@ class _CodeGen:
         if isinstance(expr, UnaryOp):
             ((term, value, buffer),) = operands
             if value is not None:
-                return self._fold_scalar(-value, root_out)
+                return None, -value, None
             return self._emit_op(f"np.negative({term}", (buffer,), root_out)
 
         if isinstance(expr, Call):
             ufunc = _CALL_NUMPY[expr.name]  # Call checked the name and arity
             if all(value is not None for _, value, _ in operands):
                 folded = ufunc(*[value for _, value, _ in operands])
-                return self._fold_scalar(self.np_dtype(folded), root_out)
+                return None, self.np_dtype(folded), None
             terms = ", ".join(self._term(operand) for operand in operands)
             buffers = tuple(buffer for _, _, buffer in operands)
             return self._emit_op(f"np.{ufunc.__name__}({terms}", buffers, root_out)
 
         raise CompileError(f"unknown expression node {expr!r}")
-
-    def _fold_binop(self, op: str, lhs, rhs, root_out: Optional[str]):
-        with np.errstate(all="ignore"):
-            value = _BINOP_NUMPY[op](lhs, rhs)
-        return self._fold_scalar(self.np_dtype(value), root_out)
-
-    def _fold_scalar(self, value, root_out: Optional[str]):
-        if root_out is not None:
-            self.lines.append(f"{root_out}[...] = {self._const_term(value)}")
-            return root_out, None, None
-        return None, value, None
 
     def _term(self, operand: tuple) -> str:
         """The source term of a lowered operand, naming its constant if any."""
@@ -267,7 +255,7 @@ def generate_kernel_source(pattern: StencilPattern, np_dtype: type) -> Tuple[str
 
     Returns ``(source, constants, num_scratch_buffers)``.
     """
-    gen = _CodeGen(pattern.ndim, np_dtype)
+    gen = _CodeGen(np_dtype)
     gen.emit(pattern.expr, root_out="out")
     header = ["def _stencil_kernel(src, region, out, scratch):"]
     for dim in range(pattern.ndim):
@@ -529,8 +517,6 @@ def _native_entry_point(compiler: str, source: str, ndim: int):
 
 def native_supported(pattern: StencilPattern) -> bool:
     """Whether the native backend can reproduce the NumPy engine bit-exactly."""
-    if pattern.dtype not in _C_TYPES:
-        return False
     for node in walk(pattern.expr):
         if isinstance(node, Call) and node.name not in _NATIVE_SAFE_CALLS:
             return False

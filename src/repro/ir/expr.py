@@ -52,26 +52,11 @@ class Expr:
     def __add__(self, other: "Expr | float | int") -> "BinOp":
         return BinOp("+", self, _as_expr(other))
 
-    def __radd__(self, other: "Expr | float | int") -> "BinOp":
-        return BinOp("+", _as_expr(other), self)
-
-    def __sub__(self, other: "Expr | float | int") -> "BinOp":
-        return BinOp("-", self, _as_expr(other))
-
-    def __rsub__(self, other: "Expr | float | int") -> "BinOp":
-        return BinOp("-", _as_expr(other), self)
-
-    def __mul__(self, other: "Expr | float | int") -> "BinOp":
-        return BinOp("*", self, _as_expr(other))
-
     def __rmul__(self, other: "Expr | float | int") -> "BinOp":
         return BinOp("*", _as_expr(other), self)
 
     def __truediv__(self, other: "Expr | float | int") -> "BinOp":
         return BinOp("/", self, _as_expr(other))
-
-    def __rtruediv__(self, other: "Expr | float | int") -> "BinOp":
-        return BinOp("/", _as_expr(other), self)
 
     def __neg__(self) -> "UnaryOp":
         return UnaryOp("-", self)
@@ -90,9 +75,6 @@ class Const(Expr):
     """A compile-time floating-point constant (a stencil coefficient)."""
 
     value: float
-
-    def __repr__(self) -> str:
-        return f"Const({self.value!r})"
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,6 @@ class ConfigBatch:
         """
         time_blocks = np.asarray(space.time_blocks, dtype=np.int64).reshape(-1)
         spatial = np.asarray(space.spatial_blocks, dtype=np.int64)
-        if spatial.size == 0:
-            spatial = spatial.reshape(0, 1)
         stream = np.asarray(
             [UNSET if v is None else v for v in space.stream_blocks], dtype=np.int64
         ).reshape(-1)
@@ -229,9 +227,7 @@ def register_demand(pattern: StencilPattern, bT: np.ndarray) -> np.ndarray:
 
 def validity_mask(pattern: StencilPattern, batch: ConfigBatch) -> np.ndarray:
     """``BlockingConfig.is_valid`` for every row at once."""
-    if batch.blocked_dims != max(pattern.ndim - 1, 1):
-        return np.zeros(batch.size, dtype=bool)
-    if pattern.ndim == 1:
+    if pattern.ndim == 1 or batch.blocked_dims != pattern.ndim - 1:
         # 1-D stencils have zero blocked dimensions; no batch row (which
         # always carries at least one spatial block) can be valid.
         return np.zeros(batch.size, dtype=bool)
@@ -357,10 +353,6 @@ class BatchPrediction:
     bottleneck: np.ndarray  # indices into BOTTLENECKS
     traffic: BatchTraffic
 
-    @property
-    def size(self) -> int:
-        return int(self.gflops.shape[0])
-
     def bottleneck_name(self, index: int) -> str:
         return BOTTLENECKS[int(self.bottleneck[index])]
 
@@ -380,10 +372,6 @@ class BatchMeasurement:
     time_global_s: np.ndarray
     time_shared_s: np.ndarray
     overhead_s: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.gflops.shape[0])
 
     def bottleneck_name(self, index: int) -> str:
         return BOTTLENECKS[int(self.bottleneck[index])]

@@ -123,8 +123,6 @@ _ALIASES = {
 def get_gpu(name: str) -> GpuSpec:
     """Look up a GPU spec by name (case-insensitive, common aliases accepted)."""
     key = _ALIASES.get(name.strip().lower())
-    if key is None and name in GPUS:
-        key = name
     if key is None:
         raise KeyError(f"unknown GPU {name!r}; available: {', '.join(GPUS)}")
     return GPUS[key]

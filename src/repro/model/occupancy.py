@@ -43,9 +43,7 @@ def paper_sm_efficiency(total_blocks: int, nthr: int, gpu: GpuSpec) -> float:
     """
     blocks_per_group = max(gpu.max_threads_per_sm // nthr, 1)
     full = math.floor(total_blocks / blocks_per_group)
-    partial = math.ceil(total_blocks / blocks_per_group)
-    if partial == 0:
-        return 1.0
+    partial = math.ceil(total_blocks / blocks_per_group)  # >= 1: a grid has a block
     if full == 0:
         return total_blocks / blocks_per_group
     return full / partial

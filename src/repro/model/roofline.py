@@ -41,15 +41,6 @@ class PerformancePrediction:
     bottleneck: str
     traffic: TrafficTotals
 
-    def as_row(self) -> dict[str, float | str]:
-        return {
-            "time_s": self.time_s,
-            "gflops": self.gflops,
-            "gcells": self.gcells,
-            "bottleneck": self.bottleneck,
-            "sm_efficiency": self.sm_efficiency,
-        }
-
 
 def predict_performance(
     pattern: StencilPattern,

@@ -86,12 +86,6 @@ class SingleFlightCache:
         if evicted:
             self._count("evictions", evicted)
 
-    def clear(self) -> int:
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-        return dropped
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

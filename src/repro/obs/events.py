@@ -38,7 +38,7 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -64,9 +64,9 @@ def _drop_counter():
 class EventSubscription:
     """One subscriber's bounded view of the event stream.
 
-    Iterating yields event records as they arrive; iteration ends when the
-    subscription is closed.  ``get`` exposes the timeout-aware single-event
-    read the streaming handlers use to interleave keep-alives.
+    ``get`` is the timeout-aware single-event read the streaming handlers
+    use to interleave keep-alives; it returns ``None`` once the
+    subscription is closed.
     """
 
     _CLOSE = object()
@@ -124,14 +124,6 @@ class EventSubscription:
     @property
     def closed(self) -> bool:
         return self._closed.is_set()
-
-    def __iter__(self) -> Iterator[Dict[str, object]]:
-        while True:
-            record = self.get(timeout=1.0)
-            if record is not None:
-                yield record
-            elif self._closed.is_set():
-                return
 
     def __enter__(self) -> "EventSubscription":
         return self
@@ -202,11 +194,9 @@ class EventLog:
         return subscription
 
     def _unsubscribe(self, subscription: EventSubscription) -> None:
+        # Only subscribe() makes subscriptions, and close() detaches once.
         with self._lock:
-            try:
-                self._subscribers.remove(subscription)
-            except ValueError:
-                pass
+            self._subscribers.remove(subscription)
 
     # -- emission ----------------------------------------------------------
 
@@ -256,10 +246,6 @@ class EventLog:
         """The events the ring still holds, oldest first."""
         with self._lock:
             return list(self._ring)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
 
 
 #: The process-wide sink; honours ``AN5D_EVENT_LOG`` at import.

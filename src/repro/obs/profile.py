@@ -175,11 +175,6 @@ class SamplingProfiler:
             "\n" if lines else ""
         )
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counts.clear()
-            self._samples = 0
-
 
 def folded_diff(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
     """Counts accumulated between two snapshots (non-positive rows dropped)."""

@@ -136,10 +136,8 @@ def collect(url: str) -> List[Dict[str, object]]:
     return rows
 
 
-def _fmt(value: object, width: int, decimals: int = 0) -> str:
-    if isinstance(value, (int, float)):
-        return f"{value:>{width}.{decimals}f}"
-    return f"{str(value):>{width}}"
+def _fmt(value: float, width: int, decimals: int = 0) -> str:
+    return f"{value:>{width}.{decimals}f}"
 
 
 def render(

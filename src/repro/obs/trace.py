@@ -130,11 +130,6 @@ class SpanStore:
         with self._lock:
             return list(self._traces)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._traces.clear()
-            self._dropped.clear()
-
     def tree(self, trace_id: str) -> Optional[Dict[str, object]]:
         """The span tree payload ``GET /trace/{trace_id}`` serves.
 

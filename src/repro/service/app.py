@@ -391,8 +391,6 @@ class CampaignApp:
             raise WireError("seconds must be in (0, 60]")
         folded, samples = profile_for(seconds, metrics=self.metrics)
         body = folded.encode("utf-8")
-        if body and not body.endswith(b"\n"):
-            body += b"\n"
         return Response(
             body=body,
             content_type=TEXT_TYPE,
@@ -754,15 +752,13 @@ class CampaignApp:
             )
         return self.registry
 
-    def _peer_urls(self) -> List[str]:
+    @staticmethod
+    def _peer_urls(registry: InstanceRegistry) -> List[str]:
         """Live store-native member URLs — valid wire-commit targets.
 
         Handed back on register/heartbeat so wire members can re-resolve
         the coordinator after a failover without any out-of-band config.
         """
-        registry = self.registry
-        if not isinstance(registry, InstanceRegistry):
-            return []
         return [
             instance.url
             for instance in registry.live()
@@ -773,7 +769,7 @@ class CampaignApp:
         registry = self._require_member_registry()
         member = decode_member(request.body)
         registry.register(**member)  # receiver-stamped heartbeat start
-        return Response.json({"ok": True, "peers": self._peer_urls()})
+        return Response.json({"ok": True, "peers": self._peer_urls(registry)})
 
     def cluster_heartbeat(self, request: Request) -> Response:
         registry = self._require_member_registry()
@@ -782,7 +778,7 @@ class CampaignApp:
         # carries no timestamp (the decoder rejects any), so a wire member
         # with a skewed wall clock is judged exactly like one without.
         known = registry.record_heartbeat(instance_id)
-        return Response.json({"ok": known, "peers": self._peer_urls()})
+        return Response.json({"ok": known, "peers": self._peer_urls(registry)})
 
     def cluster_deregister(self, request: Request) -> Response:
         registry = self._require_member_registry()
@@ -876,7 +872,7 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------------
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        if not self.quiet:  # pragma: no cover — verbose serving only
+        if not self.quiet:
             super().log_message(format, *args)
 
     def _read_request(self) -> Request:
@@ -914,7 +910,7 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
         try:
             for chunk in stream:
                 if not chunk:
-                    continue
+                    continue  # a zero-length chunk would end the body
                 self.wfile.write(f"{len(chunk):x}\r\n".encode("ascii"))
                 self.wfile.write(chunk)
                 self.wfile.write(b"\r\n")
@@ -935,7 +931,7 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
             )
         try:
             self._send(response)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
+        except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-response
 
     do_GET = _handle
@@ -1010,15 +1006,17 @@ class CampaignServer:
         self.app.start()
         try:
             self._httpd.serve_forever(poll_interval=0.2)
-        except KeyboardInterrupt:  # pragma: no cover — interactive only
+        except KeyboardInterrupt:  # ctrl-c stops serving
             pass
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        # shutdown() waits for serve_forever(), so a server whose start()
+        # failed before serving must skip it.
         if self._thread is not None:
+            self._httpd.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._httpd.server_close()
         self.app.close()
 
     def kill(self) -> None:

@@ -162,8 +162,8 @@ def _call(app: object, handler_name: str, request: Request, params: Dict[str, st
 def dispatch(app: object, request: Request) -> Response:
     """Route one request to the app, mapping failures to JSON errors.
 
-    When the app carries a :class:`~repro.obs.metrics.MetricsRegistry` (as
-    ``app.metrics``), every request is accounted here — the route label is
+    Every request is accounted on the app's
+    :class:`~repro.obs.metrics.MetricsRegistry` (``app.metrics``): the route label is
     the *handler name*, never the raw path, so label cardinality is bounded
     by the route table: ``requests_total{route,method,code}``,
     ``request_seconds{route}``, ``request_errors_total{route,error_class}``
@@ -181,14 +181,7 @@ def dispatch(app: object, request: Request) -> Response:
             continue
         handler_name, params = name, match.groupdict()
         break
-    registry = getattr(app, "metrics", None)
-    if registry is None:
-        if handler_name != "unmatched":
-            return _call(app, handler_name, request, params)[0]
-        if matched_path:
-            return Response.error(f"method {request.method} not allowed here", status=405)
-        return Response.error(f"no route for {request.path}", status=404)
-
+    registry = app.metrics
     in_flight = registry.gauge("requests_in_flight", "Requests being handled right now")
     requests_total = registry.counter(
         "requests_total", "Requests handled, by route/method/status",
@@ -229,8 +222,6 @@ def dispatch(app: object, request: Request) -> Response:
             route=handler_name,
         )
         requests_total.inc(route=handler_name, method=request.method, code=str(status))
-        if error_class is None and status >= 500:
-            error_class = "InternalError"
         if error_class is not None:
             errors.inc(route=handler_name, error_class=error_class)
 

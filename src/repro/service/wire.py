@@ -224,11 +224,7 @@ def _interactive_spec(body: bytes, kind: str, allowed: set) -> Tuple[Mapping[str
         raise WireError("field 'gpu' must be a non-empty string")
     interior = data.get("interior")
     if interior is None:
-        interior = _DEFAULT_GRIDS.get(ndim)
-        if interior is None:
-            raise WireError(
-                f"stencil {pattern!r} is {ndim}-D; an explicit 'interior' is required"
-            )
+        interior = _DEFAULT_GRIDS[ndim]
     elif (
         not isinstance(interior, (list, tuple))
         or len(interior) != ndim

@@ -150,6 +150,9 @@ class CampaignWorker:
         self._killed = False
 
     # -- lifecycle -------------------------------------------------------------
+    #: Seconds :meth:`start` waits for the event loop thread to come up.
+    STARTUP_TIMEOUT_S = 10.0
+
     def start(self) -> None:
         if self._thread is not None:
             return
@@ -157,7 +160,7 @@ class CampaignWorker:
             target=self._run_loop, name="campaign-worker", daemon=True
         )
         self._thread.start()
-        if not self._ready.wait(timeout=10.0):  # pragma: no cover — startup hang
+        if not self._ready.wait(timeout=self.STARTUP_TIMEOUT_S):
             raise RuntimeError("campaign worker event loop failed to start")
 
     #: Seconds :meth:`stop` waits for in-flight campaigns to drain.
@@ -196,7 +199,7 @@ class CampaignWorker:
         if self._loop is not None:
             try:
                 self._loop.call_soon_threadsafe(self._queue.put_nowait, None)
-            except RuntimeError:  # pragma: no cover — loop already closed
+            except RuntimeError:  # the loop already closed (killed twice)
                 pass
 
     def _run_loop(self) -> None:

@@ -18,10 +18,6 @@ class SimulatedGPU:
     def from_name(name: str) -> "SimulatedGPU":
         return SimulatedGPU(get_gpu(name))
 
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
     def sustained_compute_gflops(self, dtype: str, alu_efficiency: float) -> float:
         """Compute throughput after discounting the FMA mix."""
         return self.spec.peak_gflops(dtype) * alu_efficiency

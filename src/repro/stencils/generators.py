@@ -139,52 +139,39 @@ def anisotropic_star_offsets(radii: Sequence[int]) -> List[Tuple[int, ...]]:
     return sorted(offsets)
 
 
-def star_stencil(ndim: int, radius: int, dtype: str = "float") -> StencilPattern:
-    """Build a synthetic star stencil pattern (``star{ndim}d{radius}r``)."""
+def star_stencil(ndim: int, radius: int) -> StencilPattern:
+    """Build a synthetic single-precision star stencil (``star{ndim}d{radius}r``)."""
     _validate(ndim, radius)
     expr = expr_for_terms(normalised_terms(star_offsets(ndim, radius)))
-    return StencilPattern(name=f"star{ndim}d{radius}r", ndim=ndim, expr=expr, dtype=dtype)
+    return StencilPattern(name=f"star{ndim}d{radius}r", ndim=ndim, expr=expr)
 
 
-def box_stencil(ndim: int, radius: int, dtype: str = "float") -> StencilPattern:
-    """Build a synthetic box stencil pattern (``box{ndim}d{radius}r``)."""
+def box_stencil(ndim: int, radius: int) -> StencilPattern:
+    """Build a synthetic single-precision box stencil (``box{ndim}d{radius}r``)."""
     _validate(ndim, radius)
     expr = expr_for_terms(normalised_terms(box_offsets(ndim, radius)))
-    return StencilPattern(name=f"box{ndim}d{radius}r", ndim=ndim, expr=expr, dtype=dtype)
+    return StencilPattern(name=f"box{ndim}d{radius}r", ndim=ndim, expr=expr)
 
 
 def anisotropic_name(radii: Sequence[int]) -> str:
     return f"astar{len(radii)}d{'x'.join(str(radius) for radius in radii)}r"
 
 
-def anisotropic_star_stencil(
-    radii: Sequence[int], dtype: str = "float", name: Optional[str] = None
-) -> StencilPattern:
-    """Build an anisotropic star stencil (``astar{n}d{r1}x{r2}[x{r3}]r``)."""
+def anisotropic_star_stencil(radii: Sequence[int]) -> StencilPattern:
+    """Build a single-precision anisotropic star stencil (``astar{n}d{r1}x{r2}[x{r3}]r``)."""
     radii = tuple(int(radius) for radius in radii)
     _validate_radii(radii)
     expr = expr_for_terms(normalised_terms(anisotropic_star_offsets(radii)))
-    return StencilPattern(
-        name=name or anisotropic_name(radii), ndim=len(radii), expr=expr, dtype=dtype
-    )
+    return StencilPattern(name=anisotropic_name(radii), ndim=len(radii), expr=expr)
 
 
-def variable_star_stencil(
-    ndim: int,
-    radius: int,
-    seed: int,
-    dtype: str = "float",
-    name: Optional[str] = None,
-) -> StencilPattern:
-    """Build a variable-coefficient star stencil (``vstar{n}d{r}r-s{seed}``)."""
+def variable_star_stencil(ndim: int, radius: int, seed: int) -> StencilPattern:
+    """Build a single-precision variable-coefficient star stencil (``vstar{n}d{r}r-s{seed}``)."""
     _validate(ndim, radius)
     offsets = star_offsets(ndim, radius)
     terms = list(zip(offsets, variable_coefficients(offsets, seed)))
     return StencilPattern(
-        name=name or f"vstar{ndim}d{radius}r-s{seed}",
-        ndim=ndim,
-        expr=expr_for_terms(terms),
-        dtype=dtype,
+        name=f"vstar{ndim}d{radius}r-s{seed}", ndim=ndim, expr=expr_for_terms(terms)
     )
 
 

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.frontend.stencil_detect import parse_stencil
 from repro.ir.stencil import GridSpec, StencilPattern
-from repro.stencils import generators
 from repro.stencils.generators import (
     anisotropic_star_stencil_source,
     box_stencil_source,
@@ -272,38 +271,6 @@ def _dynamic_benchmark(name: str) -> Optional[BenchmarkStencil]:
         )
     return None
 
-
-def direct_pattern(name: str, dtype: str = "float") -> Optional[StencilPattern]:
-    """The directly-built IR of a generator-backed name, bypassing the
-    frontend — the reference side of the fuzz round-trip oracle.
-
-    Returns None for hand-written benchmarks (their C source is the only
-    definition).
-    """
-    match = _STARBOX_NAME.fullmatch(name)
-    if match:
-        family, ndim, radius = match.group(1), int(match.group(2)), int(match.group(3))
-        if family == "box" and ndim == 3 and radius > _MAX_BOX3D_RADIUS:
-            return None
-        build = generators.star_stencil if family == "star" else generators.box_stencil
-        return build(ndim, radius, dtype)
-    match = _ASTAR_NAME.fullmatch(name)
-    if match:
-        radii = tuple(int(part) for part in match.group(2).split("x"))
-        if len(radii) != int(match.group(1)):
-            return None
-        return generators.anisotropic_star_stencil(radii, dtype, name=name)
-    match = _VSTAR_NAME.fullmatch(name)
-    if match:
-        return generators.variable_star_stencil(
-            int(match.group(1)), int(match.group(2)), int(match.group(3)), dtype, name=name
-        )
-    if name in ("fdtd2d", "fdtd3d"):
-        return generators.fdtd_stencil(int(name[4]), dtype)
-    seed_index = parse_fuzz_name(name)
-    if seed_index is not None:
-        return fuzz_stencil(*seed_index).build_pattern(dtype)
-    return None
 
 #: The seven stencils shown in Fig. 6 / Fig. 7.
 FIGURE6_NAMES: Tuple[str, ...] = (

@@ -57,13 +57,6 @@ class ReferenceExecutor:
         self.kernel = kernel if kernel is not None else compile_pattern(pattern)
 
     # -- stepping -----------------------------------------------------------
-    def step(self, source: np.ndarray) -> np.ndarray:
-        """Apply one time step, returning a new array (boundary copied)."""
-        result = source.copy()
-        interior = tuple(slice(self.radius, dim - self.radius) for dim in source.shape)
-        self.kernel(source, interior, out=result[interior])
-        return result
-
     def run(self, initial: np.ndarray, time_steps: int) -> np.ndarray:
         """Apply ``time_steps`` steps starting from ``initial``.
 

@@ -75,8 +75,8 @@ def exhaustive_search(
     # survivors feeds the whole limit-expanded sweep.
     traffic = engine.traffic(survivors).repeat(len(REGISTER_LIMITS))
     measured = engine.simulate(sweep, traffic)
-    best = int(np.argmax(measured.gflops)) if sweep.size else 0
-    if not sweep.size or not measured.gflops[best] > 0.0:
+    best = int(np.argmax(measured.gflops))
+    if not measured.gflops[best] > 0.0:
         raise ValueError(f"no valid configuration for stencil {pattern.name!r}")
     return ExhaustiveResult(
         best_config=sweep.config(best),
@@ -125,9 +125,10 @@ class TuningEfficiency:
 
     @property
     def efficiency(self) -> float:
-        """Guided-to-exhaustive performance ratio (1.0 = found the optimum)."""
-        if self.exhaustive.best_gflops == 0:
-            return 0.0
+        """Guided-to-exhaustive performance ratio (1.0 = found the optimum).
+
+        Both searches raise rather than return a zero-GFLOP/s best.
+        """
         return self.guided.best.measured_gflops / self.exhaustive.best_gflops
 
     @property

@@ -375,6 +375,41 @@ def test_accuracy_summary_bounds(tuned_store):
         assert 0.0 < row[3] <= 1.0  # mean accuracy
 
 
+def test_reports_skip_records_they_cannot_read(tuned_store):
+    # Stores keep rows from older code versions and wire commits check only
+    # the record fields, so a report must leave out what it cannot read.
+    from repro.stencils.generators import fuzz_stencil
+
+    tuned = [
+        dict(record, code_version="v0", elapsed_s=0.0)
+        for record in tuned_store.export_records(ok_only=True, kind="tune")
+    ]
+    base = tuned[0]
+    no_accuracy = dict(base, key="no-accuracy", gpu="K40", payload={"gflops": 1.0})
+    checks = {"checks": [{"check": "frontend_roundtrip", "passed": True}]}
+    fuzz = dict(base, kind="fuzz", payload=checks)
+    store = ResultStore(":memory:")
+    assert store.commit_records(
+        [
+            *tuned,
+            no_accuracy,
+            dict(fuzz, key="fuzz-named", pattern="fuzz-3-1"),
+            dict(fuzz, key="not-fuzz-named", pattern="j2d5pt"),
+        ]
+    ) == len(tuned) + 3
+    table = accuracy_summary(store)
+    assert sorted(row[0] for row in table.rows) == ["P100", "V100"]
+    assert api.fuzz_coverage(store) == [
+        {
+            "family": fuzz_stencil(3, 1).family,
+            "check": "frontend_roundtrip",
+            "runs": 1,
+            "passed": 1,
+        }
+    ]
+    store.close()
+
+
 def test_campaign_summary_counts(tuned_store):
     table = campaign_summary(tuned_store)
     assert table.rows == [("tune", "ok", 4)]

@@ -126,7 +126,8 @@ def test_registry_liveness_is_heartbeat_age(tmp_path):
     assert summaries["w1"]["live"] and not summaries["c0"]["live"]
     assert summaries["w1"]["capabilities"]["workers"] == 2
     assert summaries["w1"]["capabilities"]["version"] == repro.__version__
-    assert registry.deregister("c0") and registry.get("c0") is None
+    assert registry.deregister("c0")
+    assert "c0" not in {instance.instance_id for instance in registry.instances()}
     assert not registry.heartbeat("c0")  # unknown after deregistration
     store.close()
 

@@ -339,7 +339,7 @@ def test_reference_executor_double_buffered_matches_stepwise():
     executor = ReferenceExecutor(pattern)
     stepped = initial.astype(executor.dtype, copy=True)
     for _ in range(6):
-        stepped = executor.step(stepped)
+        stepped = executor.run(stepped, 1)
     assert np.array_equal(executor.run(initial, 6), stepped)
 
 

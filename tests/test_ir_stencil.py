@@ -1,5 +1,7 @@
 """Tests for StencilPattern and GridSpec."""
 
+import dataclasses
+
 import pytest
 
 from repro.ir.classify import StencilShape
@@ -45,9 +47,9 @@ def test_pattern_shape_classification(j2d5pt, box2d1r, gradient2d):
 
 
 def test_pattern_dtype_word_sizes():
-    pattern = star_stencil(2, 1, dtype="float")
+    pattern = star_stencil(2, 1)
     assert pattern.word_bytes == 4 and pattern.nword == 1
-    pattern = star_stencil(2, 1, dtype="double")
+    pattern = dataclasses.replace(pattern, dtype="double")
     assert pattern.word_bytes == 8 and pattern.nword == 2
 
 

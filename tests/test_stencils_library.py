@@ -215,7 +215,7 @@ def test_initial_grid_shape_and_dtype(j2d5pt):
 def test_reference_step_updates_interior_only(j2d5pt):
     grid = GridSpec((16, 16), 1)
     initial = make_initial_grid(j2d5pt, grid, seed=1)
-    stepped = ReferenceExecutor(j2d5pt).step(initial)
+    stepped = ReferenceExecutor(j2d5pt).run(initial, 1)
     assert np.array_equal(stepped[0, :], initial[0, :])
     assert not np.allclose(stepped[1:-1, 1:-1], initial[1:-1, 1:-1])
 
