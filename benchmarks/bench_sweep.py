@@ -191,7 +191,7 @@ def bench_campaign(quick: bool) -> dict:
     }
 
 
-def bench_overhead(quick: bool, iterations: int = 80) -> dict:
+def bench_overhead(quick: bool, iterations: int = 320) -> dict:
     """Instrumentation overhead: the same campaign with metrics on and off.
 
     Runs the batched model-only campaign against the live default registry
@@ -203,7 +203,9 @@ def bench_overhead(quick: bool, iterations: int = 80) -> dict:
     the overhead is the ratio of the per-kind *minimum* iteration times:
     scheduler and machine jitter are strictly additive, so the minima
     converge on the true floors while a mean or median would inherit
-    whatever load the runner was under.
+    whatever load the runner was under.  A quick campaign takes ~4-5 ms,
+    so its fixed costs weigh heavily: 320 iterations per kind steady the
+    quick reading, where 80 swung by several points run to run.
     """
     from repro.obs import NULL_REGISTRY, PROFILER, MetricsRegistry, set_registry
 

@@ -123,6 +123,8 @@ class ResultTable:
         if renderer is None:
             raise ValueError(f"unsupported result format {path.suffix!r}")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(renderer() + "\n")
+        # csv rows already end in "\r\n"; the other formats get one "\n".
+        text = renderer()
+        path.write_text(text if text.endswith("\n") else text + "\n")
         return path
 

@@ -3,10 +3,12 @@
 The campaign queue is the right place for matrix sweeps, but a model-only
 prediction the batch engine answers in about a millisecond should not pay
 job-submission latency.  This module keeps one :class:`_HotEntry` per
-(pattern, grid, GPU, dtype, code-version): the loaded pattern, the
-:class:`~repro.model.batch.BatchModelEngine`, and the pruned search space as
-ConfigBatch columns with its traffic/prediction/simulation arrays already
-evaluated — the whole stage-1 tuning state, resident in memory.
+(pattern, grid, GPU, dtype, code-version): the loaded pattern, the stage-1
+:class:`~repro.tuning.autotuner.Ranking` (the pruned search space as
+ConfigBatch columns, the :class:`~repro.model.batch.BatchModelEngine` and its
+prediction arrays) and the simulation arrays — the whole stage-1 tuning
+state, resident in memory and kept in columns: a row becomes a Python
+object only when it is read.
 
 On top of the entry sit two payload caches:
 
@@ -15,8 +17,9 @@ On top of the entry sit two payload caches:
   pruned space and from a single-row batch evaluation otherwise;
 * ``hot_tune`` — one payload per ``top_k``, produced by re-entering the
   autotuner's stage 2 (:meth:`~repro.tuning.autotuner.AutoTuner.tune_ranked`)
-  over the entry's cached ranking; stage 2 simulates the finalists x register
-  limits as one batch, so a miss costs one small vectorised ``simulate``.
+  over the entry's cached ranking; stage 2 builds only its ``top_k``
+  finalists from the columns and simulates them x register limits as one
+  batch, so a miss costs one small vectorised ``simulate``.
 
 All three caches are :class:`~repro.obs.SingleFlightCache` instances, so a
 stampede of identical concurrent requests runs one build and shares it, and
@@ -32,7 +35,7 @@ never writes the store: its answers are ephemeral by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,16 +44,16 @@ from repro.campaign.jobs import JobSpec, _predict_config, _predict_payload, _tun
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.batch import (
+    UNSET,
     BatchMeasurement,
     BatchModelEngine,
-    BatchPrediction,
     ConfigBatch,
     prune_mask,
 )
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.obs import MetricsRegistry, SingleFlightCache, get_registry
 from repro.stencils.library import load_pattern
-from repro.tuning.autotuner import AutoTuner, TuningCandidate
+from repro.tuning.autotuner import AutoTuner, Ranking
 from repro.tuning.search_space import default_search_space
 
 #: Distinct (pattern, grid, GPU, dtype) combinations kept hot.  The paper's
@@ -62,36 +65,35 @@ def _config_key(config: BlockingConfig) -> Tuple[object, ...]:
     return (config.bT, tuple(config.bS), config.hS, config.register_limit)
 
 
+def _none_if_unset(column: np.ndarray) -> List[Optional[int]]:
+    return [None if value == UNSET else value for value in column.tolist()]
+
+
+def _column_keys(batch: ConfigBatch) -> Iterator[Tuple[object, ...]]:
+    """:func:`_config_key` of every row, read straight from the columns."""
+    return zip(
+        batch.bT.tolist(),
+        map(tuple, batch.bS.tolist()),
+        _none_if_unset(batch.hS),
+        _none_if_unset(batch.regs),
+    )
+
+
 @dataclass(frozen=True)
 class _HotEntry:
     """One (pattern, grid, GPU)'s resident model state.
 
-    ``predicted``/``simulated`` are ``None`` when pruning leaves nothing.
+    ``simulated`` holds the same rows as ``ranking.survivors``; ``index``
+    maps a configuration key to its row.
     """
 
     pattern: StencilPattern
     grid: GridSpec
     gpu: GpuSpec
     space_size: int
-    engine: BatchModelEngine
-    survivors: ConfigBatch
-    predicted: Optional[BatchPrediction]
-    simulated: Optional[BatchMeasurement]
+    ranking: Ranking
+    simulated: BatchMeasurement
     index: Dict[Tuple[object, ...], int]
-    rank_order: Tuple[int, ...]
-
-    def candidates(self) -> list:
-        """The stage-1 ranking, materialised from the cached columns.
-
-        Exactly :meth:`AutoTuner.rank`: stable descending sort over
-        the predicted GFLOPS already held in ``predicted``.
-        """
-        return [
-            TuningCandidate(
-                self.survivors.config(i), self.engine.prediction(self.predicted, i)
-            )
-            for i in self.rank_order
-        ]
 
 
 class HotModelCache:
@@ -133,21 +135,12 @@ class HotModelCache:
         candidates = ConfigBatch.from_space(space)
         survivors = candidates.select(prune_mask(pattern, candidates, gpu))
         engine = BatchModelEngine(pattern, grid, gpu)
-        if survivors.size:
-            traffic = engine.traffic(survivors)
-            predicted = engine.predict(survivors, traffic)
-            simulated = engine.simulate(survivors, traffic)
-            order = tuple(int(i) for i in np.argsort(-predicted.gflops, kind="stable"))
-        else:
-            predicted = simulated = None
-            order = ()
-        index = {
-            _config_key(survivors.config(i)): i for i in range(survivors.size)
-        }
+        traffic = engine.traffic(survivors)
         return _HotEntry(
             pattern=pattern, grid=grid, gpu=gpu, space_size=space.size(),
-            engine=engine, survivors=survivors, predicted=predicted,
-            simulated=simulated, index=index, rank_order=order,
+            ranking=Ranking(survivors, engine, engine.predict(survivors, traffic)),
+            simulated=engine.simulate(survivors, traffic),
+            index={key: row for row, key in enumerate(_column_keys(survivors))},
         )
 
     # -- predict ---------------------------------------------------------------
@@ -169,14 +162,15 @@ class HotModelCache:
         config = _predict_config(spec, entry.pattern)
         row = entry.index.get(_config_key(config))
         if row is not None:
-            predicted, simulated = entry.predicted, entry.simulated
+            predicted, simulated = entry.ranking.predicted, entry.simulated
         else:
             # Outside the pruned space (explicit register cap, exotic block
             # shape): one-row batch evaluation on the resident engine.
+            engine = entry.ranking.engine
             batch = ConfigBatch.from_configs([config])
-            traffic = entry.engine.traffic(batch)
-            predicted = entry.engine.predict(batch, traffic)
-            simulated = entry.engine.simulate(batch, traffic)
+            traffic = engine.traffic(batch)
+            predicted = engine.predict(batch, traffic)
+            simulated = engine.simulate(batch, traffic)
             row = 0
         return _predict_payload(config, predicted, simulated, row)
 
@@ -193,7 +187,7 @@ class HotModelCache:
         top_k = int(spec.params_dict().get("top_k", 5))
         tuner = AutoTuner(entry.gpu, top_k=top_k)
         result = tuner.tune_ranked(
-            entry.pattern, entry.grid, entry.candidates(), explored=entry.space_size
+            entry.pattern, entry.grid, entry.ranking, explored=entry.space_size
         )
         return _tune_payload(result)
 

@@ -10,8 +10,11 @@ simulated performance.
 Both stages run on the batched model engine (:mod:`repro.model.batch`).
 Stage 1 prunes and predicts the whole space as a handful of array
 operations; the stable descending sort reproduces the scalar ranking exactly
-(identical predictions, identical tie order).  Stage 2 packs the finalists x
-register limits into one batch and simulates it in a single vectorised call.
+(identical predictions, identical tie order).  Stage 1 stays in columns: its
+:class:`Ranking` builds a :class:`TuningCandidate` only for a row that is
+read, so a tuning run builds its ``top_k`` finalists and no other row.
+Stage 2 packs the finalists x register limits into one batch and simulates
+it in a single vectorised call.
 The scalar model and :class:`~repro.sim.timing.TimingSimulator` remain the
 oracle: :func:`reference_rank` is the scalar stage-1 ranking the tests and
 ``benchmarks/bench_sweep.py`` compare against.
@@ -20,13 +23,13 @@ oracle: :func:`reference_rank` is the scalar stage-1 ranking the tests and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec, StencilPattern
-from repro.model.batch import BatchModelEngine, ConfigBatch, prune_mask
+from repro.model.batch import BatchModelEngine, BatchPrediction, ConfigBatch, prune_mask
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.model.roofline import PerformancePrediction, predict_performance
 from repro.sim.timing import SimulatedMeasurement
@@ -89,6 +92,39 @@ class TuningResult:
         }
 
 
+class Ranking(Sequence[TuningCandidate]):
+    """Stage 1's result: the pruned survivors, best predicted first.
+
+    A read-only sequence of :class:`TuningCandidate` that keeps the
+    survivors in columns: the :class:`ConfigBatch`, the engine, its
+    :class:`BatchPrediction` and the stable descending sort order.  A
+    candidate is built only for a row that is indexed, sliced or iterated.
+    """
+
+    def __init__(
+        self, survivors: ConfigBatch, engine: BatchModelEngine, predicted: BatchPrediction
+    ) -> None:
+        self.survivors = survivors
+        self.engine = engine
+        self.predicted = predicted
+        self.order = np.argsort(-predicted.gflops, kind="stable")
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[TuningCandidate, List[TuningCandidate]]:
+        if isinstance(index, slice):
+            return [self._candidate(row) for row in self.order[index]]
+        return self._candidate(self.order[index])
+
+    def _candidate(self, row: int) -> TuningCandidate:
+        return TuningCandidate(
+            self.survivors.config(row), self.engine.prediction(self.predicted, row)
+        )
+
+
 def reference_rank(
     pattern: StencilPattern,
     grid: GridSpec,
@@ -125,12 +161,14 @@ class AutoTuner:
         pattern: StencilPattern,
         grid: GridSpec,
         space: SearchSpace | None = None,
-    ) -> List[TuningCandidate]:
+    ) -> Sequence[TuningCandidate]:
         """Rank all pruned configurations by predicted performance.
 
         Pruning and prediction run over the whole space as arrays.  A stable
         sort on the negated predictions reproduces :func:`reference_rank`'s
         ordering: descending by predicted GFLOPS, enumeration order on ties.
+        Returns a :class:`Ranking`, or an empty list when pruning leaves
+        nothing (a 1-D pattern, which the batch engine does not take).
         """
         space = space or default_search_space(pattern)
         candidates = ConfigBatch.from_space(space)
@@ -138,12 +176,7 @@ class AutoTuner:
         if survivors.size == 0:
             return []
         model = BatchModelEngine(pattern, grid, self.gpu)
-        predicted = model.predict(survivors)
-        order = np.argsort(-predicted.gflops, kind="stable")
-        return [
-            TuningCandidate(survivors.config(i), model.prediction(predicted, i))
-            for i in order
-        ]
+        return Ranking(survivors, model, model.predict(survivors))
 
     # -- stage 2: simulated measurement -----------------------------------------
     def tune_ranked(

@@ -70,3 +70,10 @@ def test_save_jsonl(tmp_path):
 def test_save_rejects_unknown_suffix(tmp_path):
     with pytest.raises(ValueError):
         sample_table().save(tmp_path / "out.xlsx")
+
+
+def test_save_csv_writes_exactly_the_rendering(tmp_path):
+    table = sample_table()
+    path = table.save(tmp_path / "out.csv")
+    assert path.read_bytes() == table.to_csv().encode()
+    assert path.read_bytes().endswith(b"90.0\r\n")

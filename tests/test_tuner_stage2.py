@@ -17,6 +17,7 @@ from repro import api
 from repro.campaign import CampaignScheduler, CampaignSpec, JobSpec, ResultStore
 from repro.core.config import BlockingConfig
 from repro.ir.stencil import GridSpec, StencilPattern
+from repro.model.batch import BatchModelEngine
 from repro.model.gpu_specs import get_gpu
 from repro.model.registers import estimate_registers
 from repro.model.roofline import predict_performance
@@ -114,3 +115,24 @@ def test_tuning_paths_never_call_the_scalar_simulator(monkeypatch):
     with ResultStore(":memory:") as store:
         outcome = CampaignScheduler(campaign, store).run()
     assert outcome.ok and outcome.executed == 1
+
+
+def test_tuning_builds_no_more_rows_than_it_simulates(monkeypatch):
+    rows = []
+    prediction = BatchModelEngine.prediction
+
+    def counted(self, result, index):
+        rows.append(index)
+        return prediction(self, result, index)
+
+    monkeypatch.setattr(BatchModelEngine, "prediction", counted)
+    pattern = load_pattern("j2d5pt")
+    result = AutoTuner("V100", top_k=3).tune(pattern, get_benchmark("j2d5pt").default_grid())
+    assert result.pruned_to > 3
+    assert 0 < len(rows) <= 3
+
+    rows.clear()
+    spec = JobSpec("tune", "j2d5pt", "V100", "float", (512, 512), 100, (("top_k", 2),))
+    payload, hit = HotModelCache(MetricsRegistry()).tune(spec)
+    assert not hit and payload["pruned_to"] > 2
+    assert 0 < len(rows) <= 2

@@ -83,6 +83,17 @@ def test_rank_orders_by_predicted_performance(j2d5pt, v100):
     assert ranked[0].measured is None
 
 
+def test_ranking_reads_rows_like_the_list_it_replaces(j2d5pt, v100):
+    ranked = AutoTuner(v100).rank(j2d5pt, SMALL_2D_GRID)
+    rows = list(ranked)
+    assert len(ranked) == len(rows) > 11
+    assert ranked[:5] == rows[:5]
+    assert ranked[3:11:2] == rows[3:11:2]
+    assert ranked[-1] == rows[-1]
+    with pytest.raises(IndexError):
+        ranked[len(rows)]
+
+
 def test_tune_returns_best_of_topk(j2d5pt):
     result = AutoTuner("V100", top_k=3).tune(j2d5pt, SMALL_2D_GRID)
     assert len(result.top_candidates) == 3
@@ -140,6 +151,7 @@ def test_tuner_raises_when_nothing_valid(v100):
 
     pattern = load_pattern("star2d4r", "double")
     space = SearchSpace(time_blocks=(16,), spatial_blocks=((128,),), stream_blocks=(256,))
+    assert list(AutoTuner(v100).rank(pattern, SMALL_2D_GRID, space)) == []
     with pytest.raises(ValueError):
         AutoTuner(v100).tune(pattern, SMALL_2D_GRID, space)
 
