@@ -6,7 +6,7 @@ double-buffered assignment statement inside.  It lowers this into a
 :class:`repro.ir.StencilPattern` that the AN5D core transforms consume.
 """
 
-from repro.frontend.clexer import LexerError, Token, tokenize
+from repro.frontend.clexer import LexerError, Token, TokenStream, lex
 from repro.frontend.c_ast import (
     ArrayAccess,
     Assignment,
@@ -35,9 +35,10 @@ __all__ = [
     "Program",
     "StencilDetectionError",
     "Token",
+    "TokenStream",
     "UnaryExpr",
     "detect_stencil",
+    "lex",
     "parse_program",
     "parse_stencil",
-    "tokenize",
 ]

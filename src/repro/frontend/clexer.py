@@ -6,21 +6,29 @@ recognised: identifiers, integer and floating-point literals (with the usual
 for double buffering, assignment, increments, and the bracketing punctuation
 of loops and array subscripts.
 
-:func:`tokenize` is a single scan with one compiled master regex.  Each match
-skips the whitespace, ``//`` and ``/* */`` comments and ``#`` preprocessor
-lines before a token, then matches the token itself; line and column numbers
-come from counting newlines between tokens.  The character classes follow
-``str.isalpha`` (identifier start), ``str.isalnum`` (identifier body) and
-``str.isdigit`` (digits): for ASCII these are ``[A-Za-z]``, ``[A-Za-z0-9]``
-and ``[0-9]``, and a source with other characters gets those characters
-added to the classes they belong to.
+:func:`lex` is one ``findall`` over a master regex that skips a gap
+(whitespace, ``//`` and ``/* */`` comments, ``#`` preprocessor lines) and
+captures the next token's spelling.  It returns a :class:`TokenStream` of
+parallel ``values``, ``kinds`` and ``offsets`` lists.  Kinds (and lexical
+errors) are worked out once per distinct spelling, so a stencil's thousands
+of tokens cost Python work only for the few dozen spellings they repeat.
+Offsets, from a second scan, and line and column numbers, from a newline
+index, are built only when something asks for them: the position of a
+:class:`LexerError`, or a :class:`Token` from :meth:`TokenStream.token` for
+a parse error.
+
+The character classes follow ``str.isalpha`` (identifier start),
+``str.isalnum`` (identifier body) and ``str.isdigit`` (digits): for ASCII
+these are ``[A-Za-z]``, ``[A-Za-z0-9]`` and ``[0-9]``, and a source with
+other characters gets those characters added to the classes they belong to.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from typing import List, NamedTuple
+from bisect import bisect_left
+from functools import cached_property, lru_cache
+from typing import Dict, List, NamedTuple, Tuple
 
 KEYWORDS = {"for", "if", "else", "int", "float", "double", "const", "return", "void"}
 
@@ -53,21 +61,22 @@ _OPERATORS = [
 
 _PUNCTUATION = "()[]{};,"
 
-#: The master regex; ``{alpha}``, ``{alnum}`` and ``{digit}`` are the
-#: non-ASCII members of each character class for one source.  An
-#: unterminated ``/*`` is left by the skip prefix and caught by ``comment``;
-#: ``exp`` is empty when an exponent has no digits.
-_MASTER = r"""
-    [ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/|\#[^\n]*)[ \t\r\n]*)*
-    (?:
-        (?P<ident>[A-Za-z_{alpha}][A-Za-z0-9_{alnum}]*)
-      | (?P<number>(?:{digit}+(?:\.{digit}*)?|\.{digit}+)(?:[eE][+-]?(?P<exp>{digit}*))?[fFlLuU]?)
-      | (?P<punct>[{punct}])
-      | (?P<comment>/\*)
-      | (?P<op>{ops})
-      | (?P<eof>\Z)
-      | (?P<error>.)
-    )
+#: What is skipped before a token.  An unterminated ``/*`` is left here and
+#: caught by the token's ``comment`` alternative.
+_GAP = r"[ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/|\#[^\n]*)[ \t\r\n]*)*"
+
+#: One token; ``{alpha}``, ``{alnum}`` and ``{digit}`` are the non-ASCII
+#: members of each character class for one source.  The empty ``eof``
+#: spelling matches only at the end, and ``exp`` is empty when an exponent
+#: has no digits.
+_TOKEN = r"""
+    (?P<ident>[A-Za-z_{alpha}][A-Za-z0-9_{alnum}]*)
+  | (?P<number>(?:{digit}+(?:\.{digit}*)?|\.{digit}+)(?:[eE][+-]?(?P<exp>{digit}*))?[fFlLuU]?)
+  | (?P<punct>[{punct}])
+  | (?P<comment>/\*)
+  | (?P<op>{ops})
+  | (?P<eof>\Z)
+  | (?P<error>.)
 """
 
 _FLOAT_MARKS = frozenset(".eEfF")
@@ -91,60 +100,99 @@ class Token(NamedTuple):
     column: int
 
 
+class TokenStream:
+    """The tokens of one source as parallel lists, ending in one ``eof``.
+
+    ``values[n]`` is token ``n``'s spelling and ``kinds[n]`` its kind.
+    ``offsets[n]``, the index of its first character in ``source``, and the
+    newline index behind :meth:`position` are built on first use.
+    """
+
+    def __init__(self, source: str, master: re.Pattern[str], values: List[str], kinds: List[str]) -> None:
+        self.source = source
+        self._master = master
+        self.values = values
+        self.kinds = kinds
+
+    @cached_property
+    def offsets(self) -> List[int]:
+        # The scan that found the spellings, repeated for their positions.
+        starts = [match.start(1) for match in self._master.finditer(self.source)]
+        return starts[: len(self.values)]
+
+    @cached_property
+    def _line_ends(self) -> List[int]:
+        return [match.start() for match in re.finditer("\n", self.source)]
+
+    def position(self, offset: int) -> Tuple[int, int]:
+        """``(line, column)``, both from 1, of the character at ``offset``."""
+        line = bisect_left(self._line_ends, offset)
+        line_start = self._line_ends[line - 1] + 1 if line else 0
+        return line + 1, offset - line_start + 1
+
+    def token(self, index: int) -> Token:
+        """Token ``index`` with its line and column."""
+        return Token(self.kinds[index], self.values[index], *self.position(self.offsets[index]))
+
+
 @lru_cache(maxsize=64)
-def _master_regex(alpha: str, alnum: str, digit: str) -> re.Pattern[str]:
-    pattern = _MASTER.format(
+def _regexes(alpha: str, alnum: str, digit: str) -> Tuple[re.Pattern[str], re.Pattern[str]]:
+    """The master regex, a gap then one captured token, for ``findall``, and
+    the named-group token regex that classifies one spelling."""
+    token = _TOKEN.format(
         alpha=alpha,
         alnum=alnum,
         digit=f"[0-9{digit}]",
         punct=re.escape(_PUNCTUATION),
         ops="|".join(map(re.escape, _OPERATORS)),
     )
-    return re.compile(pattern, re.VERBOSE | re.DOTALL)
+    master = f"(?:{_GAP})({re.sub(r'[(][?]P<[a-z]+>', '(?:', token)})"
+    return re.compile(master, re.VERBOSE | re.DOTALL), re.compile(token, re.VERBOSE | re.DOTALL)
 
 
-def _regex_for(source: str) -> re.Pattern[str]:
+def _regexes_for(source: str) -> Tuple[re.Pattern[str], re.Pattern[str]]:
     if source.isascii():
-        return _master_regex("", "", "")
+        return _regexes("", "", "")
     wide = sorted(ch for ch in set(source) if not ch.isascii())
-    return _master_regex(
+    return _regexes(
         "".join(ch for ch in wide if ch.isalpha()),
         "".join(ch for ch in wide if ch.isalnum()),
         "".join(ch for ch in wide if ch.isdigit()),
     )
 
 
-def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` completely, including the trailing EOF token."""
-    tokens: List[Token] = []
-    append = tokens.append
-    # tuple.__new__ skips the NamedTuple constructor's Python-level frame.
-    new_tuple = tuple.__new__
-    count_newlines = source.count
-    line, line_start, pos = 1, 0, 0
-    for match in _regex_for(source).finditer(source):
-        kind = match.lastgroup
-        end = match.end()
-        value = match.group(kind)
-        start = end - len(value)
-        if start != pos:
-            newlines = count_newlines("\n", pos, start)
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", pos, start) + 1
-        pos = end
-        if kind == "ident":
-            if value in KEYWORDS:
-                kind = "keyword"
-        elif kind == "number":
-            if match.group("exp") == "":
-                raise LexerError("malformed exponent", line, match.start("exp") - line_start + 1)
-            kind = "int" if _FLOAT_MARKS.isdisjoint(value) else "float"
-        elif kind == "comment":
-            raise LexerError("unterminated block comment", line, start - line_start + 1)
-        elif kind == "error":
-            raise LexerError(f"unexpected character {value!r}", line, start - line_start + 1)
-        append(new_tuple(Token, (kind, value, line, start - line_start + 1)))
-        if kind == "eof":
-            break
-    return tokens
+def _classify(spelling: str, token_regex: re.Pattern[str], problems: Dict[str, Tuple[str, int]]) -> str:
+    """The kind of one spelling; a spelling that is a lexical error is also
+    entered in ``problems`` with its message and its offset in the spelling."""
+    match = token_regex.fullmatch(spelling)
+    kind = match.lastgroup
+    if kind == "ident":
+        return "keyword" if spelling in KEYWORDS else "ident"
+    if kind == "number":
+        if match.group("exp") == "":
+            problems[spelling] = ("malformed exponent", match.start("exp"))
+        return "int" if _FLOAT_MARKS.isdisjoint(spelling) else "float"
+    if kind == "comment":
+        problems[spelling] = ("unterminated block comment", 0)
+    elif kind == "error":
+        problems[spelling] = (f"unexpected character {spelling!r}", 0)
+    return kind
+
+
+def lex(source: str) -> TokenStream:
+    """Tokenize ``source`` completely, including the trailing ``eof``."""
+    master, token_regex = _regexes_for(source)
+    values = master.findall(source)
+    # The eof spelling is the only empty one; after a trailing gap findall
+    # also reports the empty match at the end, which is dropped.
+    if len(values) > 1 and values[-2] == "":
+        values.pop()
+    problems: Dict[str, Tuple[str, int]] = {}
+    kind_of = {spelling: _classify(spelling, token_regex, problems) for spelling in set(values)}
+    stream = TokenStream(source, master, values, list(map(kind_of.__getitem__, values)))
+    if problems:
+        first = min(map(values.index, problems))
+        message, shift = problems[values[first]]
+        raise LexerError(message, *stream.position(stream.offsets[first] + shift))
+    return stream
+

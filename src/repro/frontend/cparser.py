@@ -11,9 +11,23 @@ The grammar (roughly):
     expr        := unary (binop unary)*   binop: * / % bind tighter than + -
     unary       := ('-' | '+' | '!') unary | postfix
 
-Statements are parsed by recursive descent.  Binary expressions are parsed
-by one precedence loop over an operand and an operator stack, all operators
-left-associative, so a chain of any length costs no recursion depth.
+The parser reads the lexer's parallel spelling and kind lists
+(:class:`repro.frontend.clexer.TokenStream`) with no object per token; a
+spelling has one kind, so most tests look at the spelling alone, and a
+:class:`repro.frontend.clexer.Token` with its line and column is built only
+for a :class:`ParseError`.  Statements are parsed by recursive descent.
+Binary expressions are parsed by one precedence loop over an operand and an
+operator stack, all operators left-associative, so a chain of any length
+costs no recursion depth.
+
+The tree is a pure function of the spellings, so one parse shares what it
+would otherwise build again: one node per literal or name spelling, and one
+node per subscript spelling.  At a subscript's ``[`` the next ``]`` is found
+with ``values.index``; when an earlier subscript held the same spellings
+between its brackets and parsed to exactly that ``]``, its node is reused
+without reparsing.  A stencil's hundreds of reads spell a few dozen
+subscripts.  The memos belong to one :class:`Parser`, that is, to one
+:func:`parse_program` call.
 
 Only canonical unit-stride ascending loops are accepted
 (``for (i = L; i < U; i++)`` or ``<=``), because those are the only loops the
@@ -22,10 +36,10 @@ AN5D execution model can stream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Tuple
 
 from repro.frontend import c_ast
-from repro.frontend.clexer import Token, tokenize
+from repro.frontend.clexer import Token, TokenStream, lex
 
 
 class ParseError(ValueError):
@@ -41,159 +55,151 @@ class ParseError(ValueError):
 #: Binding strength of the binary operators the expression loop folds.
 _BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
 _UNARY_OPERATORS = {"-", "+", "!"}
+_DECLARED_TYPES = {"float", "double", "int"}
 
 
 class Parser:
-    """Parses a token stream into a :class:`repro.frontend.c_ast.Program`."""
+    """Parses a :class:`TokenStream` into a :class:`repro.frontend.c_ast.Program`."""
 
-    def __init__(self, tokens: Sequence[Token]) -> None:
-        self.tokens = list(tokens)
+    def __init__(self, stream: TokenStream) -> None:
+        self.stream = stream
+        self.values = stream.values
+        self.kinds = stream.kinds
         self.index = 0
-        self.current = self.tokens[0]
         # Literals and names are immutable leaves, so one node per spelling
-        # is shared by every occurrence.
+        # is shared by every occurrence; subscripts likewise, keyed by the
+        # spellings between their brackets.
         self._leaves: Dict[str, c_ast.CExpr] = {}
+        self._subscripts: Dict[Tuple[str, ...], c_ast.CExpr] = {}
 
     # -- token helpers -----------------------------------------------------
-    def _advance(self) -> Token:
-        token = self.current
-        if token.kind != "eof":
+    def _error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, self.stream.token(index))
+
+    def _accept(self, value: str) -> bool:
+        if self.values[self.index] == value:
             self.index += 1
-            self.current = self.tokens[self.index]
-        return token
+            return True
+        return False
 
-    def _check(self, kind: str, value: str | None = None) -> bool:
-        token = self.current
-        return token.kind == kind and (value is None or token.value == value)
+    def _expect(self, value: str) -> None:
+        if self.values[self.index] != value:
+            raise self._error(f"expected {value!r}", self.index)
+        self.index += 1
 
-    def _accept(self, kind: str, value: str | None = None) -> Token | None:
-        if self._check(kind, value):
-            return self._advance()
-        return None
-
-    def _expect(self, kind: str, value: str | None = None) -> Token:
-        token = self.current
-        if token.kind != kind or (value is not None and token.value != value):
-            expectation = value if value is not None else kind
-            raise ParseError(f"expected {expectation!r}", token)
-        return self._advance()
+    def _expect_ident(self) -> str:
+        index = self.index
+        if self.kinds[index] != "ident":
+            raise self._error("expected 'ident'", index)
+        self.index = index + 1
+        return self.values[index]
 
     # -- grammar -----------------------------------------------------------
     def parse_program(self) -> c_ast.Program:
         statements: List[c_ast.Statement] = []
-        while not self._check("eof"):
+        while self.kinds[self.index] != "eof":
             statements.append(self.parse_statement())
         return c_ast.Program(tuple(statements))
 
     def parse_statement(self) -> c_ast.Statement:
-        if self._check("keyword", "for"):
+        value = self.values[self.index]
+        if value == "for":
             return self.parse_for()
-        if self._check("keyword", "float") or self._check("keyword", "double") or self._check(
-            "keyword", "int"
-        ):
+        if value in _DECLARED_TYPES:
             return self.parse_declaration()
-        if self._check("punct", "{"):
+        if value == "{":
             # A bare block is flattened into its single statement when
             # possible; otherwise it is not representable at top level.
-            raise ParseError("unexpected bare block", self.current)
+            raise self._error("unexpected bare block", self.index)
         return self.parse_assignment_statement()
 
     def parse_declaration(self) -> c_ast.Declaration:
-        dtype = self._advance().value
-        name = self._expect("ident").value
-        value = None
-        if self._accept("op", "="):
-            value = self.parse_expression()
-        self._expect("punct", ";")
+        dtype = self.values[self.index]
+        self.index += 1
+        name = self._expect_ident()
+        value = self.parse_expression() if self._accept("=") else None
+        self._expect(";")
         return c_ast.Declaration(dtype, name, value)
 
     def parse_for(self) -> c_ast.ForLoop:
-        self._expect("keyword", "for")
-        self._expect("punct", "(")
+        self._expect("for")
+        self._expect("(")
         # init: optionally typed, "var = expr"
-        self._accept("keyword", "int")
-        var_token = self._expect("ident")
-        self._expect("op", "=")
+        self._accept("int")
+        var = self._expect_ident()
+        self._expect("=")
         lower = self.parse_expression()
-        self._expect("punct", ";")
+        self._expect(";")
         # condition: "var < expr" or "var <= expr"
-        cond_var = self._expect("ident")
-        if cond_var.value != var_token.value:
-            raise ParseError("loop condition must test the loop variable", cond_var)
-        if self._accept("op", "<="):
+        if self._expect_ident() != var:
+            raise self._error("loop condition must test the loop variable", self.index - 1)
+        if self._accept("<="):
             inclusive = True
-        elif self._accept("op", "<"):
+        elif self._accept("<"):
             inclusive = False
         else:
-            raise ParseError("loop condition must use < or <=", self.current)
+            raise self._error("loop condition must use < or <=", self.index)
         upper = self.parse_expression()
-        self._expect("punct", ";")
+        self._expect(";")
         # step: "var++" or "var += 1" or "++var"
-        self._parse_unit_step(var_token.value)
-        self._expect("punct", ")")
+        self._parse_unit_step(var)
+        self._expect(")")
         body = self.parse_loop_body()
-        return c_ast.ForLoop(var_token.value, lower, upper, inclusive, tuple(body))
+        return c_ast.ForLoop(var, lower, upper, inclusive, tuple(body))
 
     def _parse_unit_step(self, var: str) -> None:
-        if self._accept("op", "++"):
-            name = self._expect("ident")
-            if name.value != var:
-                raise ParseError("loop step must increment the loop variable", name)
+        prefix = self._accept("++")
+        if self._expect_ident() != var:
+            raise self._error("loop step must increment the loop variable", self.index - 1)
+        if prefix or self._accept("++"):
             return
-        name = self._expect("ident")
-        if name.value != var:
-            raise ParseError("loop step must increment the loop variable", name)
-        if self._accept("op", "++"):
-            return
-        if self._accept("op", "+="):
+        if self._accept("+="):
             step = self.parse_expression()
             if not (isinstance(step, c_ast.NumberLiteral) and step.value == 1):
-                raise ParseError("only unit-stride loops are supported", self.current)
+                raise self._error("only unit-stride loops are supported", self.index)
             return
-        raise ParseError("unsupported loop step", self.current)
+        raise self._error("unsupported loop step", self.index)
 
     def parse_loop_body(self) -> List[c_ast.Statement]:
-        if self._accept("punct", "{"):
+        if self._accept("{"):
             body: List[c_ast.Statement] = []
-            while not self._check("punct", "}"):
-                if self._check("eof"):
-                    raise ParseError("unterminated block", self.current)
+            while self.values[self.index] != "}":
+                if self.kinds[self.index] == "eof":
+                    raise self._error("unterminated block", self.index)
                 body.append(self.parse_statement())
-            self._expect("punct", "}")
+            self.index += 1
             return body
         return [self.parse_statement()]
 
     def parse_assignment_statement(self) -> c_ast.Assignment:
         target = self.parse_postfix()
         if not isinstance(target, c_ast.ArrayAccess):
-            raise ParseError("assignment target must be an array access", self.current)
-        op_token = self.current
-        if self._accept("op", "="):
-            op = "="
-        elif self._accept("op", "+="):
-            op = "+="
-        else:
-            raise ParseError("expected assignment operator", op_token)
+            raise self._error("assignment target must be an array access", self.index)
+        op = self.values[self.index]
+        if op != "=" and op != "+=":
+            raise self._error("expected assignment operator", self.index)
+        self.index += 1
         value = self.parse_expression()
-        self._expect("punct", ";")
+        self._expect(";")
         return c_ast.Assignment(target, value, op)
 
     # -- expressions ---------------------------------------------------------
     def parse_expression(self) -> c_ast.CExpr:
         """Fold ``+ - * / %`` left-associatively by precedence, in one loop
         over an operand stack and an operator stack."""
+        values = self.values
         operands = [self.parse_unary()]
         operators: List[tuple[int, str]] = []
         while True:
-            token = self.current
-            precedence = _BINARY_PRECEDENCE.get(token.value) if token.kind == "op" else None
+            op = values[self.index]
+            precedence = _BINARY_PRECEDENCE.get(op)
             if precedence is None:
                 break
             while operators and operators[-1][0] >= precedence:
                 rhs = operands.pop()
                 operands[-1] = c_ast.BinaryExpr(operators.pop()[1], operands[-1], rhs)
-            operators.append((precedence, token.value))
-            self._advance()
+            operators.append((precedence, op))
+            self.index += 1
             operands.append(self.parse_unary())
         while operators:
             rhs = operands.pop()
@@ -201,61 +207,80 @@ class Parser:
         return operands[0]
 
     def parse_unary(self) -> c_ast.CExpr:
-        token = self.current
-        if token.kind == "op" and token.value in _UNARY_OPERATORS:
-            self._advance()
+        op = self.values[self.index]
+        if op in _UNARY_OPERATORS:
+            self.index += 1
             operand = self.parse_unary()
-            if token.value == "+":
+            if op == "+":
                 return operand
-            return c_ast.UnaryExpr(token.value, operand)
+            return c_ast.UnaryExpr(op, operand)
         return self.parse_postfix()
 
     def parse_postfix(self) -> c_ast.CExpr:
         expr = self.parse_primary()
-        token = self.current
-        if token.kind == "punct" and token.value == "[":
-            if not isinstance(expr, c_ast.Identifier):
-                raise ParseError("only simple arrays can be subscripted", token)
-            indices: List[c_ast.CExpr] = []
-            while token.kind == "punct" and token.value == "[":
-                self._advance()
-                indices.append(self.parse_expression())
-                self._expect("punct", "]")
-                token = self.current
-            return c_ast.ArrayAccess(expr.name, tuple(indices))
-        return expr
+        if self.values[self.index] != "[":
+            return expr
+        if not isinstance(expr, c_ast.Identifier):
+            raise self._error("only simple arrays can be subscripted", self.index)
+        indices: List[c_ast.CExpr] = []
+        while self.values[self.index] == "[":
+            indices.append(self._parse_subscript())
+        return c_ast.ArrayAccess(expr.name, tuple(indices))
+
+    def _parse_subscript(self) -> c_ast.CExpr:
+        """``[ expr ]`` from the current ``[``, reusing the node of an earlier
+        subscript with the same spellings between its brackets."""
+        values = self.values
+        self.index = start = self.index + 1
+        try:
+            key: Tuple[str, ...] | None = tuple(values[start : values.index("]", start)])
+        except ValueError:  # no ']' left: the parse below says where it is missing
+            key = None
+        else:
+            node = self._subscripts.get(key)
+            if node is not None:
+                self.index = start + len(key) + 1
+                return node
+        node = self.parse_expression()
+        # Only a parse that used exactly the key's spellings is stored.  Such
+        # a key holds no '[': a nested subscript would have consumed its own
+        # ']' before the first one the key ends at.
+        if key is not None and self.index == start + len(key):
+            self._subscripts[key] = node
+        self._expect("]")
+        return node
 
     def parse_primary(self) -> c_ast.CExpr:
-        token = self.current
-        kind, value = token.kind, token.value
+        index = self.index
+        kind, value = self.kinds[index], self.values[index]
         if kind == "int" or kind == "float":
-            self._advance()
+            self.index = index + 1
             literal = self._leaves.get(value)
             if literal is None:
                 literal = self._leaves[value] = c_ast.NumberLiteral.from_text(value, kind == "float")
             return literal
         if kind == "ident":
-            self._advance()
-            if self._accept("punct", "("):
+            self.index = index + 1
+            if self._accept("("):
                 args: List[c_ast.CExpr] = []
-                if not self._check("punct", ")"):
+                if self.values[self.index] != ")":
                     args.append(self.parse_expression())
-                    while self._accept("punct", ","):
+                    while self._accept(","):
                         args.append(self.parse_expression())
-                self._expect("punct", ")")
+                self._expect(")")
                 return c_ast.CallExpr(value, tuple(args))
             name = self._leaves.get(value)
             if name is None:
                 name = self._leaves[value] = c_ast.Identifier(value)
             return name
-        if kind == "punct" and value == "(":
-            self._advance()
+        if value == "(":
+            self.index = index + 1
             expr = self.parse_expression()
-            self._expect("punct", ")")
+            self._expect(")")
             return expr
-        raise ParseError("unexpected token", token)
+        raise self._error("unexpected token", index)
 
 
 def parse_program(source: str) -> c_ast.Program:
     """Tokenize and parse ``source`` into a program AST."""
-    return Parser(tokenize(source)).parse_program()
+    return Parser(lex(source)).parse_program()

@@ -86,18 +86,23 @@ def _loop_info(loop: c_ast.ForLoop) -> LoopInfo:
     )
 
 
-def _is_modulo_two(expr: c_ast.CExpr) -> bool:
-    return (
-        isinstance(expr, c_ast.BinaryExpr)
-        and expr.op == "%"
-        and isinstance(expr.rhs, c_ast.NumberLiteral)
-        and expr.rhs.value == 2
-    )
+def _integer(literal: c_ast.NumberLiteral) -> int:
+    """The value of a subscript literal: C takes no floating subscript or
+    ``%`` operand, so ``i + 1.5``, ``i + 1e0`` and ``t % 2.0`` are refused,
+    not truncated."""
+    if literal.is_float:
+        raise StencilDetectionError(f"subscript literal {literal.text!r} is not an integer")
+    return int(literal.value)
 
 
 def _time_index_offset(expr: c_ast.CExpr, time_var: str) -> int:
     """Interpret a ``(t + k) % 2`` buffer index; return ``k`` (0 or 1)."""
-    if not _is_modulo_two(expr):
+    if not (
+        isinstance(expr, c_ast.BinaryExpr)
+        and expr.op == "%"
+        and isinstance(expr.rhs, c_ast.NumberLiteral)
+        and _integer(expr.rhs) == 2
+    ):
         raise StencilDetectionError(
             "array time index must be double buffered through '% 2'"
         )
@@ -111,7 +116,7 @@ def _time_index_offset(expr: c_ast.CExpr, time_var: str) -> int:
         and base.lhs.name == time_var
         and isinstance(base.rhs, c_ast.NumberLiteral)
     ):
-        return int(base.rhs.value)
+        return _integer(base.rhs)
     raise StencilDetectionError("time index must be 't % 2' or '(t + 1) % 2'")
 
 
@@ -130,7 +135,7 @@ def _spatial_offset(expr: c_ast.CExpr, var: str) -> int:
                 raise StencilDetectionError(
                     f"subscript variable {lhs.name!r} does not match loop variable {var!r}"
                 )
-            magnitude = int(rhs.value)
+            magnitude = _integer(rhs)
             return magnitude if expr.op == "+" else -magnitude
     raise StencilDetectionError(f"subscript must be affine in the loop variable: {expr!r}")
 
@@ -163,6 +168,10 @@ class _ExpressionLowerer:
         self.time_var = time_var
         self.spatial_vars = spatial_vars
         self.env: Dict[str, Expr] = {}
+        # Offsets of the subscript nodes interpreted so far, one dict per
+        # subscript position keyed by node identity: the parser builds one
+        # node per subscript spelling, so each is interpreted once.
+        self._offsets: List[Dict[int, int]] = [{} for _ in range(1 + len(spatial_vars))]
 
     def define(self, name: str, value: c_ast.CExpr) -> None:
         """Bind a declared scalar temporary to its lowered expression.
@@ -230,13 +239,22 @@ class _ExpressionLowerer:
             raise StencilDetectionError(
                 f"array access has {len(access.indices)} subscripts, expected {expected}"
             )
-        if _time_index_offset(access.indices[0], self.time_var) != 0:
+        if self._offset(0, access.indices[0]) != 0:
             raise StencilDetectionError("right-hand side must read the previous time step")
-        offsets = tuple(
-            _spatial_offset(index, var)
-            for index, var in zip(access.indices[1:], self.spatial_vars)
-        )
+        offsets = tuple(map(self._offset, range(1, expected), access.indices[1:]))
         return GridRead(self.array, offsets)
+
+    def _offset(self, position: int, index: c_ast.CExpr) -> int:
+        """The offset subscript ``position`` (0 is the time buffer) reads."""
+        known = self._offsets[position]
+        offset = known.get(id(index))
+        if offset is None:
+            if position == 0:
+                offset = _time_index_offset(index, self.time_var)
+            else:
+                offset = _spatial_offset(index, self.spatial_vars[position - 1])
+            known[id(index)] = offset
+        return offset
 
 
 def detect_stencil(

@@ -1,8 +1,9 @@
 """Golden frontend fixture: token streams, lowered patterns and error positions.
 
-The digests, error texts and positions below were recorded with the earlier
-per-character lexer and recursive-descent expression parser; the frontend
-must reproduce them token by token and node by node.
+The digests, error texts and positions below were recorded with earlier
+lexers and parsers (a per-character lexer, a recursive-descent expression
+parser, a token-object parser with no subscript memo); the frontend must
+reproduce them token by token and node by node.
 """
 
 import hashlib
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.frontend.clexer import LexerError, tokenize
+from repro.frontend.clexer import LexerError, lex
 from repro.frontend.cparser import ParseError, parse_program
 from repro.frontend.stencil_detect import parse_stencil
 from repro.ir.expr import BinOp, Call, Const, GridRead, UnaryOp
@@ -171,12 +172,44 @@ GOLDEN = {
         "1fc6eebd870c8cfbd06cedd422b1448d0371ef9dd68cbdd12997abfbc86f6e23",
         "5de08840d8daf21a3aeac6c9ce9c7b66fef3b138cce766e93cd62e03ac3b216a",
     ),
+    "box2d8r": (
+        "d371d398c376037ba5b2653ae95e8c52ab0aba4a2790897a97e77c4a670e5c75",
+        "b854f5b8df4562dd24a47904fd55ec61ffd28d955a11c696bbb618a15b0552c4",
+    ),
+    "star2d8r": (
+        "8ef637dcbf15ea0410e76cb76d997b490dc5cbfdac1bee98b4f9fe9b01700b26",
+        "bda50c2eb7d6250eb05036c95a7707cf615c8f6abb186a57e2e7315b4dc7682c",
+    ),
+    "star3d8r": (
+        "a678700f220224812c23c9b2b6afaeb467368c52ed25bd8894e26ed3b1cdce58",
+        "0eaf61e6a8cc62e6915587eb703212422583a5aa46fa743a6e4d6f4212b1583c",
+    ),
+    "astar3d1x2x3r": (
+        "7a4076e12cc830c29f33140438dadc3c4f0815e8f005c4f7b2dbaab74e34a7cd",
+        "41e080d6b6c38b658964a8e494b01dff74f4c592c252b5fc48cb66fc9a00764d",
+    ),
+    "vstar3d8r-s7": (
+        "726e0f668a3d40124699be86e9d8f8a0290559bd7f6768cc8181e4e32ddae127",
+        "56f8300792d7b7f80cb8e13f2d6dcc544b4b007ccdde385303be9606d707aa0d",
+    ),
 }
 
 
-#: Every Table-3 benchmark and named scenario, then fuzz seed 7 indices 0-11.
+#: Generator-backed names beyond Table 3: the radius-8 stars and 2-D box, an
+#: anisotropic star and a variable-coefficient star.
+DYNAMIC_NAMES = ("box2d8r", "star2d8r", "star3d8r", "astar3d1x2x3r", "vstar3d8r-s7")
+
+#: Every Table-3 benchmark and named scenario, fuzz seed 7 indices 0-11, then
+#: the dynamic names.
 SOURCES = {name: benchmark.source for name, benchmark in {**BENCHMARKS, **SCENARIOS}.items()}
 SOURCES.update((fuzz.name, fuzz.source) for fuzz in (fuzz_stencil(7, i) for i in range(12)))
+SOURCES.update((name, get_benchmark(name).source) for name in DYNAMIC_NAMES)
+
+
+def tokenize(source):
+    """Every token of ``source`` with its line and column, ``eof`` last."""
+    stream = lex(source)
+    return [stream.token(index) for index in range(len(stream.values))]
 
 
 def token_digest(source):
@@ -214,6 +247,7 @@ def pattern_digest(source):
 
 
 def test_golden_covers_every_table3_scenario_and_fuzz_source():
+    """One golden entry per source, in order, the dynamic names included."""
     assert list(SOURCES) == list(GOLDEN)
 
 
@@ -226,6 +260,7 @@ def test_token_stream_and_lowered_pattern_match_golden(name):
 # -- error positions -------------------------------------------------------
 
 NEST = "for (t = 0; t < T; t++)\n  for (i = 1; i < N; i++)\n"
+NEST2D = NEST.replace("i = 1", "i = 4") + "    for (j = 4; j < M; j++)\n"
 
 #: name -> (source, message, line, column)
 LEXER_ERRORS = {
@@ -270,6 +305,20 @@ PARSE_ERRORS = {
     "define_mid_file": (
         NEST + "#define N 64\n    A[(t+1)%2][i] = A[t%2][i] A;\n",
         "expected ';' at line 4, column 31 (near 'A')", 4, 31,
+    ),
+    # A malformed subscript after well-formed ones spelled like its prefix
+    # is parsed, and reported, as if no subscript came before it.
+    "subscript_space_after_prefix": (
+        NEST2D + "      A[(t+1)%2][i][j] = A[t%2][i-4][j] + A[t%2][i-4 j][j];\n",
+        "expected ']' at line 4, column 54 (near 'j')", 4, 54,
+    ),
+    "subscript_nested_unbalanced": (
+        NEST2D + "      A[(t+1)%2][i][j] = A[t%2][i][j] + A[t%2][B[i][j];\n",
+        "expected ']' at line 4, column 55 (near ';')", 4, 55,
+    ),
+    "subscript_unterminated_at_eof": (
+        NEST2D + "      A[(t+1)%2][i][j] = A[t%2][i-4][j] + A[t%2][i-4",
+        "expected ']' at line 4, column 53 (near '')", 4, 53,
     ),
 }
 

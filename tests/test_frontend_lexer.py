@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.frontend.clexer import LexerError, tokenize
+from test_frontend_golden import tokenize
+
+from repro.frontend.clexer import LexerError
 
 
 def kinds(source):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.frontend import c_ast
+from repro.frontend.clexer import lex
 from repro.frontend.cparser import ParseError, parse_program
+from repro.stencils.library import get_benchmark
 
 SIMPLE_LOOP = """
 for (t = 0; t < I_T; t++)
@@ -138,3 +140,82 @@ def test_error_message_contains_position():
         assert "line" in str(error)
     else:  # pragma: no cover
         pytest.fail("expected a ParseError")
+
+
+# -- the per-parse subscript memo --------------------------------------------------
+
+
+def _subscripts_in_source_order(program):
+    """Every subscript node of every array access, left to right."""
+    found = []
+    stack = list(reversed(program.statements))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, c_ast.ForLoop):
+            stack.extend(reversed(node.body))
+        elif isinstance(node, c_ast.Assignment):
+            stack += (node.value, node.target)
+        elif isinstance(node, c_ast.BinaryExpr):
+            stack += (node.rhs, node.lhs)
+        elif isinstance(node, c_ast.ArrayAccess):
+            found.extend(node.indices)
+    return found
+
+
+def _subscript_spellings(source):
+    """The spellings between each ``[`` and the next ``]``, left to right."""
+    values = lex(source).values
+    return [
+        tuple(values[index + 1 : values.index("]", index + 1)])
+        for index, value in enumerate(values)
+        if value == "["
+    ]
+
+
+def test_box3d4r_holds_one_node_per_distinct_subscript_spelling():
+    source = get_benchmark("box3d4r").source
+    spellings = _subscript_spellings(source)
+    nodes = _subscripts_in_source_order(parse_program(source))
+    assert len(nodes) == len(spellings) == 4 * (729 + 1)
+    ids_by_spelling = {}
+    for spelling, node in zip(spellings, nodes):
+        ids_by_spelling.setdefault(spelling, set()).add(id(node))
+    # t%2, (t+1)%2, and i, j, k each at offsets -4..4.
+    assert len(ids_by_spelling) == 2 + 3 * 9
+    assert all(len(ids) == 1 for ids in ids_by_spelling.values())
+    assert len({id(node) for node in nodes}) == len(ids_by_spelling)
+
+
+def test_the_subscript_memo_does_not_outlive_one_parse():
+    source = get_benchmark("box3d4r").source
+    first, second = parse_program(source), parse_program(source)
+    first_ids = {id(node) for node in _subscripts_in_source_order(first)}
+    second_ids = {id(node) for node in _subscripts_in_source_order(second)}
+    assert len(first_ids) == len(second_ids) == 29
+    assert not first_ids & second_ids
+
+
+def test_a_subscript_spelled_like_a_nested_one_is_parsed_whole():
+    source = (
+        "for (t = 0; t < T; t++) for (i = 1; i < N; i++)"
+        " A[(t+1)%2][i] = A[t%2][B[i]] + A[t%2][B[i]] + A[t%2][B];"
+    )
+    reads = _subscripts_in_source_order(parse_program(source))[2:]
+    nested = c_ast.ArrayAccess("B", (c_ast.Identifier("i"),))
+    assert reads[1::2] == [nested, nested, c_ast.Identifier("B")]
+    # A key that runs into a nested '[' is never stored: each use is parsed.
+    assert reads[1] is not reads[3]
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("for (t = 0; 1 < T; t++) A[(t+1)%2][1] = A[t%2][1];", "expected 'ident' at line 1, column 13 (near '1')"),
+        ("for (t = 0; t < T; 1++) A[(t+1)%2][1] = A[t%2][1];", "expected 'ident' at line 1, column 20 (near '1')"),
+        ("float 3;", "expected 'ident' at line 1, column 7 (near '3')"),
+    ],
+)
+def test_a_literal_where_a_name_belongs_is_rejected(source, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_program(source)
+    assert str(excinfo.value) == message

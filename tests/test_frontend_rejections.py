@@ -76,6 +76,34 @@ CASES = [
         _nest("A[(t+1)%2][i][j] = A[t%2][i][j];", LOOPS.replace("i <= N", "i <= f(N)")),
         StencilDetectionError, "unsupported loop bound expression",
     ),
+    (
+        _nest("A[(t+1)%2][i][j] = A[t%2][i][j] + A[t%2][B[i]][j];"),
+        StencilDetectionError,
+        r"subscript must be affine in the loop variable: "
+        r"ArrayAccess\(array='B', indices=\(Identifier\(name='i'\),\)\)",
+    ),
+    # C subscripts and '%' take integer operands: a floating literal is
+    # refused, never truncated to an offset.
+    (
+        _nest("A[(t+1)%2][i][j] = A[t%2][i+1.5][j];"),
+        StencilDetectionError, r"subscript literal '1\.5' is not an integer",
+    ),
+    (
+        _nest("A[(t+1)%2][i][j] = A[t%2][i][j-1e0];"),
+        StencilDetectionError, r"subscript literal '1e0' is not an integer",
+    ),
+    (
+        _nest("A[(t+1.0)%2][i][j] = A[t%2][i][j];"),
+        StencilDetectionError, r"subscript literal '1\.0' is not an integer",
+    ),
+    (
+        _nest("A[(t+1.0)%2.0][i][j] = A[t%2][i][j];"),
+        StencilDetectionError, r"subscript literal '2\.0' is not an integer",
+    ),
+    (
+        _nest("A[(t+1)%2][i][j] = A[t%2.0f][i][j];"),
+        StencilDetectionError, r"subscript literal '2\.0f' is not an integer",
+    ),
 ]
 
 
