@@ -16,7 +16,7 @@ import enum
 import itertools
 from typing import Iterable
 
-from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, Offset, UnaryOp, walk
+from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, Offset, UnaryOp, grid_reads, walk
 
 
 class StencilShape(enum.Enum):
@@ -66,8 +66,7 @@ def uses_division(expr: Expr) -> bool:
 def _is_single_read_term(expr: Expr) -> bool:
     """A term that references at most one grid read (products of a read and
     constants, possibly negated)."""
-    reads = [node for node in walk(expr) if isinstance(node, GridRead)]
-    if len(reads) > 1:
+    if len(grid_reads(expr)) > 1:
         return False
     # Within the term, only multiplication by constants / negation is allowed
     # for the partial-summation rewrite to be a pure re-association.
@@ -138,7 +137,7 @@ def group_terms_by_subplane(expr: Expr) -> dict[int, list[Expr]] | None:
         return None
     groups: dict[int, list[Expr]] = {}
     for term in terms:
-        reads = [n for n in walk(term) if isinstance(n, GridRead)]
+        reads = grid_reads(term)
         key = reads[0].offset[0] if reads else 0
         groups.setdefault(key, []).append(term)
     return groups

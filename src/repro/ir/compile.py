@@ -68,11 +68,13 @@ import shutil
 import stat
 import subprocess
 import tempfile
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, UnaryOp, fold, walk
+from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, UnaryOp, fold
 from repro.ir.stencil import StencilPattern
 
 _NUMPY_DTYPES = {"float": np.float32, "double": np.float64}
@@ -516,11 +518,10 @@ def _native_entry_point(compiler: str, source: str, ndim: int):
 
 
 def native_supported(pattern: StencilPattern) -> bool:
-    """Whether the native backend can reproduce the NumPy engine bit-exactly."""
-    for node in walk(pattern.expr):
-        if isinstance(node, Call) and node.name not in _NATIVE_SAFE_CALLS:
-            return False
-    return True
+    """Whether the native backend can reproduce the NumPy engine bit-exactly:
+    a set check of the call names the pattern collected when it was made,
+    so it costs no walk of the tree."""
+    return pattern.calls <= _NATIVE_SAFE_CALLS
 
 
 class _CExprGen:
@@ -528,7 +529,8 @@ class _CExprGen:
 
     ``statements`` holds one ``(temp, rhs, operand terms)`` per assignment,
     in evaluation order; :meth:`chunks` splits them where the loop body can
-    be cut.
+    be cut.  The lowered term of each distinct read offset and constant is
+    made once per emission and reused.
     """
 
     def __init__(self, np_dtype: type, ctype: str) -> None:
@@ -537,6 +539,8 @@ class _CExprGen:
         self.suffix = "f" if ctype == "float" else ""
         self.reads: Dict[Tuple[int, ...], str] = {}
         self.statements: List[Tuple[str, str, Tuple[str, ...]]] = []
+        self._read_terms: Dict[Tuple[int, ...], tuple] = {}
+        self._const_terms: Dict[float, tuple] = {}
 
     def _literal(self, value) -> str:
         value = float(value)
@@ -559,28 +563,40 @@ class _CExprGen:
         return fold(expr, self._lower)
 
     def _lower(self, expr: Expr, operands: List[tuple]):
-        """Lower one node whose children are already lowered to ``operands``."""
-        if isinstance(expr, Const):
-            value = self.np_dtype(expr.value)
-            return self._literal(value), value
-        if isinstance(expr, GridRead):
-            name = self.reads.setdefault(expr.offset, f"r{len(self.reads)}")
-            return f"{name}[k]", None
-        if isinstance(expr, BinOp):
+        """Lower one node whose children are already lowered to ``operands``.
+
+        Dispatch is on the exact node type, most frequent first."""
+        kind = type(expr)
+        if kind is BinOp:
             (lhs, lval), (rhs, rval) = operands
-            if lval is not None and rval is not None:
-                with np.errstate(all="ignore"):
-                    folded = _BINOP_NUMPY[expr.op](lval, rval)
-                value = self.np_dtype(folded)
-                return self._literal(value), value
-            return self._temp(f"{lhs} {expr.op} {rhs}", lhs, rhs), None
-        if isinstance(expr, UnaryOp):
+            if lval is None or rval is None:
+                return self._temp(f"{lhs} {expr.op} {rhs}", lhs, rhs), None
+            with np.errstate(all="ignore"):
+                folded = _BINOP_NUMPY[expr.op](lval, rval)
+            value = self.np_dtype(folded)
+            return self._literal(value), value
+        if kind is GridRead:
+            term = self._read_terms.get(expr.offset)
+            if term is None:
+                name = self.reads[expr.offset] = f"r{len(self.reads)}"
+                term = self._read_terms[expr.offset] = (f"{name}[k]", None)
+            return term
+        if kind is Const:
+            # Keyed by value, except zero: 0.0 == -0.0, but they print apart.
+            term = self._const_terms.get(expr.value) if expr.value else None
+            if term is None:
+                value = self.np_dtype(expr.value)
+                term = (self._literal(value), value)
+                if expr.value:
+                    self._const_terms[expr.value] = term
+            return term
+        if kind is UnaryOp:
             ((term, value),) = operands
             if value is not None:
                 value = self.np_dtype(-value)
                 return self._literal(value), value
             return self._temp(f"-{term}", term), None
-        if isinstance(expr, Call):
+        if kind is Call:
             if expr.name not in _NATIVE_SAFE_CALLS or len(expr.args) != 1:
                 raise CompileError(f"call {expr.name!r} not supported by the native backend")
             ((term, value),) = operands
@@ -596,30 +612,38 @@ class _CExprGen:
         most ``size`` where possible.  A run may end only where exactly one
         temporary is live (``carried``, handed to the next run through the
         output row); a run with no such cut within ``size`` statements
-        extends to the next one."""
-        last_use = {result: len(self.statements)}
-        for index, (_, _, operands) in enumerate(self.statements):
+        extends to the next one.  Linear in the statements: one liveness
+        pass, then a binary search of the cuts per run."""
+        statements = self.statements
+        total = len(statements)
+        if total <= size:
+            return [(0, total, None)]
+        last_use = {result: total}
+        for index, (_, _, operands) in enumerate(statements):
             for term in operands:
                 last_use[term] = index
-        # cuts[i]: the one live temporary after statement i, if exactly one.
-        cuts: Dict[int, str] = {}
-        live: set = set()
-        for index, (name, _, operands) in enumerate(self.statements[:-1]):
-            live.difference_update(term for term in operands if last_use[term] == index)
-            live.add(name)
-            if len(live) == 1:
-                cuts[index] = next(iter(live))
+        # Each statement defines one temporary, and each temporary dies at
+        # its last use: the live count after statement i is a running sum.
+        # Where it is one, the live temporary is the one just assigned.
+        deaths = [0] * (total + 1)
+        for name, _, _ in statements:
+            deaths[last_use.get(name, total)] += 1
+        live = accumulate(1 - deaths[index] for index in range(total - 1))
+        cuts = [index for index, count in enumerate(live) if count == 1]
         runs: List[Tuple[int, int, Optional[str]]] = []
         start, carried = 0, None
-        total = len(self.statements)
         while total - start > size:
-            inside = [i for i in cuts if start <= i < start + size]
-            beyond = [i for i in cuts if i >= start + size]
-            if not inside and not beyond:
+            # The last cut inside the next ``size`` statements, else the
+            # first one beyond them.
+            beyond = bisect_left(cuts, start + size)
+            if beyond and cuts[beyond - 1] >= start:
+                end = cuts[beyond - 1]
+            elif beyond < len(cuts):
+                end = cuts[beyond]
+            else:
                 break
-            end = max(inside) if inside else min(beyond)
             runs.append((start, end + 1, carried))
-            start, carried = end + 1, cuts[end]
+            start, carried = end + 1, statements[end][0]
         runs.append((start, total, carried))
         return runs
 
@@ -674,18 +698,21 @@ def generate_native_source(
         lines.append(f"{indent}for (ptrdiff_t i{d} = l{d}; i{d} < h{d}; ++i{d}) {{")
         indent += "    "
 
+    # A read's row pointer, filled in with its name and its offset taken
+    # in loop order.
+    row = "".join(f" + (i{d} + ({{}}))*s{d}" for d in range(outer))
+    row = f"const {ctype}* {{}} = src + g*sn{row} + ({{}});"
+
     def row_pointers(reads, indent: str) -> None:
         for offset, name in reads:
-            terms = ["g*sn"] + [f"(i{d} + ({offset[order[d]]}))*s{d}" for d in range(outer)]
-            terms.append(f"({offset[order[outer]]})")
-            lines.append(f"{indent}const {ctype}* {name} = src + {' + '.join(terms)};")
+            lines.append(indent + row.format(name, *[offset[d] for d in order]))
 
     def sweep(statements, stored: str, indent: str, carried: Optional[str]) -> None:
         lines.append(f"{indent}for (ptrdiff_t k = l{outer}; k < h{outer}; ++k) {{")
         if carried is not None:
             lines.append(f"{indent}    const {ctype} {carried} = orow[k];")
-        for name, rhs, _ in statements:
-            lines.append(f"{indent}    const {ctype} {name} = {rhs};")
+        assign = f"{indent}    const {ctype} "
+        lines.extend(f"{assign}{name} = {rhs};" for name, rhs, _ in statements)
         lines.append(f"{indent}    orow[k] = {stored};")
 
     out_terms = ["g*on"] + [f"(i{d} - l{d})*o{d}" for d in range(outer)]
@@ -838,11 +865,14 @@ def _auto_kernel(pattern: StencilPattern, dtype: str, elements: int, cached):
     """The "auto" engine of one check of ``elements`` cell updates.
 
     Native when it pays (:func:`_native_pays`) and builds, else the NumPy
-    engine.  A ``cached`` native choice is kept; a cached NumPy one is kept
-    unless this check pays for native.  The mode reads ``auto:<engine>``.
+    engine.  A ``cached`` native choice is returned before the cost model
+    runs; a cached NumPy one is kept unless this check pays for native.
+    The mode reads ``auto:<engine>``.
     """
+    if cached is not None and cached.mode == "auto:native":
+        return cached
     native = _native_pays(pattern, elements)
-    if cached is not None and (cached.mode == "auto:native" or not native):
+    if cached is not None and not native:
         return cached
     kernel = cached
     if native:

@@ -176,22 +176,39 @@ def fold(expr: Expr, combine: Callable[[Expr, List[T]], T]) -> T:
     post-order, children left to right.
 
     The walk uses an explicit stack, so sums of thousands of terms (a 3-D
-    radius-5 box has 1,331) need no recursion.
+    radius-5 box has 1,331) need no recursion.  It visits each node once
+    per occurrence (a shared subtree is combined once per parent), and
+    binary operators and leaves, nearly every node of a stencil, take a
+    path that neither calls ``children()`` nor slices the operand stack.
     """
     # Pre-order with children pushed left to right visits root, right, left;
     # reversed, that is the post-order (left, right, root) the fold needs.
-    order: List[Tuple[Expr, int]] = []
+    order: List[Expr] = []
     stack = [expr]
+    pop, push, visit = stack.pop, stack.append, order.append
     while stack:
-        node = stack.pop()
-        children = node.children()
-        order.append((node, len(children)))
-        stack += children
+        node = pop()
+        visit(node)
+        kind = type(node)
+        if kind is BinOp:
+            push(node.lhs)
+            push(node.rhs)
+        elif kind is not GridRead and kind is not Const:
+            stack += node.children()
     results: List[T] = []
-    for node, arity in reversed(order):
-        operands = results[len(results) - arity :]
-        del results[len(results) - arity :]
-        results.append(combine(node, operands))
+    pop, push = results.pop, results.append
+    for node in reversed(order):
+        kind = type(node)
+        if kind is BinOp:
+            rhs = pop()
+            push(combine(node, [pop(), rhs]))
+        elif kind is GridRead or kind is Const:
+            push(combine(node, []))
+        else:
+            arity = len(node.children())
+            operands = results[len(results) - arity :]
+            del results[len(results) - arity :]
+            push(combine(node, operands))
     return results[0]
 
 

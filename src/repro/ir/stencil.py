@@ -8,12 +8,12 @@ shape classification, the data type, and the grid it applies to.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.ir import classify
-from repro.ir.expr import Expr, GridRead, Offset, grid_reads
+from repro.ir.expr import Call, Expr, GridRead, Offset, walk
 
 _DTYPE_BYTES = {"float": 4, "double": 8}
 
@@ -74,13 +74,26 @@ class StencilPattern:
     dtype: str = "float"
     array: str = "A"
     source: str | None = None
+    #: What the validation walk of ``expr`` visits, kept so that reading
+    #: them costs no second walk: every grid read in left-to-right order,
+    #: and the names of the math calls.
+    reads: List[GridRead] = field(init=False, repr=False, compare=False)
+    calls: FrozenSet[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ndim not in (1, 2, 3):
             raise ValueError(f"unsupported stencil dimensionality {self.ndim}")
         if self.dtype not in _DTYPE_BYTES:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
-        reads = grid_reads(self.expr)
+        reads: List[GridRead] = []
+        calls = set()
+        for node in walk(self.expr):
+            if isinstance(node, GridRead):
+                reads.append(node)
+            elif isinstance(node, Call):
+                calls.add(node.name)
+        object.__setattr__(self, "reads", reads)
+        object.__setattr__(self, "calls", frozenset(calls))
         if not reads:
             raise ValueError("stencil expression contains no grid reads")
         for read in reads:
@@ -101,10 +114,6 @@ class StencilPattern:
         return next(_PATTERN_TOKENS)
 
     # -- geometric properties ---------------------------------------------
-    @cached_property
-    def reads(self) -> list[GridRead]:
-        return grid_reads(self.expr)
-
     @cached_property
     def offsets(self) -> list[Offset]:
         """Distinct neighbour offsets, sorted lexicographically."""

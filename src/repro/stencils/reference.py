@@ -135,13 +135,48 @@ def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
+#: Chunk length for the streaming allclose_for_dtype pass: two scratch
+#: buffers of it stay in cache (514^2 grids on a 2-vCPU x86-64 host: 32 Ki
+#: elements beat 8 Ki and 64 Ki in both dtypes).
+_CLOSE_CHUNK = 1 << 15
+
+
 def allclose_for_dtype(a: np.ndarray, b: np.ndarray, dtype: str) -> bool:
     """Floating-point comparison with a tolerance appropriate for the dtype.
 
     Temporal blocking re-associates sums, so results differ from the
     reference by accumulated rounding; the tolerance scales with the number
     of accumulated operations rather than demanding bit equality.
+
+    The verdict is ``np.allclose``'s.  Same-shape float32/float64 arrays
+    of one dtype are streamed in chunks with two reused scratch buffers:
+    a chunk passes when ``max(|a - b| - (atol + rtol * |b|)) <= 0``, in
+    the arrays' own dtype as numpy 2 computes it (the tolerances are weak
+    scalars).  A NaN or infinity makes that maximum NaN or positive, so
+    such a chunk, like any chunk that fails, is decided by ``np.isclose``.
     """
     rtol = 1e-4 if dtype == "float" else 1e-9
     atol = 1e-5 if dtype == "float" else 1e-11
-    return bool(np.allclose(a, b, rtol=rtol, atol=atol))
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype or a.dtype not in (np.float32, np.float64):
+        return bool(np.allclose(a, b, rtol=rtol, atol=atol))
+    flat_a = a.reshape(-1)
+    flat_b = b.reshape(-1)
+    size = flat_a.size
+    chunk = min(_CLOSE_CHUNK, max(size, 1))
+    diff = np.empty(chunk, dtype=a.dtype)
+    bound = np.empty(chunk, dtype=a.dtype)
+    for start in range(0, size, chunk):
+        x = flat_a[start:start + chunk]
+        y = flat_b[start:start + chunk]
+        d, t = diff[:x.size], bound[:x.size]
+        np.subtract(x, y, out=d)
+        np.abs(d, out=d)
+        np.abs(y, out=t)
+        np.multiply(t, rtol, out=t)
+        np.add(t, atol, out=t)
+        np.subtract(d, t, out=d)
+        if not d.max() <= 0 and not np.isclose(x, y, rtol=rtol, atol=atol).all():
+            return False
+    return True

@@ -202,6 +202,17 @@ def test_runs_end_only_where_one_value_is_live():
     assert total == 135 and runs == [(0, 5, None), (5, 135, "v4")]
 
 
+def test_a_run_with_no_cut_inside_ends_at_the_first_cut_beyond():
+    # The product, then 20 more weighted reads summed onto it: the run after
+    # the first sum has no cut within 128 statements and ends at the
+    # product, the first cut beyond them.
+    expr = product_of_sums("double").expr
+    for index in range(20):
+        expr = BinOp("+", expr, BinOp("*", Const(0.5 + index), GridRead("A", (1, 0, index % 2))))
+    runs, total = _runs(StencilPattern("sum-product-sum", 3, expr, dtype="double"))
+    assert total == 175 and runs == [(0, 5, None), (5, 135, "v4"), (135, 175, "v134")]
+
+
 def _outputs_in_both_orders(kernel, pattern, seed=0):
     """The kernel's update of a C-ordered grid and of a stream-last one."""
     rng = np.random.default_rng(seed)

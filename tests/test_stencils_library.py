@@ -263,6 +263,81 @@ def test_max_relative_error_and_allclose():
     assert not allclose_for_dtype(a, b, "double")
 
 
+TOLERANCES = {"float": (1e-4, 1e-5), "double": (1e-9, 1e-11)}
+
+
+def _special_pairs(np_dtype, dtype: str):
+    """Pairs at the edges of the verdict: non-finite values, signed zeros,
+    subnormals, and values one and two ulps either side of the tolerance
+    boundary as the arrays' own dtype computes it."""
+    rtol, atol = TOLERANCES[dtype]
+    inf, nan = np_dtype(np.inf), np_dtype(np.nan)
+    tiny = np.finfo(np_dtype).smallest_subnormal
+    pairs = [
+        (nan, nan), (nan, 1), (1, nan), (inf, inf), (-inf, -inf), (inf, -inf),
+        (inf, 1), (1, inf), (-inf, 1), (1, -inf), (0.0, -0.0), (-0.0, 0.0),
+        (tiny, 0.0), (0.0, tiny), (tiny, -tiny), (5 * tiny, 3 * tiny),
+        (np.finfo(np_dtype).max, -np.finfo(np_dtype).max),
+    ]
+    # Near atol, float32 and float64 arithmetic disagree on some of these.
+    for y in (1.0, 0.37, -5.5, 1e-3, 123.0, 0.0, -7e-12, tiny, 2.7643697e-08, 1.7110571e-05):
+        y = np_dtype(y)
+        bound = np_dtype(atol) + np_dtype(rtol) * abs(y)
+        for x in (y + bound, y - bound):
+            below = above = np_dtype(x)
+            for _ in range(3):
+                pairs += [(below, y), (above, y)]
+                below = np.nextafter(below, np_dtype(-np.inf))
+                above = np.nextafter(above, np_dtype(np.inf))
+    return [(np_dtype(x), np_dtype(y)) for x, y in pairs]
+
+
+@pytest.mark.parametrize("dtype", ("float", "double"))
+@pytest.mark.parametrize("np_dtype", (np.float32, np.float64))
+def test_allclose_for_dtype_gives_np_allclose_verdicts(np_dtype, dtype):
+    rtol, atol = TOLERANCES[dtype]
+    pairs = _special_pairs(np_dtype, dtype)
+    verdicts = set()
+    with np.errstate(all="ignore"):
+        for x, y in pairs:
+            a, b = np.array([x]), np.array([y])
+            expected = bool(np.allclose(a, b, rtol=rtol, atol=atol))
+            verdicts.add(expected)
+            assert allclose_for_dtype(a, b, dtype) is expected, (x, y)
+        # Each pair planted in a grid of close values several chunks long,
+        # in the first chunk, a middle one and the ragged last one.
+        rng = np.random.default_rng(0)
+        base = rng.uniform(-2.0, 2.0, size=(7, 13_000)).astype(np_dtype)
+        for index, (x, y) in enumerate(pairs):
+            a, b = base.copy(), base.copy()
+            at = (0, 5, 90_999)[index % 3]
+            a.flat[at], b.flat[at] = x, y
+            expected = bool(np.allclose(a, b, rtol=rtol, atol=atol))
+            assert allclose_for_dtype(a, b, dtype) is expected, (x, y, at)
+        if np_dtype is np.float32 and dtype == "float":
+            # Some verdicts are float32's, not those of the test in float64.
+            assert any(
+                bool(np.isclose(x, y, rtol=rtol, atol=atol))
+                != (abs(float(x) - float(y)) <= atol + rtol * abs(float(y)))
+                for x, y in pairs
+            )
+    assert verdicts == {True, False}
+
+
+def test_allclose_for_dtype_leaves_mixed_inputs_to_np_allclose():
+    a = np.array([0.1, 0.2, 0.3])
+    assert allclose_for_dtype(a, a.astype(np.float32), "float")
+    assert not allclose_for_dtype(a, a.astype(np.float32), "double")
+    assert allclose_for_dtype(a, np.array([1.0]) * a, "double")
+    assert allclose_for_dtype(np.array([2.0, 2.0]), np.array([2.0]), "double")
+    assert allclose_for_dtype(np.arange(3), np.arange(3), "double")
+    assert allclose_for_dtype(np.empty((0, 4)), np.empty((0, 4)), "double")
+    # A strided view compares in logical order.
+    grid = np.arange(24.0).reshape(4, 6)
+    assert allclose_for_dtype(grid.T, np.ascontiguousarray(grid.T), "double")
+    assert not allclose_for_dtype(grid.T, grid.reshape(6, 4), "double")
+
+
 def test_max_relative_error_handles_zeros():
     a = np.zeros(4)
     assert max_relative_error(a, a) == 0.0
