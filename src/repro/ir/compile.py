@@ -376,6 +376,11 @@ _NATIVE_FN_CACHE: Dict[str, object] = {}
 #: Per-process build directory, used when the shared one is not private.
 _FALLBACK_DIR: Optional[str] = None
 
+#: Each compiler string's resolved path and the ``(st_dev, st_ino, st_size,
+#: st_mtime_ns)`` of the file it resolved to.  One ``os.stat`` per use tells
+#: whether it still holds: a repointed symlink or a rewritten file does not.
+_RESOLVED_COMPILERS: Dict[str, Tuple[str, Tuple[int, int, int, int]]] = {}
+
 
 def _native_compiler() -> Optional[str]:
     """The C compiler to use for native kernels, or None when unavailable."""
@@ -427,9 +432,18 @@ def _build_key(compiler: str, source: str) -> str:
     flags and the host: whatever changes the built library changes the key."""
     import hashlib  # native path only: it loads OpenSSL
 
-    real = os.path.realpath(compiler)
-    info = os.stat(real)
-    toolchain = (real, info.st_size, info.st_mtime_ns, _NATIVE_FLAGS, tuple(platform.uname()))
+    info = os.stat(compiler)
+    resolved = _RESOLVED_COMPILERS.get(compiler)
+    if resolved is None or resolved[1] != (
+        info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns
+    ):
+        real = os.path.realpath(compiler)
+        info = os.stat(real)
+        resolved = _RESOLVED_COMPILERS[compiler] = (
+            real, (info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns)
+        )
+    real, (_, _, size, mtime_ns) = resolved
+    toolchain = (real, size, mtime_ns, _NATIVE_FLAGS, tuple(platform.uname()))
     return hashlib.sha256(f"{toolchain!r}\0{source}".encode()).hexdigest()
 
 
@@ -755,6 +769,14 @@ def empty_stream_last(shape: Tuple[int, ...], ndim: int, np_dtype: type) -> np.n
     return np.moveaxis(np.empty(memory, np_dtype), -1, stream)
 
 
+#: Call layouts one :class:`NativeKernel` keeps; a check uses a few dozen
+#: at most (one per tile-stack shape, one for the reference's grids).
+NATIVE_LAYOUTS_MAX = 64
+
+#: The layout of a call the NumPy engine takes.
+_NUMPY_LAYOUT = (None, (), ())
+
+
 class NativeKernel:
     """A single-pass C kernel, built at first use with the host toolchain.
 
@@ -762,7 +784,10 @@ class NativeKernel:
     when the kernel is made; a call whose arrays are contiguous along
     another axis runs a build of that permuted loop nest, made at its first
     use.  A call it cannot take goes to the NumPy engine and counts in
-    ``fallback_calls``.
+    ``fallback_calls``.  What a call needs besides its pointers and bounds
+    (entry point, loop order, stride arguments) is decided once per layout
+    of ``src`` and ``out`` and kept in a dict of at most
+    :data:`NATIVE_LAYOUTS_MAX` entries.
     """
 
     mode = "native"
@@ -785,6 +810,7 @@ class NativeKernel:
         self._compiler = compiler
         self._fns: Dict[Tuple[int, ...], object] = {}
         self._fn_for(tuple(range(1, self.ndim)) + (0,))  # empty_stream_last's order
+        self._layouts: Dict[tuple, tuple] = {}
         self._fallback: Optional[CompiledKernel] = None
         self.fallback_calls = 0
 
@@ -796,7 +822,10 @@ class NativeKernel:
             fn = self._fns[order] = _native_entry_point(self._compiler, source, self.ndim)
         return fn
 
-    def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
+    def _layout(self, src: np.ndarray, out: np.ndarray) -> tuple:
+        """``(entry point, loop order, stack and stride arguments)`` for calls
+        on arrays laid out like ``src`` and ``out``; :data:`_NUMPY_LAYOUT`
+        when no loop nest can take them."""
         itemsize, ndim = self.itemsize, self.ndim
         lead = src.ndim - ndim
         inner = None
@@ -813,18 +842,35 @@ class NativeKernel:
                 None,
             )
         if inner is None:
+            return _NUMPY_LAYOUT
+        order = tuple(d for d in range(ndim) if d != inner) + (inner,)
+        stack = (src.shape[0], src.strides[0] // itemsize, out.strides[0] // itemsize)
+        fixed = [*(stack if lead else (1, 0, 0))]
+        fixed += [src.strides[lead + d] // itemsize for d in order[:-1]]
+        fixed += [out.strides[lead + d] // itemsize for d in order[:-1]]
+        return self._fn_for(order), order, tuple(fixed)
+
+    def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
+        # The layout: dtypes, strides and the stack axes' extents (the
+        # region, not ``out``'s grid extent, bounds the loops).
+        ndim = self.ndim
+        key = (src.dtype, out.dtype, src.shape[:-ndim], out.shape[:-ndim], src.strides, out.strides)
+        layout = self._layouts.get(key)
+        if layout is None:
+            if len(self._layouts) >= NATIVE_LAYOUTS_MAX:
+                self._layouts.clear()
+            layout = self._layouts[key] = self._layout(src, out)
+        fn, order, fixed = layout
+        if fn is None:
             # Delegate to the NumPy engine rather than reinterpreting raw bits.
             self.fallback_calls += 1
             if self._fallback is None:
                 self._fallback = CompiledKernel(self.pattern, self.dtype)
             return self._fallback(src, region, out)
-        order = tuple(d for d in range(ndim) if d != inner) + (inner,)
-        stack = (src.shape[0], src.strides[0] // itemsize, out.strides[0] // itemsize)
-        args = [src.ctypes.data, out.ctypes.data, *(stack if lead else (1, 0, 0))]
-        args += [src.strides[lead + d] // itemsize for d in order[:-1]]
-        args += [out.strides[lead + d] // itemsize for d in order[:-1]]
-        args += [bound for d in order for bound in (region[d].start, region[d].stop)]
-        self._fn_for(order)(*args)
+        fn(
+            src.ctypes.data, out.ctypes.data, *fixed,
+            *[bound for d in order for bound in (region[d].start, region[d].stop)],
+        )
         return out
 
 

@@ -23,10 +23,16 @@ one call per tile.  The kernel is the one :func:`compile_pattern` returns
 for the pattern itself, its engine chosen from the cell updates the run will
 make (:meth:`BlockedStencilExecutor.updated_elements`) and, in a check,
 those of the reference executor, which shares it.
-Grids and stacks keep the streaming dimension innermost in memory (the
-dependency cone only shrinks the blocked dimensions, so the kernel's ufuncs
-sweep long contiguous spans), as the reference's grids do, so a check runs
-one loop order of a native kernel; coordinates stay logical throughout.
+Tile stacks and the spare grids between launches keep the streaming
+dimension innermost in memory (the dependency cone only shrinks the blocked
+dimensions, so the kernel's ufuncs sweep long contiguous spans), as the
+reference's grids do, so a check runs one loop order of a native kernel;
+coordinates stay logical throughout.  A run copies only what its kernel
+reads: the first launch loads its tiles straight from the caller's C-order
+grid (unless they overlap so much that one copy of it into the
+stream-innermost layout is cheaper), the last stores straight into a C-order
+result, and every buffer gets only the frame it never writes copied in
+(:func:`copy_frame`).
 
 The executor is the correctness oracle the test-suite, ``verify`` and the
 fuzz campaign rely on.
@@ -47,10 +53,10 @@ from repro.ir.stencil import GridSpec, StencilPattern
 from repro.stencils.reference import (
     ReferenceExecutor,
     allclose_for_dtype,
+    copy_frame,
     make_initial_grid,
     max_relative_error,
     numpy_dtype,
-    stream_last_buffers,
 )
 
 #: Element cap of one tile stack (members x tile cells); a single tile may
@@ -62,6 +68,15 @@ from repro.stencils.reference import (
 #: tiles (~33k elements) stay one per stack (stacking them cost 2-D items
 #: 15-20%).
 STACK_ELEMENTS = 65_536
+
+#: The first launch loads its tiles straight from the caller's C-order grid
+#: unless they load more than this many times its cells; then the grid is
+#: copied once into the stream-innermost layout and the tiles load from
+#: that.  A tile load across layouts costs ~1.3-1.8x one within a layout
+#: (2-vCPU x86-64 host, verify-sized double grids): 2-D verify tiles load
+#: 1.1-1.9x the grid and save the copy (j2d5pt 320 us direct against 438 us
+#: with it), 3-D ones load 2.3-13x and do not (star3d2r 662 against 464 us).
+LOAD_SHARE_MAX = 2.0
 
 
 def _slices(ranges: Tuple[Tuple[int, int], ...]) -> Tuple[slice, ...]:
@@ -238,22 +253,19 @@ class BlockedStencilExecutor:
             )
         current, other = pair
         for index, tile in enumerate(tiles):
-            np.copyto(current[index], source[_slices(tile.load)])
+            np.copyto(current[index], source[_slices(tile.load)], casting="unsafe")
 
         if group.updatable:
             # Double-buffered stepping: each buffer's never-written cells keep
             # their loaded values (stale halo cells near cut edges are never
-            # read by any cell the stored region depends on).  The second
-            # buffer only ever gets read inside the first step's region
-            # expanded by one radius, so only that part needs the loaded
-            # values.
+            # read by any cell the stored region depends on).  Steps write
+            # only inside ``group.base``, and step s + 1 reads step s's
+            # region grown by one radius: cells step s wrote, or cells
+            # outside ``base``.  So the second buffer needs only the frame
+            # outside ``base`` copied in; what it held before is never read.
             stack = (slice(None),)
             if time_block >= 2:
-                seed = stack + tuple(
-                    slice(max(s.start - rad, 0), min(s.stop + rad, dim))
-                    for s, dim in zip(group.cone_region(1, time_block, rad), group.shape)
-                )
-                np.copyto(other[seed], current[seed])
+                copy_frame(current, other, group.base, stacked=True)
             for step in range(1, time_block + 1):
                 region = group.cone_region(step, time_block, rad)
                 self.kernel(current, region, out=other[stack + region])
@@ -301,19 +313,51 @@ class BlockedStencilExecutor:
     def run(self, initial: np.ndarray, time_steps: int | None = None) -> np.ndarray:
         """Run the full blocked computation (double-buffered across launches).
 
-        The grid is copied into the stream-innermost layout once per run and
-        back to C order at the end; all launches in between reuse the two
-        full-grid buffers.
+        The first launch loads its tiles straight from ``initial`` (any
+        layout and dtype) and the last stores straight into a fresh C-order
+        result; launches in between ping-pong between at most two
+        stream-innermost spare grids.  Tiles that load more than
+        :data:`LOAD_SHARE_MAX` times the grid's cells are loaded from one
+        stream-innermost copy of ``initial`` instead.  A grid a launch
+        stores into gets only the boundary ring copied in from ``initial``:
+        the tile stores cover the whole interior.
         """
         steps = self.grid.time_steps if time_steps is None else time_steps
         schedule = self.launch_schedule(steps)
         if not schedule:
             return initial.astype(self.dtype, copy=True)
-        current, destination = stream_last_buffers(initial, self.pattern.ndim, self.dtype)
-        for launch_steps in schedule:
-            self._launch_into(current, destination, launch_steps)
-            current, destination = destination, current
-        return np.ascontiguousarray(current)
+        shape = initial.shape
+        interior = tuple((self.radius, dim - self.radius) for dim in shape)
+        spares: List[np.ndarray] = []
+
+        def spare(busy: np.ndarray) -> np.ndarray:
+            """A stream-innermost grid carrying the ring, other than ``busy``
+            (a new one copies its ring within that layout when it can)."""
+            for grid in spares:
+                if grid is not busy:
+                    return grid
+            grid = empty_stream_last(shape, self.pattern.ndim, self.dtype)
+            copy_frame(spares[0] if spares else initial, grid, interior)
+            spares.append(grid)
+            return grid
+
+        source = initial
+        groups = self.tile_groups(schedule[0])
+        if sum(len(group.tiles) * math.prod(group.shape) for group in groups) > (
+            LOAD_SHARE_MAX * initial.size
+        ):
+            source = empty_stream_last(shape, self.pattern.ndim, self.dtype)
+            np.copyto(source, initial, casting="unsafe")
+            spares.append(source)
+        for launch, launch_steps in enumerate(schedule):
+            if launch < len(schedule) - 1:
+                destination = spare(source)
+            else:
+                destination = np.empty(shape, self.dtype)
+                copy_frame(initial, destination, interior)
+            self._launch_into(source, destination, launch_steps)
+            source = destination
+        return destination
 
 
 @dataclass(frozen=True)

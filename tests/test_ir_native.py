@@ -654,3 +654,66 @@ def test_the_build_key_changes_with_the_compiler_and_the_source(tmp_path):
     assert key != ir_compile._build_key(first, source + "\n")
     _script(tmp_path / "cc-a", "exit 0 # upgraded\n")
     assert key != ir_compile._build_key(first, source)
+
+
+@needs_cc
+def test_one_layout_decision_per_call_shape(monkeypatch):
+    pattern = load_pattern("j2d5pt", "double")
+    native = NativeKernel(pattern, "double")
+    compiled = compile_pattern(pattern, mode="compiled")
+    rng = np.random.default_rng(5)
+
+    def stack(count, np_dtype=np.float64):
+        src = empty_stream_last((count, 10, 8), 2, np_dtype)
+        src[...] = rng.random(src.shape)
+        return src, lambda: empty_stream_last((count, 10, 8), 2, np_dtype)
+
+    def check(src, empty, region=(slice(1, 9), slice(1, 7))):
+        """Native and NumPy outputs of one call, compared bit for bit; as in
+        the executors, ``out`` is the region of a grid like ``src``."""
+        index = (slice(None),) * (src.ndim - 2) + region
+        outs = [empty()[index], empty()[index]]
+        native(src, region, outs[0])
+        compiled(src, region, outs[1])
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    # Stream-last stacks: the loop order built with the kernel; a second
+    # region on the same layout reuses the first decision.
+    src, empty = stack(3)
+    check(src, empty)
+    check(src, empty, (slice(2, 8), slice(1, 5)))
+    assert len(native._layouts) == 1 and list(native._fns) == [(1, 0)]
+    # C-ordered arrays build the second loop order at their first call.
+    check(rng.random((10, 8)), lambda: np.empty((10, 8)))
+    assert len(native._layouts) == 2 and list(native._fns) == [(1, 0), (0, 1)]
+    # A mismatched dtype goes to NumPy, and every such call is counted.
+    src32, empty32 = stack(2, np.float32)
+    for calls in (1, 2):
+        check(src32, empty32)
+        assert native.fallback_calls == calls
+    assert len(native._layouts) == 3
+    # The memo stays within its bound: a full one starts over.
+    monkeypatch.setattr(ir_compile, "NATIVE_LAYOUTS_MAX", 3)
+    for count in range(4, 9):
+        check(*stack(count))
+        assert 1 <= len(native._layouts) <= 3
+    assert native.fallback_calls == 2
+
+
+def test_a_repointed_compiler_symlink_is_resolved_again(tmp_path, monkeypatch):
+    first = _script(tmp_path / "cc-a", "exit 0\n")
+    second = _script(tmp_path / "cc-b", "exit 0 # another compiler\n")
+    link = tmp_path / "cc"
+    link.symlink_to(first)
+    source = generate_native_source(line_pattern(0.5), "double")
+    resolved = []
+    realpath = os.path.realpath
+    monkeypatch.setattr(os.path, "realpath", lambda path: resolved.append(path) or realpath(path))
+    key = ir_compile._build_key(str(link), source)
+    assert key == ir_compile._build_key(str(link), source) == ir_compile._build_key(first, source)
+    assert resolved == [str(link), first]  # once per compiler string
+    link.unlink()
+    link.symlink_to(second)
+    moved = ir_compile._build_key(str(link), source)
+    assert resolved[2:] == [str(link)]
+    assert moved != key and moved == ir_compile._build_key(second, source)

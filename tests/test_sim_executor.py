@@ -18,8 +18,14 @@ from repro.sim.executor import (
     verify_blocking,
 )
 from repro.stencils.generators import box_stencil, star_stencil
-from repro.stencils.library import load_pattern
-from repro.stencils.reference import make_initial_grid, run_reference
+from repro.stencils import reference as reference_module
+from repro.stencils.library import BENCHMARKS, load_pattern
+from repro.stencils.reference import (
+    ReferenceExecutor,
+    copy_frame,
+    make_initial_grid,
+    run_reference,
+)
 
 
 def check(pattern_name, interior, time_steps, dtype="float", **config_kwargs):
@@ -248,3 +254,81 @@ def test_interior_tiles_share_one_group():
     # 6 x 6 tiles: 16 interior, 16 edge (4 sides) and 4 corner tiles.
     assert len(list(executor.tiles(4))) == 36
     assert sorted(len(group.tiles) for group in groups) == [1, 1, 1, 1] + [4] * 4 + [16]
+
+
+# -- buffers: only what the kernel reads is copied --------------------------------
+
+
+def test_copy_frame_copies_exactly_the_cells_outside_the_box(monkeypatch):
+    # The frame below is 77% of the cells: copied as slabs only when allowed.
+    share = reference_module.FRAME_SHARE_MAX
+    monkeypatch.setattr(reference_module, "FRAME_SHARE_MAX", 1.0)
+    rng = np.random.default_rng(0)
+    src = rng.random((2, 7, 6, 5))
+    # The first dimension's low side and the last one's high side are empty.
+    box = ((0, 4), (2, 5), (1, 5))
+    for stacked, source in ((True, src), (False, src[1])):
+        dst = np.full(source.shape, np.nan)
+        copy_frame(source, dst, box, stacked=stacked)
+        inside = np.zeros(source.shape[-3:], bool)
+        inside[tuple(slice(lo, hi) for lo, hi in box)] = True
+        inside = np.broadcast_to(inside, source.shape)
+        assert np.isnan(dst[inside]).all()
+        assert np.array_equal(dst[~inside], source[~inside])
+    # Values are cast as the loads cast them.
+    dst = np.zeros((7, 6, 5), np.float32)
+    copy_frame(src[0], dst, box)
+    assert np.array_equal(dst[4:], src[0][4:].astype(np.float32))
+    # A frame of more than FRAME_SHARE_MAX of the cells goes in one copy.
+    monkeypatch.setattr(reference_module, "FRAME_SHARE_MAX", share)
+    for stacked, source in ((True, src), (False, src[1])):
+        dst = np.full(source.shape, np.nan)
+        copy_frame(source, dst, box, stacked=stacked)
+        assert np.array_equal(dst, source)
+
+
+def _nan_cases(pattern):
+    """``(config, time steps)`` covering bT 1, 2 and the largest valid from
+    4 down (as verify-exec picks it); 1, 2 and 4 launches (the third reuses
+    the first spare grid) and 3 with a short last one; the stream divided
+    (2 launches, short last) and not.  First launches that load straight
+    from ``initial`` and ones that load from a copy of it both occur."""
+    bS = (24,) * (pattern.ndim - 1)
+    largest = max(bT for bT in (1, 2, 3, 4) if BlockingConfig(bT=bT, bS=bS).is_valid(pattern))
+    for bT in sorted({1, 2, largest}):
+        steps = [bT, 2 * bT, 4 * bT] + ([2 * bT + 1] if bT > 1 else [])
+        for index, time_steps in enumerate(steps):
+            yield BlockingConfig(bT=bT, bS=bS, hS=4 if index % 2 else None), time_steps
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_no_buffer_is_read_before_it_is_written(name, monkeypatch):
+    """Every new float array starts full of NaN (the blocked run's result,
+    spare grids and tile stacks, the reference's grids) and every frame is
+    copied as slabs, the least copy: the blocked result must still equal
+    the reference bit for bit and keep ``initial``'s ring."""
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        array = empty(*args, **kwargs)
+        if array.dtype.kind == "f":
+            array.fill(np.nan)
+        return array
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    monkeypatch.setattr(reference_module, "FRAME_SHARE_MAX", 1.0)
+    pattern = load_pattern(name, "double")
+    rad = pattern.radius
+    interior = (11, 40) if pattern.ndim == 2 else (9, 20, 18)
+    for config, time_steps in _nan_cases(pattern):
+        grid = GridSpec(interior, time_steps)
+        initial = make_initial_grid(pattern, grid, seed=time_steps)
+        executor = BlockedStencilExecutor(pattern, grid, config, kernel_mode="compiled")
+        blocked = executor.run(initial)
+        reference = ReferenceExecutor(pattern, executor.kernel).run(initial, time_steps)
+        label = f"{name} {config.describe()} steps={time_steps}"
+        assert blocked.flags.c_contiguous and not np.isnan(blocked).any(), label
+        assert blocked.tobytes() == reference.tobytes(), label
+        ring = np.ones(initial.shape, bool)
+        ring[tuple(slice(rad, dim - rad) for dim in initial.shape)] = False
+        assert np.array_equal(blocked[ring], initial[ring]), label

@@ -212,6 +212,38 @@ def test_initial_grid_shape_and_dtype(j2d5pt):
     assert initial.dtype == np.float32
 
 
+#: sha256 of ``make_initial_grid``'s bytes, recorded from the
+#: ``rng.uniform(0.1, 1.0, size=shape)`` draw it replaced.
+INITIAL_GRID_DIGESTS = {
+    ("j2d5pt", "float", 0): "2800d06ec9c3f0e12baf9cd5b338264b6fd51c016565bf5ed5195d162eb6b514",
+    ("j2d5pt", "float", 7): "1e1e71874f887a3e391629c8d1fae3d2638914a506dd9a1f64e1833964589562",
+    ("j2d5pt", "double", 0): "ed18c6c8c2b08b4906a5edfa53097e342c4bac6238d040350eabfcad205a4c60",
+    ("j2d5pt", "double", 7): "36198e03fabb40e536fd040fbeafc03bd9d75837efe011e47410ef2d4a96dbaa",
+    ("star3d2r", "float", 0): "09debdf82e0ec5efc2edee146bf1eeedec8dd9c1607985ee75af72dc8f697dd1",
+    ("star3d2r", "float", 7): "52219e6fa7cb474c58d1b7d14d9f23abae51d55c6850fbc2174b6cc038b3e5c0",
+    ("star3d2r", "double", 0): "f9ae188273e357c087166070fb7f1e67fb0a7fa14590497ab4819ebac2a07872",
+    ("star3d2r", "double", 7): "78934dcad60611f765b22adf69e2dfe7b9455959bdfadb9620ae774e18765ba9",
+    ("fuzz-7-3", "double", 7): "40573c7f0d484bf707b64dbbd3c21ef216143fc6cec79edec6c69bd5c249a0ad",
+}
+
+
+@pytest.mark.parametrize("name, dtype, seed", sorted(INITIAL_GRID_DIGESTS))
+def test_initial_grid_bytes_are_pinned(name, dtype, seed):
+    import hashlib
+
+    from repro.stencils.generators import fuzz_stencil
+
+    if name.startswith("fuzz-"):
+        pattern = fuzz_stencil(7, 3).build_pattern(dtype)
+        grid = GridSpec((20,) * pattern.ndim, 2)
+    else:
+        pattern = load_pattern(name, dtype)
+        grid = GridSpec((40, 36) if pattern.ndim == 2 else (10, 12, 9), 2)
+    initial = make_initial_grid(pattern, grid, seed)
+    assert initial.flags.c_contiguous and initial.shape == grid.padded(pattern.radius)
+    assert hashlib.sha256(initial.tobytes()).hexdigest() == INITIAL_GRID_DIGESTS[name, dtype, seed]
+
+
 def test_reference_step_updates_interior_only(j2d5pt):
     grid = GridSpec((16, 16), 1)
     initial = make_initial_grid(j2d5pt, grid, seed=1)
