@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.common import BaselineResult
-from repro.ir.flops import alu_efficiency, count_flops
+from repro.ir.flops import alu_efficiency
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.sim.device import SimulatedGPU
@@ -86,7 +86,7 @@ class HybridTilingBaseline:
         tile_cells = self.tile_cells(pattern)
         halo_fraction = self._halo_fraction(pattern, tile_cells, bT)
 
-        flop_mix = count_flops(pattern.expr)
+        flop_mix = pattern.flops
         flops_per_cell = flop_mix.total
         cells = grid.cells
         updates = cells * grid.time_steps

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.common import BaselineResult
-from repro.ir.flops import alu_efficiency, count_flops
+from repro.ir.flops import alu_efficiency
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.sim.device import SimulatedGPU
@@ -41,7 +41,7 @@ class LoopTilingBaseline:
 
     def simulate(self, pattern: StencilPattern, grid: GridSpec) -> BaselineResult:
         device = SimulatedGPU(self.gpu)
-        flop_mix = count_flops(pattern.expr)
+        flop_mix = pattern.flops
         flops_per_cell = flop_mix.total
         cells = grid.cells
         updates = cells * grid.time_steps

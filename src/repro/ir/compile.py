@@ -1,24 +1,24 @@
 """Compiled evaluation of stencil expressions.
 
-The interpreters in :mod:`repro.stencils.reference` and
-:mod:`repro.sim.executor` re-walk the expression tree for every evaluated
-region, paying a Python dispatch per node and allocating a fresh temporary
-array per operation.  This module lowers a :class:`StencilPattern` expression
-*once* into a single Python function — generated as source text and passed
-through :func:`compile` — whose body is a flat sequence of NumPy ufunc calls
-with ``out=`` targets, so a whole region update runs with
+A tree-walking interpreter pays a Python dispatch per node and allocates a
+fresh temporary array per operation for every evaluated region.  This module
+lowers a :class:`StencilPattern` expression *once* (:class:`Lowering`) into a
+flat list of statements, one ``(ufunc, operand terms)`` per operation, and
+every engine but the interpreter runs or prints that one list.  The NumPy
+engine (:class:`CompiledKernel`) runs it as ufunc calls with ``out`` targets,
+so a whole region update runs with
 
-* zero per-node Python dispatch (one generated function call per region),
-* zero per-node temporaries (a small pool of reusable scratch buffers sized
-  by a register-allocation pass over the tree),
+* no per-node dispatch (one loop over prepared calls per region),
+* no per-node temporaries (a small pool of reusable scratch buffers: every
+  value is used once, so an operation reuses its first operand's buffer),
 * shifted *views* of the source array instead of copies for every grid read.
 
-Constants are folded at compile time using dtype-typed NumPy scalars, which
-keeps the compiled kernel bit-identical to the interpreter (both perform the
-exact same sequence of dtype-homogeneous ufunc operations).
+Constants are folded in the lowering using dtype-typed NumPy scalars, which
+keeps every engine bit-identical to the interpreter (all perform the exact
+same sequence of dtype-homogeneous operations).
 
 On hosts with a C toolchain a second, *native* backend goes further: the same
-expression is lowered to a single-pass C loop nest, built with ``cc -O3
+statements are printed as a single-pass C loop nest, built with ``cc -O3
 -ffp-contract=off`` (no fast-math, no FMA contraction, so every operation
 rounds exactly like the matching NumPy ufunc) and loaded through ``ctypes``.
 One pass over the region replaces the engine's 10-30 elementwise passes,
@@ -51,10 +51,11 @@ o]``.  ``out`` receives the result and must not alias ``src``.  ``src`` and
 ``out`` may carry leading axes (the blocked executor stacks tiles along one)
 and any memory order; the NumPy engine lays its scratch out like ``out`` and
 the native engine runs its loop nest with the contiguous axis innermost, so
-all engines stay bit-identical on such views.  Compiled kernels are
-cached per ``(pattern, dtype, mode)``; an interpreter-backed kernel with the
-same interface is the oracle the others are checked against (requested
-with ``mode="interpreter"``, e.g. by the equivalence tests and the fuzzer).
+all engines stay bit-identical on such views.  Kernels are cached per
+``(pattern, dtype, mode)``.  The tree-walking :class:`InterpretedKernel`
+shares the interface but not the lowering: it is only the oracle the others
+are checked against (``mode="interpreter"``, used by the equivalence tests
+and the fuzzer); ``"auto"`` never picks it.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import ctypes
+import dataclasses
 import os
 import platform
 import shutil
@@ -69,7 +71,9 @@ import stat
 import subprocess
 import tempfile
 from bisect import bisect_left
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,8 +83,8 @@ from repro.ir.stencil import StencilPattern
 
 _NUMPY_DTYPES = {"float": np.float32, "double": np.float64}
 
-#: Ufuncs of the operators and calls; the generated source names them as
-#: ``np.<ufunc.__name__>``, and constant folding applies them to scalars.
+#: Ufuncs of the operators and calls: the NumPy engine runs them on arrays,
+#: and constant folding applies them to scalars.
 _BINOP_NUMPY: Dict[str, Callable] = {
     "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
 }
@@ -120,152 +124,107 @@ def numpy_dtype(dtype: str) -> type:
 
 
 # ---------------------------------------------------------------------------
-# Code generation
+# Lowering
 # ---------------------------------------------------------------------------
 
+#: An operand of a lowered statement: ``("r", j)`` reads the ``j``-th
+#: distinct offset, ``("c", k)`` is the ``k``-th constant and ``("v", i)``
+#: the value of statement ``i``.
+Term = Tuple[str, int]
 
-class _CodeGen:
-    """Lowers one expression tree to flat three-address NumPy source.
 
-    Grid reads become shifted views, arithmetic becomes ufunc calls writing
-    into scratch buffers handed out by a free-list (so the buffer count is
-    the tree's peak number of live array temporaries, not its node count).
+class Lowering:
+    """One lowering of an expression tree, which the NumPy engine runs and
+    the native backend prints.
+
+    ``reads`` numbers the distinct read offsets in first-use order (offset
+    -> its term), ``consts`` holds the dtype-typed constants (constant
+    subtrees are folded with NumPy scalar arithmetic), ``statements`` holds
+    one ``(ufunc, operand terms)`` per remaining operation in evaluation
+    order, and ``result`` is the whole tree's term.
+    :func:`~repro.ir.expr.fold` combines a shared subtree once per parent,
+    so every statement's value has exactly one use; when there are
+    statements, the last is the root's.
     """
 
-    def __init__(self, np_dtype: type) -> None:
+    def __init__(self, expr: Expr, np_dtype: type) -> None:
         self.np_dtype = np_dtype
-        self.lines: List[str] = []
+        self.reads: Dict[Tuple[int, ...], Term] = {}
         self.consts: List[object] = []
-        self.const_names: Dict[object, str] = {}
-        self.num_buffers = 0
-        self._free: List[int] = []
+        self.statements: List[Tuple[Callable, List[Term]]] = []
+        self._const_terms: Dict[float, Term] = {}
+        self.result: Term = fold(expr, self._lower)
 
-    # -- scratch buffer free-list -------------------------------------------
-    def _alloc(self) -> int:
-        if self._free:
-            return self._free.pop()
-        index = self.num_buffers
-        self.num_buffers += 1
-        return index
+    def _lower(self, expr: Expr, operands: List[Term]) -> Term:
+        """Lower one node whose children are already lowered to ``operands``.
 
-    def _release(self, buffer: Optional[int]) -> None:
-        if buffer is not None:
-            self._free.append(buffer)
-
-    # -- terms ---------------------------------------------------------------
-    def _const_term(self, value) -> str:
-        key = repr(value)
-        name = self.const_names.get(key)
-        if name is None:
-            name = f"c{len(self.consts)}"
-            self.consts.append(value)
-            self.const_names[key] = name
-        return name
-
-    def _view_term(self, offset: Tuple[int, ...]) -> str:
-        parts = []
-        for dim, off in enumerate(offset):
-            lo = f"s{dim}{off:+d}" if off else f"s{dim}"
-            hi = f"e{dim}{off:+d}" if off else f"e{dim}"
-            parts.append(f"{lo}:{hi}")
-        return f"src[..., {', '.join(parts)}]"
-
-    # -- lowering ------------------------------------------------------------
-    def emit(self, expr: Expr, root_out: Optional[str] = None):
-        """Lower ``expr``; returns ``(term, scalar_value, buffer_index)``.
-
-        ``scalar_value`` is the folded NumPy scalar when the subtree is
-        constant (``term`` is then ``None``: a constant gets a name only
-        where generated code uses it), otherwise ``None``.
-        ``buffer_index`` identifies a scratch buffer owned by the
-        result, or ``None`` for views/constants.  When ``root_out`` is given
-        the result is stored there instead of a scratch buffer.
-
-        Lowering runs bottom-up through :func:`~repro.ir.expr.fold`, so
-        sums of thousands of terms need no recursion.
-        """
-        return fold(
-            expr,
-            lambda node, operands: self._lower(node, operands, root_out if node is expr else None),
-        )
-
-    def _lower(self, expr: Expr, operands: List[tuple], root_out: Optional[str]):
-        """Lower one node whose children are already lowered to ``operands``."""
-        if isinstance(expr, Const):
-            return None, self.np_dtype(expr.value), None
-
-        if isinstance(expr, GridRead):
-            term = self._view_term(expr.offset)
-            if root_out is not None:
-                self.lines.append(f"np.copyto({root_out}, {term})")
-                return root_out, None, None
-            return term, None, None
-
-        if isinstance(expr, BinOp):
-            (lhs_term, lhs_val, lhs_buf), (rhs_term, rhs_val, rhs_buf) = operands
-            if lhs_val is not None and rhs_val is not None:
-                with np.errstate(all="ignore"):
-                    value = _BINOP_NUMPY[expr.op](lhs_val, rhs_val)
-                return None, self.np_dtype(value), None
-            ufunc = _BINOP_NUMPY[expr.op].__name__
-            terms = ", ".join(self._term(operand) for operand in operands)
-            return self._emit_op(f"np.{ufunc}({terms}", (lhs_buf, rhs_buf), root_out)
-
-        if isinstance(expr, UnaryOp):
-            ((term, value, buffer),) = operands
-            if value is not None:
-                return None, -value, None
-            return self._emit_op(f"np.negative({term}", (buffer,), root_out)
-
-        if isinstance(expr, Call):
+        Dispatch is on the exact node type, most frequent first."""
+        kind = type(expr)
+        if kind is BinOp:
+            ufunc = _BINOP_NUMPY[expr.op]
+            (lkind, lhs), (rkind, rhs) = operands
+            if lkind != "c" or rkind != "c":
+                return self._statement(ufunc, operands)
+            with np.errstate(all="ignore"):
+                return self._constant(ufunc(self.consts[lhs], self.consts[rhs]))
+        if kind is GridRead:
+            term = self.reads.get(expr.offset)
+            if term is None:
+                term = self.reads[expr.offset] = ("r", len(self.reads))
+            return term
+        if kind is Const:
+            # One term per value, except zero: 0.0 == -0.0, but they differ.
+            term = self._const_terms.get(expr.value) if expr.value else None
+            if term is None:
+                term = self._constant(expr.value)
+                if expr.value:
+                    self._const_terms[expr.value] = term
+            return term
+        if kind is UnaryOp:
+            ((operand_kind, number),) = operands
+            if operand_kind != "c":
+                return self._statement(np.negative, operands)
+            return self._constant(-self.consts[number])
+        if kind is Call:
             ufunc = _CALL_NUMPY[expr.name]  # Call checked the name and arity
-            if all(value is not None for _, value, _ in operands):
-                folded = ufunc(*[value for _, value, _ in operands])
-                return None, self.np_dtype(folded), None
-            terms = ", ".join(self._term(operand) for operand in operands)
-            buffers = tuple(buffer for _, _, buffer in operands)
-            return self._emit_op(f"np.{ufunc.__name__}({terms}", buffers, root_out)
-
+            if any(operand_kind != "c" for operand_kind, _ in operands):
+                return self._statement(ufunc, operands)
+            return self._constant(ufunc(*[self.consts[number] for _, number in operands]))
         raise CompileError(f"unknown expression node {expr!r}")
 
-    def _term(self, operand: tuple) -> str:
-        """The source term of a lowered operand, naming its constant if any."""
-        term, value, _ = operand
-        return term if value is None else self._const_term(value)
+    def _statement(self, ufunc: Callable, operands: List[Term]) -> Term:
+        statements = self.statements
+        statements.append((ufunc, operands))
+        return "v", len(statements) - 1
 
-    def _emit_op(self, call_prefix: str, operand_buffers: Tuple[Optional[int], ...], root_out):
-        if root_out is not None:
-            self.lines.append(f"{call_prefix}, out={root_out})")
-            for buffer in operand_buffers:
-                self._release(buffer)
-            return root_out, None, None
-        # Reuse an operand's scratch buffer in place when one is available
-        # (elementwise ufuncs permit out aliasing an input).
-        target = next((b for b in operand_buffers if b is not None), None)
-        if target is None:
-            target = self._alloc()
-        for buffer in operand_buffers:
-            if buffer is not None and buffer != target:
-                self._release(buffer)
-        term = f"t{target}"
-        self.lines.append(f"{call_prefix}, out={term})")
-        return term, None, target
+    def _constant(self, value) -> Term:
+        consts = self.consts
+        consts.append(self.np_dtype(value))
+        return "c", len(consts) - 1
 
 
-def generate_kernel_source(pattern: StencilPattern, np_dtype: type) -> Tuple[str, List[object], int]:
-    """Generate the fused kernel's Python source for ``pattern``.
-
-    Returns ``(source, constants, num_scratch_buffers)``.
-    """
-    gen = _CodeGen(np_dtype)
-    gen.emit(pattern.expr, root_out="out")
-    header = ["def _stencil_kernel(src, region, out, scratch):"]
-    for dim in range(pattern.ndim):
-        header.append(f"    s{dim} = region[{dim}].start; e{dim} = region[{dim}].stop")
-    for index in range(gen.num_buffers):
-        header.append(f"    t{index} = scratch[{index}]")
-    body = [f"    {line}" for line in gen.lines]
-    return "\n".join(header + body) + "\n", gen.consts, gen.num_buffers
+def _scratch_slots(statements) -> Tuple[List[Optional[int]], int]:
+    """Each statement's scratch slot (``None`` for the last, the root, which
+    writes ``out``) and the number of slots: the peak number of statement
+    values live at once.  A statement writes its first operand's slot when
+    that operand is a statement value (an elementwise ufunc may write over
+    its input), else the slot freed last or a new one, and frees its other
+    operands' slots."""
+    slots: List[Optional[int]] = []
+    free: List[int] = []
+    count = 0
+    for _, operands in statements[:-1]:
+        held = [slots[number] for kind, number in operands if kind == "v"]
+        if held:
+            target = held[0]
+            free += held[1:]
+        elif free:
+            target = free.pop()
+        else:
+            target, count = count, count + 1
+        slots.append(target)
+    slots.append(None)
+    return slots, count
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +233,15 @@ def generate_kernel_source(pattern: StencilPattern, np_dtype: type) -> Tuple[str
 
 
 class CompiledKernel:
-    """A fused, scratch-reusing region evaluator for one (pattern, dtype)."""
+    """The NumPy engine: one :class:`Lowering`'s statements run as ufunc
+    calls with ``out`` targets, on scratch buffers reused across calls.
+
+    Each call fills one operand list (the read views, the scratch buffers,
+    ``out``, the constants) and each statement is a ufunc applied to the
+    entries its prepared index picks.  The preparation (scratch slots and
+    indices) happens at the first call, so a :class:`NativeKernel` that
+    never hands a call to this engine never pays for it.
+    """
 
     mode = "compiled"
 
@@ -282,17 +249,49 @@ class CompiledKernel:
         self.pattern = pattern
         self.dtype = dtype
         self.np_dtype = numpy_dtype(dtype)
-        source, consts, num_scratch = generate_kernel_source(pattern, self.np_dtype)
-        self.source = source
-        self.num_scratch = num_scratch
-        namespace: Dict[str, object] = {"np": np}
-        namespace.update({f"c{i}": value for i, value in enumerate(consts)})
-        code = compile(source, f"<stencil-kernel:{pattern.name}:{dtype}>", "exec")
-        exec(code, namespace)  # noqa: S102 - executing our own generated source
-        self._fn = namespace["_stencil_kernel"]
+        self.lowering = Lowering(pattern.expr, self.np_dtype)
         # Scratch buffers are keyed by the shape and stride order of ``out``
         # and reused across calls (across tiles, time steps and launches).
         self._scratch: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[np.ndarray]] = {}
+
+    @cached_property
+    def _program(self):
+        """``(read offsets per axis, read views' indices into the per-call
+        slices, statements as (ufunc, operand indices), constants, scratch
+        buffer count)``.
+
+        A call's operand list is the read views, then the scratch buffers,
+        ``out`` and the constants; its slice list is ``...`` and then, axis
+        by axis, the region shifted by each distinct offset on that axis."""
+        lowering, ndim = self.lowering, self.pattern.ndim
+        slots, num_scratch = _scratch_slots(lowering.statements)
+        reads = list(lowering.reads)
+        axis_offsets = [sorted({offset[d] for offset in reads}) for d in range(ndim)]
+        first = list(accumulate([1] + [len(offsets) for offsets in axis_offsets]))
+        views = [
+            itemgetter(0, *[first[d] + axis_offsets[d].index(offset[d]) for d in range(ndim)])
+            for offset in reads
+        ]
+        out = len(reads) + num_scratch
+
+        def index(term: Term) -> int:
+            kind, number = term
+            if kind == "v":
+                slot = slots[number]
+                return out if slot is None else len(reads) + slot
+            return number if kind == "r" else out + 1 + number
+
+        ops = [
+            (ufunc, itemgetter(*[index(term) for term in operands], index(("v", number))))
+            for number, (ufunc, operands) in enumerate(lowering.statements)
+        ]
+        if lowering.result[0] != "v":
+            ops.append((np.copyto, itemgetter(out, index(lowering.result))))
+        return axis_offsets, views, ops, lowering.consts, num_scratch
+
+    @property
+    def num_scratch(self) -> int:
+        return self._program[4]
 
     def scratch_for(self, out: np.ndarray) -> List[np.ndarray]:
         """Scratch buffers shaped like ``out`` and laid out in its memory
@@ -308,7 +307,18 @@ class CompiledKernel:
         return buffers
 
     def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
-        self._fn(src, region, out, self.scratch_for(out))
+        axis_offsets, views, ops, consts, _ = self._program
+        # One slice per (axis, distinct offset), shared by the reads.
+        slices: List[object] = [Ellipsis]
+        for bounds, offsets in zip(region, axis_offsets):
+            start, stop = bounds.start, bounds.stop
+            slices += [slice(start + offset, stop + offset) for offset in offsets]
+        operands = [src[view(slices)] for view in views]
+        operands += self.scratch_for(out)
+        operands.append(out)
+        operands += consts
+        for ufunc, args in ops:
+            ufunc(*args(operands))
         return out
 
 
@@ -316,13 +326,11 @@ class InterpretedKernel:
     """Tree-walking oracle with the same call convention as CompiledKernel."""
 
     mode = "interpreter"
-    num_scratch = 0
 
     def __init__(self, pattern: StencilPattern, dtype: str) -> None:
         self.pattern = pattern
         self.dtype = dtype
         self.np_dtype = numpy_dtype(dtype)
-        self.source = None
 
     def _eval(self, src: np.ndarray, region: Region) -> np.ndarray:
         """Evaluate the pattern node by node, bottom-up through
@@ -538,128 +546,64 @@ def native_supported(pattern: StencilPattern) -> bool:
     return pattern.calls <= _NATIVE_SAFE_CALLS
 
 
-class _CExprGen:
-    """Lowers the expression tree to a flat sequence of C assignments.
+def _c_literal(value, ctype: str) -> str:
+    """``value`` as a C literal of ``ctype``: hexadecimal, so exact."""
+    value = float(value)
+    if value != value:
+        return f"({ctype})NAN"
+    if value in (float("inf"), float("-inf")):
+        sign = "-" if value < 0 else ""
+        return f"({sign}({ctype})INFINITY)"
+    return value.hex() + ("f" if ctype == "float" else "")
 
-    ``statements`` holds one ``(temp, rhs, operand terms)`` per assignment,
-    in evaluation order; :meth:`chunks` splits them where the loop body can
-    be cut.  The lowered term of each distinct read offset and constant is
-    made once per emission and reused.
-    """
 
-    def __init__(self, np_dtype: type, ctype: str) -> None:
-        self.np_dtype = np_dtype
-        self.ctype = ctype
-        self.suffix = "f" if ctype == "float" else ""
-        self.reads: Dict[Tuple[int, ...], str] = {}
-        self.statements: List[Tuple[str, str, Tuple[str, ...]]] = []
-        self._read_terms: Dict[Tuple[int, ...], tuple] = {}
-        self._const_terms: Dict[float, tuple] = {}
+#: The C expression of each ufunc a native kernel may run: ``%s`` is an
+#: operand, ``{s}`` the math-function suffix of the C type.
+_C_OPERATIONS = {
+    np.add: "%s + %s", np.subtract: "%s - %s", np.multiply: "%s * %s", np.divide: "%s / %s",
+    np.negative: "-%s", np.sqrt: "sqrt{s}(%s)", np.abs: "fabs{s}(%s)",
+}
 
-    def _literal(self, value) -> str:
-        value = float(value)
-        if value != value:
-            return f"({self.ctype})NAN"
-        if value in (float("inf"), float("-inf")):
-            sign = "-" if value < 0 else ""
-            return f"({sign}({self.ctype})INFINITY)"
-        return value.hex() + self.suffix
 
-    def _temp(self, rhs: str, *operands: str) -> str:
-        name = f"v{len(self.statements)}"
-        self.statements.append((name, rhs, operands))
-        return name
-
-    def emit(self, expr: Expr):
-        """Returns ``(term, scalar_value)``; scalar subtrees fold exactly as
-        the NumPy engine does (same dtype-typed scalar arithmetic).  Runs
-        bottom-up through :func:`~repro.ir.expr.fold`, without recursion."""
-        return fold(expr, self._lower)
-
-    def _lower(self, expr: Expr, operands: List[tuple]):
-        """Lower one node whose children are already lowered to ``operands``.
-
-        Dispatch is on the exact node type, most frequent first."""
-        kind = type(expr)
-        if kind is BinOp:
-            (lhs, lval), (rhs, rval) = operands
-            if lval is None or rval is None:
-                return self._temp(f"{lhs} {expr.op} {rhs}", lhs, rhs), None
-            with np.errstate(all="ignore"):
-                folded = _BINOP_NUMPY[expr.op](lval, rval)
-            value = self.np_dtype(folded)
-            return self._literal(value), value
-        if kind is GridRead:
-            term = self._read_terms.get(expr.offset)
-            if term is None:
-                name = self.reads[expr.offset] = f"r{len(self.reads)}"
-                term = self._read_terms[expr.offset] = (f"{name}[k]", None)
-            return term
-        if kind is Const:
-            # Keyed by value, except zero: 0.0 == -0.0, but they print apart.
-            term = self._const_terms.get(expr.value) if expr.value else None
-            if term is None:
-                value = self.np_dtype(expr.value)
-                term = (self._literal(value), value)
-                if expr.value:
-                    self._const_terms[expr.value] = term
-            return term
-        if kind is UnaryOp:
-            ((term, value),) = operands
-            if value is not None:
-                value = self.np_dtype(-value)
-                return self._literal(value), value
-            return self._temp(f"-{term}", term), None
-        if kind is Call:
-            if expr.name not in _NATIVE_SAFE_CALLS or len(expr.args) != 1:
-                raise CompileError(f"call {expr.name!r} not supported by the native backend")
-            ((term, value),) = operands
-            fn = "sqrt" if expr.name.startswith("sqrt") else "fabs"
-            if value is not None:
-                value = self.np_dtype(_CALL_NUMPY[expr.name](value))
-                return self._literal(value), value
-            return self._temp(f"{fn}{self.suffix}({term})", term), None
-        raise CompileError(f"unknown expression node {expr!r}")
-
-    def chunks(self, result: str, size: int) -> List[Tuple[int, int, Optional[str]]]:
-        """Split the statements into ``(start, stop, carried)`` runs of at
-        most ``size`` where possible.  A run may end only where exactly one
-        temporary is live (``carried``, handed to the next run through the
-        output row); a run with no such cut within ``size`` statements
-        extends to the next one.  Linear in the statements: one liveness
-        pass, then a binary search of the cuts per run."""
-        statements = self.statements
-        total = len(statements)
-        if total <= size:
-            return [(0, total, None)]
-        last_use = {result: total}
-        for index, (_, _, operands) in enumerate(statements):
-            for term in operands:
-                last_use[term] = index
-        # Each statement defines one temporary, and each temporary dies at
-        # its last use: the live count after statement i is a running sum.
-        # Where it is one, the live temporary is the one just assigned.
-        deaths = [0] * (total + 1)
-        for name, _, _ in statements:
-            deaths[last_use.get(name, total)] += 1
-        live = accumulate(1 - deaths[index] for index in range(total - 1))
-        cuts = [index for index, count in enumerate(live) if count == 1]
-        runs: List[Tuple[int, int, Optional[str]]] = []
-        start, carried = 0, None
-        while total - start > size:
-            # The last cut inside the next ``size`` statements, else the
-            # first one beyond them.
-            beyond = bisect_left(cuts, start + size)
-            if beyond and cuts[beyond - 1] >= start:
-                end = cuts[beyond - 1]
-            elif beyond < len(cuts):
-                end = cuts[beyond]
-            else:
-                break
-            runs.append((start, end + 1, carried))
-            start, carried = end + 1, statements[end][0]
-        runs.append((start, total, carried))
-        return runs
+def _native_runs(statements, size: int) -> List[Tuple[int, int, Optional[str]]]:
+    """Split the statements into ``(start, stop, carried)`` runs of at most
+    ``size`` where possible.  A run may end only where exactly one
+    statement value is live (``carried``, its C name, handed to the next run
+    through the output row); a run with no such cut within ``size``
+    statements extends to the next one.  Linear in the statements: one
+    liveness pass, then a binary search of the cuts per run."""
+    total = len(statements)
+    if total <= size:
+        return [(0, total, None)]
+    # Each statement's value dies at its one use (the root's after the
+    # body), so the live count after statement i is a running sum.  Where
+    # it is one, the live value is the one just assigned.
+    last_use = [total] * total
+    for index, (_, operands) in enumerate(statements):
+        for kind, number in operands:
+            if kind == "v":
+                last_use[number] = index
+    deaths = [0] * (total + 1)
+    for index in last_use:
+        deaths[index] += 1
+    live = accumulate(1 - deaths[index] for index in range(total - 1))
+    cuts = [index for index, count in enumerate(live) if count == 1]
+    runs: List[Tuple[int, int, Optional[str]]] = []
+    start, carried = 0, None
+    while total - start > size:
+        # The last cut inside the next ``size`` statements, else the
+        # first one beyond them.
+        beyond = bisect_left(cuts, start + size)
+        if beyond and cuts[beyond - 1] >= start:
+            end = cuts[beyond - 1]
+        elif beyond < len(cuts):
+            end = cuts[beyond]
+        else:
+            break
+        runs.append((start, end + 1, carried))
+        start, carried = end + 1, f"v{end}"
+    runs.append((start, total, carried))
+    return runs
 
 
 #: Statements per ``k`` loop of a native kernel.  gcc's RTL passes (the
@@ -689,11 +633,20 @@ def generate_native_source(
     vectorize.  A body of more than :data:`NATIVE_CHUNK_STATEMENTS`
     statements runs as several such sweeps, each in its own block with the
     row pointers it reads.
+
+    The statements are those the pattern's NumPy engine runs (the cached
+    ``compile_pattern(pattern, mode="compiled")``), so the two engines of a
+    pattern share one lowering.
     """
-    ctype = _C_TYPES[dtype]
-    gen = _CExprGen(_NUMPY_DTYPES[dtype], ctype)
-    result, value = gen.emit(pattern.expr)
+    unsupported = sorted(pattern.calls - _NATIVE_SAFE_CALLS)
+    if unsupported:
+        raise CompileError(f"call {unsupported[0]!r} not supported by the native backend")
+    if dtype != pattern.dtype:
+        pattern = dataclasses.replace(pattern, dtype=dtype)
+    lowering = compile_pattern(pattern, mode="compiled").lowering
     ndim = pattern.ndim
+    ctype = _C_TYPES[dtype]
+    suffix = "f" if ctype == "float" else ""
     order = tuple(range(ndim)) if order is None else order
     outer = ndim - 1
 
@@ -717,37 +670,60 @@ def generate_native_source(
     row = "".join(f" + (i{d} + ({{}}))*s{d}" for d in range(outer))
     row = f"const {ctype}* {{}} = src + g*sn{row} + ({{}});"
 
-    def row_pointers(reads, indent: str) -> None:
-        for offset, name in reads:
-            lines.append(indent + row.format(name, *[offset[d] for d in order]))
+    offsets = list(lowering.reads)
 
-    def sweep(statements, stored: str, indent: str, carried: Optional[str]) -> None:
+    def row_pointers(reads, indent: str) -> None:
+        for number in reads:
+            pointer = row.format(f"r{number}", *map(offsets[number].__getitem__, order))
+            lines.append(indent + pointer)
+
+    # Each term's C spelling: a read's row element, a literal, a temporary.
+    statements = lowering.statements
+    temps = [f"v{number}" for number in range(len(statements))]
+    names = dict(zip(lowering.reads.values(), [f"r{number}[k]" for number in range(len(offsets))]))
+    literals = [_c_literal(value, ctype) for value in lowering.consts]
+    names.update(zip(zip(repeat("c"), range(len(literals))), literals))
+    names.update(zip(zip(repeat("v"), range(len(temps))), temps))
+    spell = names.__getitem__
+    result = spell(lowering.result)
+    runs = _native_runs(statements, NATIVE_CHUNK_STATEMENTS)
+    # A split body's sweeps sit one block deeper.
+    assign = f"{indent}{'    ' * (1 + (len(runs) > 1))}const {ctype} "
+    templates = {
+        ufunc: f"{assign}%s = {template.format(s=suffix)};"
+        for ufunc, template in _C_OPERATIONS.items()
+    }
+    assignments = [
+        templates[ufunc] % (temps[number], *map(spell, operands))
+        for number, (ufunc, operands) in enumerate(statements)
+    ]
+
+    def sweep(start: int, stop: int, stored: str, indent: str, carried: Optional[str]) -> None:
         lines.append(f"{indent}for (ptrdiff_t k = l{outer}; k < h{outer}; ++k) {{")
         if carried is not None:
             lines.append(f"{indent}    const {ctype} {carried} = orow[k];")
-        assign = f"{indent}    const {ctype} "
-        lines.extend(f"{assign}{name} = {rhs};" for name, rhs, _ in statements)
+        lines.extend(assignments[start:stop])
         lines.append(f"{indent}    orow[k] = {stored};")
 
     out_terms = ["g*on"] + [f"(i{d} - l{d})*o{d}" for d in range(outer)]
     out_terms.append(f"(-l{outer})")
-    runs = gen.chunks(result, NATIVE_CHUNK_STATEMENTS)
     if len(runs) == 1:
-        row_pointers(gen.reads.items(), indent)
+        row_pointers(range(len(offsets)), indent)
         lines.append(f"{indent}{ctype}* orow = out + {' + '.join(out_terms)};")
-        sweep(gen.statements, result, indent, None)
+        sweep(0, len(statements), result, indent, None)
     else:
         lines.append(f"{indent}{ctype}* orow = out + {' + '.join(out_terms)};")
-        names = {f"{name}[k]": (offset, name) for offset, name in gen.reads.items()}
         for number, (start, stop, carried) in enumerate(runs):
-            statements = gen.statements[start:stop]
             used = dict.fromkeys(
-                names[term] for _, _, operands in statements for term in operands if term in names
+                read
+                for _, operands in statements[start:stop]
+                for kind, read in operands
+                if kind == "r"
             )
             stored = result if number == len(runs) - 1 else runs[number + 1][2]
             lines.append(f"{indent}{{")
             row_pointers(used, indent + "    ")
-            sweep(statements, stored, indent + "    ", carried)
+            sweep(start, stop, stored, indent + "    ", carried)
             lines.append(f"{indent}    }}")
             lines.append(f"{indent}}}")
     # The one-run body leaves its ``k`` loop open, as it always has, so
@@ -783,7 +759,8 @@ class NativeKernel:
     The loop order of :func:`empty_stream_last` arrays is loaded or built
     when the kernel is made; a call whose arrays are contiguous along
     another axis runs a build of that permuted loop nest, made at its first
-    use.  A call it cannot take goes to the NumPy engine and counts in
+    use.  A call it cannot take goes to the NumPy engine, which runs the
+    lowering the loop nests are printed from, and counts in
     ``fallback_calls``.  What a call needs besides its pointers and bounds
     (entry point, loop order, stride arguments) is decided once per layout
     of ``src`` and ``out`` and kept in a dict of at most
@@ -791,7 +768,6 @@ class NativeKernel:
     """
 
     mode = "native"
-    num_scratch = 0
 
     def __init__(self, pattern: StencilPattern, dtype: str) -> None:
         compiler = _native_compiler()
@@ -808,10 +784,12 @@ class NativeKernel:
         self.itemsize = np.dtype(self.np_dtype).itemsize
         self.ndim = pattern.ndim
         self._compiler = compiler
+        # The NumPy engine, for calls no loop nest takes; every loop nest is
+        # printed from its lowering.
+        self._fallback = compile_pattern(pattern, mode="compiled")
         self._fns: Dict[Tuple[int, ...], object] = {}
         self._fn_for(tuple(range(1, self.ndim)) + (0,))  # empty_stream_last's order
         self._layouts: Dict[tuple, tuple] = {}
-        self._fallback: Optional[CompiledKernel] = None
         self.fallback_calls = 0
 
     def _fn_for(self, order: Tuple[int, ...]):
@@ -864,8 +842,6 @@ class NativeKernel:
         if fn is None:
             # Delegate to the NumPy engine rather than reinterpreting raw bits.
             self.fallback_calls += 1
-            if self._fallback is None:
-                self._fallback = CompiledKernel(self.pattern, self.dtype)
             return self._fallback(src, region, out)
         fn(
             src.ctypes.data, out.ctypes.data, *fixed,

@@ -215,8 +215,8 @@ def fold(expr: Expr, combine: Callable[[Expr, List[T]], T]) -> T:
 def evaluate(expr: Expr, reader: Callable[[GridRead], float]) -> float:
     """Evaluate ``expr`` numerically, resolving grid reads through ``reader``.
 
-    Used by the NumPy reference executor and by unit tests that check the
-    associative partial-summation rewrite preserves values.
+    A scalar oracle: unit tests evaluate expressions with it, e.g. to check
+    that the associative partial-summation rewrite preserves values.
     """
 
     def combine(node: Expr, args: List[float]) -> float:

@@ -14,6 +14,7 @@ from typing import FrozenSet, List, Tuple
 
 from repro.ir import classify
 from repro.ir.expr import Call, Expr, GridRead, Offset, walk
+from repro.ir.flops import FlopCount, count_flops
 
 _DTYPE_BYTES = {"float": 4, "double": 8}
 
@@ -149,6 +150,11 @@ class StencilPattern:
     @cached_property
     def has_division(self) -> bool:
         return classify.uses_division(self.expr)
+
+    @cached_property
+    def flops(self) -> FlopCount:
+        """The operation mix of one cell update, counted once per pattern."""
+        return count_flops(self.expr)
 
     def describe(self) -> str:
         """A short human-readable description used by the CLI."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.core.config import BlockingConfig
 from repro.ir.classify import StencilShape
-from repro.ir.flops import alu_efficiency, count_flops
+from repro.ir.flops import alu_efficiency
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.threads import ThreadWorkCounts, count_thread_work
 
@@ -99,7 +99,7 @@ def _compute_traffic(
     pattern: StencilPattern, grid: GridSpec, config: BlockingConfig
 ) -> TrafficTotals:
     work = count_thread_work(pattern, grid, config)
-    flop_mix = count_flops(pattern.expr)
+    flop_mix = pattern.flops
     flops_per_cell = flop_mix.total
     word_bytes = pattern.word_bytes
 

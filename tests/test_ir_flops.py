@@ -108,3 +108,28 @@ def test_reads_per_cell_matches_point_count():
 def test_gradient_reads_count_duplicates(gradient2d):
     # gradient2d reads the centre cell many times.
     assert len(gradient2d.reads) > len(gradient2d.offsets)
+
+
+def test_a_pattern_counts_its_flops_once(monkeypatch):
+    from repro.baselines.hybrid_tiling import HybridTilingBaseline
+    from repro.baselines.loop_tiling import LoopTilingBaseline
+    from repro.core.config import BlockingConfig
+    from repro.ir import stencil as stencil_module
+    from repro.ir.stencil import GridSpec
+    from repro.model.batch import BatchModelEngine
+    from repro.model.gpu_specs import get_gpu
+    from repro.model.traffic import compute_traffic
+
+    counted = []
+    monkeypatch.setattr(
+        stencil_module, "count_flops", lambda expr: counted.append(expr) or count_flops(expr)
+    )
+    pattern = star_stencil(3, 2)
+    grid = GridSpec((64, 64, 64), 8)
+    compute_traffic(pattern, grid, BlockingConfig(bT=2, bS=(32, 32)))
+    engine = BatchModelEngine(pattern, grid, get_gpu("V100"))
+    HybridTilingBaseline.from_name("V100").simulate(pattern, grid)
+    LoopTilingBaseline.from_name("V100").simulate(pattern, grid)
+    assert counted == [pattern.expr]
+    assert pattern.flops == count_flops(pattern.expr)
+    assert engine.flops_per_cell == pattern.flops.total == 12 * 2 + 1

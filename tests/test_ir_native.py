@@ -31,8 +31,8 @@ from repro.ir.compile import (
     NativeKernel,
     clear_kernel_cache,
     compile_pattern,
+    Lowering,
     empty_stream_last,
-    generate_kernel_source,
     generate_native_source,
     native_cache_dir,
 )
@@ -40,7 +40,7 @@ from repro.ir.expr import BinOp, Call, Const, GridRead, UnaryOp
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.sim.executor import BlockedStencilExecutor, verify_blocking
 from repro.stencils.generators import box_stencil
-from repro.stencils.library import load_pattern
+from repro.stencils.library import BENCHMARKS, load_pattern
 from repro.stencils.reference import (
     ReferenceExecutor,
     allclose_for_dtype,
@@ -124,9 +124,14 @@ def test_constant_subtrees_fold_to_one_literal_in_both_lowerings(case, dtype):
     pattern = StencilPattern(f"fold-{case}", 2, expr, dtype=dtype)
     np_dtype = numpy_dtype(dtype)
 
-    source, consts, _ = generate_kernel_source(pattern, np_dtype)
+    lowering = Lowering(pattern.expr, np_dtype)
+    consts = [
+        lowering.consts[number]
+        for _, operands in lowering.statements
+        for kind, number in operands
+        if kind == "c"
+    ]
     assert consts == [np_dtype(folded)] and type(consts[0]) is np_dtype
-    assert "c0" in source and "c1" not in source
 
     c_source = generate_native_source(pattern, dtype)
     literal = float(folded).hex() + ("f" if dtype == "float" else "")
@@ -140,6 +145,13 @@ def test_constant_subtrees_fold_to_one_literal_in_both_lowerings(case, dtype):
         outputs["native"] = _run_region(compile_pattern(pattern, mode="native"), pattern)
     for mode, out in outputs.items():
         assert out.tobytes() == outputs["interpreter"].tobytes(), mode
+
+
+def test_a_native_source_folds_its_constants_in_the_dtype_it_is_printed_for():
+    # j2d5pt's coefficients round differently in float and in double.
+    double = generate_native_source(load_pattern("j2d5pt", "double"), "double")
+    assert generate_native_source(load_pattern("j2d5pt", "float"), "double") == double
+    assert generate_native_source(load_pattern("j2d5pt", "float"), "float") != double
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +176,25 @@ def test_a_body_of_one_run_generates_the_source_it_always_had():
         assert source.count("for (ptrdiff_t k") == 1
 
 
+#: sha256 over the C source of every Table-3 stencil (``BENCHMARKS`` order),
+#: float then double, each at the stream-last loop order ``(1, .., ndim-1,
+#: 0)`` then the logical order: 84 sources, so 84 build keys.
+TABLE3_SOURCES_BOTH_ORDERS = "cbf2779064a6d032b38c4d9875ce9dc58e21cc0a2b86cc6808a97cc1945b9fbb"
+
+
+def test_every_table3_source_in_both_loop_orders_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for name in BENCHMARKS:
+        for dtype in ("float", "double"):
+            pattern = load_pattern(name, dtype)
+            for order in (tuple(range(1, pattern.ndim)) + (0,), None):
+                digest.update(generate_native_source(pattern, dtype, order).encode())
+                count += 1
+    assert count == 84
+    assert digest.hexdigest() == TABLE3_SOURCES_BOTH_ORDERS
+
+
 def product_of_sums(dtype: str) -> StencilPattern:
     """(a sum of 3 weighted reads) x (a sum of 65) over a 3-D radius-1 box:
     the second sum keeps two values live, so no run may end inside it."""
@@ -184,9 +215,8 @@ def product_of_sums(dtype: str) -> StencilPattern:
 
 
 def _runs(pattern: StencilPattern):
-    gen = ir_compile._CExprGen(numpy_dtype(pattern.dtype), "double")
-    result, _ = gen.emit(pattern.expr)
-    return gen.chunks(result, NATIVE_CHUNK_STATEMENTS), len(gen.statements)
+    statements = Lowering(pattern.expr, numpy_dtype(pattern.dtype)).statements
+    return ir_compile._native_runs(statements, NATIVE_CHUNK_STATEMENTS), len(statements)
 
 
 def test_runs_end_only_where_one_value_is_live():

@@ -81,11 +81,11 @@ def test_native_kernel_needs_a_compiler_and_bit_exact_operations(monkeypatch):
 
 
 def test_non_finite_constants_become_c_macros():
-    gen = ir_compile._CExprGen(np.float32, "float")
-    assert gen._literal(np.float32("nan")) == "(float)NAN"
-    assert gen._literal(np.float32("inf")) == "((float)INFINITY)"
-    assert gen._literal(np.float32("-inf")) == "(-(float)INFINITY)"
-    assert gen._literal(np.float32(0.5)) == "0x1.0000000000000p-1f"
+    literal = ir_compile._c_literal
+    assert literal(np.float32("nan"), "float") == "(float)NAN"
+    assert literal(np.float32("inf"), "float") == "((float)INFINITY)"
+    assert literal(np.float32("-inf"), "float") == "(-(float)INFINITY)"
+    assert literal(np.float32(0.5), "float") == "0x1.0000000000000p-1f"
 
 
 # -- lowering ------------------------------------------------------------------------------
@@ -121,9 +121,7 @@ class _Mystery(Expr):
 def test_every_backend_rejects_a_node_it_does_not_know():
     mystery = _Mystery()
     with pytest.raises(CompileError, match="unknown expression node"):
-        ir_compile._CodeGen(np.float64).emit(mystery)
-    with pytest.raises(CompileError, match="unknown expression node"):
-        ir_compile._CExprGen(np.float64, "double").emit(mystery)
+        ir_compile.Lowering(mystery, np.float64)
     interpreter = InterpretedKernel(types.SimpleNamespace(expr=mystery), "double")
     with pytest.raises(TypeError, match="unknown expression node"):
         interpreter(_grid(), (slice(1, 11), slice(1, 9)), np.zeros((10, 8)))
