@@ -3,7 +3,7 @@
 A tree-walking interpreter pays a Python dispatch per node and allocates a
 fresh temporary array per operation for every evaluated region.  This module
 lowers a :class:`StencilPattern` expression *once* (:class:`Lowering`) into a
-flat list of statements, one ``(ufunc, operand terms)`` per operation, and
+flat list of statements, one ``(operation, operand terms)`` each, and
 every engine but the interpreter runs or prints that one list.  The NumPy
 engine (:class:`CompiledKernel`) runs it as ufunc calls with ``out`` targets,
 so a whole region update runs with
@@ -83,12 +83,6 @@ from repro.ir.stencil import StencilPattern
 
 _NUMPY_DTYPES = {"float": np.float32, "double": np.float64}
 
-#: Ufuncs of the operators and calls: the NumPy engine runs them on arrays,
-#: and constant folding applies them to scalars.
-_BINOP_NUMPY: Dict[str, Callable] = {
-    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-}
-
 _CALL_NUMPY: Dict[str, Callable] = {
     "sqrt": np.sqrt,
     "sqrtf": np.sqrt,
@@ -100,6 +94,14 @@ _CALL_NUMPY: Dict[str, Callable] = {
     "max": np.maximum,
     "fmin": np.minimum,
     "fmax": np.maximum,
+}
+
+#: The ufunc of each operation a lowered statement names (an operator, a
+#: call name, or ``neg``): the NumPy engine runs them on arrays, and
+#: constant folding applies them to scalars.
+_UFUNCS: Dict[str, Callable] = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "neg": np.negative,
+    **_CALL_NUMPY,
 }
 
 Region = Tuple[slice, ...]
@@ -140,8 +142,10 @@ class Lowering:
     ``reads`` numbers the distinct read offsets in first-use order (offset
     -> its term), ``consts`` holds the dtype-typed constants (constant
     subtrees are folded with NumPy scalar arithmetic), ``statements`` holds
-    one ``(ufunc, operand terms)`` per remaining operation in evaluation
-    order, and ``result`` is the whole tree's term.
+    one ``(operation, operand terms)`` per remaining operation in evaluation
+    order (the operation is a key of :data:`_UFUNCS`; statements hold only
+    strings and numbers, so the garbage collector stops tracking them), and
+    ``result`` is the whole tree's term.
     :func:`~repro.ir.expr.fold` combines a shared subtree once per parent,
     so every statement's value has exactly one use; when there are
     statements, the last is the root's.
@@ -151,7 +155,7 @@ class Lowering:
         self.np_dtype = np_dtype
         self.reads: Dict[Tuple[int, ...], Term] = {}
         self.consts: List[object] = []
-        self.statements: List[Tuple[Callable, List[Term]]] = []
+        self.statements: List[Tuple[str, Tuple[Term, ...]]] = []
         self._const_terms: Dict[float, Term] = {}
         self.result: Term = fold(expr, self._lower)
 
@@ -161,12 +165,11 @@ class Lowering:
         Dispatch is on the exact node type, most frequent first."""
         kind = type(expr)
         if kind is BinOp:
-            ufunc = _BINOP_NUMPY[expr.op]
             (lkind, lhs), (rkind, rhs) = operands
             if lkind != "c" or rkind != "c":
-                return self._statement(ufunc, operands)
+                return self._statement(expr.op, operands)
             with np.errstate(all="ignore"):
-                return self._constant(ufunc(self.consts[lhs], self.consts[rhs]))
+                return self._constant(_UFUNCS[expr.op](self.consts[lhs], self.consts[rhs]))
         if kind is GridRead:
             term = self.reads.get(expr.offset)
             if term is None:
@@ -183,18 +186,18 @@ class Lowering:
         if kind is UnaryOp:
             ((operand_kind, number),) = operands
             if operand_kind != "c":
-                return self._statement(np.negative, operands)
+                return self._statement("neg", operands)
             return self._constant(-self.consts[number])
-        if kind is Call:
-            ufunc = _CALL_NUMPY[expr.name]  # Call checked the name and arity
+        if kind is Call:  # Call checked the name and arity
             if any(operand_kind != "c" for operand_kind, _ in operands):
-                return self._statement(ufunc, operands)
-            return self._constant(ufunc(*[self.consts[number] for _, number in operands]))
+                return self._statement(expr.name, operands)
+            values = [self.consts[number] for _, number in operands]
+            return self._constant(_UFUNCS[expr.name](*values))
         raise CompileError(f"unknown expression node {expr!r}")
 
-    def _statement(self, ufunc: Callable, operands: List[Term]) -> Term:
+    def _statement(self, operation: str, operands: List[Term]) -> Term:
         statements = self.statements
-        statements.append((ufunc, operands))
+        statements.append((operation, tuple(operands)))
         return "v", len(statements) - 1
 
     def _constant(self, value) -> Term:
@@ -282,8 +285,8 @@ class CompiledKernel:
             return number if kind == "r" else out + 1 + number
 
         ops = [
-            (ufunc, itemgetter(*[index(term) for term in operands], index(("v", number))))
-            for number, (ufunc, operands) in enumerate(lowering.statements)
+            (_UFUNCS[operation], itemgetter(*map(index, operands), index(("v", number))))
+            for number, (operation, operands) in enumerate(lowering.statements)
         ]
         if lowering.result[0] != "v":
             ops.append((np.copyto, itemgetter(out, index(lowering.result))))
@@ -344,7 +347,7 @@ class InterpretedKernel:
                     slice(s.start + off, s.stop + off) for s, off in zip(region, expr.offset)
                 )]
             if isinstance(expr, BinOp):
-                return _BINOP_NUMPY[expr.op](*args)
+                return _UFUNCS[expr.op](*args)
             if isinstance(expr, UnaryOp):
                 return -args[0]
             if isinstance(expr, Call):
@@ -557,11 +560,11 @@ def _c_literal(value, ctype: str) -> str:
     return value.hex() + ("f" if ctype == "float" else "")
 
 
-#: The C expression of each ufunc a native kernel may run: ``%s`` is an
-#: operand, ``{s}`` the math-function suffix of the C type.
+#: The C expression of each operation a native kernel may run: ``%s`` is
+#: an operand, ``{s}`` the math-function suffix of the C type.
 _C_OPERATIONS = {
-    np.add: "%s + %s", np.subtract: "%s - %s", np.multiply: "%s * %s", np.divide: "%s / %s",
-    np.negative: "-%s", np.sqrt: "sqrt{s}(%s)", np.abs: "fabs{s}(%s)",
+    "+": "%s + %s", "-": "%s - %s", "*": "%s * %s", "/": "%s / %s", "neg": "-%s",
+    "sqrt": "sqrt{s}(%s)", "sqrtf": "sqrt{s}(%s)", "fabs": "fabs{s}(%s)", "fabsf": "fabs{s}(%s)",
 }
 
 
@@ -690,12 +693,12 @@ def generate_native_source(
     # A split body's sweeps sit one block deeper.
     assign = f"{indent}{'    ' * (1 + (len(runs) > 1))}const {ctype} "
     templates = {
-        ufunc: f"{assign}%s = {template.format(s=suffix)};"
-        for ufunc, template in _C_OPERATIONS.items()
+        operation: f"{assign}%s = {template.format(s=suffix)};"
+        for operation, template in _C_OPERATIONS.items()
     }
     assignments = [
-        templates[ufunc] % (temps[number], *map(spell, operands))
-        for number, (ufunc, operands) in enumerate(statements)
+        templates[operation] % (temps[number], *map(spell, operands))
+        for number, (operation, operands) in enumerate(statements)
     ]
 
     def sweep(start: int, stop: int, stored: str, indent: str, carried: Optional[str]) -> None:

@@ -100,7 +100,7 @@ def _run_region(kernel, pattern, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Constant folding in both lowerings
+# Constant folding: one lowering, printed as C and run by NumPy
 # ---------------------------------------------------------------------------
 
 
