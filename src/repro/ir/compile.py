@@ -72,7 +72,7 @@ import subprocess
 import tempfile
 from bisect import bisect_left
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -680,15 +680,17 @@ def generate_native_source(
             pointer = row.format(f"r{number}", *map(offsets[number].__getitem__, order))
             lines.append(indent + pointer)
 
-    # Each term's C spelling: a read's row element, a literal, a temporary.
+    # Each term's C spelling, by kind and number: a read's row element, a
+    # literal, a temporary.
     statements = lowering.statements
     temps = [f"v{number}" for number in range(len(statements))]
-    names = dict(zip(lowering.reads.values(), [f"r{number}[k]" for number in range(len(offsets))]))
-    literals = [_c_literal(value, ctype) for value in lowering.consts]
-    names.update(zip(zip(repeat("c"), range(len(literals))), literals))
-    names.update(zip(zip(repeat("v"), range(len(temps))), temps))
-    spell = names.__getitem__
-    result = spell(lowering.result)
+    spelled = {
+        "r": [f"r{number}[k]" for number in range(len(offsets))],
+        "c": [_c_literal(value, ctype) for value in lowering.consts],
+        "v": temps,
+    }
+    kind, number = lowering.result
+    result = spelled[kind][number]
     runs = _native_runs(statements, NATIVE_CHUNK_STATEMENTS)
     # A split body's sweeps sit one block deeper.
     assign = f"{indent}{'    ' * (1 + (len(runs) > 1))}const {ctype} "
@@ -696,10 +698,16 @@ def generate_native_source(
         operation: f"{assign}%s = {template.format(s=suffix)};"
         for operation, template in _C_OPERATIONS.items()
     }
-    assignments = [
-        templates[operation] % (temps[number], *map(spell, operands))
-        for number, (operation, operands) in enumerate(statements)
-    ]
+    assignments = []
+    for number, (operation, operands) in enumerate(statements):
+        # Every operation C runs is unary or binary.
+        if len(operands) == 2:
+            (lkind, lhs), (rkind, rhs) = operands
+            terms = (temps[number], spelled[lkind][lhs], spelled[rkind][rhs])
+        else:
+            ((kind, operand),) = operands
+            terms = (temps[number], spelled[kind][operand])
+        assignments.append(templates[operation] % terms)
 
     def sweep(start: int, stop: int, stored: str, indent: str, carried: Optional[str]) -> None:
         lines.append(f"{indent}for (ptrdiff_t k = l{outer}; k < h{outer}; ++k) {{")
