@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from benchmarks.conftest import format_table, report
-from repro.ir.flops import flops_per_cell
 from repro.stencils.library import BENCHMARKS, load_pattern
 
 
@@ -18,7 +17,7 @@ def build_rows():
                 pattern.shape.value,
                 benchmark.radius,
                 benchmark.paper_flops_per_cell,
-                flops_per_cell(pattern.expr),
+                pattern.flops.total,
                 "yes" if pattern.associative else "no",
                 "yes" if pattern.diagonal_access_free else "no",
             )

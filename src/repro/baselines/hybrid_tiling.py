@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.common import BaselineResult
-from repro.ir.flops import alu_efficiency
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.sim.device import SimulatedGPU
@@ -86,11 +85,9 @@ class HybridTilingBaseline:
         tile_cells = self.tile_cells(pattern)
         halo_fraction = self._halo_fraction(pattern, tile_cells, bT)
 
-        flop_mix = pattern.flops
-        flops_per_cell = flop_mix.total
         cells = grid.cells
         updates = cells * grid.time_steps
-        useful_flops = updates * flops_per_cell
+        useful_flops = updates * pattern.flops.total
 
         # Global traffic: one read + one write of the grid per bT time steps,
         # plus the inter-tile boundary traffic (non-redundant but still moved).
@@ -112,7 +109,7 @@ class HybridTilingBaseline:
         if pattern.ndim == 3:
             efficiency *= _WAVEFRONT_EFFICIENCY_3D
 
-        compute_gflops = device.sustained_compute_gflops(pattern.dtype, alu_efficiency(flop_mix))
+        compute_gflops = device.sustained_compute_gflops(pattern.dtype, pattern.flops.alu_efficiency)
         division_penalty = device.division_penalty(pattern.dtype, pattern.has_division)
         time_compute = useful_flops / (compute_gflops * _GIGA) * division_penalty
         time_global = global_bytes / (device.sustained_global_gbs(pattern.dtype, 0.8) * _GIGA)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.common import BaselineResult
-from repro.ir.flops import alu_efficiency
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.gpu_specs import GpuSpec, get_gpu
 from repro.sim.device import SimulatedGPU
@@ -41,11 +40,9 @@ class LoopTilingBaseline:
 
     def simulate(self, pattern: StencilPattern, grid: GridSpec) -> BaselineResult:
         device = SimulatedGPU(self.gpu)
-        flop_mix = pattern.flops
-        flops_per_cell = flop_mix.total
         cells = grid.cells
         updates = cells * grid.time_steps
-        useful_flops = updates * flops_per_cell
+        useful_flops = updates * pattern.flops.total
         word = pattern.word_bytes
 
         # Per time step: read every cell (plus the per-tile halo re-reads that
@@ -59,7 +56,7 @@ class LoopTilingBaseline:
         bandwidth = self.gpu.measured_membw(pattern.dtype) * _GLOBAL_EFFICIENCY
         time_global = global_bytes / (bandwidth * _GIGA)
 
-        compute_gflops = device.sustained_compute_gflops(pattern.dtype, alu_efficiency(flop_mix))
+        compute_gflops = device.sustained_compute_gflops(pattern.dtype, pattern.flops.alu_efficiency)
         division_penalty = device.division_penalty(pattern.dtype, pattern.has_division)
         time_compute = useful_flops / (compute_gflops * _GIGA) * division_penalty
 

@@ -14,17 +14,10 @@ from repro.ir.expr import (
     GridRead,
     UnaryOp,
     evaluate,
-    grid_reads,
 )
 from repro.ir.stencil import GridSpec, StencilPattern
-from repro.ir.classify import (
-    StencilShape,
-    classify_shape,
-    is_associative,
-    is_diagonal_access_free,
-    uses_division,
-)
-from repro.ir.flops import FlopCount, alu_efficiency, count_flops
+from repro.ir.classify import StencilShape, classify_shape, is_associative
+from repro.ir.flops import FlopCount
 
 __all__ = [
     "BinOp",
@@ -37,12 +30,7 @@ __all__ = [
     "StencilPattern",
     "StencilShape",
     "UnaryOp",
-    "alu_efficiency",
     "classify_shape",
-    "count_flops",
     "evaluate",
-    "grid_reads",
     "is_associative",
-    "is_diagonal_access_free",
-    "uses_division",
 ]

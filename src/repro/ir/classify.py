@@ -8,6 +8,11 @@ AN5D keys three optimizations off these predicates:
   summations so only one sub-plane needs to be resident at a time,
 * everything else pays the full ``1 + 2*rad`` shared-memory stores per cell
   (Table 1).
+
+The shape comes from a pattern's offsets; associativity from one pass over
+the top-level terms of its update, which visits each term once.  A
+pattern's FLOP mix and division come from its validation walk instead
+(:class:`~repro.ir.stencil.StencilPattern`).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import enum
 import itertools
 from typing import Iterable
 
-from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, Offset, UnaryOp, grid_reads, walk
+from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, Offset, UnaryOp, walk
 
 
 class StencilShape(enum.Enum):
@@ -45,37 +50,6 @@ def classify_shape(offsets: Iterable[Offset]) -> StencilShape:
     if set(offsets) == full_box:
         return StencilShape.BOX
     return StencilShape.GENERAL
-
-
-def is_diagonal_access_free(offsets: Iterable[Offset]) -> bool:
-    """True when no access involves more than one non-zero offset component."""
-    return classify_shape(offsets) is StencilShape.STAR
-
-
-def uses_division(expr: Expr) -> bool:
-    """True when the update expression contains a division.
-
-    The paper singles these stencils out (j2d5pt, j2d9pt, j2d9pt-gol,
-    j3d27pt): with ``--use_fast_math`` single-precision division becomes a
-    multiplication, but NVCC generates inefficient code for double-precision
-    division, which the timing simulator reproduces.
-    """
-    return any(isinstance(node, BinOp) and node.op == "/" for node in walk(expr))
-
-
-def _is_single_read_term(expr: Expr) -> bool:
-    """A term that references at most one grid read (products of a read and
-    constants, possibly negated)."""
-    if len(grid_reads(expr)) > 1:
-        return False
-    # Within the term, only multiplication by constants / negation is allowed
-    # for the partial-summation rewrite to be a pure re-association.
-    for node in walk(expr):
-        if isinstance(node, BinOp) and node.op not in ("*",):
-            return False
-        if isinstance(node, Call):
-            return False
-    return True
 
 
 def sum_terms(expr: Expr) -> list[Expr]:
@@ -111,17 +85,39 @@ def sum_terms(expr: Expr) -> list[Expr]:
     return terms
 
 
+def _single_read_terms(expr: Expr) -> list[tuple[Expr, GridRead | None]] | None:
+    """Each top-level term of ``expr`` with its one grid read (``None`` for a
+    term that reads nothing), or ``None`` when some term is not a
+    single-read term.
+
+    A single-read term multiplies at most one grid read by constants,
+    possibly negated: for the partial-summation rewrite to be a pure
+    re-association, a term may hold no other operator and no call.  Each
+    term is walked once.
+    """
+    classified: list[tuple[Expr, GridRead | None]] = []
+    for term in sum_terms(expr):
+        read = None
+        for node in walk(term):
+            if isinstance(node, GridRead):
+                if read is not None:
+                    return None
+                read = node
+            elif isinstance(node, Call) or (isinstance(node, BinOp) and node.op != "*"):
+                return None
+        classified.append((term, read))
+    return classified
+
+
 def is_associative(expr: Expr) -> bool:
-    """True when the update is a sum of single-read terms.
+    """True when the update is a sum of single-read terms that reads the grid.
 
     Such stencils can be computed by partial summation: the contribution of
     each sub-plane is accumulated independently, so the kernel never needs
     more than one source sub-plane resident in shared memory at a time.
     """
-    terms = sum_terms(expr)
-    if not any(isinstance(n, GridRead) for t in terms for n in walk(t)):
-        return False
-    return all(_is_single_read_term(term) for term in terms)
+    terms = _single_read_terms(expr)
+    return terms is not None and any(read is not None for _, read in terms)
 
 
 def group_terms_by_subplane(expr: Expr) -> dict[int, list[Expr]] | None:
@@ -132,12 +128,10 @@ def group_terms_by_subplane(expr: Expr) -> dict[int, list[Expr]] | None:
     read lives on that sub-plane.  Terms without a grid read (pure constants)
     are attached to sub-plane 0.
     """
-    terms = sum_terms(expr)
-    if not all(_is_single_read_term(t) for t in terms):
+    terms = _single_read_terms(expr)
+    if terms is None:
         return None
     groups: dict[int, list[Expr]] = {}
-    for term in terms:
-        reads = grid_reads(term)
-        key = reads[0].offset[0] if reads else 0
-        groups.setdefault(key, []).append(term)
+    for term, read in terms:
+        groups.setdefault(read.offset[0] if read is not None else 0, []).append(term)
     return groups

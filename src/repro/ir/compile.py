@@ -52,10 +52,10 @@ o]``.  ``out`` receives the result and must not alias ``src``.  ``src`` and
 and any memory order; the NumPy engine lays its scratch out like ``out`` and
 the native engine runs its loop nest with the contiguous axis innermost, so
 all engines stay bit-identical on such views.  Kernels are cached per
-``(pattern, dtype, mode)``.  The tree-walking :class:`InterpretedKernel`
-shares the interface but not the lowering: it is only the oracle the others
-are checked against (``mode="interpreter"``, used by the equivalence tests
-and the fuzzer); ``"auto"`` never picks it.
+``(pattern, mode)`` and read the dtype from the pattern.  The tree-walking
+:class:`InterpretedKernel` shares the interface but not the lowering: it is
+only the oracle the others are checked against (``mode="interpreter"``, used
+by the equivalence tests and the fuzzer); ``"auto"`` never picks it.
 """
 
 from __future__ import annotations
@@ -248,10 +248,9 @@ class CompiledKernel:
 
     mode = "compiled"
 
-    def __init__(self, pattern: StencilPattern, dtype: str) -> None:
+    def __init__(self, pattern: StencilPattern) -> None:
         self.pattern = pattern
-        self.dtype = dtype
-        self.np_dtype = numpy_dtype(dtype)
+        self.np_dtype = numpy_dtype(pattern.dtype)
         self.lowering = Lowering(pattern.expr, self.np_dtype)
         # Scratch buffers are keyed by the shape and stride order of ``out``
         # and reused across calls (across tiles, time steps and launches).
@@ -330,10 +329,9 @@ class InterpretedKernel:
 
     mode = "interpreter"
 
-    def __init__(self, pattern: StencilPattern, dtype: str) -> None:
+    def __init__(self, pattern: StencilPattern) -> None:
         self.pattern = pattern
-        self.dtype = dtype
-        self.np_dtype = numpy_dtype(dtype)
+        self.np_dtype = numpy_dtype(pattern.dtype)
 
     def _eval(self, src: np.ndarray, region: Region) -> np.ndarray:
         """Evaluate the pattern node by node, bottom-up through
@@ -780,7 +778,7 @@ class NativeKernel:
 
     mode = "native"
 
-    def __init__(self, pattern: StencilPattern, dtype: str) -> None:
+    def __init__(self, pattern: StencilPattern) -> None:
         compiler = _native_compiler()
         if compiler is None:
             raise CompileError("no C compiler available for the native backend")
@@ -790,8 +788,7 @@ class NativeKernel:
                 "reproduce bit-exactly"
             )
         self.pattern = pattern
-        self.dtype = dtype
-        self.np_dtype = numpy_dtype(dtype)
+        self.np_dtype = numpy_dtype(pattern.dtype)
         self.itemsize = np.dtype(self.np_dtype).itemsize
         self.ndim = pattern.ndim
         self._compiler = compiler
@@ -807,7 +804,7 @@ class NativeKernel:
         """The entry point whose loop nest runs the dimensions in ``order``."""
         fn = self._fns.get(order)
         if fn is None:
-            source = generate_native_source(self.pattern, self.dtype, order)
+            source = generate_native_source(self.pattern, self.pattern.dtype, order)
             fn = self._fns[order] = _native_entry_point(self._compiler, source, self.ndim)
         return fn
 
@@ -894,7 +891,7 @@ def _native_pays(pattern: StencilPattern, elements: int) -> bool:
     return saved_s >= build_s and _native_compiler() is not None and native_supported(pattern)
 
 
-def _auto_kernel(pattern: StencilPattern, dtype: str, elements: int, cached):
+def _auto_kernel(pattern: StencilPattern, elements: int, cached):
     """The "auto" engine of one check of ``elements`` cell updates.
 
     Native when it pays (:func:`_native_pays`) and builds, else the NumPy
@@ -910,21 +907,21 @@ def _auto_kernel(pattern: StencilPattern, dtype: str, elements: int, cached):
     kernel = cached
     if native:
         try:
-            kernel = NativeKernel(pattern, dtype)
+            kernel = NativeKernel(pattern)
             kernel.mode = "auto:native"
         except CompileError:
             pass  # the NumPy engine is bit-identical
     if kernel is None:
-        kernel = CompiledKernel(pattern, dtype)
+        kernel = CompiledKernel(pattern)
         kernel.mode = "auto:compiled"
     return kernel
 
 
 StencilKernel = Callable[[np.ndarray, Region, np.ndarray], np.ndarray]
 
-# Keyed by (pattern.cache_key, dtype, mode); kernels hold a strong reference
-# to their pattern, so tokens can never be confused across pattern instances.
-_KERNEL_CACHE: Dict[Tuple[int, str, str], StencilKernel] = {}
+# Keyed by (pattern.cache_key, mode); kernels hold a strong reference to
+# their pattern, so tokens can never be confused across pattern instances.
+_KERNEL_CACHE: Dict[Tuple[int, str], StencilKernel] = {}
 
 
 def compile_pattern(
@@ -940,24 +937,23 @@ def compile_pattern(
     build, the NumPy engine otherwise (see :func:`_auto_kernel`; honours
     ``REPRO_NO_NATIVE=1``).  All engines produce bit-identical results.
     """
-    dtype = pattern.dtype
     if mode not in ("auto", "native", "compiled", "interpreter"):
         raise ValueError(f"unknown kernel mode {mode!r}")
-    key = (pattern.cache_key, dtype, mode)
+    key = (pattern.cache_key, mode)
     kernel = _KERNEL_CACHE.get(key)
     if mode == "auto":
-        chosen = _auto_kernel(pattern, dtype, elements, kernel)
+        chosen = _auto_kernel(pattern, elements, kernel)
         if chosen is kernel:
             return kernel
         kernel = chosen
     elif kernel is not None:
         return kernel
     elif mode == "interpreter":
-        kernel = InterpretedKernel(pattern, dtype)
+        kernel = InterpretedKernel(pattern)
     elif mode == "compiled":
-        kernel = CompiledKernel(pattern, dtype)
+        kernel = CompiledKernel(pattern)
     elif mode == "native":
-        kernel = NativeKernel(pattern, dtype)
+        kernel = NativeKernel(pattern)
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
         _KERNEL_CACHE.clear()
     _KERNEL_CACHE[key] = kernel

@@ -166,11 +166,6 @@ def walk(expr: Expr) -> Iterator[Expr]:
         stack.extend(reversed(node.children()))
 
 
-def grid_reads(expr: Expr) -> list[GridRead]:
-    """Return all :class:`GridRead` leaves in left-to-right order."""
-    return [node for node in walk(expr) if isinstance(node, GridRead)]
-
-
 def fold(expr: Expr, combine: Callable[[Expr, List[T]], T]) -> T:
     """Reduce ``expr`` bottom-up: ``combine(node, child_results)`` runs in
     post-order, children left to right.

@@ -8,13 +8,13 @@ The performance model needs two things from each stencil:
 * the ALU utilisation efficiency
   ``effALU = (2*FMA + MUL + ADD + OTHER) / (2*(FMA + MUL + ADD + OTHER))``,
   which discounts peak throughput when not every operation is an FMA.
-"""
 
+:class:`~repro.ir.stencil.StencilPattern` counts the raw operations in the
+walk that validates its tree and keeps the fused mix as ``pattern.flops``.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.ir.expr import BinOp, Call, Const, Expr, UnaryOp, walk
 
 
 @dataclass(frozen=True)
@@ -37,61 +37,36 @@ class FlopCount:
         """Total issued instructions (an FMA is a single instruction)."""
         return self.fma + self.mul + self.add + self.div + self.other
 
+    @property
+    def alu_efficiency(self) -> float:
+        """ALU utilisation efficiency ``effALU`` from Section 5.
 
-def _count_raw(expr: Expr) -> tuple[int, int, int, int]:
-    """Return (adds, muls, divs, others) before FMA fusion."""
-    adds = muls = divs = others = 0
-    for node in walk(expr):
-        if isinstance(node, BinOp):
-            if node.op in ("+", "-"):
-                adds += 1
-            elif node.op == "*":
-                muls += 1
-            elif node.op == "/":
-                if isinstance(node.rhs, Const):
-                    # --use_fast_math turns division by a constant into a
-                    # multiplication by its reciprocal.
-                    muls += 1
-                else:
-                    divs += 1
-        elif isinstance(node, UnaryOp):
-            # Negation folds into the consuming instruction on NVIDIA GPUs.
-            continue
-        elif isinstance(node, Call):
-            # Every call (sqrt, exp, min, fabs, ...) is a single "other"
-            # operation, matching how the paper counts gradient2d at 19 FLOP/cell.
-            others += 1
-    return adds, muls, divs, others
+        Peak device throughput assumes every issued instruction is an FMA
+        (2 FLOPs); a mix with plain adds/muls can reach at most this
+        fraction of peak.
+        """
+        issued = self.instruction_count
+        if issued == 0:
+            return 1.0
+        return self.total / (2.0 * issued)
 
+    @classmethod
+    def fused(cls, adds: int, muls: int, divs: int, others: int) -> "FlopCount":
+        """The mix after FMA fusion of an update's raw operation counts.
 
-def count_flops(expr: Expr) -> FlopCount:
-    """Count the operation mix of ``expr`` after FMA fusion.
+        ``adds`` counts ``+`` and ``-``; ``muls`` counts ``*`` and division
+        by a constant, which ``--use_fast_math`` turns into a multiplication
+        by its reciprocal; ``divs`` counts the other divisions; ``others``
+        counts the calls (sqrt, exp, min, fabs, ...), one operation each, as
+        the paper counts gradient2d at 19 FLOP/cell.  Negation folds into
+        the consuming instruction on NVIDIA GPUs and costs nothing.
 
-    The fusion model follows the paper: in a sum-of-products every
-    multiplication except one is paired with an addition into an FMA.  More
-    precisely ``fma = min(adds, muls)`` with the leftovers kept as plain adds
-    or muls.  This reproduces the paper's Table 3 FLOP/cell figures, e.g.
-    star2d1r: 4 muls on neighbours + 1 on the centre + 4 adds = 4 FMA + 1 MUL
-    = 9 FLOPs.
-    """
-    adds, muls, divs, others = _count_raw(expr)
-    fma = min(adds, muls)
-    return FlopCount(fma=fma, mul=muls - fma, add=adds - fma, div=divs, other=others)
-
-
-def flops_per_cell(expr: Expr) -> int:
-    """Total FLOPs per cell update (the paper's Table 3 ``FLOP/Cell``)."""
-    return count_flops(expr).total
-
-
-def alu_efficiency(count: FlopCount) -> float:
-    """ALU utilisation efficiency ``effALU`` from Section 5.
-
-    Peak device throughput assumes every issued instruction is an FMA (2
-    FLOPs); a mix with plain adds/muls can reach at most this fraction of
-    peak.
-    """
-    issued = count.instruction_count
-    if issued == 0:
-        return 1.0
-    return count.total / (2.0 * issued)
+        The fusion model follows the paper: in a sum-of-products every
+        multiplication except one is paired with an addition into an FMA.
+        More precisely ``fma = min(adds, muls)`` with the leftovers kept as
+        plain adds or muls.  This reproduces the paper's Table 3 FLOP/cell
+        figures, e.g. star2d1r: 4 muls on neighbours + 1 on the centre + 4
+        adds = 4 FMA + 1 MUL = 9 FLOPs.
+        """
+        fma = min(adds, muls)
+        return cls(fma=fma, mul=muls - fma, add=adds - fma, div=divs, other=others)

@@ -3,6 +3,13 @@
 A pattern captures everything the rest of the framework needs: the update
 expression, the set of neighbour offsets it touches, the stencil radius and
 shape classification, the data type, and the grid it applies to.
+
+The pattern walks its expression once, when it is made, and every fact the
+framework reads off the tree node by node comes from that walk: the grid
+reads, the math calls, the FLOP mix and whether it divides.  Shape and
+diagonal-access freedom follow from the reads' offsets; associativity,
+which needs the top-level sum's terms, is classified term by term on first
+use.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ from functools import cached_property
 from typing import FrozenSet, List, Tuple
 
 from repro.ir import classify
-from repro.ir.expr import Call, Expr, GridRead, Offset, walk
-from repro.ir.flops import FlopCount, count_flops
+from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, Offset, walk
+from repro.ir.flops import FlopCount
 
 _DTYPE_BYTES = {"float": 4, "double": 8}
 
@@ -75,11 +82,18 @@ class StencilPattern:
     dtype: str = "float"
     array: str = "A"
     source: str | None = None
-    #: What the validation walk of ``expr`` visits, kept so that reading
-    #: them costs no second walk: every grid read in left-to-right order,
-    #: and the names of the math calls.
+    #: What the validation walk of ``expr`` finds, kept so that reading it
+    #: costs no second walk: every grid read in left-to-right order, the
+    #: names of the math calls, the operation mix of one cell update
+    #: (:meth:`FlopCount.fused`) and whether the update divides.  The paper
+    #: singles out the dividing stencils (j2d5pt, j2d9pt, j2d9pt-gol,
+    #: j3d27pt): with ``--use_fast_math`` single-precision division becomes
+    #: a multiplication, but NVCC generates inefficient code for
+    #: double-precision division, which the timing simulator reproduces.
     reads: List[GridRead] = field(init=False, repr=False, compare=False)
     calls: FrozenSet[str] = field(init=False, repr=False, compare=False)
+    flops: FlopCount = field(init=False, repr=False, compare=False)
+    has_division: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ndim not in (1, 2, 3):
@@ -88,13 +102,31 @@ class StencilPattern:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
         reads: List[GridRead] = []
         calls = set()
+        adds = muls = divs = others = 0
+        has_division = False
         for node in walk(self.expr):
             if isinstance(node, GridRead):
                 reads.append(node)
+            elif isinstance(node, BinOp):
+                if node.op == "*":
+                    muls += 1
+                elif node.op == "/":
+                    has_division = True
+                    # --use_fast_math turns division by a constant into a
+                    # multiplication by its reciprocal.
+                    if isinstance(node.rhs, Const):
+                        muls += 1
+                    else:
+                        divs += 1
+                else:
+                    adds += 1
             elif isinstance(node, Call):
                 calls.add(node.name)
+                others += 1
         object.__setattr__(self, "reads", reads)
         object.__setattr__(self, "calls", frozenset(calls))
+        object.__setattr__(self, "flops", FlopCount.fused(adds, muls, divs, others))
+        object.__setattr__(self, "has_division", has_division)
         if not reads:
             raise ValueError("stencil expression contains no grid reads")
         for read in reads:
@@ -139,22 +171,15 @@ class StencilPattern:
     def shape(self) -> "classify.StencilShape":
         return classify.classify_shape(self.offsets)
 
-    @cached_property
+    @property
     def diagonal_access_free(self) -> bool:
-        return classify.is_diagonal_access_free(self.offsets)
+        """True when no access involves more than one non-zero offset
+        component: the star stencils."""
+        return self.shape is classify.StencilShape.STAR
 
     @cached_property
     def associative(self) -> bool:
         return classify.is_associative(self.expr)
-
-    @cached_property
-    def has_division(self) -> bool:
-        return classify.uses_division(self.expr)
-
-    @cached_property
-    def flops(self) -> FlopCount:
-        """The operation mix of one cell update, counted once per pattern."""
-        return count_flops(self.expr)
 
     def describe(self) -> str:
         """A short human-readable description used by the CLI."""

@@ -53,7 +53,6 @@ from repro.core.config import (
     BlockingConfig,
     ConfigurationError,
 )
-from repro.ir.flops import alu_efficiency
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.gpu_specs import GpuSpec
 from repro.model.traffic import shared_memory_access_per_thread
@@ -406,9 +405,8 @@ class BatchModelEngine:
         self.blocked_extents = grid.interior[1:]
         self.streaming_extent = grid.interior[0]
 
-        flop_mix = pattern.flops
-        self.flops_per_cell = flop_mix.total
-        self.alu_efficiency = alu_efficiency(flop_mix)
+        self.flops_per_cell = pattern.flops.total
+        self.alu_efficiency = pattern.flops.alu_efficiency
         access = shared_memory_access_per_thread(pattern)
         self.smem_reads_per_thread = access.reads_practical
         self.smem_writes_per_thread = access.writes

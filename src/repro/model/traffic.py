@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from repro.core.config import BlockingConfig
 from repro.ir.classify import StencilShape
-from repro.ir.flops import alu_efficiency
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.model.threads import ThreadWorkCounts, count_thread_work
 
@@ -99,8 +98,7 @@ def _compute_traffic(
     pattern: StencilPattern, grid: GridSpec, config: BlockingConfig
 ) -> TrafficTotals:
     work = count_thread_work(pattern, grid, config)
-    flop_mix = pattern.flops
-    flops_per_cell = flop_mix.total
+    flops_per_cell = pattern.flops.total
     word_bytes = pattern.word_bytes
 
     access = shared_memory_access_per_thread(pattern)
@@ -115,6 +113,6 @@ def _compute_traffic(
         useful_flops=float(useful_flops),
         global_bytes=float(global_bytes),
         shared_bytes=float(shared_bytes),
-        alu_efficiency=alu_efficiency(flop_mix),
+        alu_efficiency=pattern.flops.alu_efficiency,
         thread_work=work,
     )

@@ -6,7 +6,7 @@ from repro.core.associative import decompose_partial_sums
 from repro.core.config import BlockingConfig
 from repro.core.plan import PipelineScheduler
 from repro.core.transform import an5d_transform
-from repro.ir.expr import evaluate, grid_reads
+from repro.ir.expr import GridRead, evaluate, walk
 from repro.stencils.generators import box_stencil
 
 
@@ -46,7 +46,7 @@ def test_partial_sum_offsets_cover_column(box2d1r):
 
 def test_partial_sum_terms_read_single_subplane(box2d1r):
     for step in decompose_partial_sums(box2d1r):
-        planes = {read.offset[0] for read in grid_reads(step.expr)}
+        planes = {node.offset[0] for node in walk(step.expr) if isinstance(node, GridRead)}
         assert planes == {step.source_offset}
 
 

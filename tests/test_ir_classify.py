@@ -7,12 +7,9 @@ from repro.ir.classify import (
     classify_shape,
     group_terms_by_subplane,
     is_associative,
-    is_diagonal_access_free,
     sum_terms,
-    uses_division,
 )
 from repro.ir.expr import BinOp, Call, Const, GridRead, UnaryOp, evaluate
-from repro.ir.flops import count_flops
 from repro.stencils.generators import box_offsets, box_stencil, star_offsets, star_stencil
 
 
@@ -41,16 +38,16 @@ def test_empty_offsets_rejected():
 
 
 def test_diagonal_access_free_matches_star():
-    assert is_diagonal_access_free(star_offsets(2, 3))
-    assert not is_diagonal_access_free(box_offsets(2, 1))
+    assert star_stencil(2, 3).diagonal_access_free
+    assert not box_stencil(2, 1).diagonal_access_free
 
 
 def test_uses_division_and_sqrt(j2d5pt, gradient2d, box2d1r):
-    assert uses_division(j2d5pt.expr)
-    assert not uses_division(box2d1r.expr)
+    assert j2d5pt.has_division
+    assert not box2d1r.has_division
     # gradient2d's one sqrt is its one "other" FLOP; box2d1r calls nothing.
-    assert count_flops(gradient2d.expr).other == 1
-    assert count_flops(box2d1r.expr).other == 0
+    assert gradient2d.flops.other == 1
+    assert box2d1r.flops.other == 0
 
 
 def test_synthetic_stencils_are_associative():

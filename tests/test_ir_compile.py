@@ -9,6 +9,7 @@ per combined time step), which is replicated inline here.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import numpy as np
@@ -134,7 +135,7 @@ def test_numpy_engine_never_reads_a_stale_scratch_value(name, dtype):
     """Every scratch buffer holds NaN when a call starts: a slot read before
     the statement of this call that writes it would put NaN in the result."""
     pattern = load_pattern(name, dtype)
-    kernel = CompiledKernel(pattern, dtype)
+    kernel = CompiledKernel(pattern)
     poisoned = []
 
     def scratch_for(out):
@@ -145,7 +146,7 @@ def test_numpy_engine_never_reads_a_stale_scratch_value(name, dtype):
         return buffers
 
     kernel.scratch_for = scratch_for
-    oracle = InterpretedKernel(pattern, dtype)
+    oracle = InterpretedKernel(pattern)
     src, region = _sample_region(pattern, dtype)
     c_order = (src, region, np.empty(tuple(s.stop - s.start for s in region), src.dtype))
     stack, stack_region = _stream_last_stack(pattern, dtype)
@@ -191,7 +192,7 @@ def test_compiled_kernel_reuses_scratch_and_cache():
     assert compile_pattern(pattern, mode="compiled") is compile_pattern(
         pattern, mode="compiled"
     )
-    kernel = CompiledKernel(pattern, "float")
+    kernel = CompiledKernel(pattern)
     src, region = _sample_region(pattern, "float")
     out = np.empty(tuple(s.stop - s.start for s in region), dtype=np.float32)
     kernel(src, region, out)
@@ -205,12 +206,15 @@ def test_compiled_kernel_reuses_scratch_and_cache():
 def test_every_engine_rejects_an_unknown_dtype(mode):
     # "auto" has no interpreter fallback: no valid pattern needs one.
     engine = {
-        "auto": lambda pattern, dtype: _auto_kernel(pattern, dtype, 10**9, None),
+        "auto": lambda pattern: _auto_kernel(pattern, 10**9, None),
         "compiled": CompiledKernel,
         "interpreter": InterpretedKernel,
     }
+    # A kernel reads its pattern's dtype, which a pattern itself validates.
+    half = copy.copy(load_pattern("j2d5pt"))
+    object.__setattr__(half, "dtype", "half")
     with pytest.raises(CompileError, match="unsupported dtype"):
-        engine[mode](load_pattern("j2d5pt"), "half")
+        engine[mode](half)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from repro.ir.expr import (
     GridRead,
     UnaryOp,
     evaluate,
-    grid_reads,
     walk,
 )
+from repro.ir.stencil import StencilPattern
 
 
 def test_const_stores_value():
@@ -79,7 +79,7 @@ def test_walk_visits_every_node():
 def test_grid_reads_preserves_duplicates():
     a = GridRead("A", (0, 0))
     expr = BinOp("*", a, a)
-    assert len(grid_reads(expr)) == 2
+    assert len(StencilPattern("square", 2, expr).reads) == 2
 
 
 def test_evaluate_simple_expression():

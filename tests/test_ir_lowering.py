@@ -17,16 +17,22 @@ import sys
 
 import pytest
 
+from repro.codegen import generate_cuda
 from repro.core.config import BlockingConfig
+from repro.core.transform import an5d_transform
+from repro.frontend.stencil_detect import parse_stencil
 from repro.ir import compile as ir_compile
 from repro.ir import expr as ir_expr
 from repro.ir.compile import clear_kernel_cache, generate_native_source
 from repro.ir.expr import BinOp, Call, Const, GridRead, UnaryOp, fold
 from repro.ir.stencil import GridSpec, StencilPattern
+from repro.model import clear_model_caches
 from repro.sim.executor import BlockedStencilExecutor
 from repro.stencils.generators import box_stencil
-from repro.stencils.library import BENCHMARKS, load_pattern
+from repro.stencils.library import BENCHMARKS, get_benchmark, load_pattern
 from repro.stencils.reference import ReferenceExecutor
+from repro.tuning.autotuner import AutoTuner
+from repro.tuning.search_space import default_search_space
 
 #: sha256 of ``generate_native_source(pattern, dtype, (1, .., ndim-1, 0))``,
 #: the stream-last loop order both executors of a check run.
@@ -108,6 +114,15 @@ def test_a_radius5_box_and_a_split_logical_order_body_are_pinned():
 # ---------------------------------------------------------------------------
 
 
+def _route(monkeypatch, label: str, replacement) -> None:
+    """Bind ``replacement`` wherever a ``repro`` module bound ``ir.expr``'s
+    ``label`` (``walk`` or ``fold``)."""
+    real = getattr(ir_expr, label)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, label, None) is real:
+            monkeypatch.setattr(module, label, replacement)
+
+
 def _count_traversals(monkeypatch) -> dict:
     """Route every ``walk`` and ``fold`` that a ``repro`` module bound
     through a counter of the trees they were called on."""
@@ -118,10 +133,49 @@ def _count_traversals(monkeypatch) -> dict:
             seen[_label].append(expr)
             return _real(expr, *args)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("repro") and getattr(module, label, None) is real:
-                monkeypatch.setattr(module, label, counted)
+        _route(monkeypatch, label, counted)
     return seen
+
+
+def _count_visits(monkeypatch) -> list:
+    """Route every ``walk`` and ``fold`` that a ``repro`` module bound
+    through a counter of the nodes they visit (``visits[0]``)."""
+    visits = [0]
+    real_walk, real_fold = ir_expr.walk, ir_expr.fold
+
+    def walk(expr):
+        for node in real_walk(expr):
+            visits[0] += 1
+            yield node
+
+    def fold(expr, combine):
+        def counted(node, args):
+            visits[0] += 1
+            return combine(node, args)
+
+        return real_fold(expr, counted)
+
+    _route(monkeypatch, "walk", walk)
+    _route(monkeypatch, "fold", fold)
+    return visits
+
+
+def test_a_box3d4r_tune_item_walks_its_tree_at_most_twice(monkeypatch):
+    # The item perfbench's table3-tune times: C source -> tuned config -> CUDA.
+    # Validation walks the tree once and deriving its FLOP mix and division
+    # costs no more; associativity visits each of the 729 terms once more.
+    benchmark = get_benchmark("box3d4r")
+    nodes = sum(1 for _ in ir_expr.walk(load_pattern("box3d4r").expr))
+    visits = _count_visits(monkeypatch)
+    clear_model_caches()
+    pattern = parse_stencil(benchmark.source, name="box3d4r", dtype="float").pattern
+    grid = benchmark.default_grid()
+    tuner = AutoTuner("V100", top_k=5)
+    space = default_search_space(pattern)
+    ranked = tuner.rank(pattern, grid, space)
+    result = tuner.tune_ranked(pattern, grid, ranked, explored=space.size())
+    assert generate_cuda(an5d_transform(pattern, result.best_config)).kernel_source
+    assert nodes == 2915 and 0 < visits[0] <= 2 * nodes
 
 
 def test_a_box3d4r_check_lowers_its_tree_once(monkeypatch):

@@ -269,7 +269,7 @@ def test_a_split_body_is_bit_equal_to_both_numpy_engines_in_both_loop_orders(bui
     else:
         pattern = product_of_sums(dtype)
     assert generate_native_source(pattern, dtype).count("for (ptrdiff_t k") > 1
-    native = NativeKernel(pattern, dtype)
+    native = NativeKernel(pattern)
     expected = _outputs_in_both_orders(compile_pattern(pattern, mode="interpreter"), pattern)
     assert expected[0] == expected[1]
     assert _outputs_in_both_orders(compile_pattern(pattern, mode="compiled"), pattern) == expected
@@ -406,7 +406,7 @@ def test_a_failing_compiler_raises_its_stderr_and_auto_falls_back(cache_root, tm
     monkeypatch.setattr(ir_compile, "_NATIVE_COMPILER", fake)
     pattern = load_pattern("j2d5pt", "float")
     with pytest.raises(CompileError, match="out of kaboom"):
-        NativeKernel(pattern, "float")
+        NativeKernel(pattern)
     calls = len(log.read_text().splitlines())
     assert calls == 2  # one loop order, with and without -march=native
     executor = BlockedStencilExecutor(pattern, GRID_2D, CONFIG_2D)
@@ -433,7 +433,7 @@ def test_a_failed_march_native_build_is_retried_without_it(cache_root, tmp_path,
     monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
     monkeypatch.setattr(ir_compile, "_NATIVE_COMPILER", fake)
     pattern = line_pattern(0.25)
-    kernel = NativeKernel(pattern, "double")
+    kernel = NativeKernel(pattern)
     calls = log.read_text().splitlines()
     assert len(calls) == 2 and "-march=native" in calls[0] and "-march=native" not in calls[1]
     assert np.array_equal(
@@ -456,7 +456,7 @@ def test_an_os_error_fails_one_build_and_is_not_remembered(cache_root, monkeypat
     monkeypatch.setattr(ir_compile, "_compile_library", full_disk_twice)
     pattern = line_pattern(0.75)
     with pytest.raises(CompileError, match="No space left on device"):
-        NativeKernel(pattern, "double")
+        NativeKernel(pattern)
     # "auto" runs that check on NumPy; the next check that pays builds.
     assert compile_pattern(pattern, elements=10**8).mode == "auto:compiled"
     assert ir_compile._NATIVE_FN_CACHE == {}
@@ -602,7 +602,7 @@ def _digest_matches(path: str, data: bytes) -> bool:
 def test_a_truncated_library_is_never_loaded_but_rebuilt(cache_root, monkeypatch):
     monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
     pattern = line_pattern(0.125, "float")
-    NativeKernel(pattern, "float")
+    NativeKernel(pattern)
     cache = native_cache_dir()
     names = _libraries(cache)
     for name in names:
@@ -614,7 +614,7 @@ def test_a_truncated_library_is_never_loaded_but_rebuilt(cache_root, monkeypatch
         os.replace(path + ".cut", path)
     monkeypatch.setattr(ir_compile, "_NATIVE_FN_CACHE", {})
     loaded = _spy_loads(monkeypatch)
-    kernel = NativeKernel(pattern, "float")
+    kernel = NativeKernel(pattern)
     assert len(loaded) == 1 and all(_digest_matches(path, data) for path, data in loaded)
     assert _libraries(cache) == names
     assert np.array_equal(
@@ -627,13 +627,13 @@ def test_a_truncated_library_is_never_loaded_but_rebuilt(cache_root, monkeypatch
 def test_a_group_or_world_writable_cache_is_never_loaded_from(cache_root, monkeypatch, mode):
     monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
     pattern = line_pattern(0.375, "double")
-    NativeKernel(pattern, "double")
+    NativeKernel(pattern)
     cache = native_cache_dir()
     names = _libraries(cache)
     os.chmod(cache, mode)
     monkeypatch.setattr(ir_compile, "_NATIVE_FN_CACHE", {})
     loaded = _spy_loads(monkeypatch)
-    NativeKernel(pattern, "double")
+    NativeKernel(pattern)
     assert len(loaded) == 1
     assert all(os.path.dirname(path) != cache for path, _ in loaded)
     assert _libraries(cache) == names  # nothing written there either
@@ -645,7 +645,7 @@ def test_a_group_or_world_writable_cache_is_never_loaded_from(cache_root, monkey
 def test_a_cache_owned_by_another_user_is_never_loaded_from(cache_root, monkeypatch):
     monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
     pattern = line_pattern(0.625, "float")
-    NativeKernel(pattern, "float")
+    NativeKernel(pattern)
     # The directory this process would use, for a uid it does not have.
     other = os.getuid() + 1
     theirs = os.path.join(str(cache_root), f"repro-native-kernels-{other}")
@@ -653,7 +653,7 @@ def test_a_cache_owned_by_another_user_is_never_loaded_from(cache_root, monkeypa
     monkeypatch.setattr(ir_compile.os, "getuid", lambda: other)
     monkeypatch.setattr(ir_compile, "_NATIVE_FN_CACHE", {})
     loaded = _spy_loads(monkeypatch)
-    NativeKernel(pattern, "float")
+    NativeKernel(pattern)
     assert len(loaded) == 1
     assert all(os.path.dirname(path) != theirs for path, _ in loaded)
 
@@ -662,13 +662,13 @@ def test_a_cache_owned_by_another_user_is_never_loaded_from(cache_root, monkeypa
 def test_a_group_writable_library_is_never_loaded(cache_root, monkeypatch):
     monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
     pattern = line_pattern(0.875, "double")
-    NativeKernel(pattern, "double")
+    NativeKernel(pattern)
     cache = native_cache_dir()
     for name in _libraries(cache):
         os.chmod(os.path.join(cache, name), 0o770)
     monkeypatch.setattr(ir_compile, "_NATIVE_FN_CACHE", {})
     loaded = _spy_loads(monkeypatch)
-    NativeKernel(pattern, "double")
+    NativeKernel(pattern)
     assert len(loaded) == 1
     for path, _ in loaded:
         assert not os.stat(path).st_mode & 0o022
@@ -689,7 +689,7 @@ def test_the_build_key_changes_with_the_compiler_and_the_source(tmp_path):
 @needs_cc
 def test_one_layout_decision_per_call_shape(monkeypatch):
     pattern = load_pattern("j2d5pt", "double")
-    native = NativeKernel(pattern, "double")
+    native = NativeKernel(pattern)
     compiled = compile_pattern(pattern, mode="compiled")
     rng = np.random.default_rng(5)
 

@@ -53,11 +53,11 @@ def _apply(kernel, src: np.ndarray, radius: int = 1) -> np.ndarray:
 @needs_cc
 def test_native_kernel_hands_arrays_with_no_shared_contiguous_axis_to_numpy():
     pattern = load_pattern("j2d5pt", "double")
-    native = NativeKernel(pattern, "double")
+    native = NativeKernel(pattern)
     src = _grid((24, 20))[::2, ::2]  # no axis has unit stride
     region = tuple(slice(1, n - 1) for n in src.shape)
     expected = np.empty(tuple(n - 2 for n in src.shape))
-    CompiledKernel(pattern, "double")(src, region, expected)
+    CompiledKernel(pattern)(src, region, expected)
     out = np.empty_like(expected)
     native(src, region, out)
     assert native.fallback_calls == 1
@@ -74,10 +74,10 @@ def test_native_kernel_needs_a_compiler_and_bit_exact_operations(monkeypatch):
     assert not ir_compile.native_supported(exp)
     monkeypatch.setattr(ir_compile, "_native_compiler", lambda: "cc")
     with pytest.raises(CompileError, match="uses operations the native backend cannot reproduce"):
-        NativeKernel(exp, "double")
+        NativeKernel(exp)
     monkeypatch.setattr(ir_compile, "_native_compiler", lambda: None)
     with pytest.raises(CompileError, match="no C compiler available for the native backend"):
-        NativeKernel(load_pattern("j2d5pt", "double"), "double")
+        NativeKernel(load_pattern("j2d5pt", "double"))
 
 
 def test_non_finite_constants_become_c_macros():
@@ -100,8 +100,8 @@ NEGATED = BinOp("+", UnaryOp("-", GridRead(A, (0, 1))), BinOp("*", Const(0.5), _
 def test_reads_alone_and_negated_lower_like_the_interpreter(expr):
     pattern = StencilPattern("edge", 2, expr, dtype="double")
     src = _grid()
-    expected = _apply(InterpretedKernel(pattern, "double"), src)
-    assert _apply(CompiledKernel(pattern, "double"), src).tobytes() == expected.tobytes()
+    expected = _apply(InterpretedKernel(pattern), src)
+    assert _apply(CompiledKernel(pattern), src).tobytes() == expected.tobytes()
     if isinstance(expr, GridRead):
         assert np.array_equal(expected, src[2:, :-2])
 
@@ -110,8 +110,8 @@ def test_reads_alone_and_negated_lower_like_the_interpreter(expr):
 def test_a_negated_read_runs_natively_like_numpy():
     pattern = StencilPattern("edge", 2, NEGATED, dtype="double")
     src = _grid()
-    expected = _apply(CompiledKernel(pattern, "double"), src)
-    assert _apply(NativeKernel(pattern, "double"), src).tobytes() == expected.tobytes()
+    expected = _apply(CompiledKernel(pattern), src)
+    assert _apply(NativeKernel(pattern), src).tobytes() == expected.tobytes()
 
 
 class _Mystery(Expr):
@@ -122,7 +122,7 @@ def test_every_backend_rejects_a_node_it_does_not_know():
     mystery = _Mystery()
     with pytest.raises(CompileError, match="unknown expression node"):
         ir_compile.Lowering(mystery, np.float64)
-    interpreter = InterpretedKernel(types.SimpleNamespace(expr=mystery), "double")
+    interpreter = InterpretedKernel(types.SimpleNamespace(expr=mystery, dtype="double"))
     with pytest.raises(TypeError, match="unknown expression node"):
         interpreter(_grid(), (slice(1, 11), slice(1, 9)), np.zeros((10, 8)))
     with pytest.raises(TypeError, match="unknown expression node"):
@@ -149,8 +149,8 @@ def test_evaluate_subtracts():
 def test_a_full_scratch_cache_is_dropped_and_refilled(monkeypatch):
     monkeypatch.setattr(ir_compile, "_SCRATCH_SHAPES_MAX", 1)
     pattern = load_pattern("j2d5pt", "double")
-    kernel = CompiledKernel(pattern, "double")
-    oracle = InterpretedKernel(pattern, "double")
+    kernel = CompiledKernel(pattern)
+    oracle = InterpretedKernel(pattern)
     for shape in ((12, 10), (9, 14), (12, 10)):
         src = _grid(shape)
         assert _apply(kernel, src).tobytes() == _apply(oracle, src).tobytes()
@@ -165,7 +165,7 @@ def test_a_full_kernel_cache_is_dropped_and_still_returns_correct_kernels(monkey
         pattern = load_pattern(name, "double")
         kernel = compile_pattern(pattern, mode="compiled")
         assert len(ir_compile._KERNEL_CACHE) == 1
-        expected = _apply(InterpretedKernel(pattern, "double"), src, pattern.radius)
+        expected = _apply(InterpretedKernel(pattern), src, pattern.radius)
         assert _apply(kernel, src, pattern.radius).tobytes() == expected.tobytes()
 
 

@@ -7,7 +7,8 @@ import pytest
 from repro.ir.classify import StencilShape
 from repro.ir.expr import BinOp, Const, GridRead
 from repro.ir.stencil import GridSpec, StencilPattern
-from repro.stencils.generators import box_stencil, star_stencil
+from repro.stencils.generators import box_stencil, fuzz_stencil, star_stencil
+from repro.stencils.library import BENCHMARKS, load_pattern
 
 
 def test_grid_spec_basic_properties():
@@ -88,3 +89,94 @@ def test_synthetic_generator_rejects_bad_arguments():
         star_stencil(4, 1)
     with pytest.raises(ValueError):
         box_stencil(2, 0)
+
+
+#: ``(fma, mul, add, div, other, has_division, associative, shape,
+#: diagonal_access_free)`` of every Table-3 stencil in both dtypes and of
+#: ``fuzz_stencil(7, 0..19)``: the model, tuner and code generator choose
+#: from these, so a rework of the walk that derives them must move none.
+PATTERN_FACTS = {
+    ('star2d1r', 'float'): (4, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('star2d1r', 'double'): (4, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('box2d1r', 'float'): (8, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('box2d1r', 'double'): (8, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('star2d2r', 'float'): (8, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('star2d2r', 'double'): (8, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('box2d2r', 'float'): (24, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('box2d2r', 'double'): (24, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('star2d3r', 'float'): (12, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('star2d3r', 'double'): (12, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('box2d3r', 'float'): (48, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('box2d3r', 'double'): (48, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('star2d4r', 'float'): (16, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('star2d4r', 'double'): (16, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('box2d4r', 'float'): (80, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('box2d4r', 'double'): (80, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('star3d1r', 'float'): (6, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('star3d1r', 'double'): (6, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('box3d1r', 'float'): (26, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('box3d1r', 'double'): (26, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('star3d2r', 'float'): (12, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('star3d2r', 'double'): (12, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('box3d2r', 'float'): (124, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('box3d2r', 'double'): (124, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('star3d3r', 'float'): (18, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('star3d3r', 'double'): (18, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('box3d3r', 'float'): (342, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('box3d3r', 'double'): (342, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('star3d4r', 'float'): (24, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('star3d4r', 'double'): (24, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('box3d4r', 'float'): (728, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('box3d4r', 'double'): (728, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('j2d5pt', 'float'): (4, 2, 0, 0, 0, True, True, 'STAR', True),
+    ('j2d5pt', 'double'): (4, 2, 0, 0, 0, True, True, 'STAR', True),
+    ('j2d9pt', 'float'): (8, 2, 0, 0, 0, True, True, 'STAR', True),
+    ('j2d9pt', 'double'): (8, 2, 0, 0, 0, True, True, 'STAR', True),
+    ('j2d9pt-gol', 'float'): (8, 2, 0, 0, 0, True, True, 'BOX', False),
+    ('j2d9pt-gol', 'double'): (8, 2, 0, 0, 0, True, True, 'BOX', False),
+    ('gradient2d', 'float'): (5, 0, 8, 1, 1, True, False, 'STAR', True),
+    ('gradient2d', 'double'): (5, 0, 8, 1, 1, True, False, 'STAR', True),
+    ('j3d27pt', 'float'): (26, 2, 0, 0, 0, True, True, 'BOX', False),
+    ('j3d27pt', 'double'): (26, 2, 0, 0, 0, True, True, 'BOX', False),
+    ('fuzz-7-0', 'float'): (124, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('fuzz-7-1', 'double'): (12, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-2', 'float'): (4, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-3', 'double'): (18, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-4', 'double'): (10, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-5', 'float'): (26, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('fuzz-7-6', 'float'): (26, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('fuzz-7-7', 'float'): (124, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('fuzz-7-8', 'float'): (12, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-9', 'double'): (26, 1, 0, 0, 0, False, True, 'BOX', False),
+    ('fuzz-7-10', 'float'): (16, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-11', 'double'): (12, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-12', 'double'): (12, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-13', 'double'): (6, 0, 3, 0, 0, False, False, 'STAR', True),
+    ('fuzz-7-14', 'float'): (12, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-15', 'float'): (18, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-16', 'float'): (16, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-17', 'float'): (8, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-18', 'double'): (8, 1, 0, 0, 0, False, True, 'STAR', True),
+    ('fuzz-7-19', 'double'): (6, 1, 0, 0, 0, False, True, 'STAR', True),
+}
+
+
+def _facts(pattern):
+    flops = pattern.flops
+    return (
+        flops.fma, flops.mul, flops.add, flops.div, flops.other,
+        pattern.has_division, pattern.associative, pattern.shape.name,
+        pattern.diagonal_access_free,
+    )
+
+
+def test_every_derived_fact_of_a_pattern_is_pinned():
+    facts = {
+        (name, dtype): _facts(load_pattern(name, dtype))
+        for name in BENCHMARKS
+        for dtype in ("float", "double")
+    }
+    for index in range(20):
+        pattern = fuzz_stencil(7, index).build_pattern()
+        facts[pattern.name, pattern.dtype] = _facts(pattern)
+    assert facts == PATTERN_FACTS

@@ -294,9 +294,5 @@ def test_roofline_scales_with_gpu(j2d5pt, v100, p100, eval_2d_grid):
 
 
 def test_gcells_consistent_with_gflops(j2d5pt, v100, eval_2d_grid):
-    from repro.ir.flops import flops_per_cell
-
     prediction = predict_performance(j2d5pt, eval_2d_grid, BlockingConfig(bT=8, bS=(256,)), v100)
-    assert prediction.gflops == pytest.approx(
-        prediction.gcells * flops_per_cell(j2d5pt.expr), rel=1e-6
-    )
+    assert prediction.gflops == pytest.approx(prediction.gcells * j2d5pt.flops.total, rel=1e-6)

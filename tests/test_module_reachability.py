@@ -10,8 +10,9 @@ The name check does the same one level down: every top-level function and
 class of ``src/repro``, and every method, must be referenced from non-test
 code outside its own definition.  A name found only in ``tests/`` is either
 missing a caller or should be deleted.  The ``python - <<'EOF'`` scripts of
-the CI workflows count as non-test code, and every ``repro`` name they import
-must exist.
+the CI workflows count as non-test code.  Every ``repro`` name they or any
+file under the script directories import must exist, tests there included:
+CI runs few of those files, so a stale import would fail nowhere else.
 
 The option check does the same for values: every defaulted parameter and
 dataclass constructor field in ``src/repro`` must be passed somewhere by that
@@ -245,10 +246,20 @@ def test_every_repro_name_has_a_non_test_caller():
     assert not flagged, "only tests reach (add a caller or delete):\n" + "\n".join(flagged)
 
 
+def _script_sources() -> Iterator[Tuple[str, str]]:
+    """``(label, source)`` of every CI workflow script and every file under
+    the script directories."""
+    yield from workflow_scripts()
+    for directory in SCRIPT_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            yield str(path.relative_to(REPO)), path.read_text()
+
+
 def test_workflow_scripts_import_only_live_names():
-    """A CI script importing a deleted name fails here, not in a CI job."""
+    """A script importing a deleted name fails here, not in a CI job or in
+    the next run of a benchmark no CI job runs."""
     dead = []
-    for label, source in workflow_scripts():
+    for label, source in _script_sources():
         for node in ast.walk(ast.parse(source, filename=label)):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
                 module = importlib.import_module(node.module)
@@ -265,7 +276,7 @@ def test_workflow_scripts_import_only_live_names():
                             importlib.import_module(alias.name)
                         except ImportError:
                             dead.append(f"{label} {alias.name}")
-    assert not dead, "CI scripts import names that do not exist:\n" + "\n".join(dead)
+    assert not dead, "scripts import names that do not exist:\n" + "\n".join(dead)
 
 
 def test_allowlist_entries_are_live_and_give_a_reason():

@@ -13,7 +13,6 @@ from repro.core.execution_model import ExecutionModel, ThreadCategory
 from repro.core.register_alloc import FixedRegisterAllocation
 from repro.core.shared_memory import an5d_shared_memory_plan, stencilgen_shared_memory_plan
 from repro.ir.expr import evaluate
-from repro.ir.flops import alu_efficiency, count_flops
 from repro.ir.stencil import GridSpec
 from repro.sim.executor import verify_blocking
 from repro.stencils.generators import box_stencil, star_stencil
@@ -51,7 +50,7 @@ def test_offset_set_is_symmetric(pattern):
 @_SETTINGS
 @given(stencil_strategy)
 def test_alu_efficiency_in_half_one_range(pattern):
-    assert 0.5 <= alu_efficiency(count_flops(pattern.expr)) <= 1.0
+    assert 0.5 <= pattern.flops.alu_efficiency <= 1.0
 
 
 @_SETTINGS
