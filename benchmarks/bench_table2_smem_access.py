@@ -1,4 +1,11 @@
-"""Table 2: shared-memory accesses per thread (expected vs practical)."""
+"""Table 2: shared-memory accesses per thread (expected vs practical).
+
+The "expected" column is what the emitted kernels read: tier-1 counts the
+distinct ``__an5d_sm_load`` addresses of every CALC/STORE body of the tuned
+Table-5 kernels against it.  The "practical" column is a modelled
+assumption, not a measurement: the paper attributes it to NVCC caching
+shared-memory values in registers, which needs NVCC and a GPU to observe.
+"""
 
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ def build_rows():
 def test_table2_shared_memory_access(benchmark):
     rows = benchmark(build_rows)
     table = format_table(
-        ["dims", "shape", "rad", "read (expected)", "read (practical)", "write"], rows
+        ["dims", "shape", "rad", "read (expected)", "read (practical, modelled)", "write"], rows
     )
     report("table2_smem_access", "Table 2: shared memory access per thread", table)
 

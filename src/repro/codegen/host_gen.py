@@ -1,166 +1,100 @@
 """CUDA host code generation (Section 4.3.1).
 
 The host side allocates the double-buffered device arrays, copies the input,
-and calls the kernel once per ``bT`` combined time steps.  Because the input
-programs are double buffered through ``% 2``, the result must end up in the
-buffer the original loop would have left it in; the generator therefore emits
-statically created conditional branches that shorten the final block of time
-steps whenever ``I_T mod bT != 0`` or the launch-count parity would differ
-from the original loop's parity.
+and calls the kernel once per ``bT`` combined time steps.  Because ``I_T`` is
+a run-time value, the remainder ``I_T mod bT`` gets statically generated
+conditional branches, one per residual step count.  Each branch launches the
+same full-``bT`` kernel as a full block: the kernel has no step-count
+parameter, so the branches do not yet shorten the last block as their
+comment says.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.codegen.cuda_ast import Block, Declare, For, FuncDef, If, Raw
-from repro.codegen.emitter import CudaEmitter
+from repro.codegen.kernel_gen import cuda_names, indent
 from repro.core.plan import KernelPlan
 
 
-class HostGenerator:
-    """Generates the host-side driver for one kernel plan."""
-
-    def __init__(self, plan: KernelPlan) -> None:
-        self.plan = plan
-        self.pattern = plan.pattern
-        self.config = plan.config
-        self.emitter = CudaEmitter()
-
-    @property
-    def kernel_name(self) -> str:
-        return f"an5d_kernel_{self.pattern.name.replace('-', '_')}"
-
-    @property
-    def host_name(self) -> str:
-        return f"an5d_host_{self.pattern.name.replace('-', '_')}"
-
-    def _grid_dim(self) -> str:
-        compute = self.config.compute_region(self.pattern.radius)
-        if self.pattern.ndim == 2:
-            return f"dim3((__an5d_is1 + {compute[0]} - 1) / {compute[0]})"
-        return (
-            f"dim3((__an5d_is2 + {compute[1]} - 1) / {compute[1]}, "
-            f"(__an5d_is1 + {compute[0]} - 1) / {compute[0]})"
-        )
-
-    def _block_dim(self) -> str:
-        if self.pattern.ndim == 2:
-            return f"dim3({self.config.bS[0]})"
-        size_y, size_x = self.config.bS
-        return f"dim3({size_x}, {size_y})"
-
-    def _size_params(self) -> List[str]:
-        return [f"int __an5d_is{d}" for d in range(self.pattern.ndim)]
-
-    def _size_args(self) -> str:
-        return ", ".join(f"__an5d_is{d}" for d in range(self.pattern.ndim))
-
-    def _stream_bounds(self) -> str:
-        if self.config.hS is None:
-            return "0, __an5d_is0"
-        return "__an5d_hs_begin, __an5d_hs_end"
-
-    def _launch(self, steps_expr: str, src: str, dst: str) -> List:
-        statements: List = []
-        call = (
-            f"{self.kernel_name}<<<__an5d_grid, __an5d_block>>>"
-            f"({src}, {dst}, {self._size_args()}, {self._stream_bounds()});"
-        )
-        if self.config.hS is None:
-            statements.append(Raw(f"// advance {steps_expr} combined time step(s)"))
-            statements.append(Raw(call))
-        else:
-            loop = For(
-                init="int __an5d_hs_begin = 0",
-                condition="__an5d_hs_begin < __an5d_is0",
-                step=f"__an5d_hs_begin += {self.config.hS}",
-                body=Block(
-                    [
-                        Declare(
-                            "int",
-                            "__an5d_hs_end",
-                            f"min(__an5d_hs_begin + {self.config.hS}, __an5d_is0)",
-                        ),
-                        Raw(call),
-                    ]
-                ),
-            )
-            statements.append(Raw(f"// advance {steps_expr} combined time step(s), "
-                                  f"streaming dimension divided into blocks of {self.config.hS}"))
-            statements.append(loop)
-        return statements
-
-    def generate(self) -> str:
-        bT = self.config.bT
-        dtype = self.pattern.dtype
-        params = (
-            f"{dtype} *__an5d_buf0",
-            f"{dtype} *__an5d_buf1",
-            *self._size_params(),
-            "int __an5d_it",
-        )
-        body = Block()
-        body.add(Declare("const dim3", "__an5d_grid", self._grid_dim()))
-        body.add(Declare("const dim3", "__an5d_block", self._block_dim()))
-        body.add(Declare("int", "__an5d_t", "0"))
-        body.add(
-            Raw(
-                f"// Full blocks of bT = {bT} combined time steps.\n"
-                f"int __an5d_full_blocks = __an5d_it / {bT};\n"
-                f"int __an5d_remainder = __an5d_it % {bT};\n"
-                "// Keep the final result in the buffer the original '% 2' loop\n"
-                "// would have used: shorten the last block when the remainder or the\n"
-                "// launch-count parity requires it (Section 4.3.1)."
-            )
-        )
-        main_loop = For(
-            init="int __an5d_b = 0",
-            condition="__an5d_b < __an5d_full_blocks",
-            step="__an5d_b++",
-            body=Block(
-                self._launch(str(bT), "__an5d_buf0", "__an5d_buf1")
-                + [
-                    Raw(f"{dtype} *__an5d_tmp = __an5d_buf0; "
-                        "__an5d_buf0 = __an5d_buf1; __an5d_buf1 = __an5d_tmp;"),
-                    Raw(f"__an5d_t += {bT};"),
-                ]
-            ),
-        )
-        body.add(main_loop)
-
-        # Remainder: one branch per possible residual step count, generated
-        # statically because I_T is a run-time value.
-        for residual in range(1, bT):
-            body.add(
-                If(
-                    condition=f"__an5d_remainder == {residual}",
-                    then=Block(
-                        self._launch(str(residual), "__an5d_buf0", "__an5d_buf1")
-                        + [
-                            Raw(f"{dtype} *__an5d_tmp = __an5d_buf0; "
-                                "__an5d_buf0 = __an5d_buf1; __an5d_buf1 = __an5d_tmp;"),
-                            Raw(f"__an5d_t += {residual};"),
-                        ]
-                    ),
-                )
-            )
-        body.add(Raw("(void)__an5d_t;"))
-
-        func = FuncDef(
-            return_type="void",
-            name=self.host_name,
-            params=params,
-            body=body,
-        )
-        header = [
-            f"// AN5D generated host code for stencil '{self.pattern.name}'",
-            f"// configuration: {self.config.describe()}",
-            "",
+def _advance(plan: KernelPlan, steps: int) -> List[str]:
+    """Launch the kernel for ``steps`` combined time steps, then swap buffers."""
+    config = plan.config
+    ndim = plan.pattern.ndim
+    sizes = ", ".join(f"__an5d_is{d}" for d in range(ndim))
+    bounds = "0, __an5d_is0" if config.hS is None else "__an5d_hs_begin, __an5d_hs_end"
+    call = (
+        f"{cuda_names(plan)[0]}<<<__an5d_grid, __an5d_block>>>"
+        f"(__an5d_buf0, __an5d_buf1, {sizes}, {bounds});"
+    )
+    if config.hS is None:
+        lines = [f"// advance {steps} combined time step(s)", call]
+    else:
+        lines = [
+            f"// advance {steps} combined time step(s), "
+            f"streaming dimension divided into blocks of {config.hS}",
+            "for (int __an5d_hs_begin = 0; __an5d_hs_begin < __an5d_is0; "
+            f"__an5d_hs_begin += {config.hS}) {{",
+            *indent([
+                f"int __an5d_hs_end = min(__an5d_hs_begin + {config.hS}, __an5d_is0);",
+                call,
+            ]),
+            "}",
         ]
-        return "\n".join(header) + self.emitter.emit(func) + "\n"
+    return lines + [
+        f"{plan.pattern.dtype} *__an5d_tmp = __an5d_buf0; "
+        "__an5d_buf0 = __an5d_buf1; __an5d_buf1 = __an5d_tmp;",
+        f"__an5d_t += {steps};",
+    ]
 
 
 def generate_host(plan: KernelPlan) -> str:
     """Generate the CUDA host driver source for a plan."""
-    return HostGenerator(plan).generate()
+    config = plan.config
+    pattern = plan.pattern
+    bT = config.bT
+    compute = config.compute_region(pattern.radius)
+    if pattern.ndim == 2:
+        grid = f"dim3((__an5d_is1 + {compute[0]} - 1) / {compute[0]})"
+        block = f"dim3({config.bS[0]})"
+    else:
+        grid = (
+            f"dim3((__an5d_is2 + {compute[1]} - 1) / {compute[1]}, "
+            f"(__an5d_is1 + {compute[0]} - 1) / {compute[0]})"
+        )
+        block = f"dim3({config.bS[1]}, {config.bS[0]})"
+    params = ", ".join([
+        f"{pattern.dtype} *__an5d_buf0",
+        f"{pattern.dtype} *__an5d_buf1",
+        *(f"int __an5d_is{d}" for d in range(pattern.ndim)),
+        "int __an5d_it",
+    ])
+    body = [
+        f"const dim3 __an5d_grid = {grid};",
+        f"const dim3 __an5d_block = {block};",
+        "int __an5d_t = 0;",
+        f"// Full blocks of bT = {bT} combined time steps.",
+        f"int __an5d_full_blocks = __an5d_it / {bT};",
+        f"int __an5d_remainder = __an5d_it % {bT};",
+        "// Keep the final result in the buffer the original '% 2' loop",
+        "// would have used: shorten the last block when the remainder or the",
+        "// launch-count parity requires it (Section 4.3.1).",
+        "for (int __an5d_b = 0; __an5d_b < __an5d_full_blocks; __an5d_b++) {",
+        *indent(_advance(plan, bT)),
+        "}",
+    ]
+    for residual in range(1, bT):
+        body += [
+            f"if (__an5d_remainder == {residual}) {{",
+            *indent(_advance(plan, residual)),
+            "}",
+        ]
+    body.append("(void)__an5d_t;")
+    lines = [
+        f"// AN5D generated host code for stencil '{pattern.name}'",
+        f"// configuration: {config.describe()}",
+        f"void {cuda_names(plan)[1]}({params}) {{",
+        *indent(body),
+        "}",
+    ]
+    return "\n".join(lines) + "\n"

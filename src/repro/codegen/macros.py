@@ -11,14 +11,16 @@ encode where each operand lives:
 * loads/stores address global memory through the streaming index argument.
 
 For diagonal-access-free (star) stencils the shared-memory buffers hold a
-single sub-plane; for other stencils they hold ``1 + 2*rad`` sub-planes.  The
-associative partial-summation schedule is modelled at the plan/resource level
-(see :mod:`repro.core.associative`); its emitted CUDA uses the general
-multi-plane form, a simplification documented in DESIGN.md.
+single sub-plane; for other stencils they hold ``1 + 2*rad`` sub-planes.
+Associative stencils therefore get ``1 + 2*rad`` planes too, although
+:func:`repro.core.shared_memory.an5d_shared_memory_plan` prices one (the
+§4.1 partial-summation schedule of :mod:`repro.core.associative`, which
+this module does not emit yet).
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 from repro.core.plan import KernelPlan
@@ -40,7 +42,9 @@ _CALL_RENDER = {
 
 
 def _float_literal(value: float, dtype: str) -> str:
-    text = f"{value:.9g}"
+    """A finite ``double`` prints its shortest round-trip decimal; the rest 9 digits."""
+    finite = math.isfinite(value)
+    text = repr(float(value)) if dtype == "double" and finite else f"{value:.9g}"
     if "." not in text and "e" not in text and "inf" not in text and "nan" not in text:
         text += ".0"
     return text + ("f" if dtype == "float" else "")
@@ -115,16 +119,13 @@ def _smem_plane_count(plan: KernelPlan) -> int:
     return 1 + 2 * plan.pattern.radius
 
 
-def smem_declaration(plan: KernelPlan, block_dims: Sequence[str]) -> List[str]:
+def smem_declaration(plan: KernelPlan) -> List[str]:
     """Shared-memory buffer declarations (double buffered by default)."""
-    dtype = plan.pattern.dtype
     planes = _smem_plane_count(plan)
-    plane_dim = f"[{planes}]" if planes > 1 else ""
-    dims = "".join(f"[{d}]" for d in block_dims)
-    buffers = plan.smem_buffers
-    return [
-        f"__shared__ {dtype} __an5d_sm{b}{plane_dim}{dims};" for b in range(buffers)
-    ]
+    dims = "".join(f"[{d}]" for d in reversed(plan.config.bS))
+    dims = (f"[{planes}]" if planes > 1 else "") + dims
+    dtype = plan.pattern.dtype
+    return [f"__shared__ {dtype} __an5d_sm{b}{dims};" for b in range(plan.smem_buffers)]
 
 
 def generate_macro_definitions(plan: KernelPlan) -> str:
@@ -159,14 +160,17 @@ def generate_macro_definitions(plan: KernelPlan) -> str:
 
     source_args = ", ".join(f"s{k}" for k in range(period))
     source_registers = [f"(s{k})" for k in range(period)]
+    # One body per shared-memory buffer read: the CALC/STORE macros share it.
+    buffers = plan.smem_buffers
+    bodies = [
+        render_expression(pattern, pattern.expr, source_registers, f"__an5d_sm{b}", multi_plane)
+        for b in range(min(plan.config.bT, buffers))
+    ]
     for step in range(1, plan.config.bT):
         # With double buffering, time step T reads the buffer its predecessor
         # wrote and writes the other one (Section 4.2.2).
-        read_buffer = f"__an5d_sm{(step - 1) % plan.smem_buffers}"
-        write_buffer = f"__an5d_sm{step % plan.smem_buffers}"
-        body = render_expression(
-            pattern, pattern.expr, source_registers, read_buffer, multi_plane
-        )
+        body = bodies[(step - 1) % buffers]
+        write_buffer = f"__an5d_sm{step % buffers}"
         plane_store = f"[{rad}]" if multi_plane else ""
         lines.append(
             f"#define CALC{step}(dst, {source_args}) do {{ \\\n"
@@ -177,10 +181,7 @@ def generate_macro_definitions(plan: KernelPlan) -> str:
         )
 
     # STORE: final combined time step writes the compute region only.
-    final_buffer = f"__an5d_sm{(plan.config.bT - 1) % plan.smem_buffers}"
-    final_body = render_expression(
-        pattern, pattern.expr, source_registers, final_buffer, multi_plane
-    )
+    final_body = bodies[(plan.config.bT - 1) % buffers]
     lines.append(
         f"#define STORE(__an5d_plane, {source_args}) do {{ \\\n"
         "    if (__an5d_in_compute_region) \\\n"
@@ -189,12 +190,3 @@ def generate_macro_definitions(plan: KernelPlan) -> str:
     )
     return "\n".join(lines)
 
-
-def macro_call_text(plan: KernelPlan, kind: str, time_step: int, plane: str, args: Sequence[str]) -> str:
-    """Render one macro invocation."""
-    name = f"CALC{time_step}" if kind == "CALC" else kind
-    if kind == "LOAD":
-        return f"LOAD({args[0]}, {plane});"
-    if kind == "STORE":
-        return f"STORE({plane}, {', '.join(args)});"
-    return f"{name}({', '.join(args)});"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codegen.host_gen import generate_host
-from repro.codegen.kernel_gen import generate_kernel
+from repro.codegen.kernel_gen import cuda_names, generate_kernel
 from repro.core.plan import KernelPlan
 
 
@@ -39,10 +39,10 @@ class CudaSourcePackage:
 
 def generate_cuda(plan: KernelPlan) -> CudaSourcePackage:
     """Generate kernel + host source for one kernel plan."""
-    stem = plan.pattern.name.replace("-", "_")
+    kernel_name, host_name = cuda_names(plan)
     return CudaSourcePackage(
-        kernel_name=f"an5d_kernel_{stem}",
-        host_name=f"an5d_host_{stem}",
+        kernel_name=kernel_name,
+        host_name=host_name,
         kernel_source=generate_kernel(plan),
         host_source=generate_host(plan),
     )

@@ -67,7 +67,6 @@ class KernelPlan:
 
     pattern: StencilPattern
     config: BlockingConfig
-    registers: FixedRegisterAllocation
     phases: Tuple[StreamPhase, ...]
     use_star_opt: bool
     use_associative_opt: bool
@@ -188,7 +187,6 @@ class PipelineScheduler:
         for extra in range(1, self.bT * self.radius + 1):
             load_index = self.head_length() + self.period + extra
             for step in range(1, self.bT):
-                plane = load_index - step * self.radius
                 calls.append(
                     MacroCall("CALC", step, extra, self._calc_args(step, load_index), True)
                 )

@@ -16,20 +16,7 @@ generation, the shifting one models STENCILGEN for the baseline comparison
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
-
-
-@dataclass(frozen=True)
-class RegisterAssignment:
-    """One named register holding one sub-plane value of one time step."""
-
-    time_step: int
-    slot: int
-
-    @property
-    def name(self) -> str:
-        return f"reg_{self.time_step}_{self.slot}"
+from typing import Tuple
 
 
 class RegisterAllocation:
@@ -52,14 +39,6 @@ class RegisterAllocation:
         time step writes directly to global memory, so it needs no group.
         """
         return self.time_block * self.slots_per_step
-
-    def all_registers(self) -> List[RegisterAssignment]:
-        """Every named register, ordered by (time step, slot)."""
-        return [
-            RegisterAssignment(step, slot)
-            for step in range(self.time_block + 1)
-            for slot in range(self.slots_per_step)
-        ]
 
 
 class FixedRegisterAllocation(RegisterAllocation):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.core.config import BlockingConfig
 from repro.core.plan import KernelPlan, PipelineScheduler
-from repro.core.register_alloc import FixedRegisterAllocation
 from repro.core.shared_memory import an5d_shared_memory_plan
 from repro.ir.stencil import StencilPattern
 
@@ -13,9 +12,10 @@ def an5d_transform(pattern: StencilPattern, config: BlockingConfig) -> KernelPla
     """Apply AN5D's blocking and low-level optimizations to one stencil.
 
     The result is a :class:`~repro.core.plan.KernelPlan`: the macro schedule
-    of the three streaming phases plus the resource plans (fixed register
-    allocation, double-buffered shared memory, optimization selection) that
-    the CUDA generators in :mod:`repro.codegen` turn into source text.
+    of the three streaming phases, whose arguments encode the fixed register
+    allocation's rotation, plus the resource plans (double-buffered shared
+    memory, optimization selection) that the CUDA generators in
+    :mod:`repro.codegen` turn into source text.
     """
     config.validate(pattern)
     scheduler = PipelineScheduler(pattern, config)
@@ -23,7 +23,6 @@ def an5d_transform(pattern: StencilPattern, config: BlockingConfig) -> KernelPla
     return KernelPlan(
         pattern=pattern,
         config=config,
-        registers=FixedRegisterAllocation(config.bT, pattern.radius),
         phases=scheduler.build(),
         use_star_opt=config.use_star_optimization(pattern),
         use_associative_opt=config.use_associative_optimization(pattern),

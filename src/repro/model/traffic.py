@@ -11,10 +11,12 @@ Shape      Read (expected)             Read (practical)         Write
 3D box     ``(2*rad+1)^3 - (2*rad+1)`` ``(2*rad+1)^2 - 1``      1
 =========  ==========================  =======================  ======
 
-The "practical" column accounts for NVCC caching shared-memory values in
-registers (one read per stencil column); the model uses the practical values,
-as the authors found the expected values underestimate performance for box
-stencils.
+The "expected" column is the number of distinct shared-memory addresses each
+CALC/STORE body of the emitted kernel loads.  The "practical" column is a
+modelled assumption, not a measurement: the paper attributes it to NVCC
+caching shared-memory values in registers (one read per stencil column),
+which nothing here can observe.  The model uses the practical values, as the
+authors found the expected values underestimate performance for box stencils.
 """
 
 from __future__ import annotations

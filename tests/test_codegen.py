@@ -1,56 +1,29 @@
-"""Tests for CUDA code generation (kernel, host, macros, emitter)."""
+"""Tests for CUDA code generation (kernel, host, macros)."""
 
+import hashlib
+import json
 import re
+from pathlib import Path
 
-import pytest
-
-from repro.codegen.cuda_ast import Assign, Block, Declare, For, FuncDef, If, Raw, Return, Sync
-from repro.codegen.emitter import CudaEmitter
 from repro.codegen.kernel_gen import generate_kernel
 from repro.codegen.host_gen import generate_host
+from repro.codegen import macros
 from repro.codegen.macros import generate_macro_definitions, render_expression
 from repro.codegen.package import generate_cuda
 from repro.core.config import BlockingConfig
 from repro.core.transform import an5d_transform
+from repro.frontend.stencil_detect import parse_stencil
+from repro.model.traffic import shared_memory_access_per_thread
 from repro.stencils.library import load_pattern
+
+#: The tuned configuration and CUDA digest of every Table-5 item.
+EXPECTED_TABLE3 = Path(__file__).resolve().parents[1] / "perfbench" / "expected_table3.json"
 
 
 def make_plan(pattern, **kwargs):
     defaults = dict(bT=4, bS=(64,) if pattern.ndim == 2 else (16, 16), hS=None)
     defaults.update(kwargs)
     return an5d_transform(pattern, BlockingConfig(**defaults))
-
-
-# -- emitter ------------------------------------------------------------------
-
-
-def test_emitter_indents_nested_blocks():
-    emitter = CudaEmitter()
-    tree = FuncDef(
-        "void",
-        "f",
-        ("int x",),
-        Block([If("x > 0", Block([Assign("x", "x - 1"), Sync()])), Return()]),
-    )
-    text = emitter.emit(tree)
-    assert "void f(int x) {" in text
-    assert "  if (x > 0) {" in text
-    assert "    x = x - 1;" in text
-    assert "    __syncthreads();" in text
-    assert "  }\n  return;" in text
-
-
-def test_emitter_for_loop_and_declarations():
-    emitter = CudaEmitter()
-    loop = For("int i = 0", "i < 4", "i++", Block([Declare("float", "x", "0.0f")]))
-    text = emitter.emit(loop)
-    assert text.startswith("for (int i = 0; i < 4; i++) {")
-    assert "float x = 0.0f;" in text
-
-
-def test_emitter_rejects_unknown_node():
-    with pytest.raises(TypeError):
-        CudaEmitter().emit(object())  # type: ignore[arg-type]
 
 
 # -- expression rendering --------------------------------------------------------
@@ -82,6 +55,19 @@ def test_render_expression_literal_suffix_follows_dtype():
     assert "5.1f" not in text_double and "5.1" in text_double
 
 
+def test_double_coefficients_round_trip_through_the_emitted_cuda():
+    source = """
+for (t = 0; t < I_T; t++)
+  for (i = 1; i <= I_S2; i++)
+    for (j = 1; j <= I_S1; j++)
+      A[(t+1)%2][i][j] = 0.12345678901234567 * A[t%2][i-1][j] + A[t%2][i][j] + A[t%2][i][j+1];
+"""
+    pattern = parse_stencil(source, name="exact", dtype="double").pattern
+    cuda = generate_cuda(make_plan(pattern, bT=2)).kernel_source
+    literals = re.findall(r"\b0\.\d+(?:e[-+]?\d+)?\b", cuda)
+    assert literals and all(float(text) == 0.12345678901234567 for text in literals)
+
+
 # -- macros ------------------------------------------------------------------------
 
 
@@ -111,6 +97,48 @@ def test_macros_alternate_double_buffers(j2d5pt):
 def test_store_macro_guards_compute_region(j2d5pt):
     text = generate_macro_definitions(make_plan(j2d5pt))
     assert "__an5d_in_compute_region" in text
+
+
+def test_macro_definitions_render_one_body_per_buffer(j2d5pt, monkeypatch):
+    plan = make_plan(j2d5pt, bT=10, bS=(128,))
+    rendered = []
+    render = macros.render_expression
+
+    def counting(*args):
+        rendered.append(args[3])
+        return render(*args)
+
+    monkeypatch.setattr(macros, "render_expression", counting)
+    text = generate_macro_definitions(plan)
+    assert text.count("#define CALC") == 9
+    assert len(rendered) <= plan.smem_buffers
+    assert sorted(rendered) == ["__an5d_sm0", "__an5d_sm1"]
+
+
+def _tuned_items():
+    for key, tuned in sorted(json.loads(EXPECTED_TABLE3.read_text()).items()):
+        name, dtype, _gpu = key.split("/")
+        config = BlockingConfig(
+            bT=tuned["bT"], bS=tuple(tuned["bS"]), hS=tuned["hS"], register_limit=tuned["regs"]
+        )
+        yield key, load_pattern(name, dtype), config, tuned["cuda_sha256"]
+
+
+def test_emitted_bodies_read_table2_expected_shared_memory_addresses():
+    """Table 2's "expected" reads are the distinct shared-memory addresses
+    each CALC/STORE body of the 84 tuned Table-5 kernels loads."""
+    items = list(_tuned_items())
+    assert len(items) == 84
+    for key, pattern, config, digest in items:
+        cuda = generate_cuda(an5d_transform(pattern, config))
+        both = (cuda.kernel_source + "\0" + cuda.host_source).encode()
+        assert hashlib.sha256(both).hexdigest() == digest, key
+        expected = shared_memory_access_per_thread(pattern).reads_expected
+        bodies = re.findall(r"#define (?:CALC\d+|STORE)\(.*?while \(0\)", cuda.kernel_source, re.S)
+        assert len(bodies) == config.bT, key
+        for body in bodies:
+            addresses = set(re.findall(r"__an5d_sm_load\(&([^)]*)\)", body))
+            assert len(addresses) == expected, (key, body)
 
 
 # -- kernel ------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codegen.kernel_gen import generate_kernel
 from repro.core.config import BlockingConfig
 from repro.core.plan import PipelineScheduler
 from repro.core.register_alloc import FixedRegisterAllocation, ShiftingRegisterAllocation
@@ -10,6 +11,7 @@ from repro.core.shared_memory import (
     stencilgen_shared_memory_plan,
     synchronizations_per_subplane,
 )
+from repro.core.transform import an5d_transform
 
 
 # -- register allocation -----------------------------------------------------
@@ -43,9 +45,10 @@ def test_allocation_rejects_bad_parameters():
         ShiftingRegisterAllocation(1, 0)
 
 
-def test_all_registers_names_follow_fig5_convention():
-    names = [r.name for r in FixedRegisterAllocation(2, 1).all_registers()]
-    assert "reg_0_0" in names and "reg_1_2" in names
+def test_all_registers_names_follow_fig5_convention(j2d5pt):
+    config = BlockingConfig(bT=2, bS=(64,))
+    kernel = generate_kernel(an5d_transform(j2d5pt, config))
+    assert "  float reg_0_0, reg_0_1, reg_0_2, reg_1_0, reg_1_1, reg_1_2;\n" in kernel
 
 
 def test_rotation_cycles_with_period():
