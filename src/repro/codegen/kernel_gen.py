@@ -8,7 +8,7 @@ and the statically unrolled tail with early exits.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.codegen.macros import generate_macro_definitions, smem_declaration
 from repro.core.plan import KernelPlan, MacroCall
@@ -56,26 +56,52 @@ def _index_setup(plan: KernelPlan) -> List[str]:
     return lines
 
 
-def _call_text(call: MacroCall, loop_var: str) -> str:
-    plane = call.render_plane(loop_var)
-    if call.plane_is_relative:
-        plane = f"({plane})"
-    plane = f"__an5d_stream_begin + {plane}"
-    if call.kind == "LOAD":
-        return f"LOAD({call.args[0]}, {plane});"
-    if call.kind == "STORE":
-        return f"STORE({plane}, {', '.join(call.args)});"
-    return f"CALC{call.time_step}({', '.join(call.args)});"
+class _CallPrinter:
+    """Prints one kernel's macro calls from pieces built once.
 
+    The scheduler shares one argument tuple per register-rotation table
+    entry, so each tuple's joined text (and each CALC line) is built on its
+    first call; the plane text is built once per (loop variable, plane).
+    """
 
-def _synced_calls(calls: Tuple[MacroCall, ...]) -> List[str]:
-    """One phase's macro calls, with a barrier between time steps."""
-    lines: List[str] = []
-    for index, call in enumerate(calls):
-        if index and call.time_step != calls[index - 1].time_step:
-            lines.append("__syncthreads();")
-        lines.append(_call_text(call, LOOP_VAR))
-    return lines
+    def __init__(self) -> None:
+        self._args: Dict[Tuple[str, ...], str] = {}
+        self._calcs: Dict[Tuple[str, ...], str] = {}
+        self._planes: Dict[Tuple[str, int, bool], str] = {}
+
+    def _plane(self, call: MacroCall, loop_var: str) -> str:
+        key = (loop_var, call.plane, call.plane_is_relative)
+        text = self._planes.get(key)
+        if text is None:
+            plane = call.render_plane(loop_var)
+            if call.plane_is_relative:
+                plane = f"({plane})"
+            text = self._planes[key] = f"__an5d_stream_begin + {plane}"
+        return text
+
+    def lines(self, calls: Tuple[MacroCall, ...], loop_var: str, synced: bool) -> List[str]:
+        """One phase's macro calls; ``synced`` puts a barrier between time
+        steps."""
+        calcs, out = self._calcs, []
+        previous = None
+        for call in calls:
+            kind, step, _, args, _ = call
+            if synced and step != previous and previous is not None:
+                out.append("__syncthreads();")
+            previous = step
+            if kind == "CALC":
+                text = calcs.get(args)
+                if text is None:
+                    text = calcs[args] = f"CALC{step}({', '.join(args)});"
+            elif kind == "LOAD":
+                text = f"LOAD({args[0]}, {self._plane(call, loop_var)});"
+            else:
+                joined = self._args.get(args)
+                if joined is None:
+                    joined = self._args[args] = ", ".join(args)
+                text = f"STORE({self._plane(call, loop_var)}, {joined});"
+            out.append(text)
+        return out
 
 
 def generate_kernel(plan: KernelPlan) -> str:
@@ -83,8 +109,9 @@ def generate_kernel(plan: KernelPlan) -> str:
     pattern = plan.pattern
     config = plan.config
     dtype = pattern.dtype
-    head_loads = sum(call.kind == "LOAD" for call in plan.head.calls)
+    head_loads = [call.kind for call in plan.head.calls].count("LOAD")
     step = plan.inner.loop_step
+    printer = _CallPrinter()
     registers = ", ".join(
         f"reg_{time_step}_{slot}"
         for time_step in range(config.bT)
@@ -95,18 +122,18 @@ def generate_kernel(plan: KernelPlan) -> str:
         *_index_setup(plan),
         f"{dtype} {registers};",
         "// ---- head phase (statically unrolled pipeline fill) ----",
-        *_synced_calls(plan.head.calls),
+        *printer.lines(plan.head.calls, LOOP_VAR, True),
         "__syncthreads();",
         "// ---- inner phase (steady state, one rotation period per iteration) ----",
         f"for (int {LOOP_VAR} = {head_loads}; "
         f"{LOOP_VAR} <= __an5d_stream_end - __an5d_stream_begin - {step}; "
         f"{LOOP_VAR} += {step}) {{",
-        *indent(_synced_calls(plan.inner.calls)),
+        *indent(printer.lines(plan.inner.calls, LOOP_VAR, True)),
         "}",
         "__syncthreads();",
         "// ---- tail phase (pipeline drain) ----",
         f"int {LOOP_VAR}_tail = __an5d_stream_end - __an5d_stream_begin;",
-        *(_call_text(call, f"{LOOP_VAR}_tail") for call in plan.tail.calls),
+        *printer.lines(plan.tail.calls, f"{LOOP_VAR}_tail", False),
         "return;",
     ]
     params = ", ".join([

@@ -15,33 +15,40 @@ position ``p`` of combined time step ``T`` becomes computable right after the
 sub-plane at position ``p + T * rad`` has been loaded (T = 0 denotes the
 load itself), and the final time step's result for position ``p`` is stored
 right after load ``p + bT * rad``.
+
+The fixed register allocation (Section 4.2.1) has only ``2*rad + 1``
+rotation shifts, so the scheduler resolves it once per (register group,
+shift) and every macro's argument list is a table lookup: the ``bT *
+(2*rad + 1)`` distinct lists are built once per plan, not once per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from operator import itemgetter
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.core.config import BlockingConfig
 from repro.core.register_alloc import FixedRegisterAllocation
 from repro.ir.stencil import StencilPattern
 
 
-@dataclass(frozen=True)
-class MacroCall:
+class MacroCall(NamedTuple):
     """One LOAD / CALC / STORE macro invocation.
 
     ``plane`` is the streaming index the macro touches, expressed relative to
     the phase: an absolute constant in the head/tail phases and an offset from
     the loop variable ``i`` in the inner phase (``plane_is_relative``).
+    ``args`` is a tuple the scheduler builds once per (time step, rotation
+    shift); calls at the same shift share it.
     """
 
     kind: str  # "LOAD", "CALC" or "STORE"
     time_step: int  # 0 for LOAD, 1..bT-1 for CALC, bT for STORE
     plane: int
     args: Tuple[str, ...]
-    plane_is_relative: bool = False
+    plane_is_relative: bool
 
     def render_plane(self, loop_var: str = "__h") -> str:
         if not self.plane_is_relative:
@@ -87,7 +94,14 @@ class KernelPlan:
 
 
 class PipelineScheduler:
-    """Builds the head / inner / tail macro schedule for a configuration."""
+    """Builds the head / inner / tail macro schedule for a configuration.
+
+    The fixed register allocation is resolved once per (group, shift):
+    ``rotation_tables[g][s]`` names group ``g``'s registers in rotation order
+    (oldest sub-plane first) at rotation shift ``s``, from
+    :meth:`FixedRegisterAllocation.rotation`.  Every CALC and STORE argument
+    list is then a lookup, and calls at the same shift share one tuple.
+    """
 
     def __init__(self, pattern: StencilPattern, config: BlockingConfig) -> None:
         self.pattern = pattern
@@ -95,7 +109,25 @@ class PipelineScheduler:
         self.radius = pattern.radius
         self.period = 2 * pattern.radius + 1
         self.bT = config.bT
-        self.registers = FixedRegisterAllocation(config.bT, pattern.radius)
+        registers = FixedRegisterAllocation(config.bT, pattern.radius)
+        period, radius = self.period, self.radius
+        pickers = [itemgetter(*registers.rotation(shift)) for shift in range(period)]
+        groups = [[f"reg_{group}_{slot}" for slot in range(period)] for group in range(self.bT)]
+        self.rotation_tables: Tuple[Tuple[Tuple[str, ...], ...], ...] = tuple(
+            tuple(pick(names) for pick in pickers) for names in groups
+        )
+        # CALC arguments per (step, load shift), indexed from step 1: the
+        # destination is the newest register of group ``step`` at the computed
+        # plane's shift, the sources are group ``step - 1`` at the load's shift.
+        tables = self.rotation_tables
+        self._calc_table: List[Tuple[Tuple[str, ...], ...]] = [()] + [
+            tuple(
+                (tables[step][(shift - step * radius) % period][-1],) + tables[step - 1][shift]
+                for shift in range(period)
+            )
+            for step in range(1, self.bT)
+        ]
+        self._load_args = tuple((f"reg_0_{slot}",) for slot in range(period))
 
     # -- scheduling helpers ----------------------------------------------------
     def head_length(self) -> int:
@@ -110,19 +142,23 @@ class PipelineScheduler:
         fill = self.bT * self.radius + 1
         return (math.ceil(fill / self.period) + 1) * self.period
 
-    def calls_for_load(self, load_index: int) -> List[MacroCall]:
-        """All macro calls issued right after streaming load ``load_index``."""
-        slot = load_index % self.period
-        calls = [MacroCall("LOAD", 0, load_index, (f"reg_0_{slot}",))]
-        for step in range(1, self.bT):
-            plane = load_index - step * self.radius
-            if plane >= 0:
-                calls.append(MacroCall("CALC", step, plane, self._calc_args(step, load_index)))
-        store_plane = load_index - self.bT * self.radius
-        if store_plane >= 0:
-            calls.append(
-                MacroCall("STORE", self.bT, store_plane, self._store_args(load_index))
-            )
+    def calls_for_load(
+        self, load_index: int, origin: int = 0, relative: bool = False
+    ) -> List[MacroCall]:
+        """All macro calls issued right after streaming load ``load_index``,
+        planes counted from ``origin``; only planes at or after stream
+        position 0 are issued."""
+        radius = self.radius
+        shift = load_index % self.period
+        plane = load_index - origin
+        calls = [MacroCall("LOAD", 0, plane, self._load_args[shift], relative)]
+        calc = self._calc_table
+        for step in range(1, min(self.bT, load_index // radius + 1)):
+            calls.append(MacroCall("CALC", step, plane - step * radius, calc[step][shift], relative))
+        if load_index >= self.bT * radius:
+            calls.append(MacroCall(
+                "STORE", self.bT, plane - self.bT * radius, self._store_args(load_index), relative
+            ))
         return calls
 
     def _calc_args(self, step: int, load_index: int) -> Tuple[str, ...]:
@@ -132,24 +168,17 @@ class PipelineScheduler:
         the ``2*rad + 1`` registers of group ``step - 1`` in rotation order
         (oldest sub-plane first), resolved for the current streaming phase.
         """
-        source_group = step - 1
-        rotation = self.registers.rotation(load_index)
-        sources = tuple(f"reg_{source_group}_{slot}" for slot in rotation)
-        dest_slot = self.registers.destination_slot(load_index - step * self.radius)
-        dest = f"reg_{step}_{dest_slot}"
-        return (dest,) + sources
+        return self._calc_table[step][load_index % self.period]
 
     def _store_args(self, load_index: int) -> Tuple[str, ...]:
         """STORE macro arguments: the final time-step group in rotation order."""
-        rotation = self.registers.rotation(load_index)
-        group = self.bT - 1
-        return tuple(f"reg_{group}_{slot}" for slot in rotation)
+        return self.rotation_tables[self.bT - 1][load_index % self.period]
 
     # -- phase construction -------------------------------------------------------
     def build_head(self) -> StreamPhase:
         calls: List[MacroCall] = []
         for load_index in range(self.head_length()):
-            calls.extend(self.calls_for_load(load_index))
+            calls += self.calls_for_load(load_index)
         return StreamPhase("head", tuple(calls))
 
     def build_inner(self) -> StreamPhase:
@@ -161,18 +190,8 @@ class PipelineScheduler:
         """
         base = self.head_length()
         calls: List[MacroCall] = []
-        for offset in range(self.period):
-            load_index = base + offset
-            for call in self.calls_for_load(load_index):
-                calls.append(
-                    MacroCall(
-                        call.kind,
-                        call.time_step,
-                        call.plane - base,
-                        call.args,
-                        plane_is_relative=True,
-                    )
-                )
+        for load_index in range(base, base + self.period):
+            calls += self.calls_for_load(load_index, base, True)
         return StreamPhase("inner", tuple(calls), loop_step=self.period)
 
     def build_tail(self) -> StreamPhase:
@@ -184,8 +203,9 @@ class PipelineScheduler:
         boundary planes held in the T = 0 register group (Section 4.1).
         """
         calls: List[MacroCall] = []
+        first = self.head_length() + self.period
         for extra in range(1, self.bT * self.radius + 1):
-            load_index = self.head_length() + self.period + extra
+            load_index = first + extra
             for step in range(1, self.bT):
                 calls.append(
                     MacroCall("CALC", step, extra, self._calc_args(step, load_index), True)

@@ -7,7 +7,10 @@ and inflates register pressure.  AN5D instead keeps each sub-plane value in a
 *fixed* register and rotates the *roles* of registers from one streaming
 iteration to the next — the rotation is encoded statically in the macro
 argument order (Fig. 5), so at run time only one register is written per
-update.
+update.  The rotation has ``2*rad + 1`` distinct shifts, so the kernel
+scheduler (:mod:`repro.core.plan`) resolves it once per (register group,
+shift) into a table of register names and looks every macro's arguments up
+there.
 
 Both strategies are implemented here: the fixed one drives AN5D code
 generation, the shifting one models STENCILGEN for the baseline comparison
@@ -49,7 +52,8 @@ class FixedRegisterAllocation(RegisterAllocation):
     stream advances, the register whose sub-plane is no longer needed is
     overwritten with the newly produced value; which physical register that is
     rotates with the streaming index, and the rotation is resolved statically
-    into macro arguments.
+    into macro arguments: the value produced at iteration ``i`` overwrites
+    slot ``rotation(i)[-1]``.
     """
 
     def moves_per_update(self) -> int:
@@ -66,10 +70,6 @@ class FixedRegisterAllocation(RegisterAllocation):
         period = self.slots_per_step
         shift = iteration % period
         return tuple((shift + k) % period for k in range(period))
-
-    def destination_slot(self, iteration: int) -> int:
-        """Physical slot overwritten by the value produced at ``iteration``."""
-        return self.rotation(iteration)[-1]
 
 
 class ShiftingRegisterAllocation(RegisterAllocation):

@@ -10,9 +10,9 @@ AN5D keys three optimizations off these predicates:
   (Table 1).
 
 The shape comes from a pattern's offsets; associativity from one pass over
-the top-level terms of its update, which visits each term once.  A
-pattern's FLOP mix and division come from its validation walk instead
-(:class:`~repro.ir.stencil.StencilPattern`).
+the top-level terms of its update, which visits each node of each term once
+and builds no node.  A pattern's FLOP mix and division come from its
+validation walk instead (:class:`~repro.ir.stencil.StencilPattern`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import enum
 import itertools
 from typing import Iterable
 
-from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, Offset, UnaryOp, walk
+from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, Offset, UnaryOp
 
 
 class StencilShape(enum.Enum):
@@ -52,13 +52,9 @@ def classify_shape(offsets: Iterable[Offset]) -> StencilShape:
     return StencilShape.GENERAL
 
 
-def sum_terms(expr: Expr) -> list[Expr]:
-    """Flatten a top-level sum into its terms (one term when not a sum).
-
-    Handles an optional trailing division by a constant (the Jacobi
-    ``(...)/c0`` idiom): the divisor is distributed over the terms so that the
-    result is still a plain sum.
-    """
+def _signed_terms(expr: Expr) -> tuple[float, list[tuple[Expr, int]]]:
+    """The constant divisor peeled off ``expr`` and its top-level terms, left
+    to right, each with its sign (``+1`` or ``-1``); no node is built."""
     # Peel a trailing division by a constant.
     divisor = 1.0
     node = expr
@@ -67,7 +63,7 @@ def sum_terms(expr: Expr) -> list[Expr]:
         node = node.lhs
 
     # Left-to-right terms from an explicit stack: deep sums need no recursion.
-    terms: list[Expr] = []
+    terms: list[tuple[Expr, int]] = []
     stack = [(node, 1)]
     while stack:
         e, sign = stack.pop()
@@ -78,35 +74,59 @@ def sum_terms(expr: Expr) -> list[Expr]:
             elif isinstance(e, UnaryOp) and e.op == "-":
                 e, sign = e.operand, -sign
             else:
-                terms.append(e if sign > 0 else UnaryOp("-", e))
+                terms.append((e, sign))
                 break
+    return divisor, terms
+
+
+def sum_terms(expr: Expr) -> list[Expr]:
+    """Flatten a top-level sum into its terms (one term when not a sum).
+
+    Handles an optional trailing division by a constant (the Jacobi
+    ``(...)/c0`` idiom): the divisor is distributed over the terms so that the
+    result is still a plain sum.
+    """
+    divisor, signed = _signed_terms(expr)
+    terms = [e if sign > 0 else UnaryOp("-", e) for e, sign in signed]
     if divisor != 1.0:
         terms = [BinOp("*", t, Const(1.0 / divisor)) for t in terms]
     return terms
 
 
-def _single_read_terms(expr: Expr) -> list[tuple[Expr, GridRead | None]] | None:
-    """Each top-level term of ``expr`` with its one grid read (``None`` for a
-    term that reads nothing), or ``None`` when some term is not a
-    single-read term.
+def _term_reads(terms: Iterable[Expr]) -> list[GridRead | None] | None:
+    """The one grid read of each term (``None`` for a term that reads
+    nothing), or ``None`` when some term is not a single-read term.
 
     A single-read term multiplies at most one grid read by constants,
     possibly negated: for the partial-summation rewrite to be a pure
     re-association, a term may hold no other operator and no call.  Each
-    term is walked once.
+    term is classified in one explicit-stack pass over its nodes; the sign
+    and divisor wrappers of :func:`sum_terms` do not change the outcome.
     """
-    classified: list[tuple[Expr, GridRead | None]] = []
-    for term in sum_terms(expr):
+    reads: list[GridRead | None] = []
+    stack: list[Expr] = []
+    pop, push = stack.pop, stack.append
+    for term in terms:
         read = None
-        for node in walk(term):
-            if isinstance(node, GridRead):
+        push(term)
+        while stack:
+            node = pop()
+            kind = type(node)
+            if kind is BinOp:
+                if node.op != "*":
+                    return None
+                push(node.lhs)
+                push(node.rhs)
+            elif kind is GridRead:
                 if read is not None:
                     return None
                 read = node
-            elif isinstance(node, Call) or (isinstance(node, BinOp) and node.op != "*"):
+            elif kind is UnaryOp:
+                push(node.operand)
+            elif kind is Call:
                 return None
-        classified.append((term, read))
-    return classified
+        reads.append(read)
+    return reads
 
 
 def is_associative(expr: Expr) -> bool:
@@ -116,8 +136,8 @@ def is_associative(expr: Expr) -> bool:
     each sub-plane is accumulated independently, so the kernel never needs
     more than one source sub-plane resident in shared memory at a time.
     """
-    terms = _single_read_terms(expr)
-    return terms is not None and any(read is not None for _, read in terms)
+    reads = _term_reads([term for term, _ in _signed_terms(expr)[1]])
+    return reads is not None and any(read is not None for read in reads)
 
 
 def group_terms_by_subplane(expr: Expr) -> dict[int, list[Expr]] | None:
@@ -128,10 +148,11 @@ def group_terms_by_subplane(expr: Expr) -> dict[int, list[Expr]] | None:
     read lives on that sub-plane.  Terms without a grid read (pure constants)
     are attached to sub-plane 0.
     """
-    terms = _single_read_terms(expr)
-    if terms is None:
+    terms = sum_terms(expr)
+    reads = _term_reads(terms)
+    if reads is None:
         return None
     groups: dict[int, list[Expr]] = {}
-    for term, read in terms:
+    for term, read in zip(terms, reads):
         groups.setdefault(read.offset[0] if read is not None else 0, []).append(term)
     return groups

@@ -5,9 +5,10 @@ import pytest
 from repro.core.associative import decompose_partial_sums
 from repro.core.config import BlockingConfig
 from repro.core.plan import PipelineScheduler
+from repro.core.register_alloc import FixedRegisterAllocation
 from repro.core.transform import an5d_transform
 from repro.ir.expr import GridRead, evaluate, walk
-from repro.stencils.generators import box_stencil
+from repro.stencils.generators import box_stencil, star_stencil
 
 
 # -- associative decomposition -------------------------------------------------
@@ -150,3 +151,64 @@ def test_plan_smem_fields_follow_optimizations(j2d5pt, gradient2d):
 def test_transform_validates_configuration(star3d1r):
     with pytest.raises(Exception):
         an5d_transform(star3d1r, BlockingConfig(bT=2, bS=(64,)))
+
+
+def _rotation_oracle(bT, radius):
+    """The arguments of every CALC and STORE at load ``load``, re-derived
+    from the allocation's rotation call by call."""
+    alloc = FixedRegisterAllocation(bT, radius)
+
+    def group(g, load):
+        return tuple(f"reg_{g}_{slot}" for slot in alloc.rotation(load))
+
+    def expected(step, load):
+        if step == bT:
+            return group(bT - 1, load)
+        dest = alloc.rotation(load - step * radius)[-1]
+        return (f"reg_{step}_{dest}",) + group(step - 1, load)
+
+    return expected
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_every_macro_argument_matches_the_rotation(radius):
+    pattern = star_stencil(2, radius)
+    period = 2 * radius + 1
+    for bT in range(1, 13):
+        scheduler = PipelineScheduler(pattern, BlockingConfig(bT=bT, bS=(256,)))
+        head, inner, tail = scheduler.build()
+        expected = _rotation_oracle(bT, radius)
+        checked = 0
+        # Head and inner phase: each LOAD starts the calls of the next load.
+        load = -1
+        for call in head.calls + inner.calls:
+            if call.kind == "LOAD":
+                load += 1
+                assert call.args == (f"reg_0_{load % period}",)
+            else:
+                assert call.args == expected(call.time_step, load), (bT, load, call)
+                checked += 1
+        assert load == scheduler.head_length() + period - 1
+        # Tail: each STORE ends the calls of one load past the inner phase.
+        load = scheduler.head_length() + period + 1
+        for call in tail.calls:
+            assert call.args == expected(call.time_step, load), (bT, load, call)
+            checked += 1
+            load += call.kind == "STORE"
+        assert checked == sum(c.kind != "LOAD" for phase in (head, inner, tail) for c in phase.calls)
+
+
+def test_scheduler_resolves_each_rotation_shift_once(monkeypatch):
+    calls = []
+    rotation = FixedRegisterAllocation.rotation
+
+    def counted(self, iteration):
+        calls.append(iteration)
+        return rotation(self, iteration)
+
+    monkeypatch.setattr(FixedRegisterAllocation, "rotation", counted)
+    for radius in (1, 2, 4):
+        for bT in (1, 4, 12):
+            calls.clear()
+            PipelineScheduler(star_stencil(2, radius), BlockingConfig(bT=bT, bS=(256,))).build()
+            assert len(calls) <= 2 * radius + 1, (radius, bT, len(calls))

@@ -78,10 +78,17 @@ def test_shifting_arguments_do_not_rotate():
     assert alloc.rotation(0) == alloc.rotation(5) == (0, 1, 2)
 
 
-def test_destination_slot_follows_rotation():
-    alloc = FixedRegisterAllocation(4, 2)
-    for i in range(10):
-        assert alloc.destination_slot(i) == alloc.rotation(i)[-1]
+def test_destination_slot_follows_rotation(j2d9pt):
+    # Each CALC overwrites the slot the rotation makes newest at the plane it
+    # computes: the value produced at iteration i lands in rotation(i)[-1].
+    alloc = FixedRegisterAllocation(4, j2d9pt.radius)
+    scheduler = PipelineScheduler(j2d9pt, BlockingConfig(bT=4, bS=(64,)))
+    calcs = [
+        call for i in range(20) for call in scheduler.calls_for_load(i) if call.kind == "CALC"
+    ]
+    assert {call.time_step for call in calcs} == {1, 2, 3}
+    for call in calcs:
+        assert call.args[0] == f"reg_{call.time_step}_{alloc.rotation(call.plane)[-1]}"
 
 
 # -- shared memory (Table 1) ----------------------------------------------------

@@ -122,3 +122,17 @@ def test_product_of_reads_is_not_associative():
     a = GridRead("A", (0, 0))
     b = GridRead("A", (0, 1))
     assert not is_associative(BinOp("*", a, b))
+
+
+def test_negation_inside_a_term_keeps_it_single_read():
+    a = GridRead("A", (0, 0))
+    b = GridRead("A", (1, 0))
+    scaled = BinOp("*", Const(2.0), UnaryOp("-", a))
+    expr = BinOp("/", BinOp("-", scaled, b), Const(4.0))
+    assert is_associative(expr)
+    # Grouped terms keep sum_terms' sign and divisor wrappers.
+    assert group_terms_by_subplane(expr) == {
+        0: [BinOp("*", scaled, Const(0.25))],
+        1: [BinOp("*", UnaryOp("-", b), Const(0.25))],
+    }
+    assert not is_associative(BinOp("+", a, BinOp("*", UnaryOp("-", a), b)))
