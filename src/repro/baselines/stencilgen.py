@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from repro.baselines.common import BaselineResult
-from repro.core.config import BlockingConfig
+from repro.core.config import BlockingConfig, sconf_configuration
 from repro.core.execution_model import ExecutionModel
 from repro.core.register_alloc import ShiftingRegisterAllocation
 from repro.core.shared_memory import stencilgen_shared_memory_plan
@@ -50,9 +50,7 @@ class StencilGenBaseline:
         return StencilGenBaseline(get_gpu(name))
 
     def default_config(self, pattern: StencilPattern) -> BlockingConfig:
-        if pattern.ndim == 2:
-            return BlockingConfig(bT=4, bS=(128,), hS=128, associative_opt=False)
-        return BlockingConfig(bT=4, bS=(32, 32), hS=None)
+        return sconf_configuration(pattern)
 
     def registers(self, pattern: StencilPattern, config: BlockingConfig) -> int:
         return stencilgen_registers(pattern, config)

@@ -27,19 +27,6 @@ from repro.core.plan import KernelPlan
 from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, UnaryOp
 from repro.ir.stencil import StencilPattern
 
-_CALL_RENDER = {
-    "sqrt": "sqrt",
-    "sqrtf": "sqrtf",
-    "fabs": "fabs",
-    "fabsf": "fabsf",
-    "exp": "exp",
-    "expf": "expf",
-    "min": "min",
-    "max": "max",
-    "fmin": "fmin",
-    "fmax": "fmax",
-}
-
 
 def _float_literal(value: float, dtype: str) -> str:
     """A finite ``double`` prints its shortest round-trip decimal; the rest 9 digits."""
@@ -106,7 +93,7 @@ def render_expression(
                 stack.append(node.args[index])
                 if index:
                     stack.append(", ")
-            stack.append(f"{_CALL_RENDER[node.name]}(")
+            stack.append(f"{node.name}(")
         else:
             tokens.append(leaf(node))
     return "".join(tokens)

@@ -47,9 +47,6 @@ class BlockingConfig:
         Force-enable/disable the diagonal-access-free and associative
         stencil optimizations; ``None`` selects them automatically from the
         stencil classification.
-    vectorized_smem:
-        Whether shared-memory accesses may be vectorized by NVCC; AN5D
-        disables this to reduce register pressure (Section 4.3.2).
     """
 
     bT: int
@@ -59,7 +56,6 @@ class BlockingConfig:
     double_buffer: bool = True
     star_opt: Optional[bool] = None
     associative_opt: Optional[bool] = None
-    vectorized_smem: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bS", tuple(int(v) for v in self.bS))
@@ -154,14 +150,11 @@ class BlockingConfig:
 
 
 def sconf_configuration(pattern: StencilPattern) -> BlockingConfig:
-    """The paper's ``Sconf`` configuration (Section 6.3).
-
-    Same parameters as STENCILGEN: ``bT = 4``, ``hS_N = 128``, ``bS = 32``
-    for 2D and ``128`` per blocked dimension... — concretely the paper uses
-    ``bS = 32`` (2D) / ``128`` (two blocked dims for 3D is 32x32 threads with
-    128-wide tiles); we follow the published numbers: 2D: bS = (128,),
-    3D: bS = (32, 32), with associative optimization disabled for 2D and no
-    stream division for 3D.
+    """The paper's ``Sconf`` configuration (Section 6.3): STENCILGEN's
+    published parameters, and the default of
+    :class:`~repro.baselines.stencilgen.StencilGenBaseline`.  ``bT = 4``
+    everywhere; 2D: ``bS = (128,)``, ``hS = 128`` and the associative
+    optimization disabled; 3D: ``bS = (32, 32)`` and no stream division.
     """
     if pattern.ndim == 2:
         return BlockingConfig(bT=4, bS=(128,), hS=128, associative_opt=False)

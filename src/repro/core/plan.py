@@ -161,15 +161,6 @@ class PipelineScheduler:
             ))
         return calls
 
-    def _calc_args(self, step: int, load_index: int) -> Tuple[str, ...]:
-        """CALC macro arguments: destination register then source registers.
-
-        The destination belongs to time-step group ``step``; the sources are
-        the ``2*rad + 1`` registers of group ``step - 1`` in rotation order
-        (oldest sub-plane first), resolved for the current streaming phase.
-        """
-        return self._calc_table[step][load_index % self.period]
-
     def _store_args(self, load_index: int) -> Tuple[str, ...]:
         """STORE macro arguments: the final time-step group in rotation order."""
         return self.rotation_tables[self.bT - 1][load_index % self.period]
@@ -201,19 +192,15 @@ class PipelineScheduler:
         ``S - bT*rad .. S - 1`` of the final time step have not been stored
         yet; the tail phase finishes their computation using the constant
         boundary planes held in the T = 0 register group (Section 4.1).
+        Planes count from the first load after the inner loop, so the
+        ``e``-th extra load's step ``T`` computes plane ``e - T*rad``, as
+        every earlier load's does.
         """
         calls: List[MacroCall] = []
         first = self.head_length() + self.period
         for extra in range(1, self.bT * self.radius + 1):
-            load_index = first + extra
-            for step in range(1, self.bT):
-                calls.append(
-                    MacroCall("CALC", step, extra, self._calc_args(step, load_index), True)
-                )
-            calls.append(
-                MacroCall("STORE", self.bT, extra - self.bT * self.radius,
-                          self._store_args(load_index), True)
-            )
+            # The calls of a load past the stream, without the LOAD itself.
+            calls += self.calls_for_load(first + extra, first, True)[1:]
         return StreamPhase("tail", tuple(calls))
 
     def build(self) -> Tuple[StreamPhase, ...]:

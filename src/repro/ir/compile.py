@@ -49,9 +49,11 @@ Kernels share one call convention::
 a grid read at offset ``o`` becomes the view ``src[..., region shifted by
 o]``.  ``out`` receives the result and must not alias ``src``.  ``src`` and
 ``out`` may carry leading axes (the blocked executor stacks tiles along one)
-and any memory order; the NumPy engine lays its scratch out like ``out`` and
-the native engine runs its loop nest with the contiguous axis innermost, so
-all engines stay bit-identical on such views.  Kernels are cached per
+and any memory order; the NumPy engine lays its scratch out like ``out``.
+The native engine has one loop nest, the streaming axis innermost, as
+:func:`empty_stream_last` lays out the arrays both executors run it on; it
+hands a call on any other layout to the NumPy engine, so all engines stay
+bit-identical on such views.  Kernels are cached per
 ``(pattern, mode)`` and read the dtype from the pattern.  The tree-walking
 :class:`InterpretedKernel` shares the interface but not the lowering: it is
 only the oracle the others are checked against (``mode="interpreter"``, used
@@ -63,7 +65,6 @@ from __future__ import annotations
 import atexit
 import contextlib
 import ctypes
-import dataclasses
 import os
 import platform
 import shutil
@@ -363,14 +364,6 @@ class InterpretedKernel:
 # Native (C) backend
 # ---------------------------------------------------------------------------
 
-#: Calls whose C library implementation is bit-identical to the NumPy ufunc
-#: (sqrt is correctly rounded by IEEE 754; fabs is a sign-bit operation).
-#: exp/min/max are excluded — libm's exp differs from NumPy's SIMD exp in the
-#: last ulp, and fmin/fmax disagree with np.minimum/np.maximum on NaNs.
-_NATIVE_SAFE_CALLS = {"sqrt", "sqrtf", "fabs", "fabsf"}
-
-_C_TYPES = {"float": "float", "double": "double"}
-
 #: Flags of every native build: no fast-math and no FMA contraction, so each
 #: operation rounds like its NumPy ufunc.  ``-march=native`` is tried first.
 _NATIVE_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
@@ -544,7 +537,7 @@ def native_supported(pattern: StencilPattern) -> bool:
     """Whether the native backend can reproduce the NumPy engine bit-exactly:
     a set check of the call names the pattern collected when it was made,
     so it costs no walk of the tree."""
-    return pattern.calls <= _NATIVE_SAFE_CALLS
+    return pattern.calls.issubset(_C_OPERATIONS)
 
 
 def _c_literal(value, ctype: str) -> str:
@@ -559,7 +552,12 @@ def _c_literal(value, ctype: str) -> str:
 
 
 #: The C expression of each operation a native kernel may run: ``%s`` is
-#: an operand, ``{s}`` the math-function suffix of the C type.
+#: an operand, ``{s}`` the math-function suffix of the C type.  The calls
+#: are those whose C library implementation is bit-identical to the NumPy
+#: ufunc (sqrt is correctly rounded by IEEE 754; fabs is a sign-bit
+#: operation).  exp/min/max are left out: libm's exp differs from NumPy's
+#: SIMD exp in the last ulp, and fmin/fmax disagree with
+#: np.minimum/np.maximum on NaNs.
 _C_OPERATIONS = {
     "+": "%s + %s", "-": "%s - %s", "*": "%s * %s", "/": "%s / %s", "neg": "-%s",
     "sqrt": "sqrt{s}(%s)", "sqrtf": "sqrt{s}(%s)", "fabs": "fabs{s}(%s)", "fabsf": "fabs{s}(%s)",
@@ -621,34 +619,37 @@ def _native_runs(statements, size: int) -> List[Tuple[int, int, Optional[str]]]:
 NATIVE_CHUNK_STATEMENTS = 128
 
 
-def generate_native_source(
-    pattern: StencilPattern, dtype: str, order: Optional[Tuple[int, ...]] = None
-) -> str:
-    """Generate the single-pass C translation unit for ``pattern``.
+def _stream_last_order(ndim: int) -> Tuple[int, ...]:
+    """The loop order of :func:`empty_stream_last` arrays: the streaming
+    dimension, the grid's first, innermost."""
+    return tuple(range(1, ndim)) + (0,)
+
+
+def generate_native_source(pattern: StencilPattern) -> str:
+    """Generate the single-pass C translation unit for ``pattern``, in its
+    dtype.
 
     The loop nest runs over ``n`` stacked regions (strides ``sn``/``on``
-    between them), then over the pattern's dimensions in ``order`` (default:
-    logical order).  The last dimension of ``order`` must be contiguous in
-    both ``src`` and ``out`` (the wrapper checks this); per-read row pointers
-    are hoisted so the inner loop is a plain stride-1 sweep the compiler can
-    vectorize.  A body of more than :data:`NATIVE_CHUNK_STATEMENTS`
-    statements runs as several such sweeps, each in its own block with the
-    row pointers it reads.
+    between them), then over the pattern's dimensions in
+    :func:`_stream_last_order`.  The streaming dimension, innermost, must be
+    contiguous in both ``src`` and ``out`` (:class:`NativeKernel` checks
+    this); per-read row pointers are hoisted so the inner loop is a plain
+    stride-1 sweep the compiler can vectorize.  A body of more than
+    :data:`NATIVE_CHUNK_STATEMENTS` statements runs as several such sweeps,
+    each in its own block with the row pointers it reads.
 
     The statements are those the pattern's NumPy engine runs (the cached
     ``compile_pattern(pattern, mode="compiled")``), so the two engines of a
     pattern share one lowering.
     """
-    unsupported = sorted(pattern.calls - _NATIVE_SAFE_CALLS)
+    unsupported = sorted(pattern.calls.difference(_C_OPERATIONS))
     if unsupported:
         raise CompileError(f"call {unsupported[0]!r} not supported by the native backend")
-    if dtype != pattern.dtype:
-        pattern = dataclasses.replace(pattern, dtype=dtype)
     lowering = compile_pattern(pattern, mode="compiled").lowering
     ndim = pattern.ndim
-    ctype = _C_TYPES[dtype]
+    ctype = pattern.dtype  # "float" or "double": the NumPy engine checked it
     suffix = "f" if ctype == "float" else ""
-    order = tuple(range(ndim)) if order is None else order
+    order = _stream_last_order(ndim)
     outer = ndim - 1
 
     params = ["const {0}* restrict src".format(ctype), "{0}* restrict out".format(ctype)]
@@ -748,7 +749,7 @@ def empty_stream_last(shape: Tuple[int, ...], ndim: int, np_dtype: type) -> np.n
     """An uninitialised array of logical ``shape`` (an ``ndim``-D grid, or a
     stack of them along leading axes) whose memory keeps the streaming
     dimension, the grid's first, innermost.  Both executors run their
-    kernel on this layout, so a check runs one native loop order."""
+    kernel on this layout, the one loop order a native kernel has."""
     stream = len(shape) - ndim
     memory = shape[:stream] + shape[stream + 1:] + shape[stream:stream + 1]
     return np.moveaxis(np.empty(memory, np_dtype), -1, stream)
@@ -759,21 +760,20 @@ def empty_stream_last(shape: Tuple[int, ...], ndim: int, np_dtype: type) -> np.n
 NATIVE_LAYOUTS_MAX = 64
 
 #: The layout of a call the NumPy engine takes.
-_NUMPY_LAYOUT = (None, (), ())
+_NUMPY_LAYOUT = ()
 
 
 class NativeKernel:
-    """A single-pass C kernel, built at first use with the host toolchain.
+    """A single-pass C kernel, built with the host toolchain.
 
-    The loop order of :func:`empty_stream_last` arrays is loaded or built
-    when the kernel is made; a call whose arrays are contiguous along
-    another axis runs a build of that permuted loop nest, made at its first
-    use.  A call it cannot take goes to the NumPy engine, which runs the
-    lowering the loop nests are printed from, and counts in
-    ``fallback_calls``.  What a call needs besides its pointers and bounds
-    (entry point, loop order, stride arguments) is decided once per layout
-    of ``src`` and ``out`` and kept in a dict of at most
-    :data:`NATIVE_LAYOUTS_MAX` entries.
+    Its one loop nest, in the loop order of :func:`empty_stream_last`
+    arrays, is loaded or built when the kernel is made.  A call on arrays
+    whose streaming axis is not contiguous in both (a C-ordered grid, a
+    mismatched dtype) goes to the NumPy engine, which runs the lowering the
+    loop nest is printed from, and counts in ``fallback_calls``.  What a
+    call needs besides its pointers and bounds (the stack and stride
+    arguments) is decided once per layout of ``src`` and ``out`` and kept in
+    a dict of at most :data:`NATIVE_LAYOUTS_MAX` entries.
     """
 
     mode = "native"
@@ -791,50 +791,34 @@ class NativeKernel:
         self.np_dtype = numpy_dtype(pattern.dtype)
         self.itemsize = np.dtype(self.np_dtype).itemsize
         self.ndim = pattern.ndim
-        self._compiler = compiler
-        # The NumPy engine, for calls no loop nest takes; every loop nest is
-        # printed from its lowering.
+        self._order = _stream_last_order(self.ndim)
+        # The NumPy engine, for calls the loop nest does not take; the loop
+        # nest is printed from its lowering.
         self._fallback = compile_pattern(pattern, mode="compiled")
-        self._fns: Dict[Tuple[int, ...], object] = {}
-        self._fn_for(tuple(range(1, self.ndim)) + (0,))  # empty_stream_last's order
+        self._fn = _native_entry_point(compiler, generate_native_source(pattern), self.ndim)
         self._layouts: Dict[tuple, tuple] = {}
         self.fallback_calls = 0
 
-    def _fn_for(self, order: Tuple[int, ...]):
-        """The entry point whose loop nest runs the dimensions in ``order``."""
-        fn = self._fns.get(order)
-        if fn is None:
-            source = generate_native_source(self.pattern, self.pattern.dtype, order)
-            fn = self._fns[order] = _native_entry_point(self._compiler, source, self.ndim)
-        return fn
-
     def _layout(self, src: np.ndarray, out: np.ndarray) -> tuple:
-        """``(entry point, loop order, stack and stride arguments)`` for calls
-        on arrays laid out like ``src`` and ``out``; :data:`_NUMPY_LAYOUT`
-        when no loop nest can take them."""
-        itemsize, ndim = self.itemsize, self.ndim
-        lead = src.ndim - ndim
-        inner = None
-        if (
+        """The stack and stride arguments of calls on arrays laid out like
+        ``src`` and ``out``; :data:`_NUMPY_LAYOUT` unless both have the
+        kernel's dtype, at most one stack axis, and a contiguous streaming
+        axis."""
+        itemsize = self.itemsize
+        lead = src.ndim - self.ndim
+        if not (
             src.dtype == out.dtype == self.np_dtype
             and lead in (0, 1)
             and out.shape[:lead] == src.shape[:lead]
             and out.ndim == src.ndim
+            and src.strides[lead] == itemsize == out.strides[lead]
         ):
-            # The innermost loop runs along an axis contiguous in both arrays.
-            inner = next(
-                (d for d in reversed(range(ndim))
-                 if src.strides[lead + d] == itemsize == out.strides[lead + d]),
-                None,
-            )
-        if inner is None:
             return _NUMPY_LAYOUT
-        order = tuple(d for d in range(ndim) if d != inner) + (inner,)
         stack = (src.shape[0], src.strides[0] // itemsize, out.strides[0] // itemsize)
         fixed = [*(stack if lead else (1, 0, 0))]
-        fixed += [src.strides[lead + d] // itemsize for d in order[:-1]]
-        fixed += [out.strides[lead + d] // itemsize for d in order[:-1]]
-        return self._fn_for(order), order, tuple(fixed)
+        fixed += [src.strides[lead + d] // itemsize for d in self._order[:-1]]
+        fixed += [out.strides[lead + d] // itemsize for d in self._order[:-1]]
+        return tuple(fixed)
 
     def __call__(self, src: np.ndarray, region: Region, out: np.ndarray) -> np.ndarray:
         # The layout: dtypes, strides and the stack axes' extents (the
@@ -846,14 +830,13 @@ class NativeKernel:
             if len(self._layouts) >= NATIVE_LAYOUTS_MAX:
                 self._layouts.clear()
             layout = self._layouts[key] = self._layout(src, out)
-        fn, order, fixed = layout
-        if fn is None:
+        if not layout:  # _NUMPY_LAYOUT
             # Delegate to the NumPy engine rather than reinterpreting raw bits.
             self.fallback_calls += 1
             return self._fallback(src, region, out)
-        fn(
-            src.ctypes.data, out.ctypes.data, *fixed,
-            *[bound for d in order for bound in (region[d].start, region[d].stop)],
+        self._fn(
+            src.ctypes.data, out.ctypes.data, *layout,
+            *[bound for d in self._order for bound in (region[d].start, region[d].stop)],
         )
         return out
 

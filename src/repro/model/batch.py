@@ -89,7 +89,6 @@ def is_standard_config(config: BlockingConfig) -> bool:
         config.double_buffer
         and config.star_opt is None
         and config.associative_opt is None
-        and not config.vectorized_smem
     )
 
 

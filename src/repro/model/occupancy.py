@@ -64,13 +64,12 @@ def occupancy_for(
     grid: GridSpec,
     config: BlockingConfig,
     gpu: GpuSpec,
-    framework: str = "an5d",
 ) -> OccupancyResult:
     """Detailed occupancy used by the timing simulator (memoized)."""
-    key = (pattern.cache_key, grid, config, gpu, framework)
+    key = (pattern.cache_key, grid, config, gpu)
     cached = _OCCUPANCY_CACHE.get(key)
     if cached is None:
-        cached = _occupancy_for(pattern, grid, config, gpu, framework)
+        cached = _occupancy_for(pattern, grid, config, gpu)
         if len(_OCCUPANCY_CACHE) >= _OCCUPANCY_CACHE_MAX:
             _OCCUPANCY_CACHE.clear()
         _OCCUPANCY_CACHE[key] = cached
@@ -82,12 +81,11 @@ def _occupancy_for(
     grid: GridSpec,
     config: BlockingConfig,
     gpu: GpuSpec,
-    framework: str = "an5d",
 ) -> OccupancyResult:
     model = ExecutionModel(pattern, grid, config)
     nthr = config.nthr
     smem = an5d_shared_memory_plan(pattern, config)
-    registers = effective_registers(pattern, config, framework)
+    registers = effective_registers(pattern, config)
 
     limits = {
         "threads": gpu.max_threads_per_sm // nthr,

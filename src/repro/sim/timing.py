@@ -12,9 +12,9 @@ the model-vs-measured gap:
 * ``__syncthreads`` barrier and kernel-launch overheads (these are what make
   very high temporal blocking degrees and very small stream blocks lose).
 
-The same machinery also simulates the baselines by swapping in their resource
-models (register allocation, shared-memory multi-buffering, redundancy),
-see :mod:`repro.baselines`.
+It simulates AN5D kernels only: each baseline in :mod:`repro.baselines`
+computes its own occupancy and timing from its resource models (register
+allocation, shared-memory multi-buffering, redundancy).
 """
 
 from __future__ import annotations
@@ -79,14 +79,13 @@ class TimingSimulator:
         pattern: StencilPattern,
         grid: GridSpec,
         config: BlockingConfig,
-        framework: str = "an5d",
     ) -> SimulatedMeasurement:
         """Simulate one full benchmark run (``grid.time_steps`` steps)."""
         spec = self.device.spec
         model = ExecutionModel(pattern, grid, config)
         traffic = compute_traffic(pattern, grid, config)
-        occupancy = occupancy_for(pattern, grid, config, spec, framework)
-        registers = effective_registers(pattern, config, framework)
+        occupancy = occupancy_for(pattern, grid, config, spec)
+        registers = effective_registers(pattern, config)
         demand = estimate_registers(pattern, config)
 
         # -- compute time ---------------------------------------------------

@@ -108,9 +108,10 @@ class ReferenceExecutor:
         and the second one gets only the ring copied in (every step writes
         the whole interior).  They keep the streaming dimension innermost in
         memory, as the blocked executor's spare grids and tile stacks do, so
-        a check runs one loop order of its kernel: ``initial`` is copied
-        into that layout, since the native kernel needs an axis contiguous
-        in both of its arrays, and the result comes back in C order.
+        a check runs the native kernel's one loop order: ``initial`` is
+        copied into that layout, since the native kernel needs the
+        streaming axis contiguous in both of its arrays, and the result
+        comes back in C order.
         """
         if time_steps <= 0:
             return initial.astype(self.dtype, copy=True)

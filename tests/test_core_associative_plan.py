@@ -109,6 +109,14 @@ def test_pipeline_dependency_rule(j2d9pt):
             assert call.plane == 12 - call.time_step * j2d9pt.radius
         if call.kind == "STORE":
             assert call.plane == 12 - 3 * j2d9pt.radius
+    # The tail's e-th extra load: CALC1, CALC2 and the STORE, at planes
+    # e - T*rad counted from the first load after the inner loop.
+    tail = scheduler.build_tail().calls
+    assert len(tail) == 3 * 3 * j2d9pt.radius
+    for index, call in enumerate(tail):
+        extra = index // 3 + 1
+        assert call.time_step == index % 3 + 1 and call.plane_is_relative
+        assert call.plane == extra - call.time_step * j2d9pt.radius
 
 
 def test_calc_args_reference_previous_time_step_group(j2d5pt):

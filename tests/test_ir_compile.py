@@ -22,6 +22,7 @@ from repro.ir.compile import (
     CompiledKernel,
     InterpretedKernel,
     compile_pattern,
+    empty_stream_last,
     native_supported,
     _auto_kernel,
     _native_compiler,
@@ -85,9 +86,13 @@ def test_native_engine_bit_identical_to_interpreter(name, dtype):
     out_shape = tuple(s.stop - s.start for s in region)
     interpreted = np.empty(out_shape, dtype=src.dtype)
     compile_pattern(pattern, mode="interpreter")(src, region, interpreted)
-    native = np.empty(out_shape, dtype=src.dtype)
-    compile_pattern(pattern, mode="native")(src, region, native)
-    assert np.array_equal(native, interpreted)
+    # Stream-last arrays, the layout the native loop nest runs.
+    stream_last = empty_stream_last(src.shape, pattern.ndim, src.dtype)
+    stream_last[...] = src
+    native = empty_stream_last(out_shape, pattern.ndim, src.dtype)
+    kernel = compile_pattern(pattern, mode="native")
+    kernel(stream_last, region, native)
+    assert np.array_equal(native, interpreted) and kernel.fallback_calls == 0
 
 
 def _stream_last_stack(pattern, dtype, count=3, seed=0):

@@ -4,8 +4,8 @@ fold every lowering of the expression tree runs on.
 A native library's build key is a digest of its C source, so the emitted
 text must not change by a byte when the lowering is reworked: that would
 rebuild every cached library.  The digests below pin it for every Table-3
-stencil at the loop order a check runs, for a radius-5 3-D box, and for a
-split body in logical order.
+stencil and for a radius-5 3-D box, at the one loop order a native kernel
+has.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from repro.stencils.reference import ReferenceExecutor
 from repro.tuning.autotuner import AutoTuner
 from repro.tuning.search_space import default_search_space
 
-#: sha256 of ``generate_native_source(pattern, dtype, (1, .., ndim-1, 0))``,
-#: the stream-last loop order both executors of a check run.
+#: sha256 of ``generate_native_source(pattern)``, printed at the stream-last
+#: loop order ``(1, .., ndim-1, 0)`` both executors of a check run.
 TABLE3_SOURCES = {
     ('star2d1r', 'float'): '2678c5f4ca67cafe8e147b7ee6c7147c5a407b8c25d3ee0b6bbc1ac689ca27a6',
     ('star2d1r', 'double'): '57f0d65e15f3b1748a296d41009bae7db49387426d08d17b1bbf1fd354374ded',
@@ -81,32 +81,27 @@ TABLE3_SOURCES = {
     ('j3d27pt', 'double'): '15b58cea1783d72af91289c370e03bba8bec95ddf999988e0342ef6379455ff3',
 }
 
-#: box3d5r in double (1,331 reads, eleven runs) at the check's loop order.
+#: box3d5r in double (1,331 reads, eleven runs).
 BOX3D5R_SOURCE = "2d5244e211c789c713cbd45ac1262fa7a0d7636dbb9cbf2f01ccfd7d7e82f759"
 
-#: box3d2r in float (249 statements, two runs) in logical loop order.
-BOX3D2R_SPLIT_SOURCE = "b120619e64df16d934ac375f585968211f7674a78da5aac375c99ce67b10c079"
 
-
-def _digest(pattern: StencilPattern, order) -> str:
-    source = generate_native_source(pattern, pattern.dtype, order)
-    return hashlib.sha256(source.encode()).hexdigest()
+def _digest(pattern: StencilPattern) -> str:
+    return hashlib.sha256(generate_native_source(pattern).encode()).hexdigest()
 
 
 def test_table3_native_sources_are_pinned():
     assert len(TABLE3_SOURCES) == 2 * len(BENCHMARKS)
     for (name, dtype), digest in TABLE3_SOURCES.items():
-        pattern = load_pattern(name, dtype)
-        order = tuple(range(1, pattern.ndim)) + (0,)
-        assert _digest(pattern, order) == digest, (name, dtype)
+        assert _digest(load_pattern(name, dtype)) == digest, (name, dtype)
 
 
-def test_a_radius5_box_and_a_split_logical_order_body_are_pinned():
+def test_a_radius5_box_and_a_split_body_are_pinned():
     box3d5r = dataclasses.replace(box_stencil(3, 5), dtype="double")
-    assert _digest(box3d5r, (1, 2, 0)) == BOX3D5R_SOURCE
+    assert _digest(box3d5r) == BOX3D5R_SOURCE
+    # box3d2r in float (249 statements) runs as two sweeps.
     box3d2r = box_stencil(3, 2)
-    assert generate_native_source(box3d2r, "float").count("for (ptrdiff_t k") == 2
-    assert _digest(box3d2r, None) == BOX3D2R_SPLIT_SOURCE
+    assert generate_native_source(box3d2r).count("for (ptrdiff_t k") == 2
+    assert _digest(box3d2r) == TABLE3_SOURCES["box3d2r", "float"]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from repro.ir.expr import BinOp, Call, Const, GridRead, UnaryOp
 from repro.ir.stencil import GridSpec, StencilPattern
 from repro.sim.executor import BlockedStencilExecutor, verify_blocking
 from repro.stencils.generators import box_stencil
-from repro.stencils.library import BENCHMARKS, load_pattern
+from repro.stencils.library import load_pattern
 from repro.stencils.reference import (
     ReferenceExecutor,
     allclose_for_dtype,
@@ -90,11 +90,13 @@ def _script(path: Path, body: str) -> str:
 
 
 def _run_region(kernel, pattern, seed=0):
+    """One call on stream-last arrays, the layout a native kernel runs."""
     rng = np.random.default_rng(seed)
-    rad = pattern.radius
-    src = rng.uniform(0.1, 1.0, size=(12 + 2 * rad,) * pattern.ndim).astype(numpy_dtype(pattern.dtype))
+    rad, ndim, np_dtype = pattern.radius, pattern.ndim, numpy_dtype(pattern.dtype)
+    src = empty_stream_last((12 + 2 * rad,) * ndim, ndim, np_dtype)
+    src[...] = rng.uniform(0.1, 1.0, size=src.shape).astype(np_dtype)
     region = tuple(slice(rad, dim - rad) for dim in src.shape)
-    out = np.empty(tuple(s.stop - s.start for s in region), dtype=src.dtype)
+    out = empty_stream_last(tuple(s.stop - s.start for s in region), ndim, np_dtype)
     kernel(src, region, out)
     return out
 
@@ -133,7 +135,7 @@ def test_constant_subtrees_fold_to_one_literal_in_both_lowerings(case, dtype):
     ]
     assert consts == [np_dtype(folded)] and type(consts[0]) is np_dtype
 
-    c_source = generate_native_source(pattern, dtype)
+    c_source = generate_native_source(pattern)
     literal = float(folded).hex() + ("f" if dtype == "float" else "")
     assert c_source.count(literal) == 1
     for operand in (0.5, 0.25, 4.0):
@@ -142,57 +144,45 @@ def test_constant_subtrees_fold_to_one_literal_in_both_lowerings(case, dtype):
     outputs = {mode: _run_region(compile_pattern(pattern, mode=mode), pattern)
                for mode in ("interpreter", "compiled")}
     if REAL_CC is not None and ir_compile._native_compiler() is not None:
-        outputs["native"] = _run_region(compile_pattern(pattern, mode="native"), pattern)
+        native = compile_pattern(pattern, mode="native")
+        outputs["native"] = _run_region(native, pattern)
+        assert native.fallback_calls == 0
     for mode, out in outputs.items():
         assert out.tobytes() == outputs["interpreter"].tobytes(), mode
 
 
 def test_a_native_source_folds_its_constants_in_the_dtype_it_is_printed_for():
-    # j2d5pt's coefficients round differently in float and in double.
-    double = generate_native_source(load_pattern("j2d5pt", "double"), "double")
-    assert generate_native_source(load_pattern("j2d5pt", "float"), "double") == double
-    assert generate_native_source(load_pattern("j2d5pt", "float"), "float") != double
+    # j2d5pt's coefficients round differently in float and in double, and
+    # each pattern's source spells its own dtype's values.
+    values = {}
+    for dtype in ("float", "double"):
+        pattern = load_pattern("j2d5pt", dtype)
+        source = generate_native_source(pattern)
+        consts = Lowering(pattern.expr, numpy_dtype(dtype)).consts
+        assert consts and all(ir_compile._c_literal(value, dtype) in source for value in consts)
+        values[dtype] = [float(value) for value in consts]
+    assert values["float"] == [float(np.float32(value)) for value in values["double"]]
+    assert values["float"] != values["double"]
 
 
 # ---------------------------------------------------------------------------
 # Long native loop bodies, split into runs
 # ---------------------------------------------------------------------------
 
-#: sha256 of j2d5pt's C source per (dtype, loop order), as generated before
-#: long bodies were split: a body of one run keeps its source, so its build
-#: key and every library already built for it.
+#: sha256 of j2d5pt's C source per dtype, as generated before long bodies
+#: were split: a body of one run keeps its source, so its build key and
+#: every library already built for it.
 J2D5PT_SOURCES = {
-    ("float", (0, 1)): "66f2caf8dae901a3a7b2686d8d887fbbe5e6722e86ea9cef0f789d0b684dadcd",
-    ("float", (1, 0)): "315e975a54cc0a2b7842ae4b1e6d15bb9973f08ea42a55116df010ce4c77a72d",
-    ("double", (0, 1)): "a6258b50ce0efe25946d9b411003dbd0806378d9be79f412ddafbbce04396ef5",
-    ("double", (1, 0)): "059bbb33c36eca88e860a3b135208f49f5303438afd963dac06d530fe991bac3",
+    "float": "315e975a54cc0a2b7842ae4b1e6d15bb9973f08ea42a55116df010ce4c77a72d",
+    "double": "059bbb33c36eca88e860a3b135208f49f5303438afd963dac06d530fe991bac3",
 }
 
 
 def test_a_body_of_one_run_generates_the_source_it_always_had():
-    for (dtype, order), digest in J2D5PT_SOURCES.items():
-        source = generate_native_source(load_pattern("j2d5pt", dtype), dtype, order)
+    for dtype, digest in J2D5PT_SOURCES.items():
+        source = generate_native_source(load_pattern("j2d5pt", dtype))
         assert hashlib.sha256(source.encode()).hexdigest() == digest
         assert source.count("for (ptrdiff_t k") == 1
-
-
-#: sha256 over the C source of every Table-3 stencil (``BENCHMARKS`` order),
-#: float then double, each at the stream-last loop order ``(1, .., ndim-1,
-#: 0)`` then the logical order: 84 sources, so 84 build keys.
-TABLE3_SOURCES_BOTH_ORDERS = "cbf2779064a6d032b38c4d9875ce9dc58e21cc0a2b86cc6808a97cc1945b9fbb"
-
-
-def test_every_table3_source_in_both_loop_orders_is_pinned():
-    digest = hashlib.sha256()
-    count = 0
-    for name in BENCHMARKS:
-        for dtype in ("float", "double"):
-            pattern = load_pattern(name, dtype)
-            for order in (tuple(range(1, pattern.ndim)) + (0,), None):
-                digest.update(generate_native_source(pattern, dtype, order).encode())
-                count += 1
-    assert count == 84
-    assert digest.hexdigest() == TABLE3_SOURCES_BOTH_ORDERS
 
 
 def product_of_sums(dtype: str) -> StencilPattern:
@@ -244,7 +234,8 @@ def test_a_run_with_no_cut_inside_ends_at_the_first_cut_beyond():
 
 
 def _outputs_in_both_orders(kernel, pattern, seed=0):
-    """The kernel's update of a C-ordered grid and of a stream-last one."""
+    """The kernel's update of a C-ordered grid and of a stream-last one
+    (a native kernel hands the first to NumPy and runs the second)."""
     rng = np.random.default_rng(seed)
     rad = pattern.radius
     shape = (6 + 2 * rad,) * pattern.ndim
@@ -263,18 +254,18 @@ def _outputs_in_both_orders(kernel, pattern, seed=0):
 @needs_cc
 @pytest.mark.parametrize("dtype", ("float", "double"))
 @pytest.mark.parametrize("build", ("box_stencil", "product_of_sums"))
-def test_a_split_body_is_bit_equal_to_both_numpy_engines_in_both_loop_orders(build, dtype):
+def test_a_split_body_is_bit_equal_to_both_numpy_engines_in_both_memory_orders(build, dtype):
     if build == "box_stencil":
         pattern = dataclasses.replace(box_stencil(3, 2), dtype=dtype)
     else:
         pattern = product_of_sums(dtype)
-    assert generate_native_source(pattern, dtype).count("for (ptrdiff_t k") > 1
+    assert generate_native_source(pattern).count("for (ptrdiff_t k") > 1
     native = NativeKernel(pattern)
     expected = _outputs_in_both_orders(compile_pattern(pattern, mode="interpreter"), pattern)
     assert expected[0] == expected[1]
     assert _outputs_in_both_orders(compile_pattern(pattern, mode="compiled"), pattern) == expected
     assert _outputs_in_both_orders(native, pattern) == expected
-    assert native.fallback_calls == 0 and len(native._fns) == 2
+    assert native.fallback_calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +346,7 @@ def test_box3d3r_verify_check_goes_native():
     oracle = BlockedStencilExecutor(pattern, grid, config, kernel_mode="compiled")
     assert np.array_equal(blocked, oracle.run(initial))
     assert np.array_equal(reference, ReferenceExecutor(pattern, oracle.kernel).run(initial, grid.time_steps))
-    assert kernel.fallback_calls == 0 and list(kernel._fns) == [(1, 2, 0)]
+    assert kernel.fallback_calls == 0
     clear_kernel_cache()
 
 
@@ -465,7 +456,7 @@ def test_an_os_error_fails_one_build_and_is_not_remembered(cache_root, monkeypat
 
 
 @needs_cc
-def test_a_native_kernel_builds_its_other_loop_order_at_first_use(cache_root):
+def test_a_native_kernel_runs_c_ordered_calls_on_numpy_and_builds_once(cache_root):
     pattern = load_pattern("j2d5pt", "double")
     kernel = compile_pattern(pattern, mode="native")
     assert len(_libraries(native_cache_dir())) == 1
@@ -475,20 +466,21 @@ def test_a_native_kernel_builds_its_other_loop_order_at_first_use(cache_root):
     initial = make_initial_grid(pattern, grid, seed=4)
     blocked = executor.run(initial)
     reference = ReferenceExecutor(pattern, kernel).run(initial, grid.time_steps)
-    # Both executors keep the streaming axis innermost: the order built first.
-    assert len(_libraries(native_cache_dir())) == 1
+    # Both executors keep the streaming axis innermost: the one loop nest.
+    assert len(_libraries(native_cache_dir())) == 1 and kernel.fallback_calls == 0
     oracle = ReferenceExecutor(pattern, compile_pattern(pattern, mode="interpreter"))
     expected = oracle.run(initial, grid.time_steps)
     assert np.array_equal(blocked, expected) and np.array_equal(reference, expected)
-    # A C-ordered grid runs the other order, built at its first use.
+    # A C-ordered grid runs on the NumPy engine: every call is counted, and
+    # no second library is built.
     interior = tuple(slice(pattern.radius, n - pattern.radius) for n in initial.shape)
     stepped = initial
-    for _ in range(grid.time_steps):
+    for step in range(grid.time_steps):
         source, stepped = stepped, stepped.copy()
         kernel(source, interior, out=stepped[interior])
-    assert len(_libraries(native_cache_dir())) == 2
-    assert kernel.fallback_calls == 0
-    assert np.array_equal(stepped, expected)
+        assert kernel.fallback_calls == step + 1
+    assert len(_libraries(native_cache_dir())) == 1
+    assert stepped.tobytes() == expected.tobytes()
 
 
 def test_a_fuzz_job_builds_no_native_kernel(cache_root, tmp_path, monkeypatch):
@@ -677,7 +669,7 @@ def test_a_group_writable_library_is_never_loaded(cache_root, monkeypatch):
 def test_the_build_key_changes_with_the_compiler_and_the_source(tmp_path):
     first = _script(tmp_path / "cc-a", "exit 0\n")
     second = _script(tmp_path / "cc-b", "exit 0\n")
-    source = generate_native_source(line_pattern(0.5), "double")
+    source = generate_native_source(line_pattern(0.5))
     key = ir_compile._build_key(first, source)
     assert key == ir_compile._build_key(first, source)
     assert key != ir_compile._build_key(second, source)
@@ -707,18 +699,18 @@ def test_one_layout_decision_per_call_shape(monkeypatch):
         compiled(src, region, outs[1])
         assert outs[0].tobytes() == outs[1].tobytes()
 
-    # Stream-last stacks: the loop order built with the kernel; a second
-    # region on the same layout reuses the first decision.
+    # Stream-last stacks run the kernel's loop nest; a second region on the
+    # same layout reuses the first decision.
     src, empty = stack(3)
     check(src, empty)
     check(src, empty, (slice(2, 8), slice(1, 5)))
-    assert len(native._layouts) == 1 and list(native._fns) == [(1, 0)]
-    # C-ordered arrays build the second loop order at their first call.
+    assert len(native._layouts) == 1 and native.fallback_calls == 0
+    # C-ordered arrays and a mismatched dtype go to NumPy, and every such
+    # call is counted.
     check(rng.random((10, 8)), lambda: np.empty((10, 8)))
-    assert len(native._layouts) == 2 and list(native._fns) == [(1, 0), (0, 1)]
-    # A mismatched dtype goes to NumPy, and every such call is counted.
+    assert len(native._layouts) == 2 and native.fallback_calls == 1
     src32, empty32 = stack(2, np.float32)
-    for calls in (1, 2):
+    for calls in (2, 3):
         check(src32, empty32)
         assert native.fallback_calls == calls
     assert len(native._layouts) == 3
@@ -727,7 +719,7 @@ def test_one_layout_decision_per_call_shape(monkeypatch):
     for count in range(4, 9):
         check(*stack(count))
         assert 1 <= len(native._layouts) <= 3
-    assert native.fallback_calls == 2
+    assert native.fallback_calls == 3
 
 
 def test_a_repointed_compiler_symlink_is_resolved_again(tmp_path, monkeypatch):
@@ -735,7 +727,7 @@ def test_a_repointed_compiler_symlink_is_resolved_again(tmp_path, monkeypatch):
     second = _script(tmp_path / "cc-b", "exit 0 # another compiler\n")
     link = tmp_path / "cc"
     link.symlink_to(first)
-    source = generate_native_source(line_pattern(0.5), "double")
+    source = generate_native_source(line_pattern(0.5))
     resolved = []
     realpath = os.path.realpath
     monkeypatch.setattr(os.path, "realpath", lambda path: resolved.append(path) or realpath(path))

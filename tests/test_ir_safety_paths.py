@@ -22,6 +22,7 @@ from repro.ir.compile import (
     InterpretedKernel,
     NativeKernel,
     compile_pattern,
+    empty_stream_last,
     generate_native_source,
 )
 from repro.ir.expr import BinOp, Call, Const, Expr, GridRead, UnaryOp, evaluate
@@ -70,7 +71,7 @@ def test_native_kernel_hands_arrays_with_no_shared_contiguous_axis_to_numpy():
 def test_native_kernel_needs_a_compiler_and_bit_exact_operations(monkeypatch):
     exp = StencilPattern("exp", 2, Call("exp", (_centre(),)), dtype="double")
     with pytest.raises(CompileError, match="call 'exp' not supported by the native backend"):
-        generate_native_source(exp, "double")
+        generate_native_source(exp)
     assert not ir_compile.native_supported(exp)
     monkeypatch.setattr(ir_compile, "_native_compiler", lambda: "cc")
     with pytest.raises(CompileError, match="uses operations the native backend cannot reproduce"):
@@ -111,7 +112,13 @@ def test_a_negated_read_runs_natively_like_numpy():
     pattern = StencilPattern("edge", 2, NEGATED, dtype="double")
     src = _grid()
     expected = _apply(CompiledKernel(pattern), src)
-    assert _apply(NativeKernel(pattern), src).tobytes() == expected.tobytes()
+    # Stream-last arrays, the layout the native loop nest runs.
+    stream_last = empty_stream_last(src.shape, 2, src.dtype)
+    stream_last[...] = src
+    out = empty_stream_last(expected.shape, 2, src.dtype)
+    native = NativeKernel(pattern)
+    native(stream_last, (slice(1, 11), slice(1, 9)), out)
+    assert native.fallback_calls == 0 and out.tobytes() == expected.tobytes()
 
 
 class _Mystery(Expr):
